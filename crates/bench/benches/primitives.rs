@@ -62,7 +62,7 @@ fn bench_ring_ops(c: &mut Criterion) {
 
     g.bench_function("pop_task_hot_loop_1000", |b| {
         let mut ring = build();
-        let ids: Vec<Id> = ring.iter().map(|(id, _)| *id).collect();
+        let ids: Vec<Id> = ring.vnode_loads().into_iter().map(|(id, _)| id).collect();
         let mut i = 0usize;
         b.iter(|| {
             i = (i + 1) % ids.len();

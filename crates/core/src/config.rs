@@ -202,13 +202,13 @@ pub struct SimConfig {
     /// (monitor food; O(workers) per sample, so off by default).
     #[cfg_attr(feature = "serde", serde(default))]
     pub metrics_ring: bool,
-    /// Number of arc-range ring shards for the tick engine. `1` (the
-    /// default) runs the classic ordered-map engine; `>= 2` switches to
-    /// the sharded struct-of-arrays engine, which partitions the
-    /// identifier ring into contiguous arcs and batches cross-shard
-    /// effects at the tick barrier. `0` means auto: one shard per
-    /// available hardware thread. Results are bit-for-bit identical for
-    /// every shard count (see `crate::shard`).
+    /// Number of contiguous arc ranges the ring is partitioned into.
+    /// Every count runs the same struct-of-arrays engine and planned
+    /// work phase; with more than one shard the shards replay their
+    /// planned pops in parallel when the rayon pool has threads. `1` is
+    /// the default; `0` means auto: one shard per available hardware
+    /// thread. Results are bit-for-bit identical for every shard count
+    /// (see `crate::ring`).
     #[cfg_attr(feature = "serde", serde(default = "one"))]
     pub shards: u32,
 }
@@ -309,14 +309,14 @@ impl SimConfig {
     /// Resolved shard count for the tick engine: `0` maps to the number
     /// of available hardware threads, and the result is clamped to
     /// `1..=MAX_SHARDS`. Purely a partitioning knob — the simulation
-    /// outcome is identical for every value (see `crate::shard`).
+    /// outcome is identical for every value (see `crate::ring`).
     pub fn resolved_shards(&self) -> usize {
         let raw = if self.shards == 0 {
             std::thread::available_parallelism().map_or(1, |p| p.get())
         } else {
             self.shards as usize
         };
-        raw.clamp(1, crate::shard::MAX_SHARDS)
+        raw.clamp(1, crate::ring::MAX_SHARDS)
     }
 
     /// Validates the configuration, returning a human-readable complaint

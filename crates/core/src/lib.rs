@@ -34,7 +34,6 @@
 pub mod config;
 pub mod metrics;
 pub mod ring;
-pub mod shard;
 pub mod sim;
 pub mod strategy;
 pub mod trace;
@@ -42,8 +41,7 @@ pub mod worker;
 
 pub use config::{ChurnModel, Heterogeneity, SimConfig, StrategyKind, WorkMeasurement};
 pub use metrics::{RunResult, SimMessageStats, Snapshot, TickSeries};
-pub use ring::Ring;
-pub use shard::{RingStore, ShardedRing, MAX_SHARDS};
+pub use ring::{Ring, MAX_SHARDS};
 pub use sim::Sim;
 pub use trace::{EventLog, SimEvent};
 pub use worker::{Worker, WorkerId, WorkerState};

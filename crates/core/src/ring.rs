@@ -1,4 +1,5 @@
-//! The simulation ring: an ordered map of virtual nodes with task sets.
+//! The simulation ring: arc-range shards of virtual nodes in a
+//! struct-of-arrays layout, and the planned tick work phase.
 //!
 //! This is the fast substrate the tick simulator runs on (the
 //! protocol-level Chord implementation lives in `autobal-chord`; see
@@ -7,26 +8,60 @@
 //! the paper's own simulator).
 //!
 //! Every virtual node owns the clockwise arc `(predecessor, self]` and
-//! holds the keys of the *remaining* tasks in that arc, sorted
-//! ascending. Joins split the successor's task vector; departures merge
-//! into the successor.
+//! holds the keys of the *remaining* tasks in that arc. Joins split the
+//! successor's task vector; departures merge into the successor.
+//!
+//! [`Ring`] partitions the 160-bit identifier circle into `S`
+//! contiguous arc-range shards (shard `s` owns ids whose top 96 bits
+//! fall in `[s·2⁹⁶/S, (s+1)·2⁹⁶/S)`), each holding its virtual nodes as
+//! an ordered id→slot index next to parallel `owners`/`tasks` columns,
+//! so the hot tick loop walks dense vectors instead of chasing ordered
+//! map nodes. A vnode keeps its slot for its whole lifetime, so the
+//! `(shard, slot)` pair `Slot` is a stable handle the simulator uses
+//! to reach a vnode's queue without any ordered-map lookup.
+//!
+//! ## Determinism contract
+//!
+//! The shard count is a partitioning knob only: every operation
+//! sequence yields bit-for-bit identical state at every shard count and
+//! every thread count. Structural operations (join splits, departure
+//! merges, task placement) run in global id order — a shard boundary
+//! never changes *what* happens, only *where* the state lives. The work
+//! phase exploits one algebraic fact: the xorshift64* pop generator's
+//! state evolution is independent of the vector lengths being popped,
+//! and each vnode's pop count for a tick (`min(remaining capacity,
+//! vnode load)`) is known before any pop happens. So the tick barrier
+//! (a) plans every popping vnode's `(offset, count)` slice of the
+//! tick's pop stream sequentially, in worker order and then in each
+//! worker's vnode order, (b) materializes the whole state stream once,
+//! and (c) lets every shard replay its planned slices against its own
+//! task vectors — in parallel, with no cross-shard effects, reproducing
+//! the sequential per-pop loop exactly. Cross-shard structural effects
+//! (a Sybil landing in another shard's arc, a departure merging into a
+//! successor across a boundary) happen in the sequential strategy
+//! phase, outside the parallel window.
 
 use crate::worker::WorkerId;
 use autobal_id::{ring as arc, Id};
+use autobal_metrics::DistSummary;
+use rayon::prelude::*;
 use std::collections::BTreeMap;
 use std::ops::Bound;
 
-/// One virtual node: a primary or a Sybil.
-#[derive(Debug, Clone)]
-pub struct VNode {
-    /// The physical worker controlling this position.
-    pub owner: WorkerId,
-    /// Remaining task keys in this node's arc, in no particular order.
-    /// Consumption removes a uniformly random element (see
-    /// [`Ring::pop_task`]), so the remaining keys stay uniformly spread
-    /// over the arc — the property Sybil splits rely on.
-    pub tasks: Vec<Id>,
-}
+/// Hard cap on the shard count (a partitioning knob, not a scaling
+/// limit — more shards than cores only adds merge bookkeeping).
+pub const MAX_SHARDS: usize = 64;
+
+/// Owner sentinel marking a freed slot in the struct-of-arrays columns.
+const FREE_OWNER: WorkerId = usize::MAX;
+
+/// How many retired task vectors the ring keeps around for reuse.
+/// Splits and merges alternate under churn, so a handful of warm
+/// buffers absorbs the steady state without hoarding memory.
+const POOL_CAP: usize = 32;
+
+/// Initial xorshift state for the pop generator.
+const POP_SEED: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// Errors from ring operations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -51,28 +86,181 @@ impl std::fmt::Display for RingError {
 
 impl std::error::Error for RingError {}
 
-/// How many retired task vectors the ring keeps around for reuse.
-/// Splits and merges alternate under churn, so a handful of warm
-/// buffers absorbs the steady state without hoarding memory.
-pub(crate) const POOL_CAP: usize = 32;
+/// Stable handle to one virtual node's storage: its shard and its slot
+/// in that shard's columns. Valid from the insert that returned it to
+/// the removal of the same vnode.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Slot {
+    shard: u32,
+    slot: u32,
+}
 
-/// Initial xorshift state for the pop generator. Shared with the
-/// sharded engine so both start from the same stream.
-pub(crate) const POP_SEED: u64 = 0x9E37_79B9_7F4A_7C15;
+/// One planned vnode of a tick: pop `count` tasks from `slot` using the
+/// pop-stream states at `offset..offset + count`.
+#[derive(Debug, Clone, Copy)]
+struct PlannedPops {
+    offset: u64,
+    slot: u32,
+    count: u32,
+}
 
-/// The ring of virtual nodes.
+/// Which shard an identifier belongs to: the top 96 bits of the id,
+/// scaled by the shard count. Monotone in the id, so concatenating the
+/// shards' ordered indexes in shard order yields the global id order.
+#[inline]
+fn shard_of(id: Id, shards: usize) -> usize {
+    let [_, mid, hi] = id.limbs();
+    // `hi` < 2³² (160-bit ids), so key96 < 2⁹⁶ and the product fits u128.
+    let key96 = ((hi as u128) << 64) | (mid as u128);
+    ((key96 * shards as u128) >> 96) as usize
+}
+
+/// One contiguous arc-range shard in struct-of-arrays layout.
+#[derive(Debug, Clone, Default)]
+struct Shard {
+    /// Ordered id → slot index (the shard's fragment of the ring order).
+    index: BTreeMap<Id, usize>,
+    /// Slot → owning worker (`FREE_OWNER` when the slot is free).
+    owners: Vec<WorkerId>,
+    /// Slot → remaining task keys, in no particular order. Consumption
+    /// removes a uniformly random element, so the remaining keys stay
+    /// uniformly spread over the arc — the property Sybil splits rely on.
+    tasks: Vec<Vec<Id>>,
+    /// Free slot list (slots keep their columns; vectors are recycled
+    /// through the ring-level pool instead).
+    free: Vec<usize>,
+    /// `(slot, owner)` pairs for slots with a nonempty task queue — the
+    /// ring-side planner's working set. Valid only while the ring-level
+    /// `live_epoch` matches `muts` (rebuilt by `refresh_live`); pruned
+    /// in place as queues drain, so tail-of-run ticks touch only the
+    /// handful of still-loaded slots instead of every column.
+    live: Vec<(u32, u32)>,
+    /// This tick's planned vnodes (reused buffer; emptied by replay).
+    plan: Vec<PlannedPops>,
+}
+
+impl Shard {
+    /// Files a vnode into a free (or fresh) slot and returns the slot.
+    fn insert(&mut self, id: Id, owner: WorkerId, tasks: Vec<Id>) -> Option<usize> {
+        let slot = match self.free.pop() {
+            Some(s) if s < self.owners.len() => s,
+            _ => {
+                self.owners.push(FREE_OWNER);
+                self.tasks.push(Vec::new());
+                self.owners.len() - 1
+            }
+        };
+        *self.owners.get_mut(slot)? = owner;
+        *self.tasks.get_mut(slot)? = tasks;
+        self.index.insert(id, slot);
+        Some(slot)
+    }
+
+    /// Unfiles a vnode, returning its slot, owner and task vector.
+    fn remove(&mut self, id: Id) -> Option<(usize, WorkerId, Vec<Id>)> {
+        let slot = self.index.remove(&id)?;
+        let owner = std::mem::replace(self.owners.get_mut(slot)?, FREE_OWNER);
+        let tasks = std::mem::take(self.tasks.get_mut(slot)?);
+        self.free.push(slot);
+        Some((slot, owner, tasks))
+    }
+
+    /// The task vector of the vnode at `id`, if present.
+    fn tasks_of(&self, id: Id) -> Option<&Vec<Id>> {
+        self.tasks.get(*self.index.get(&id)?)
+    }
+
+    fn tasks_of_mut(&mut self, id: Id) -> Option<&mut Vec<Id>> {
+        self.tasks.get_mut(*self.index.get(&id)?)
+    }
+
+    /// Replays this shard's planned slices of the tick's pop-state
+    /// stream: every planned slot pops its count using exactly the
+    /// states the sequential per-pop loop would have drawn for it.
+    /// Returns the number of tasks popped.
+    ///
+    /// Slots are visited in plan order, not ring order: each state in
+    /// the stream is pre-assigned to one vnode by the planning pass, so
+    /// replay order cannot change which state pops which queue.
+    fn replay(&mut self, stream: &[u64]) -> u64 {
+        let Shard { tasks, plan, .. } = self;
+        let mut done = 0u64;
+        for p in plan.iter() {
+            let start = p.offset as usize;
+            let (Some(tv), Some(states)) = (
+                tasks.get_mut(p.slot as usize),
+                stream.get(start..start + p.count as usize),
+            ) else {
+                continue;
+            };
+            for &st in states {
+                let len = tv.len();
+                if len == 0 {
+                    break;
+                }
+                tv.swap_remove(pop_index(st, len));
+                done += 1;
+            }
+        }
+        plan.clear();
+        done
+    }
+
+    /// Rebuilds the live `(slot, owner)` working set from the columns.
+    fn rebuild_live(&mut self) {
+        let Shard {
+            owners,
+            tasks,
+            live,
+            ..
+        } = self;
+        live.clear();
+        for (slot, (&owner, tv)) in owners.iter().zip(tasks.iter()).enumerate() {
+            if owner != FREE_OWNER && !tv.is_empty() {
+                live.push((slot as u32, owner as u32));
+            }
+        }
+    }
+
+    /// Mergeable load summary over this shard's vnodes.
+    fn summary(&self) -> DistSummary {
+        let mut s = DistSummary::default();
+        for &slot in self.index.values() {
+            s.observe(self.tasks.get(slot).map_or(0, |t| t.len() as u64));
+        }
+        s
+    }
+}
+
+/// The ring of virtual nodes: one struct-of-arrays engine at every
+/// shard count (see the module docs for the determinism contract).
 #[derive(Debug, Clone)]
 pub struct Ring {
-    map: BTreeMap<Id, VNode>,
+    shards: Vec<Shard>,
+    /// Total live vnodes across all shards.
+    len: usize,
     total_tasks: u64,
     /// xorshift state for uniform task consumption (deterministic).
     pop_rng: u64,
     /// Reusable split buffer: holds the newcomer's keys during
-    /// [`Ring::insert_vnode`] so steady-state splits never allocate.
+    /// `insert_vnode` so steady-state splits never allocate.
     scratch: Vec<Id>,
-    /// Retired task vectors from [`Ring::remove_vnode`], recycled as
-    /// newcomer vectors on the next split.
+    /// Retired task vectors, recycled as newcomer vectors on the next
+    /// split.
     pool: Vec<Vec<Id>>,
+    /// The tick's pre-generated pop-state stream (reused buffer).
+    stream: Vec<u64>,
+    /// Ring-side planner scratch: per-worker pop counts and stream
+    /// offsets (reused buffers).
+    worker_pops: Vec<u32>,
+    worker_offs: Vec<u64>,
+    /// Structural mutation counter: every insert/remove/assign/single
+    /// pop bumps it, invalidating the shards' `live` working sets.
+    muts: u64,
+    /// Value of `muts` when the `live` sets were last rebuilt; planned
+    /// pops prune the sets in place without bumping `muts`, so between
+    /// structural mutations the rebuild is skipped entirely.
+    live_epoch: u64,
 }
 
 impl Default for Ring {
@@ -82,23 +270,56 @@ impl Default for Ring {
 }
 
 impl Ring {
+    /// A new empty ring in one shard.
     pub fn new() -> Ring {
+        Ring::with_shards(1)
+    }
+
+    /// A new empty ring partitioned into `shards` arcs (clamped to
+    /// `1..=MAX_SHARDS`).
+    pub fn with_shards(shards: usize) -> Ring {
+        let shards = shards.clamp(1, MAX_SHARDS);
         Ring {
-            map: BTreeMap::new(),
+            shards: std::iter::repeat_with(Shard::default)
+                .take(shards)
+                .collect(),
+            len: 0,
             total_tasks: 0,
             pop_rng: POP_SEED,
             scratch: Vec::new(),
             pool: Vec::new(),
+            stream: Vec::new(),
+            worker_pops: Vec::new(),
+            worker_offs: Vec::new(),
+            muts: 1,
+            live_epoch: 0,
         }
+    }
+
+    /// Brings every shard's live working set up to date with the
+    /// columns; a no-op between structural mutations.
+    fn refresh_live(&mut self) {
+        if self.live_epoch == self.muts {
+            return;
+        }
+        for sh in self.shards.iter_mut() {
+            sh.rebuild_live();
+        }
+        self.live_epoch = self.muts;
+    }
+
+    /// Number of arc-range shards.
+    pub fn shard_count(&self) -> usize {
+        self.shards.len()
     }
 
     /// Number of virtual nodes.
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.len
     }
 
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.len == 0
     }
 
     /// Total remaining tasks across the ring.
@@ -106,85 +327,114 @@ impl Ring {
         self.total_tasks
     }
 
-    pub fn contains(&self, id: Id) -> bool {
-        self.map.contains_key(&id)
+    #[inline]
+    fn shard_idx(&self, id: Id) -> usize {
+        shard_of(id, self.shards.len())
     }
 
-    pub fn vnode(&self, id: Id) -> Option<&VNode> {
-        self.map.get(&id)
+    fn shard_for(&self, id: Id) -> Option<&Shard> {
+        self.shards.get(self.shard_idx(id))
+    }
+
+    fn tasks_of_mut(&mut self, id: Id) -> Option<&mut Vec<Id>> {
+        let s = self.shard_idx(id);
+        self.shards.get_mut(s)?.tasks_of_mut(id)
+    }
+
+    pub fn contains(&self, id: Id) -> bool {
+        self.shard_for(id)
+            .is_some_and(|sh| sh.index.contains_key(&id))
     }
 
     /// Remaining tasks at one virtual node.
     pub fn load(&self, id: Id) -> u64 {
-        self.map.get(&id).map_or(0, |v| v.tasks.len() as u64)
+        self.tasks(id).map_or(0, |t| t.len() as u64)
     }
 
-    /// Iterates `(id, vnode)` in ring (ascending id) order.
-    pub fn iter(&self) -> impl Iterator<Item = (&Id, &VNode)> {
-        self.map.iter()
+    /// The worker controlling the vnode at `id`, if present.
+    pub fn vnode_owner(&self, id: Id) -> Option<WorkerId> {
+        let sh = self.shard_for(id)?;
+        sh.owners.get(*sh.index.get(&id)?).copied()
     }
 
     /// The virtual node whose arc contains `key` (first id ≥ key,
     /// wrapping to the smallest id).
     pub fn owner_of_key(&self, key: Id) -> Option<Id> {
-        self.map
-            .range(key..)
-            .next()
-            .map(|(id, _)| *id)
-            .or_else(|| self.map.keys().next().copied())
+        let s = self.shard_idx(key);
+        self.shards
+            .get(s)
+            .and_then(|sh| sh.index.range(key..).next())
+            .map(|(&id, _)| id)
+            .or_else(|| self.first_nonempty_after(s))
     }
 
     /// Clockwise neighbor of `id` (excluding itself; `id` itself when it
     /// is the only node). `id` need not be present.
     pub fn successor_of(&self, id: Id) -> Option<Id> {
-        if self.map.is_empty() {
-            return None;
-        }
-        self.map
-            .range((Bound::Excluded(id), Bound::Unbounded))
-            .next()
-            .map(|(i, _)| *i)
-            .or_else(|| self.map.keys().next().copied())
+        let s = self.shard_idx(id);
+        self.shards
+            .get(s)
+            .and_then(|sh| {
+                sh.index
+                    .range((Bound::Excluded(id), Bound::Unbounded))
+                    .next()
+            })
+            .map(|(&i, _)| i)
+            .or_else(|| self.first_nonempty_after(s))
     }
 
     /// Counter-clockwise neighbor of `id` (excluding itself).
     pub fn predecessor_of(&self, id: Id) -> Option<Id> {
-        if self.map.is_empty() {
-            return None;
+        let s = self.shard_idx(id);
+        if let Some((&i, _)) = self
+            .shards
+            .get(s)
+            .and_then(|sh| sh.index.range(..id).next_back())
+        {
+            return Some(i);
         }
-        self.map
-            .range(..id)
-            .next_back()
-            .map(|(i, _)| *i)
-            .or_else(|| self.map.keys().next_back().copied())
+        // Walk counter-clockwise through shards s-1, …, 0, then wrap
+        // n-1, …, s: the first non-empty shard's largest id is the
+        // predecessor (or, wrapped, the global maximum).
+        let n = self.shards.len();
+        (1..=n).find_map(|d| {
+            let sh = self.shards.get((s + n - d) % n)?;
+            sh.index.keys().next_back().copied()
+        })
+    }
+
+    /// The smallest id in the first non-empty shard clockwise after
+    /// shard `s` (cyclically, ending at `s` itself). Ids in shards
+    /// after `s` all sort above shard `s`'s arc, so this is both "next
+    /// id after the arc" and, once wrapped past the top, the global
+    /// minimum.
+    fn first_nonempty_after(&self, s: usize) -> Option<Id> {
+        let n = self.shards.len();
+        (1..=n).find_map(|d| {
+            let sh = self.shards.get((s + d) % n)?;
+            sh.index.keys().next().copied()
+        })
     }
 
     /// Up to `k` distinct clockwise successors of `id`, nearest first,
     /// stopping early if the walk wraps back to `id`.
     pub fn successors(&self, id: Id, k: usize) -> Vec<Id> {
-        let mut out = Vec::with_capacity(k);
-        let mut cur = id;
-        for _ in 0..k {
-            match self.successor_of(cur) {
-                Some(s) if s != id => {
-                    out.push(s);
-                    cur = s;
-                }
-                _ => break,
-            }
-        }
-        out
+        self.walk(id, k, Ring::successor_of)
     }
 
     /// Up to `k` distinct counter-clockwise predecessors, nearest first.
     pub fn predecessors(&self, id: Id, k: usize) -> Vec<Id> {
+        self.walk(id, k, Ring::predecessor_of)
+    }
+
+    fn walk(&self, id: Id, k: usize, step: fn(&Ring, Id) -> Option<Id>) -> Vec<Id> {
         let mut out = Vec::with_capacity(k);
         let mut cur = id;
         for _ in 0..k {
-            match self.predecessor_of(cur) {
-                Some(p) if p != id => {
-                    out.push(p);
-                    cur = p;
+            match step(self, cur) {
+                Some(next) if next != id => {
+                    out.push(next);
+                    cur = next;
                 }
                 _ => break,
             }
@@ -194,67 +444,105 @@ impl Ring {
 
     /// Inserts a virtual node at `id` for `owner`, splitting the
     /// successor's task set: keys in `(old predecessor, id]` move to the
-    /// newcomer. Returns how many tasks were acquired.
+    /// newcomer — the successor may live in any shard. Returns how many
+    /// tasks were acquired.
     pub fn insert_vnode(&mut self, id: Id, owner: WorkerId) -> Result<u64, RingError> {
-        if self.map.contains_key(&id) {
+        self.insert_slotted(id, owner).map(|(_, acquired)| acquired)
+    }
+
+    /// [`Ring::insert_vnode`], also handing back the newcomer's stable
+    /// [`Slot`] handle.
+    pub(crate) fn insert_slotted(
+        &mut self,
+        id: Id,
+        owner: WorkerId,
+    ) -> Result<(Slot, u64), RingError> {
+        self.muts = self.muts.wrapping_add(1);
+        if self.contains(id) {
             return Err(RingError::Occupied(id));
         }
-        if self.map.is_empty() {
-            self.map.insert(
-                id,
-                VNode {
-                    owner,
-                    tasks: Vec::new(),
-                },
-            );
-            return Ok(0);
+        let mut tasks = Vec::new();
+        if let Some(succ_id) = self.owner_of_key(id) {
+            let ss = self.shard_idx(succ_id);
+            let Ring {
+                shards, scratch, ..
+            } = self;
+            let Some(tv) = shards.get_mut(ss).and_then(|sh| sh.tasks_of_mut(succ_id)) else {
+                return Err(RingError::Unknown(succ_id));
+            };
+            // Keys keeping with the successor are those in (id, succ_id];
+            // everything else in its vector belongs to the newcomer.
+            // `retain` is a stable in-place partition: keepers compact
+            // down in order while the scratch buffer collects the
+            // newcomer's keys in their original order.
+            scratch.clear();
+            tv.retain(|&k| {
+                let keep = arc::in_arc(id, succ_id, k);
+                if !keep {
+                    scratch.push(k);
+                }
+                keep
+            });
+            tasks = self.pool.pop().unwrap_or_default();
+            tasks.extend_from_slice(&self.scratch);
         }
-        let succ_id = self.owner_of_key(id).expect("non-empty ring");
-        let succ = self.map.get_mut(&succ_id).expect("successor exists");
-        // Keys keeping with the successor are those in (id, succ_id];
-        // everything else in its vector belongs to the newcomer.
-        // `retain` is a stable in-place partition: keepers compact down
-        // in order while the scratch buffer collects the newcomer's
-        // keys, so both vectors end up element-for-element identical to
-        // the two fresh vectors a `partition` would build.
-        self.scratch.clear();
-        let scratch = &mut self.scratch;
-        succ.tasks.retain(|&k| {
-            let keep = arc::in_arc(id, succ_id, k);
-            if !keep {
-                scratch.push(k);
-            }
-            keep
-        });
-        let acquired = self.scratch.len() as u64;
-        let mut tasks = self.pool.pop().unwrap_or_default();
-        tasks.extend_from_slice(&self.scratch);
-        self.map.insert(id, VNode { owner, tasks });
-        Ok(acquired)
+        let acquired = tasks.len() as u64;
+        let s = self.shard_idx(id);
+        let Some(slot) = self
+            .shards
+            .get_mut(s)
+            .and_then(|sh| sh.insert(id, owner, tasks))
+        else {
+            return Err(RingError::Unknown(id));
+        };
+        self.len += 1;
+        let handle = Slot {
+            shard: s as u32,
+            slot: slot as u32,
+        };
+        Ok((handle, acquired))
     }
 
     /// Removes the virtual node at `id`, merging its remaining tasks
-    /// into its successor. Returns `(owner, tasks_moved, successor)`.
+    /// into its successor (which may live in any shard). Returns
+    /// `(owner, tasks_moved, successor)`.
     pub fn remove_vnode(&mut self, id: Id) -> Result<(WorkerId, u64, Id), RingError> {
-        if !self.map.contains_key(&id) {
+        self.remove_slotted(id)
+            .map(|(_, owner, moved, succ)| (owner, moved, succ))
+    }
+
+    /// [`Ring::remove_vnode`], also handing back the freed [`Slot`].
+    pub(crate) fn remove_slotted(
+        &mut self,
+        id: Id,
+    ) -> Result<(Slot, WorkerId, u64, Id), RingError> {
+        self.muts = self.muts.wrapping_add(1);
+        let Some(idle) = self.tasks(id).map(<[Id]>::is_empty) else {
             return Err(RingError::Unknown(id));
-        }
-        if self.map.len() == 1 {
-            let v = &self.map[&id];
-            if v.tasks.is_empty() {
-                let v = self.map.remove(&id).unwrap();
-                self.recycle(v.tasks);
-                return Ok((v.owner, 0, id));
+        };
+        let succ_id = if self.len == 1 {
+            if !idle {
+                return Err(RingError::LastVNode);
             }
-            return Err(RingError::LastVNode);
+            id
+        } else {
+            self.successor_of(id).ok_or(RingError::Unknown(id))?
+        };
+        let s = self.shard_idx(id);
+        let Some((slot, owner, tasks)) = self.shards.get_mut(s).and_then(|sh| sh.remove(id)) else {
+            return Err(RingError::Unknown(id));
+        };
+        self.len -= 1;
+        let moved = tasks.len() as u64;
+        if let Some(tv) = self.tasks_of_mut(succ_id) {
+            tv.extend_from_slice(&tasks);
         }
-        let succ_id = self.successor_of(id).expect("len >= 2");
-        let v = self.map.remove(&id).unwrap();
-        let moved = v.tasks.len() as u64;
-        let succ = self.map.get_mut(&succ_id).unwrap();
-        succ.tasks.extend_from_slice(&v.tasks);
-        self.recycle(v.tasks);
-        Ok((v.owner, moved, succ_id))
+        self.recycle(tasks);
+        let handle = Slot {
+            shard: s as u32,
+            slot: slot as u32,
+        };
+        Ok((handle, owner, moved, succ_id))
     }
 
     /// Parks a retired task vector for reuse by a later split.
@@ -265,60 +553,182 @@ impl Ring {
         }
     }
 
-    /// Distributes an arbitrary batch of task keys onto their owning
-    /// virtual nodes (used for initial placement). Keys may arrive in
-    /// any order.
+    /// Distributes a batch of task keys onto their owning virtual nodes
+    /// (initial placement). Keys may arrive in any order; the walk
+    /// simply crosses shard boundaries as it sweeps the global id order.
     pub fn assign_tasks(&mut self, mut keys: Vec<Id>) {
-        assert!(!self.map.is_empty(), "assign_tasks on empty ring");
+        debug_assert!(self.len > 0, "assign_tasks on empty ring");
+        self.muts = self.muts.wrapping_add(1);
         keys.sort_unstable();
         self.total_tasks += keys.len() as u64;
         // For consecutive vnode ids a < b, b owns integer range (a, b].
-        // The smallest vnode also picks up the wrap: keys > last ∪ keys ≤ first.
-        // One in-order mutable pass over the map replaces the old
-        // collect-all-keys-into-a-Vec approach; `prev` carries the
-        // window's left edge between iterations.
+        // The smallest vnode also picks up the wrap: keys > last ∪ keys
+        // ≤ first. `prev` carries the window's left edge.
         let mut start = 0usize;
         let mut first = None;
         let mut prev = None;
-        for (&b, node) in self.map.iter_mut() {
-            let Some(a) = prev else {
-                first = Some(b);
+        for sh in self.shards.iter_mut() {
+            let Shard { index, tasks, .. } = sh;
+            for (&b, &slot) in index.iter() {
+                let Some(a) = prev else {
+                    first = Some(b);
+                    prev = Some(b);
+                    continue;
+                };
+                // keys in (a, b]: advance start past ≤ a, then take ≤ b.
+                let tail = keys.get(start..).unwrap_or_default();
+                let lo = tail.partition_point(|&k| k <= a) + start;
+                let rest = keys.get(lo..).unwrap_or_default();
+                let hi = rest.partition_point(|&k| k <= b) + lo;
+                if let (Some(tv), Some(chunk)) = (tasks.get_mut(slot), keys.get(lo..hi)) {
+                    extend_sorted(tv, chunk);
+                }
+                start = hi;
                 prev = Some(b);
-                continue;
-            };
-            // keys in (a, b]: advance start past ≤ a, then take ≤ b.
-            let lo = keys[start..].partition_point(|&k| k <= a) + start;
-            let hi = keys[lo..].partition_point(|&k| k <= b) + lo;
-            extend_sorted(&mut node.tasks, &keys[lo..hi]);
-            start = hi;
-            prev = Some(b);
+            }
         }
         // Wrap chunk: keys ≤ first id and keys > last id go to first.
-        let first = first.expect("non-empty ring");
-        let last = prev.expect("non-empty ring");
+        let (Some(first), Some(last)) = (first, prev) else {
+            return;
+        };
         let head_end = keys.partition_point(|&k| k <= first);
         let tail_start = keys.partition_point(|&k| k <= last);
-        let first_node = self.map.get_mut(&first).unwrap();
+        let Some(tv) = self.tasks_of_mut(first) else {
+            return;
+        };
         // Tail (big keys) sort before head in ring order but after in
         // integer order; keep the vector integer-sorted.
-        extend_sorted(&mut first_node.tasks, &keys[..head_end]);
-        extend_sorted(&mut first_node.tasks, &keys[tail_start..]);
+        extend_sorted(tv, keys.get(..head_end).unwrap_or_default());
+        extend_sorted(tv, keys.get(tail_start..).unwrap_or_default());
     }
 
-    /// Consumes one uniformly random task from the virtual node.
-    /// Returns `false` if the node is absent or idle.
+    /// Consumes one uniformly random task from the virtual node,
+    /// drawing the next state of the shared pop stream. Returns `false`
+    /// if the node is absent or idle.
     pub fn pop_task(&mut self, id: Id) -> bool {
-        let Some(v) = self.map.get_mut(&id) else {
+        let state = advance_pop_state(self.pop_rng);
+        let Some(tv) = self.tasks_of_mut(id).filter(|tv| !tv.is_empty()) else {
             return false;
         };
-        let len = v.tasks.len();
-        if len == 0 {
-            return false;
-        }
-        let idx = next_pop_index(&mut self.pop_rng, len);
-        v.tasks.swap_remove(idx);
+        tv.swap_remove(pop_index(state, tv.len()));
+        self.pop_rng = state;
         self.total_tasks -= 1;
+        self.muts = self.muts.wrapping_add(1);
         true
+    }
+
+    /// Remaining tasks at the vnode behind a handle.
+    #[inline]
+    pub(crate) fn queue_len(&self, h: Slot) -> u64 {
+        self.shards
+            .get(h.shard as usize)
+            .and_then(|sh| sh.tasks.get(h.slot as usize))
+            .map_or(0, |t| t.len() as u64)
+    }
+
+    /// Plans `count` pops from the vnode behind `h` this tick, drawing
+    /// the stream states at `offset..offset + count`. The planning pass
+    /// assigns offsets as a running total in the order the sequential
+    /// per-pop loop would pop — the contract [`Ring::run_pops`] relies
+    /// on to reproduce it exactly.
+    #[inline]
+    pub(crate) fn plan_pops(&mut self, h: Slot, offset: u64, count: u32) {
+        if let Some(sh) = self.shards.get_mut(h.shard as usize) {
+            sh.plan.push(PlannedPops {
+                offset,
+                slot: h.slot,
+                count,
+            });
+        }
+    }
+
+    /// The work phase of one tick, after a planning pass has planned
+    /// `total` pops. Generates the tick's pop-state stream once, then
+    /// replays each shard's planned slices — in parallel when there are
+    /// several shards and the ambient rayon pool has threads to spare,
+    /// sequentially otherwise; both produce identical state by
+    /// construction.
+    pub(crate) fn run_pops(&mut self, total: u64) {
+        self.stream.clear();
+        self.stream.reserve(total as usize);
+        let mut s = self.pop_rng;
+        for _ in 0..total {
+            s = advance_pop_state(s);
+            self.stream.push(s);
+        }
+        self.pop_rng = s;
+        let Ring { shards, stream, .. } = self;
+        let stream: &[u64] = stream;
+        let done: u64 = if shards.len() > 1 && rayon::current_num_threads() > 1 {
+            let jobs: Vec<&mut Shard> = shards.iter_mut().collect();
+            let per_shard: Vec<u64> = jobs.into_par_iter().map(|sh| sh.replay(stream)).collect();
+            per_shard.iter().sum()
+        } else {
+            shards.iter_mut().map(|sh| sh.replay(stream)).sum()
+        };
+        debug_assert_eq!(done, total, "replay popped a different count");
+        self.total_tasks -= done;
+    }
+
+    /// The planning pass done ring-side, for ticks where nothing
+    /// observes per-worker loads (see `Sim::run`) and every worker
+    /// holds exactly one vnode: each live slot's queue length *is* its
+    /// owner's load, so pop counts are read straight off the dense
+    /// columns without touching the worker table. `caps[w]` is worker
+    /// `w`'s per-tick capacity.
+    ///
+    /// Offsets are the exclusive prefix sum *in worker-index order* —
+    /// the order the sequential loop pops in. Returns the tick's total
+    /// pop count; [`Ring::run_pops`] replays the plan.
+    pub(crate) fn plan_pops_from_ring(&mut self, caps: &[u32]) -> u64 {
+        self.refresh_live();
+        let Ring {
+            shards,
+            worker_pops,
+            worker_offs,
+            ..
+        } = self;
+        worker_pops.clear();
+        worker_pops.resize(caps.len(), 0);
+        worker_offs.resize(caps.len(), 0);
+        for sh in shards.iter_mut() {
+            let Shard { tasks, live, .. } = sh;
+            // Drained slots leave the working set here.
+            live.retain(|&(slot, owner)| {
+                let len = tasks.get(slot as usize).map_or(0, Vec::len) as u64;
+                if let (Some(&cap), Some(p)) = (
+                    caps.get(owner as usize),
+                    worker_pops.get_mut(owner as usize),
+                ) {
+                    *p = (cap as u64).min(len) as u32;
+                }
+                len > 0
+            });
+        }
+        let mut total = 0u64;
+        for (&p, off) in worker_pops.iter().zip(worker_offs.iter_mut()) {
+            *off = total;
+            total += p as u64;
+        }
+        for sh in shards.iter_mut() {
+            let Shard { live, plan, .. } = sh;
+            for &(slot, owner) in live.iter() {
+                let (Some(&count), Some(&offset)) = (
+                    worker_pops.get(owner as usize),
+                    worker_offs.get(owner as usize),
+                ) else {
+                    continue;
+                };
+                if count > 0 {
+                    plan.push(PlannedPops {
+                        offset,
+                        slot,
+                        count,
+                    });
+                }
+            }
+        }
+        total
     }
 
     /// The ring-order median of a virtual node's remaining task keys:
@@ -327,43 +737,105 @@ impl Ring {
     /// absent or idle. A Sybil planted *at* this key acquires half the
     /// victim's remaining work exactly — the §VII chosen-ID extension.
     pub fn median_task_key(&self, id: Id) -> Option<Id> {
-        let v = self.map.get(&id)?;
-        if v.tasks.is_empty() {
-            return None;
-        }
+        let mut keys = self.tasks(id).filter(|t| !t.is_empty())?.to_vec();
         let pred = self.predecessor_of(id).unwrap_or(id);
-        let mut keys = v.tasks.clone();
         let mid = keys.len() / 2;
         keys.select_nth_unstable_by_key(mid, |k| k.wrapping_sub(pred));
-        Some(keys[mid])
+        keys.get(mid).copied()
     }
 
     /// Per-owner total loads, for snapshot assertions.
     pub fn loads_by_owner(&self, workers: usize) -> Vec<u64> {
         let mut out = vec![0u64; workers];
-        for v in self.map.values() {
-            out[v.owner] += v.tasks.len() as u64;
+        for (_, owner, tv) in self.vnodes_in_order() {
+            if let Some(o) = out.get_mut(owner) {
+                *o += tv.len() as u64;
+            }
         }
         out
     }
 
-    /// Verifies internal invariants (accurate total, keys within their
-    /// owner arcs). Test/debug helper; O(total tasks).
+    /// Remaining task keys at one virtual node, in internal queue order.
+    pub fn tasks(&self, id: Id) -> Option<&[Id]> {
+        self.shard_for(id)?.tasks_of(id).map(Vec::as_slice)
+    }
+
+    /// Every vnode as `(id, owner, tasks)` in global ring (ascending
+    /// id) order — shards concatenate to the global order because
+    /// [`shard_of`] is monotone in the id.
+    fn vnodes_in_order(&self) -> impl Iterator<Item = (Id, WorkerId, &[Id])> + '_ {
+        self.shards.iter().flat_map(|sh| {
+            sh.index.iter().map(move |(&id, &slot)| {
+                let owner = sh.owners.get(slot).copied().unwrap_or(FREE_OWNER);
+                let tasks = sh.tasks.get(slot).map_or(Default::default(), Vec::as_slice);
+                (id, owner, tasks)
+            })
+        })
+    }
+
+    /// `(id, owner, tasks)` for every vnode in global ring order.
+    pub fn rows(&self) -> Vec<(Id, WorkerId, Vec<Id>)> {
+        self.vnodes_in_order()
+            .map(|(id, owner, tasks)| (id, owner, tasks.to_vec()))
+            .collect()
+    }
+
+    /// `(id, load)` for every vnode in global ring order.
+    pub fn vnode_loads(&self) -> Vec<(Id, u64)> {
+        self.vnodes_in_order()
+            .map(|(id, _, tasks)| (id, tasks.len() as u64))
+            .collect()
+    }
+
+    /// Per-shard mergeable load summaries (the tick-barrier feed for
+    /// the metrics plane: each shard reports independently, the merge
+    /// is order-free and exact).
+    pub fn shard_summaries(&self) -> Vec<DistSummary> {
+        self.shards.iter().map(Shard::summary).collect()
+    }
+
+    /// The merged whole-ring summary; equals folding every vnode load
+    /// through one [`DistSummary`].
+    pub fn summary(&self) -> DistSummary {
+        let mut total = DistSummary::default();
+        for s in self.shards.iter().map(Shard::summary) {
+            total.merge(&s);
+        }
+        total
+    }
+
+    /// Verifies internal invariants (accurate totals, shard filing,
+    /// keys within their owner arcs). Test/debug helper; O(total tasks).
     pub fn check_invariants(&self) -> Result<(), String> {
         let mut counted = 0u64;
-        for (&id, v) in &self.map {
-            counted += v.tasks.len() as u64;
-            let pred = self.predecessor_of(id).unwrap_or(id);
-            for &k in &v.tasks {
-                if pred != id && !arc::in_arc(pred, id, k) {
-                    return Err(format!("key {k} at {id} outside arc ({pred}, {id}]"));
-                }
+        let mut live = 0usize;
+        for (id, owner, tv) in self.vnodes_in_order() {
+            live += 1;
+            if self
+                .shard_for(id)
+                .is_none_or(|sh| !sh.index.contains_key(&id))
+            {
+                return Err(format!("vnode {id} filed outside its shard"));
             }
+            if owner == FREE_OWNER {
+                return Err(format!("vnode {id} points at a freed slot"));
+            }
+            counted += tv.len() as u64;
+            let pred = self.predecessor_of(id).unwrap_or(id);
+            if let Some(k) = tv
+                .iter()
+                .find(|&&k| pred != id && !arc::in_arc(pred, id, k))
+            {
+                return Err(format!("key {k} at {id} outside arc ({pred}, {id}]"));
+            }
+        }
+        if live != self.len {
+            return Err(format!("len {} but counted {live} vnodes", self.len));
         }
         if counted != self.total_tasks {
             return Err(format!(
-                "total_tasks {} but counted {}",
-                self.total_tasks, counted
+                "total_tasks {} but counted {counted}",
+                self.total_tasks
             ));
         }
         Ok(())
@@ -371,11 +843,11 @@ impl Ring {
 }
 
 /// One xorshift64 step of the pop generator. Split out from
-/// [`next_pop_index`] because the state evolution is independent of the
-/// vector lengths being popped — the sharded engine exploits this to
+/// [`pop_index`] because the state evolution is independent of the
+/// vector lengths being popped — the planned tick exploits this to
 /// pre-generate a tick's whole state stream and pop in parallel.
 #[inline]
-pub(crate) fn advance_pop_state(state: u64) -> u64 {
+fn advance_pop_state(state: u64) -> u64 {
     let mut x = state;
     x ^= x << 13;
     x ^= x >> 7;
@@ -386,54 +858,41 @@ pub(crate) fn advance_pop_state(state: u64) -> u64 {
 /// Maps an advanced state word to an index in `0..len` (the `*` finisher
 /// of xorshift64*, reduced modulo the vector length).
 #[inline]
-pub(crate) fn pop_index(state: u64, len: usize) -> usize {
+fn pop_index(state: u64, len: usize) -> usize {
     debug_assert!(len > 0);
     (state.wrapping_mul(0x2545_F491_4F6C_DD1D) % len as u64) as usize
 }
 
-/// Next pseudo-random index in `0..len` (xorshift64*; cheap and
-/// deterministic — good enough for picking which task to run next).
-/// Free function over the bare state word so callers holding a mutable
-/// borrow into the node map can still step the generator.
-#[inline]
-fn next_pop_index(state: &mut u64, len: usize) -> usize {
-    *state = advance_pop_state(*state);
-    pop_index(*state, len)
-}
-
-/// Merges two ascending-sorted vectors into one.
-pub(crate) fn merge_sorted(a: &[Id], b: &[Id]) -> Vec<Id> {
-    let mut out = Vec::with_capacity(a.len() + b.len());
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        if a[i] <= b[j] {
-            out.push(a[i]);
-            i += 1;
-        } else {
-            out.push(b[j]);
-            j += 1;
-        }
-    }
-    out.extend_from_slice(&a[i..]);
-    out.extend_from_slice(&b[j..]);
-    out
-}
-
 /// Appends a sorted chunk to a sorted vector, merging when necessary.
-pub(crate) fn extend_sorted(dst: &mut Vec<Id>, chunk: &[Id]) {
-    if chunk.is_empty() {
+fn extend_sorted(dst: &mut Vec<Id>, chunk: &[Id]) {
+    let Some(&head) = chunk.first() else {
+        return;
+    };
+    if dst.last().is_none_or(|&l| l <= head) {
+        dst.extend_from_slice(chunk);
         return;
     }
-    if dst.last().is_none_or(|&l| l <= chunk[0]) {
-        dst.extend_from_slice(chunk);
-    } else {
-        *dst = merge_sorted(dst, chunk);
+    let mut out = Vec::with_capacity(dst.len() + chunk.len());
+    let (mut a, mut b) = (dst.iter().peekable(), chunk.iter().peekable());
+    while let (Some(&&x), Some(&&y)) = (a.peek(), b.peek()) {
+        if x <= y {
+            out.push(x);
+            a.next();
+        } else {
+            out.push(y);
+            b.next();
+        }
     }
+    out.extend(a);
+    out.extend(b);
+    *dst = out;
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::SeedableRng;
+    use rand_chacha::ChaCha8Rng;
 
     fn id(v: u128) -> Id {
         Id::from(v)
@@ -449,8 +908,10 @@ mod tests {
 
     #[test]
     fn empty_ring_basics() {
-        let r = Ring::new();
+        let r = Ring::default();
         assert!(r.is_empty());
+        assert_eq!(r.total_tasks(), 0);
+        assert_eq!(r.shard_count(), 1);
         assert_eq!(r.owner_of_key(id(5)), None);
         assert_eq!(r.successor_of(id(5)), None);
         assert_eq!(r.predecessor_of(id(5)), None);
@@ -504,7 +965,7 @@ mod tests {
         assert_eq!(got, 2);
         assert_eq!(r.load(id(260)), 2);
         assert_eq!(r.load(id(300)), 1);
-        assert_eq!(r.vnode(id(260)).unwrap().owner, 9);
+        assert_eq!(r.vnode_owner(id(260)), Some(9));
         r.check_invariants().unwrap();
     }
 
@@ -558,14 +1019,18 @@ mod tests {
 
     #[test]
     fn remove_unknown_and_last() {
-        let mut r = ring_with(&[100]);
-        assert_eq!(r.remove_vnode(id(5)), Err(RingError::Unknown(id(5))));
-        r.assign_tasks(vec![id(42)]);
-        assert_eq!(r.remove_vnode(id(100)), Err(RingError::LastVNode));
-        assert!(r.pop_task(id(100)));
-        let (_, moved, _) = r.remove_vnode(id(100)).unwrap();
-        assert_eq!(moved, 0);
-        assert!(r.is_empty());
+        for shards in [1, 4] {
+            let mut r = Ring::with_shards(shards);
+            let at = id(42);
+            r.insert_vnode(at, 0).unwrap();
+            r.assign_tasks(vec![id(7)]);
+            assert_eq!(r.remove_vnode(id(5)), Err(RingError::Unknown(id(5))));
+            assert_eq!(r.remove_vnode(at), Err(RingError::LastVNode));
+            assert!(r.pop_task(at));
+            assert_eq!(r.remove_vnode(at), Ok((0, 0, at)));
+            assert!(r.is_empty());
+            assert_eq!(r.remove_vnode(at), Err(RingError::Unknown(at)));
+        }
     }
 
     #[test]
@@ -624,13 +1089,16 @@ mod tests {
     }
 
     #[test]
-    fn merge_sorted_is_correct() {
-        let a = vec![id(1), id(5), id(9)];
-        let b = vec![id(2), id(5), id(10)];
-        let m = merge_sorted(&a, &b);
-        assert_eq!(m, vec![id(1), id(2), id(5), id(5), id(9), id(10)]);
-        assert_eq!(merge_sorted(&[], &a), a);
-        assert_eq!(merge_sorted(&a, &[]), a);
+    fn extend_sorted_merges_out_of_order_chunks() {
+        let mut v = vec![id(1), id(5), id(9)];
+        extend_sorted(&mut v, &[id(2), id(5), id(10)]);
+        assert_eq!(v, vec![id(1), id(2), id(5), id(5), id(9), id(10)]);
+        extend_sorted(&mut v, &[id(11)]);
+        assert_eq!(v.last(), Some(&id(11)));
+        let mut e = Vec::new();
+        extend_sorted(&mut e, &[id(3)]);
+        extend_sorted(&mut e, &[]);
+        assert_eq!(e, vec![id(3)]);
     }
 
     #[test]
@@ -643,9 +1111,8 @@ mod tests {
             assert!(r.pop_task(id(1000)));
         }
         let remaining_low = r
-            .vnode(id(1000))
+            .tasks(id(1000))
             .unwrap()
-            .tasks
             .iter()
             .filter(|&&k| k <= id(45))
             .count() as u64;
@@ -664,16 +1131,11 @@ mod tests {
         for _ in 0..500 {
             assert!(r.pop_task(id(1_000_000)));
         }
-        let survivors = &r.vnode(id(1_000_000)).unwrap().tasks;
+        let survivors = r.tasks(id(1_000_000)).unwrap();
         let low = survivors.iter().filter(|&&k| k <= id(50_000)).count();
         // Expect ≈ 250 below the midpoint; fail only on gross bias.
         assert!((150..=350).contains(&low), "low-half survivors: {low}");
     }
-}
-
-#[cfg(test)]
-mod error_tests {
-    use super::*;
 
     #[test]
     fn ring_error_display() {
@@ -683,18 +1145,112 @@ mod error_tests {
             .to_string()
             .contains("no virtual node"));
         assert!(RingError::LastVNode.to_string().contains("last"));
-    }
-
-    #[test]
-    fn ring_errors_are_std_errors() {
         fn takes_err(_: &dyn std::error::Error) {}
         takes_err(&RingError::LastVNode);
     }
 
     #[test]
-    fn default_ring_is_empty() {
-        let r = Ring::default();
-        assert!(r.is_empty());
-        assert_eq!(r.total_tasks(), 0);
+    fn shard_of_is_monotone_and_in_range() {
+        let mut rng = ChaCha8Rng::seed_from_u64(7);
+        for shards in [1usize, 2, 3, 8, 64] {
+            let mut pairs: Vec<(Id, usize)> = (0..500)
+                .map(|_| Id::random(&mut rng))
+                .map(|i| (i, shard_of(i, shards)))
+                .collect();
+            pairs.sort();
+            for w in pairs.windows(2) {
+                assert!(w[0].1 <= w[1].1, "shard_of must be monotone");
+            }
+            assert!(pairs.iter().all(|&(_, s)| s < shards));
+        }
+        assert_eq!(shard_of(Id::ZERO, 64), 0);
+        assert_eq!(shard_of(Id::MAX, 64), 63);
+    }
+
+    #[test]
+    fn summaries_merge_to_whole_ring() {
+        let mut rng = ChaCha8Rng::seed_from_u64(11);
+        let mut ring = Ring::with_shards(8);
+        for w in 0..50usize {
+            ring.insert_vnode(Id::random(&mut rng), w).unwrap();
+        }
+        ring.assign_tasks((0..2_000).map(|_| Id::random(&mut rng)).collect());
+        let merged = ring.summary();
+        assert_eq!(merged.n, 50);
+        assert_eq!(merged.total, 2_000);
+        let mut refold = DistSummary::default();
+        for s in ring.shard_summaries() {
+            refold.merge(&s);
+        }
+        assert_eq!(refold, merged);
+        let max = ring
+            .vnode_loads()
+            .into_iter()
+            .map(|(_, l)| l)
+            .max()
+            .unwrap();
+        assert_eq!(merged.max, max);
+    }
+
+    #[test]
+    fn slots_are_stable_and_reused_after_removal() {
+        let mut r = Ring::with_shards(2);
+        let (a, _) = r.insert_slotted(id(100), 0).unwrap();
+        let (b, _) = r.insert_slotted(id(200), 1).unwrap();
+        assert_ne!(a, b);
+        r.assign_tasks(vec![id(150), id(160)]);
+        assert_eq!(r.queue_len(b), 2);
+        // Removing a vnode frees its slot; the next insert into the
+        // same shard takes it over, the surviving handle is untouched.
+        let (freed, owner, moved, _) = r.remove_slotted(id(200)).unwrap();
+        assert_eq!((freed, owner, moved), (b, 1, 2));
+        assert_eq!(r.queue_len(a), 2);
+        let (c, _) = r.insert_slotted(id(210), 2).unwrap();
+        assert_eq!(c, b);
+        assert_eq!(r.queue_len(c), 2);
+    }
+
+    /// A planned tick — per-vnode `(offset, count)` slices of one
+    /// stream, replayed by each shard — pops exactly what the same
+    /// draws made one at a time would, with capacity spilling across
+    /// each owner's vnodes.
+    #[test]
+    fn planned_pops_match_sequential_pops() {
+        let mut rng = ChaCha8Rng::seed_from_u64(3);
+        let ids: Vec<Id> = (0..30).map(|_| Id::random(&mut rng)).collect();
+        let keys: Vec<Id> = (0..900).map(|_| Id::random(&mut rng)).collect();
+        for shards in [1, 4] {
+            let mut seq = Ring::with_shards(shards);
+            let mut planned = Ring::with_shards(shards);
+            let mut slots = Vec::new();
+            for (v, &at) in ids.iter().enumerate() {
+                seq.insert_vnode(at, v / 3).unwrap();
+                slots.push(planned.insert_slotted(at, v / 3).unwrap().0);
+            }
+            seq.assign_tasks(keys.clone());
+            planned.assign_tasks(keys.clone());
+            for _tick in 0..5 {
+                // Every owner's three vnodes share a capacity of 4.
+                let mut total = 0u64;
+                for (hs, at) in slots.chunks(3).zip(ids.chunks(3)) {
+                    let mut left = 4u64;
+                    for (&h, &v) in hs.iter().zip(at) {
+                        let p = left.min(planned.queue_len(h));
+                        if p > 0 {
+                            planned.plan_pops(h, total, p as u32);
+                        }
+                        total += p;
+                        left -= p;
+                        for _ in 0..p {
+                            assert!(seq.pop_task(v));
+                        }
+                    }
+                }
+                planned.run_pops(total);
+                assert_eq!(seq.total_tasks(), planned.total_tasks());
+                assert_eq!(seq.rows(), planned.rows());
+            }
+            planned.check_invariants().unwrap();
+        }
     }
 }

@@ -2,8 +2,7 @@
 
 use crate::config::{Heterogeneity, SimConfig, WorkMeasurement};
 use crate::metrics::{RunResult, SimMessageStats, Snapshot, TickSeries};
-use crate::ring::RingError;
-use crate::shard::RingStore;
+use crate::ring::{Ring, RingError, Slot};
 use crate::strategy::{
     invitation::{pick_helper, HelperCandidate},
     ActionError, Actions, ChurnOps, InviteOutcome, LocalView, OracleView, Strategy, StrategyParams,
@@ -27,8 +26,14 @@ use rand::Rng;
 /// then call [`Sim::run`] — or drive tick by tick with [`Sim::step`].
 pub struct Sim {
     pub(crate) cfg: SimConfig,
-    pub(crate) ring: RingStore,
+    pub(crate) ring: Ring,
     pub(crate) workers: Vec<Worker>,
+    /// Each worker's ring slot handles, in `Worker::vnodes()` order
+    /// (primary, statics, Sybils): the planning pass reads queue
+    /// lengths through them without an ordered-map lookup. Maintained
+    /// at the only mutation points — `with_placement`,
+    /// `insert_vnode_tracked` and `remove_vnode_tracked`.
+    handles: Vec<Vec<Slot>>,
     /// Worker ids currently parked in the churn waiting pool.
     pub(crate) waiting: Vec<WorkerId>,
     pub(crate) tick: u64,
@@ -49,19 +54,16 @@ pub struct Sim {
     dist: LoadDist,
     /// Whether the load dist is maintained (any sampling armed).
     dist_on: bool,
-    /// Whether ticks may run with the worker load ledger detached:
-    /// sharded engine, no churn, no strategy, no sampling or snapshots
-    /// armed — nothing can observe per-worker loads mid-run, so the
-    /// planned tick reads loads from the ring's dense columns instead
-    /// of streaming the whole worker table (see `step`).
+    /// Whether [`Sim::run`] may tick with the worker load ledger
+    /// detached: no churn, no strategy, one vnode per worker, no
+    /// sampling or snapshots armed — nothing can observe per-worker
+    /// loads mid-run, so the planned tick reads loads from the ring's
+    /// dense columns instead of streaming the whole worker table.
     ledger_detached_ok: bool,
     /// Per-worker tick capacities cached for the ring-side planner
     /// (static while the ledger-detached gate holds: no churn means no
     /// worker set changes, and strengths never change).
     caps: Vec<u32>,
-    /// True while worker `load` caches lag the ring because detached
-    /// ticks have run since the last [`Sim::sync_loads`].
-    loads_desynced: bool,
     /// Streaming metrics recorder; free when `record_metrics` is off.
     pub(crate) hub: MetricsHub,
     pub(crate) events: EventLog,
@@ -117,20 +119,23 @@ impl Sim {
             }
         };
 
-        let mut ring = RingStore::with_shards(cfg.resolved_shards());
+        let mut ring = Ring::with_shards(cfg.resolved_shards());
         let mut workers = Vec::with_capacity(cfg.nodes * 2);
+        let mut handles = Vec::with_capacity(cfg.nodes * 2);
         for id in node_ids {
             let s = draw_strength(&mut strength_rng);
             let widx = workers.len();
             workers.push(Worker::active(id, s));
-            ring.insert_vnode(id, widx)
+            let (slot, _) = ring
+                .insert_slotted(id, widx)
                 .expect("duplicate node id in placement");
+            handles.push(vec![slot]);
         }
         // Classic static virtual servers (baseline comparator): extra
         // ring positions per worker, placed before tasks land.
         if cfg.virtual_nodes_per_worker > 1 {
             let mut statics_rng = substream(seed, 0, domains::STATICS);
-            for (widx, w) in workers.iter_mut().enumerate() {
+            for ((widx, w), hs) in workers.iter_mut().enumerate().zip(handles.iter_mut()) {
                 for _ in 1..cfg.virtual_nodes_per_worker {
                     let pos = loop {
                         let p = Id::random(&mut statics_rng);
@@ -138,8 +143,9 @@ impl Sim {
                             break p;
                         }
                     };
-                    ring.insert_vnode(pos, widx).expect("fresh position");
+                    let (slot, _) = ring.insert_slotted(pos, widx).expect("fresh position");
                     w.statics.push(pos);
+                    hs.push(slot);
                 }
             }
         }
@@ -157,6 +163,7 @@ impl Sim {
                 let s = draw_strength(&mut strength_rng);
                 waiting.push(workers.len());
                 workers.push(Worker::waiting(s));
+                handles.push(Vec::new());
             }
         }
 
@@ -179,7 +186,7 @@ impl Sim {
             && !cfg.churn_enabled()
             && !dist_on
             && cfg.snapshot_ticks.is_empty()
-            && matches!(ring, RingStore::Sharded(_));
+            && cfg.virtual_nodes_per_worker <= 1;
         let caps: Vec<u32> = if ledger_detached_ok {
             let sb = cfg.work_measurement == WorkMeasurement::StrengthPerTick;
             workers
@@ -193,6 +200,7 @@ impl Sim {
             cfg,
             ring,
             workers,
+            handles,
             waiting,
             tick: 0,
             msgs: SimMessageStats::default(),
@@ -209,7 +217,6 @@ impl Sim {
             dist_on,
             ledger_detached_ok,
             caps,
-            loads_desynced: false,
             hub,
             events: EventLog::new(cfg_record_events),
             trace,
@@ -232,8 +239,8 @@ impl Sim {
         self.active_count
     }
 
-    /// Read-only view of the ring storage engine.
-    pub fn ring(&self) -> &RingStore {
+    /// Read-only view of the ring.
+    pub fn ring(&self) -> &Ring {
         &self.ring
     }
 
@@ -248,41 +255,12 @@ impl Sim {
     }
 
     /// Per-active-worker loads (the quantity the paper's histograms bin).
-    ///
-    /// Always truthful: while the load ledger is detached (see `step`)
-    /// the loads are read back from the ring instead of the stale
-    /// worker caches.
     pub fn active_loads(&self) -> Vec<u64> {
-        if self.loads_desynced {
-            let loads = self.ring.loads_by_owner(self.workers.len());
-            return self
-                .workers
-                .iter()
-                .zip(&loads)
-                .filter(|(w, _)| w.is_active())
-                .map(|(_, &l)| l)
-                .collect();
-        }
         self.workers
             .iter()
             .filter(|w| w.is_active())
             .map(|w| w.load)
             .collect()
-    }
-
-    /// Re-derives every active worker's cached load from the ring.
-    /// No-op unless detached ticks have run since the last sync.
-    fn sync_loads(&mut self) {
-        if !self.loads_desynced {
-            return;
-        }
-        let loads = self.ring.loads_by_owner(self.workers.len());
-        for (w, &l) in self.workers.iter_mut().zip(&loads) {
-            if w.is_active() {
-                w.load = l;
-            }
-        }
-        self.loads_desynced = false;
     }
 
     /// Captures a snapshot of the current workload distribution.
@@ -293,6 +271,14 @@ impl Sim {
     /// Advances the simulation one tick: strategy actions, then work.
     /// Returns the number of tasks consumed this tick.
     pub fn step(&mut self) -> u64 {
+        self.advance(false)
+    }
+
+    /// One tick. With `detached` the work phase plans ring-side and
+    /// leaves worker load caches stale (see `ledger_detached_ok`); only
+    /// [`Sim::run`] passes it, and it consumes the simulator, so every
+    /// public view of the workers stays truthful.
+    fn advance(&mut self, detached: bool) -> u64 {
         self.tick += 1;
 
         // Dispatch through the strategy stack (taken out and restored
@@ -313,104 +299,15 @@ impl Sim {
         self.strategies = stack;
         let _p = profile::span("work");
 
-        // 3. Every active worker consumes up to its capacity.
-        let strength_based = self.cfg.work_measurement == WorkMeasurement::StrengthPerTick;
-        let mut consumed = 0u64;
-        // Sharded fast path: when every active worker controls exactly
-        // its primary (no Sybils or static virtual servers, which is
-        // `ring.len() == active_count`), each worker's pop count for
-        // the tick is `min(capacity, load)` — known before any pop. A
-        // sequential planning pass assigns each worker its offset into
-        // the tick's pop-state stream (and settles load caches and the
-        // load distribution in the classic per-worker order), then the
-        // shards replay their slices of the stream independently —
-        // bit-for-bit the pops the loop below would have made.
-        let fast =
-            matches!(self.ring, RingStore::Sharded(_)) && self.ring.len() == self.active_count;
-        // Detached-ledger tick: with nothing armed that could observe
-        // per-worker loads mid-run (see `ledger_detached_ok`), the
-        // planning pass reads loads from the ring's dense queue-length
-        // columns and skips the worker-table stream entirely — per-tick
-        // memory traffic drops from the whole `Worker` array to the
-        // shards' owner/length columns. Worker `load` caches go stale
-        // and are re-derived from the ring by `sync_loads` before
-        // anything can read them.
-        let detached = fast && self.ledger_detached_ok;
-        if self.loads_desynced && !detached {
-            self.sync_loads();
-        }
-        if detached {
-            if let RingStore::Sharded(sr) = &mut self.ring {
-                consumed = sr.plan_pops_from_ring(&self.caps);
-                sr.run_pops(consumed);
-                self.loads_desynced = true;
-            }
-        } else if fast {
-            if let RingStore::Sharded(sr) = &mut self.ring {
-                sr.offs.clear();
-                sr.pops.clear();
-                sr.offs.resize(self.workers.len(), 0);
-                sr.pops.resize(self.workers.len(), 0);
-                for (idx, w) in self.workers.iter_mut().enumerate() {
-                    if !w.is_active() {
-                        continue;
-                    }
-                    let cap = w.capacity(strength_based);
-                    let load = w.load;
-                    if cap == 0 || load == 0 {
-                        continue;
-                    }
-                    let p = cap.min(load);
-                    sr.offs[idx] = consumed;
-                    sr.pops[idx] = p as u32;
-                    consumed += p;
-                    if self.dist_on {
-                        self.dist.update(load, load - p);
-                    }
-                    w.load = load - p;
-                }
-                sr.run_pops(consumed);
-            }
+        // 3. Every active worker consumes up to its capacity: plan each
+        //    popping vnode's slice of the tick's pop stream, then let
+        //    the shards replay their plans.
+        let consumed = if detached {
+            self.ring.plan_pops_from_ring(&self.caps)
         } else {
-            let ring = &mut self.ring;
-            let dist = &mut self.dist;
-            let dist_on = self.dist_on;
-            for w in self.workers.iter_mut() {
-                // Load first: in the drain tail most workers sit at 0,
-                // and waiting workers always do, so one field read
-                // usually settles the whole iteration.
-                let load = w.load;
-                if load == 0 || !w.is_active() {
-                    continue;
-                }
-                let mut cap = w.capacity(strength_based);
-                if cap == 0 {
-                    continue;
-                }
-                // Drain primary first, then Sybils. The vnode iterator
-                // borrows the worker immutably while `pop_task` mutates
-                // the (disjoint) ring, so no per-worker collection is
-                // needed; the load cache is settled after the loop.
-                let mut consumed_w = 0u64;
-                'outer: for v in w.vnodes() {
-                    while cap > 0 && ring.pop_task(v) {
-                        cap -= 1;
-                        consumed_w += 1;
-                        if consumed_w == load {
-                            break 'outer;
-                        }
-                    }
-                    if cap == 0 {
-                        break;
-                    }
-                }
-                consumed += consumed_w;
-                if dist_on {
-                    dist.update(load, load - consumed_w);
-                }
-                w.load = load - consumed_w;
-            }
-        }
+            self.plan_work()
+        };
+        self.ring.run_pops(consumed);
         self.work_history.push(consumed);
         self.hub.inc(metric_names::TICKS);
         self.hub.add(metric_names::TASKS_DONE, consumed);
@@ -424,6 +321,53 @@ impl Sim {
             "ring invariants violated at tick {}",
             self.tick
         );
+        consumed
+    }
+
+    /// The sequential planning pass: walks workers in index order and
+    /// each worker's vnodes in `Worker::vnodes()` order, spilling the
+    /// worker's capacity across them as `min(remaining capacity, vnode
+    /// load)` — exactly the pops a one-at-a-time loop would make, in
+    /// the order it would draw them. Settles load caches and the load
+    /// distribution as it goes. Returns the tick's total pop count.
+    fn plan_work(&mut self) -> u64 {
+        let strength_based = self.cfg.work_measurement == WorkMeasurement::StrengthPerTick;
+        let Sim {
+            workers,
+            handles,
+            ring,
+            dist,
+            dist_on,
+            ..
+        } = self;
+        let mut consumed = 0u64;
+        for (w, hs) in workers.iter_mut().zip(handles.iter()) {
+            // Load first: in the drain tail most workers sit at 0, and
+            // waiting workers always do, so one field read usually
+            // settles the whole iteration.
+            let load = w.load;
+            if load == 0 || !w.is_active() {
+                continue;
+            }
+            let budget = w.capacity(strength_based).min(load);
+            let mut left = budget;
+            for &h in hs {
+                if left == 0 {
+                    break;
+                }
+                let p = left.min(ring.queue_len(h));
+                if p > 0 {
+                    ring.plan_pops(h, consumed, p as u32);
+                    consumed += p;
+                    left -= p;
+                }
+            }
+            let done = budget - left;
+            if *dist_on {
+                dist.update(load, load - done);
+            }
+            w.load = load - done;
+        }
         consumed
     }
 
@@ -499,8 +443,11 @@ impl Sim {
             self.sample_metrics();
         }
         let cap = self.cfg.effective_max_ticks();
+        // Nothing can observe worker loads once the run starts (the
+        // result carries none), so eligible runs tick ledger-detached.
+        let detached = self.ledger_detached_ok;
         while self.ring.total_tasks() > 0 && self.tick < cap {
-            self.step();
+            self.advance(detached);
             if snapshot_ticks.binary_search(&self.tick).is_ok() {
                 let s = self.snapshot();
                 self.snapshots.push(s);
@@ -516,7 +463,6 @@ impl Sim {
                 }
             }
         }
-        self.sync_loads();
         let completed = self.ring.total_tasks() == 0;
         let ideal = self.cfg.ideal_ticks().max(1);
         self.trace.run_end(self.tick, completed);
@@ -627,17 +573,18 @@ impl Sim {
 
     // ---- tracked ring mutations ------------------------------------
 
-    /// Inserts a virtual node and keeps worker load caches consistent.
-    /// Returns the number of tasks acquired. The caller must add the
-    /// acquired count to the owner's cache *if the owner already has
-    /// other vnodes* — for simplicity this helper credits the owner
-    /// directly and debits the victim.
+    /// Inserts a virtual node and keeps worker load caches consistent:
+    /// credits the owner with the acquired tasks and debits the victim.
+    /// The new vnode's slot handle goes to the end of the owner's
+    /// handle list, so callers insert in `Worker::vnodes()` order.
+    /// Returns the number of tasks acquired.
     pub(crate) fn insert_vnode_tracked(
         &mut self,
         pos: Id,
         owner: WorkerId,
     ) -> Result<u64, RingError> {
-        let acquired = self.ring.insert_vnode(pos, owner)?;
+        let (slot, acquired) = self.ring.insert_slotted(pos, owner)?;
+        self.handles[owner].push(slot);
         if acquired > 0 {
             let victim_vnode = self.ring.successor_of(pos).expect("successor after split");
             let victim_owner = self.ring.vnode_owner(victim_vnode).expect("vnode");
@@ -655,9 +602,14 @@ impl Sim {
         Ok(acquired)
     }
 
-    /// Removes a virtual node, updating both owners' load caches.
+    /// Removes a virtual node, updating both owners' load caches and
+    /// dropping its slot handle (the rest keep their order).
     pub(crate) fn remove_vnode_tracked(&mut self, pos: Id) -> Result<u64, RingError> {
-        let (owner, moved, succ) = self.ring.remove_vnode(pos)?;
+        let (slot, owner, moved, succ) = self.ring.remove_slotted(pos)?;
+        let hs = &mut self.handles[owner];
+        if let Some(i) = hs.iter().position(|&h| h == slot) {
+            hs.remove(i);
+        }
         if moved > 0 {
             let succ_owner = self.ring.vnode_owner(succ).expect("successor");
             if self.dist_on && succ_owner != owner {
@@ -740,12 +692,19 @@ impl Sim {
         SimNodeCtx { sim: self, worker }
     }
 
-    /// Debug helper: verify load caches against the ring (O(vnodes)).
+    /// Debug helper: verify load caches and slot handles against the
+    /// ring (O(vnodes)).
     #[cfg(test)]
     pub(crate) fn assert_load_caches(&self) {
         let truth = self.ring.loads_by_owner(self.workers.len());
         for (i, w) in self.workers.iter().enumerate() {
             assert_eq!(w.load, truth[i], "load cache of worker {i}");
+            let via_handles: Vec<u64> = self.handles[i]
+                .iter()
+                .map(|&h| self.ring.queue_len(h))
+                .collect();
+            let via_ids: Vec<u64> = w.vnodes().map(|v| self.ring.load(v)).collect();
+            assert_eq!(via_handles, via_ids, "slot handles of worker {i}");
         }
         if self.dist_on {
             assert_eq!(self.dist.len() as usize, self.active_count, "dist size");
@@ -1190,6 +1149,26 @@ mod tests {
         let b = Sim::new(cfg, 10).run();
         assert_eq!(a.ticks, b.ticks);
         assert_eq!(a.messages, b.messages);
+    }
+
+    #[test]
+    fn hand_stepped_worker_loads_match_the_ring() {
+        // A `None` run with nothing armed is eligible for ledger-
+        // detached ticks; stepping it by hand must still keep the
+        // public worker table truthful.
+        for shards in [1, 4] {
+            let cfg = SimConfig {
+                shards,
+                ..small_cfg(StrategyKind::None)
+            };
+            let mut sim = Sim::new(cfg, 12);
+            for _ in 0..7 {
+                sim.step();
+            }
+            let loads: Vec<u64> = sim.workers().iter().map(|w| w.load).collect();
+            assert_eq!(loads, sim.ring().loads_by_owner(sim.workers().len()));
+            sim.assert_load_caches();
+        }
     }
 
     #[test]

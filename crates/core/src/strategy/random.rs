@@ -135,6 +135,7 @@ mod tests {
         }
         assert_eq!(sim.remaining_tasks() + consumed, 10_000);
         sim.ring().check_invariants().unwrap();
+        sim.assert_load_caches();
     }
 
     #[test]

@@ -11,13 +11,18 @@
 //! and reports the measured speedup — so the headline number is never a
 //! comparison across machines or commits.
 //!
-//! The `oracle_scaling` family sweeps worker count × shard count
-//! through the arc-range sharded engine (tasks proportional at 100 per
-//! worker, drain-phase timing over a shared pre-generated workload):
-//! the reduced CI grid is 100k workers at shards {1, 4}; `--full` runs
-//! n ∈ {6k, 50k, 100k, 500k, 1M} at shards {1, 2, 4, 8}. Every cell
-//! asserts tick-exact equality against its 1-shard sibling before any
-//! number is reported.
+//! The `oracle_scaling` family sweeps worker count × shard count on the
+//! one ring engine (tasks proportional at 100 per worker, drain-phase
+//! timing over a shared pre-generated workload): the shard count only
+//! sets how many arc ranges the ring is partitioned into, so the cells
+//! compare partitionings (and the thread parallelism they allow), not
+//! engines. The reduced CI grid is 100k workers at shards {1, 4};
+//! `--full` runs n ∈ {6k, 50k, 100k, 500k, 1M} at shards {1, 2, 4, 8}.
+//! Every cell asserts tick-exact equality against its 1-shard sibling
+//! before any number is reported.
+//!
+//! Every row carries the host's `nproc` and the rayon thread count the
+//! run used, so a scaling row is never read without its core count.
 //!
 //! `--baseline PATH` compares this run's throughput against a committed
 //! `BENCH_10.json` and fails (exit 1) only on a >2x regression; smaller
@@ -57,6 +62,22 @@ fn alloc_count<R>(f: impl FnOnce() -> R) -> (Option<u64>, R) {
 #[cfg(not(feature = "count-allocs"))]
 fn alloc_count<R>(f: impl FnOnce() -> R) -> (Option<u64>, R) {
     (None, f())
+}
+
+/// The machine a run measured: available hardware threads and the
+/// rayon pool size, stamped into every row.
+struct HostStamp {
+    nproc: usize,
+    threads: usize,
+}
+
+impl HostStamp {
+    fn current() -> HostStamp {
+        HostStamp {
+            nproc: std::thread::available_parallelism().map_or(1, |n| n.get()),
+            threads: rayon::current_num_threads(),
+        }
+    }
 }
 
 /// One measured scenario, as serialized into `BENCH_10.json`.
@@ -101,14 +122,16 @@ fn opt_u32(v: Option<u32>) -> String {
 }
 
 impl Measurement {
-    fn to_json(&self) -> String {
+    fn to_json(&self, host: &HostStamp) -> String {
         format!(
-            "    {{\n      \"name\": \"{}\",\n      \"substrate\": \"{}\",\n      \"group\": {},\n      \"workers\": {},\n      \"shards\": {},\n      \"units\": \"{}\",\n      \"work\": {},\n      \"wall_ms\": {:.2},\n      \"throughput\": {:.2},\n      \"allocations\": {},\n      \"peak_vnodes\": {},\n      \"naive_wall_ms\": {},\n      \"speedup_vs_naive\": {}\n    }}",
+            "    {{\n      \"name\": \"{}\",\n      \"substrate\": \"{}\",\n      \"group\": {},\n      \"workers\": {},\n      \"shards\": {},\n      \"nproc\": {},\n      \"threads\": {},\n      \"units\": \"{}\",\n      \"work\": {},\n      \"wall_ms\": {:.2},\n      \"throughput\": {:.2},\n      \"allocations\": {},\n      \"peak_vnodes\": {},\n      \"naive_wall_ms\": {},\n      \"speedup_vs_naive\": {}\n    }}",
             self.name,
             self.substrate,
             opt_str(self.group),
             opt_u64(self.workers),
             opt_u32(self.shards),
+            host.nproc,
+            host.threads,
             self.units,
             self.work,
             self.wall_ms,
@@ -564,8 +587,10 @@ fn oracle_scaling(args: &Args) -> Vec<Measurement> {
                 speedup_vs_naive: None,
             });
         }
-        // Report the sharded-engine gain over the classic engine for
-        // this worker count (the acceptance figure at n >= 100k).
+        // Compare partition counts on the one engine: the best
+        // multi-shard cell against the 1-shard cell of this worker
+        // count. Any gain is parallel replay across shards, so it is
+        // bounded by the rayon thread count.
         if let (Some(base), Some(best)) = (
             out.iter()
                 .find(|m| m.workers == Some(workers) && m.shards == Some(1)),
@@ -574,8 +599,10 @@ fn oracle_scaling(args: &Args) -> Vec<Measurement> {
                 .max_by(|a, b| a.throughput.total_cmp(&b.throughput)),
         ) {
             println!(
-                "  scaling n={workers}: best sharded {:.2}x over 1-shard",
-                best.throughput / base.throughput
+                "  scaling n={workers}: best partition ({} shards) {:.2}x over 1 shard on {} rayon threads",
+                best.shards.unwrap_or(1),
+                best.throughput / base.throughput,
+                rayon::current_num_threads()
             );
         }
     }
@@ -634,7 +661,8 @@ pub fn perf(args: &Args) {
     ];
     measurements.extend(oracle_scaling(args));
 
-    let body: Vec<String> = measurements.iter().map(Measurement::to_json).collect();
+    let host = HostStamp::current();
+    let body: Vec<String> = measurements.iter().map(|m| m.to_json(&host)).collect();
     let json = format!(
         "{{\n  \"schema\": \"autobal-perf-v1\",\n  \"seed\": {},\n  \"scenarios\": [\n{}\n  ]\n}}\n",
         args.seed,
@@ -688,7 +716,10 @@ mod tests {
     fn doc(oracle_tp: f64) -> String {
         format!(
             "{{\n  \"schema\": \"autobal-perf-v1\",\n  \"seed\": 1,\n  \"scenarios\": [\n{}\n  ]\n}}\n",
-            m("oracle_ring_large", oracle_tp).to_json()
+            m("oracle_ring_large", oracle_tp).to_json(&HostStamp {
+                nproc: 2,
+                threads: 2
+            })
         )
     }
 
@@ -701,6 +732,8 @@ mod tests {
         assert_eq!(s.get("name").unwrap().as_str(), Some("oracle_ring_large"));
         assert_eq!(s.get("throughput").unwrap().as_f64(), Some(1234.5));
         assert!(s.get("allocations").unwrap().is_null());
+        assert_eq!(s.get("nproc").unwrap().as_u64(), Some(2));
+        assert_eq!(s.get("threads").unwrap().as_u64(), Some(2));
     }
 
     #[test]

@@ -53,7 +53,7 @@ pub fn rules_for(rel: &str) -> Vec<Rule> {
             | "crates/chord/src/eventnet.rs"
             | "crates/chord/src/fault.rs"
             | "crates/chord/src/adversary.rs"
-            | "crates/core/src/shard.rs"
+            | "crates/core/src/ring.rs"
             | "src/event_sim.rs"
     ) {
         rules.push(Rule::PanicSafety);

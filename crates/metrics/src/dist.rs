@@ -169,7 +169,7 @@ impl LoadDist {
 
 /// Mergeable partial summary of a load multiset.
 ///
-/// The sharded tick engine keeps one of these per arc-range shard and
+/// The oracle ring keeps one of these per arc-range shard and
 /// folds them together at the tick barrier. Only aggregates that are
 /// associative under disjoint union are carried — count, total, idle
 /// count, and max — because the rank-weighted sum `W` behind the exact

@@ -1,7 +1,7 @@
-//! Differential tests: the optimized hot-path `Ring` (pooled task
-//! vectors, in-place arc splits, single-lookup pops) against the
-//! naive reference implementation in [`autobal::reference`], which
-//! preserves the pre-optimization semantics verbatim.
+//! Differential tests: the optimized hot-path `Ring` (struct-of-arrays
+//! shards, pooled task vectors, in-place arc splits) against the naive
+//! reference implementation in [`autobal::reference`], which preserves
+//! the pre-optimization semantics verbatim.
 //!
 //! Equality here is **bit-for-bit**: not just the same task multisets
 //! but the same element order inside every vnode's task vector, so the
@@ -47,12 +47,6 @@ fn arb_op() -> impl Strategy<Value = Op> {
     })
 }
 
-fn rows_of(ring: &Ring) -> Vec<(Id, usize, Vec<Id>)> {
-    ring.iter()
-        .map(|(id, v)| (*id, v.owner, v.tasks.clone()))
-        .collect()
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -75,7 +69,7 @@ proptest! {
         let keys: Vec<Id> = keys.into_iter().map(key_id).collect();
         ring.assign_tasks(keys.clone());
         naive.assign_tasks(keys);
-        prop_assert_eq!(rows_of(&ring), naive.rows());
+        prop_assert_eq!(ring.rows(), naive.rows());
 
         for op in ops {
             match op {
@@ -100,7 +94,7 @@ proptest! {
             }
             prop_assert_eq!(ring.len(), naive.len());
             prop_assert_eq!(ring.total_tasks(), naive.total_tasks());
-            prop_assert_eq!(rows_of(&ring), naive.rows());
+            prop_assert_eq!(ring.rows(), naive.rows());
             prop_assert!(ring.check_invariants().is_ok());
         }
     }
@@ -154,14 +148,14 @@ fn wrap_arc_split_matches_reference() {
     let b = naive.insert_vnode(pos_id(0x08), 2);
     assert_eq!(a.ok(), b.ok());
     assert_eq!(a.ok(), Some(3));
-    assert_eq!(rows_of(&ring), naive.rows());
+    assert_eq!(ring.rows(), naive.rows());
 
     // Merging back on removal restores the wrap arc identically.
     assert_eq!(
         ring.remove_vnode(pos_id(0x08)).ok(),
         naive.remove_vnode(pos_id(0x08)).ok()
     );
-    assert_eq!(rows_of(&ring), naive.rows());
+    assert_eq!(ring.rows(), naive.rows());
     assert_eq!(ring.load(pos_id(0x40)), 5);
 }
 
@@ -196,7 +190,7 @@ fn pooled_buffers_carry_no_stale_tasks() {
                 ring.remove_vnode(pos_id(pos)).ok(),
                 naive.remove_vnode(pos_id(pos)).ok()
             );
-            assert_eq!(rows_of(&ring), naive.rows());
+            assert_eq!(ring.rows(), naive.rows());
         }
         assert!(ring.is_empty() && naive.is_empty());
         assert_eq!(ring.total_tasks(), 0);

@@ -1,7 +1,7 @@
-//! Differential tests for the sharded arc-range engine: the
-//! struct-of-arrays [`ShardedRing`] (behind [`RingStore`]) against the
-//! classic ordered-map [`Ring`] and the naive reference in
-//! [`autobal::reference`], at every supported shard count.
+//! Differential tests for the arc-range partitioning of the ring: the
+//! struct-of-arrays [`Ring`] at every supported shard count against the
+//! naive reference in [`autobal::reference`] and against itself at one
+//! shard.
 //!
 //! Equality is **bit-for-bit**: identical task element order inside
 //! every vnode (so the shared xorshift pop stream consumes identical
@@ -10,14 +10,13 @@
 //! every strategy, at every shard count, under any rayon thread count.
 
 use autobal::reference::{NaiveRing, NaiveSim};
-use autobal::sim::{RingStore, Sim, SimConfig, StrategyKind};
+use autobal::sim::{Ring, Sim, SimConfig, StrategyKind};
 use autobal::Id;
 use proptest::prelude::*;
 
-/// Shard counts under differential test. 1 selects the classic engine
-/// (the `RingStore::Solo` arm), so the soup also re-verifies the
-/// selector's forwarding; 3 is deliberately not a divisor of the id
-/// space; 8 puts the `pos_id` population across every shard.
+/// Shard counts under differential test. 1 has no shard seams; 3 is
+/// deliberately not a divisor of the id space; 8 puts the `pos_id`
+/// population across every shard.
 const SHARD_COUNTS: &[usize] = &[1, 2, 3, 8];
 
 /// 256 vnode positions spread across the whole 160-bit ring (top limb
@@ -56,7 +55,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// One operation soup, driven simultaneously through the naive
-    /// reference and a `RingStore` per shard count. Full state
+    /// reference and a `Ring` per shard count. Full state
     /// (including task element order) must agree after every single
     /// operation on every engine.
     #[test]
@@ -66,8 +65,8 @@ proptest! {
         ops in proptest::collection::vec(arb_op(), 1..64),
     ) {
         let mut naive = NaiveRing::new();
-        let mut stores: Vec<RingStore> =
-            SHARD_COUNTS.iter().map(|&s| RingStore::with_shards(s)).collect();
+        let mut stores: Vec<Ring> =
+            SHARD_COUNTS.iter().map(|&s| Ring::with_shards(s)).collect();
         for (i, &p) in positions.iter().enumerate() {
             let id = pos_id(p);
             let want = naive.insert_vnode(id, i).ok();
@@ -123,8 +122,8 @@ proptest! {
         positions in proptest::collection::vec(any::<u8>(), 1..12),
         probes in proptest::collection::vec(any::<u16>(), 1..32),
     ) {
-        let mut stores: Vec<RingStore> =
-            SHARD_COUNTS.iter().map(|&s| RingStore::with_shards(s)).collect();
+        let mut stores: Vec<Ring> =
+            SHARD_COUNTS.iter().map(|&s| Ring::with_shards(s)).collect();
         for (i, &p) in positions.iter().enumerate() {
             let id = pos_id(p);
             for st in stores.iter_mut() {
@@ -155,7 +154,7 @@ proptest! {
 #[test]
 fn cross_shard_splits_match_reference() {
     let mut naive = NaiveRing::new();
-    let mut store = RingStore::with_shards(8);
+    let mut store = Ring::with_shards(8);
 
     for (pos, owner) in [(0x10u8, 0usize), (0xF0, 1)] {
         assert!(naive.insert_vnode(pos_id(pos), owner).is_ok());
@@ -201,11 +200,12 @@ fn cross_shard_splits_match_reference() {
 
 /// Simulator-level parity: for every strategy (including the
 /// centralized oracle) and background churn, a run with `shards` ≥ 2 —
-/// which selects the struct-of-arrays engine and, where eligible, the
-/// planned parallel pop path — produces a `RunResult` equal to the
-/// single-shard classic engine in every field: ticks, work curve,
-/// snapshots, message counts, event log, golden float series, trace
-/// records, and metrics samples.
+/// whose planned pops replay shard by shard, in parallel where threads
+/// exist — produces a `RunResult` equal to the single-shard run in
+/// every field: ticks, work curve, snapshots, message counts, event
+/// log, golden float series, trace records, and metrics samples. (The
+/// single-shard runs themselves are pinned to the ordered-map engine
+/// that preceded this one by `tests/engine_baseline.rs`.)
 #[test]
 fn every_strategy_is_shard_count_invariant() {
     let kinds = StrategyKind::ALL
@@ -247,9 +247,8 @@ fn every_strategy_is_shard_count_invariant() {
     }
 }
 
-/// The fast parallel pop path (every active worker holding exactly its
-/// primary — no Sybils) agrees with both the classic engine and the
-/// naive reference end to end, with and without churn interruptions.
+/// A partitioned ring agrees with the naive reference simulator end to
+/// end, with and without churn interruptions.
 #[test]
 fn sharded_sim_matches_naive_reference() {
     for (strategy, churn_rate) in [(StrategyKind::None, 0.0), (StrategyKind::Churn, 0.05)] {
@@ -301,9 +300,9 @@ fn sharded_sim_matches_naive_reference() {
 /// The detached-ledger tick (nothing armed that could observe worker
 /// loads mid-run: no churn, no strategy, no sampling or snapshots)
 /// plans pops from the ring's dense columns instead of the worker
-/// table. It must stay bit-identical to the classic engine and the
-/// naive reference — under both capacity models, since the planner
-/// reads capacities from a cached column.
+/// table. It must stay bit-identical to the naive reference at every
+/// shard count — under both capacity models, since the planner reads
+/// capacities from a cached column.
 #[test]
 fn detached_ledger_runs_match_classic_and_naive() {
     use autobal::sim::{Heterogeneity, WorkMeasurement};
@@ -350,8 +349,8 @@ fn detached_ledger_runs_match_classic_and_naive() {
                 },
                 99,
             );
-            // Drive a few ticks by hand first: `active_loads` must stay
-            // truthful mid-run even while the worker ledger is stale.
+            // Drive a few ticks by hand first: the worker ledger must
+            // stay truthful mid-run.
             let mut head_consumed = 0u64;
             for _ in 0..3 {
                 head_consumed += sim.step();

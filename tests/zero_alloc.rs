@@ -82,10 +82,10 @@ fn metrics_recording_ticks_do_not_allocate() {
     );
 }
 
-/// Sharding keeps the promise: with the struct-of-arrays engine
-/// selected (`shards` ≥ 2) the planned pop path — offset/count
-/// planning pass, state-stream generation, per-shard batch replay —
-/// reuses its buffers and allocates nothing per tick. Measured on a
+/// Sharding keeps the promise: with the ring partitioned (`shards` ≥ 2)
+/// the planned pop path — per-vnode planning pass, state-stream
+/// generation, per-shard replay — reuses its buffers and allocates
+/// nothing per tick. Measured on a
 /// 1-thread pool because handing work to rayon's scoped threads boxes
 /// closures (a threading-infrastructure cost, not a tick-loop cost);
 /// the sequential dispatch path is the one the zero-alloc contract
@@ -118,6 +118,39 @@ fn sharded_steady_state_ticks_do_not_allocate() {
                 "sharded tick loop allocated {allocs} times over 1k ticks"
             );
         });
+}
+
+/// Rings that hold Sybils keep the promise too: the per-vnode plan
+/// (the walk over each worker's slot handles, the per-slot plan
+/// entries, the pop stream) reuses its buffers. Random injection spawns
+/// and retires Sybils only at check ticks, so the measured windows are
+/// the work-only ticks between two checks, once the first Sybils exist.
+#[test]
+fn sybil_ring_work_ticks_do_not_allocate() {
+    let cfg = SimConfig {
+        tasks: 400_000,
+        strategy: StrategyKind::RandomInjection,
+        ..steady_cfg()
+    };
+    let (nodes, every) = (cfg.nodes, cfg.check_interval);
+    let mut sim = Sim::new(cfg, 0xA0B1_C2D3);
+    while sim.messages().sybils_created == 0 || !sim.tick().is_multiple_of(every) {
+        sim.step();
+    }
+    let (mut allocs, mut consumed) = (0u64, 0u64);
+    for _ in 0..50 {
+        let (a, c) = allocation_delta(|| (1..every).map(|_| sim.step()).sum::<u64>());
+        allocs += a;
+        consumed += c;
+        assert!(sim.ring().len() > nodes, "window must run on a Sybil ring");
+        // The check tick: Sybils spawn and retire here, unmeasured.
+        sim.step();
+    }
+    assert!(consumed > 0, "windows must have done real work");
+    assert_eq!(
+        allocs, 0,
+        "work ticks on a Sybil ring allocated {allocs} times"
+    );
 }
 
 /// The same property seen end-to-end: a full run's allocation count is
