@@ -19,7 +19,9 @@
 //! * **P — panic-safety** (`panic-safety`): no `unwrap()` / `expect()` /
 //!   `panic!` / slice-indexing in the `autobal-chord` message-delivery
 //!   and retry paths (`network.rs`, `eventnet.rs`, `fault.rs`,
-//!   `adversary.rs`) and the event-time substrate (`src/event_sim.rs`).
+//!   `adversary.rs`) and the Chord substrates (the shared driver
+//!   `src/chord_driver.rs` and its two transports, `src/protocol_sim.rs`
+//!   and `src/event_sim.rs`).
 //! * **S — strategy locality** (`strategy-locality`): strategy modules
 //!   under `crates/core/src/strategy/` may only see the
 //!   `LocalView` / `Actions` / `Substrate` surface — never Chord
@@ -573,25 +575,23 @@ mod tests {
             vec![Rule::Determinism, Rule::OutputDiscipline, Rule::FloatOrder]
         );
         assert_eq!(rules_for("crates/viz/src/svg.rs"), vec![Rule::FloatOrder]);
-        assert_eq!(
-            rules_for("src/protocol_sim.rs"),
-            vec![
-                Rule::Determinism,
-                Rule::OutputDiscipline,
-                Rule::ErrorPath,
-                Rule::FloatOrder
-            ]
-        );
-        assert_eq!(
-            rules_for("src/event_sim.rs"),
-            vec![
-                Rule::Determinism,
-                Rule::PanicSafety,
-                Rule::OutputDiscipline,
-                Rule::ErrorPath,
-                Rule::FloatOrder
-            ]
-        );
+        for substrate in [
+            "src/chord_driver.rs",
+            "src/protocol_sim.rs",
+            "src/event_sim.rs",
+        ] {
+            assert_eq!(
+                rules_for(substrate),
+                vec![
+                    Rule::Determinism,
+                    Rule::PanicSafety,
+                    Rule::OutputDiscipline,
+                    Rule::ErrorPath,
+                    Rule::FloatOrder
+                ],
+                "{substrate}"
+            );
+        }
         assert_eq!(rules_for("tests/chaos.rs"), Vec::<Rule>::new());
     }
 

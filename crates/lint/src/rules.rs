@@ -23,6 +23,7 @@ const ERROR_PATH_FILES: &[&str] = &[
     "eventnet.rs",
     "fault.rs",
     "adversary.rs",
+    "chord_driver.rs",
     "protocol_sim.rs",
     "event_sim.rs",
 ];
@@ -54,6 +55,8 @@ pub fn rules_for(rel: &str) -> Vec<Rule> {
             | "crates/chord/src/fault.rs"
             | "crates/chord/src/adversary.rs"
             | "crates/core/src/ring.rs"
+            | "src/chord_driver.rs"
+            | "src/protocol_sim.rs"
             | "src/event_sim.rs"
     ) {
         rules.push(Rule::PanicSafety);

@@ -249,6 +249,8 @@ fn scopes_are_pinned() {
     assert!(rules_for("crates/core/src/sim.rs").contains(&Rule::Determinism));
     assert!(rules_for("crates/chord/src/network.rs").contains(&Rule::ErrorPath));
     assert!(rules_for("src/protocol_sim.rs").contains(&Rule::ErrorPath));
+    assert!(rules_for("src/chord_driver.rs").contains(&Rule::ErrorPath));
+    assert!(rules_for("src/chord_driver.rs").contains(&Rule::PanicSafety));
     assert!(!rules_for("crates/stats/src/ci.rs").contains(&Rule::ErrorPath));
     assert!(rules_for("crates/stats/src/ci.rs").contains(&Rule::FloatOrder));
     assert!(rules_for("crates/core/src/strategy/smart.rs").contains(&Rule::StrategyLocality));

@@ -3,6 +3,7 @@
 //! Umbrella crate re-exporting the workspace's public API. See the README
 //! for a tour and `DESIGN.md` for the system inventory.
 
+mod chord_driver;
 pub mod event_sim;
 pub mod protocol_sim;
 pub mod reference;
