@@ -163,11 +163,6 @@ pub struct SimConfig {
     /// equal-rates model).
     #[cfg_attr(feature = "serde", serde(default))]
     pub churn_model: ChurnModel,
-    /// When `Some(k)`, record a [`crate::metrics::TickSeries`] sample
-    /// every `k` ticks (plus tick 0 and the final tick). Gini is
-    /// O(n log n) per sample, so prefer k ≥ 5 on big networks.
-    #[cfg_attr(feature = "serde", serde(default))]
-    pub series_interval: Option<u64>,
     /// Classic *static virtual servers* baseline (Stoica et al. §6.3 /
     /// Karger & Ruhl): every worker starts with this many ring
     /// positions instead of one. `log₂ n` virtual servers flatten the
@@ -176,26 +171,24 @@ pub struct SimConfig {
     /// paper's model).
     #[cfg_attr(feature = "serde", serde(default = "one"))]
     pub virtual_nodes_per_worker: u32,
-    /// Record a [`crate::trace::SimEvent`] for every load-balancing
-    /// action into `RunResult::events` (off by default — costs memory
-    /// proportional to the number of actions).
-    #[cfg_attr(feature = "serde", serde(default))]
-    pub record_events: bool,
     /// Record a span-structured flight-recorder trace into
     /// `RunResult::trace` (off by default; see `autobal-telemetry`).
     /// Stamped with ticks, never wall-clock, so same-seed traces are
-    /// byte-identical.
+    /// byte-identical. Its `Decision` records are the event log
+    /// ([`crate::trace::event_log`]).
     #[cfg_attr(feature = "serde", serde(default))]
     pub record_trace: bool,
-    /// Record streaming metrics samples into `RunResult::metrics` (off
-    /// by default; see `autobal-metrics`). Counters ride the same emit
-    /// funnels as the trace plane; fairness gauges come from the
-    /// incremental load distribution, bit-equal to the batch sweep.
+    /// Record streaming metrics samples into `RunResult::metrics`, and
+    /// a [`crate::metrics::TickSeries`] row with each sample into
+    /// `RunResult::series` (off by default; see `autobal-metrics`).
+    /// Counters ride the same emit funnel as the trace plane; fairness
+    /// gauges come from the incremental load distribution, bit-equal
+    /// to the batch sweep.
     #[cfg_attr(feature = "serde", serde(default))]
     pub record_metrics: bool,
     /// Metrics sampling cadence in ticks (used when `record_metrics`;
-    /// `None` falls back to `series_interval`, then 1). Tick 0 and the
-    /// final tick are always sampled.
+    /// `None` means every tick). Tick 0 and the final tick are always
+    /// sampled.
     #[cfg_attr(feature = "serde", serde(default))]
     pub metrics_interval: Option<u64>,
     /// Include a per-worker ring snapshot in every metrics sample
@@ -238,9 +231,7 @@ impl Default for SimConfig {
             strength_aware_invitation: false,
             chosen_ids: false,
             churn_model: ChurnModel::Bernoulli,
-            series_interval: None,
             virtual_nodes_per_worker: 1,
-            record_events: false,
             record_trace: false,
             record_metrics: false,
             metrics_interval: None,

@@ -33,6 +33,7 @@
 
 pub mod config;
 pub mod metrics;
+pub mod record;
 pub mod ring;
 pub mod sim;
 pub mod strategy;
@@ -41,7 +42,8 @@ pub mod worker;
 
 pub use config::{ChurnModel, Heterogeneity, SimConfig, StrategyKind, WorkMeasurement};
 pub use metrics::{RunResult, SimMessageStats, Snapshot, TickSeries};
+pub use record::Recorder;
 pub use ring::{Ring, MAX_SHARDS};
 pub use sim::Sim;
-pub use trace::{EventLog, SimEvent};
+pub use trace::SimEvent;
 pub use worker::{Worker, WorkerId, WorkerState};

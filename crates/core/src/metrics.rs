@@ -74,9 +74,9 @@ impl Snapshot {
     }
 }
 
-/// Optional per-tick time series (enabled by
-/// `SimConfig::series_interval`): the evolution of network shape and
-/// balance quality over the run.
+/// Optional per-tick time series (recorded with
+/// `SimConfig::record_metrics`, one row per metrics sample): the
+/// evolution of network shape and balance quality over the run.
 #[derive(Debug, Clone, Default, PartialEq)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TickSeries {
@@ -127,14 +127,13 @@ pub struct RunResult {
     pub peak_vnodes: usize,
     /// Active workers at the end of the run.
     pub final_active_workers: usize,
-    /// Optional per-tick series (when `series_interval` was set).
+    /// Optional per-tick series, one row per metrics sample (when
+    /// `record_metrics` was set).
     #[cfg_attr(feature = "serde", serde(default))]
     pub series: TickSeries,
-    /// Structured event log (when `record_events` was set).
-    #[cfg_attr(feature = "serde", serde(default))]
-    pub events: crate::trace::EventLog,
     /// Span-structured flight-recorder trace (when `record_trace` was
-    /// set); empty and allocation-free otherwise.
+    /// set); empty and allocation-free otherwise. Its `Decision`
+    /// records are the event log ([`crate::trace::event_log`]).
     #[cfg_attr(feature = "serde", serde(default))]
     pub trace: autobal_telemetry::Trace,
     /// Streaming metrics samples (when `record_metrics` was set);
@@ -201,7 +200,6 @@ mod tests {
             peak_vnodes: 3,
             final_active_workers: 1,
             series: TickSeries::default(),
-            events: crate::trace::EventLog::default(),
             trace: autobal_telemetry::Trace::default(),
             metrics: Vec::new(),
         };
@@ -223,7 +221,6 @@ mod tests {
             peak_vnodes: 0,
             final_active_workers: 0,
             series: TickSeries::default(),
-            events: crate::trace::EventLog::default(),
             trace: autobal_telemetry::Trace::default(),
             metrics: Vec::new(),
         };

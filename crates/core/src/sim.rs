@@ -1,21 +1,20 @@
 //! The tick-driven simulation engine (§V "Simulation Setup").
 
 use crate::config::{Heterogeneity, SimConfig, WorkMeasurement};
-use crate::metrics::{RunResult, SimMessageStats, Snapshot, TickSeries};
+use crate::metrics::{RunResult, SimMessageStats, Snapshot};
+use crate::record::{Recorder, INVITATION, LOAD_QUERY};
 use crate::ring::{Ring, RingError, Slot};
 use crate::strategy::{
     invitation::{pick_helper, HelperCandidate},
     ActionError, Actions, ChurnOps, InviteOutcome, LocalView, OracleView, Strategy, StrategyParams,
     StrategyStack, Substrate,
 };
-use crate::trace::{EventLog, SimEvent};
+use crate::trace::SimEvent;
 use crate::worker::{Worker, WorkerId, WorkerState};
 use autobal_id::{ring, Id};
-use autobal_metrics::{
-    names as metric_names, profile, LoadDist, MetricsHub, MetricsSink, RingSlot,
-};
+use autobal_metrics::{profile, LoadDist, RingSlot};
 use autobal_stats::rng::{domains, substream, DetRng};
-use autobal_telemetry::{MessageStatus, Trace, TraceSink};
+use autobal_telemetry::MessageStatus;
 use rand::Rng;
 
 /// One simulated network executing a distributed computation.
@@ -37,22 +36,20 @@ pub struct Sim {
     /// Worker ids currently parked in the churn waiting pool.
     pub(crate) waiting: Vec<WorkerId>,
     pub(crate) tick: u64,
-    pub(crate) msgs: SimMessageStats,
     pub(crate) rng_churn: DetRng,
     pub(crate) rng_strategy: DetRng,
     active_count: usize,
     work_history: Vec<u64>,
     snapshots: Vec<Snapshot>,
     peak_vnodes: usize,
-    series: TickSeries,
     /// Incremental mirror of the active workers' cached loads (see
     /// `autobal-metrics`): every load delta updates it in O(log L), so
-    /// series and metrics sampling read Gini/percentiles without the
+    /// sampling reads Gini/percentiles without the
     /// per-sample copy-and-sort — bit-equal to the batch recompute
     /// because both feed the same exact integer sums through
     /// `autobal_stats::fairness`.
     dist: LoadDist,
-    /// Whether the load dist is maintained (any sampling armed).
+    /// Whether the load dist is maintained (metrics sampling armed).
     dist_on: bool,
     /// Whether [`Sim::run`] may tick with the worker load ledger
     /// detached: no churn, no strategy, one vnode per worker, no
@@ -64,13 +61,10 @@ pub struct Sim {
     /// (static while the ledger-detached gate holds: no churn means no
     /// worker set changes, and strengths never change).
     caps: Vec<u32>,
-    /// Streaming metrics recorder; free when `record_metrics` is off.
-    pub(crate) hub: MetricsHub,
-    pub(crate) events: EventLog,
-    /// Span-structured flight recorder (see `autobal-telemetry`);
-    /// disabled unless `SimConfig::record_trace` — every emission is a
-    /// single-branch no-op then.
-    pub(crate) trace: Trace,
+    /// The trace and metrics planes and the tallies derived from them;
+    /// with both planes off every emission is a tally bump and a
+    /// branch.
+    rec: Recorder,
     /// Strategy layers dispatched each tick/check (trait objects from
     /// [`crate::strategy::stack_for`]).
     strategies: StrategyStack,
@@ -169,19 +163,22 @@ impl Sim {
 
         let active_count = cfg.nodes;
         let peak = ring.len();
-        let cfg_record_events = cfg.record_events;
         let cfg_max_ticks = cfg.effective_max_ticks();
-        let mut trace = Trace::new(cfg.record_trace);
-        trace.run_start(0, "oracle", cfg.strategy.label(), seed);
+        let mut rec = Recorder::new(
+            cfg.record_trace,
+            cfg.record_metrics,
+            cfg.metrics_ring,
+            cfg.metrics_interval,
+        );
+        rec.start("oracle", cfg.strategy.label(), seed);
         let strategies = crate::strategy::stack_for(&cfg);
-        let dist_on = cfg.record_metrics || cfg.series_interval.is_some();
+        let dist_on = cfg.record_metrics;
         let mut dist = LoadDist::new();
         if dist_on {
             for w in workers.iter().filter(|w| w.is_active()) {
                 dist.insert(w.load);
             }
         }
-        let hub = MetricsHub::new(cfg.record_metrics).with_ring(cfg.metrics_ring);
         let ledger_detached_ok = matches!(cfg.strategy, crate::config::StrategyKind::None)
             && !cfg.churn_enabled()
             && !dist_on
@@ -203,7 +200,6 @@ impl Sim {
             handles,
             waiting,
             tick: 0,
-            msgs: SimMessageStats::default(),
             rng_churn: substream(seed, 0, domains::CHURN),
             rng_strategy: substream(seed, 0, domains::STRATEGY),
             active_count,
@@ -212,14 +208,11 @@ impl Sim {
             work_history: Vec::with_capacity((cfg_max_ticks.min(65_536)) as usize),
             snapshots: Vec::new(),
             peak_vnodes: peak,
-            series: TickSeries::default(),
             dist,
             dist_on,
             ledger_detached_ok,
             caps,
-            hub,
-            events: EventLog::new(cfg_record_events),
-            trace,
+            rec,
             strategies,
         }
     }
@@ -251,7 +244,7 @@ impl Sim {
 
     /// Message counters so far.
     pub fn messages(&self) -> SimMessageStats {
-        self.msgs
+        self.rec.tally()
     }
 
     /// Per-active-worker loads (the quantity the paper's histograms bin).
@@ -309,8 +302,7 @@ impl Sim {
         };
         self.ring.run_pops(consumed);
         self.work_history.push(consumed);
-        self.hub.inc(metric_names::TICKS);
-        self.hub.add(metric_names::TASKS_DONE, consumed);
+        self.rec.work(consumed);
         self.peak_vnodes = self.peak_vnodes.max(self.ring.len());
         // Strict builds re-verify the ring's structural invariants every
         // tick — a step that corrupts the ring fails at the tick that
@@ -371,32 +363,18 @@ impl Sim {
         consumed
     }
 
-    /// Records one time-series sample at the current tick. Reads the
-    /// incrementally-maintained load distribution — O(log L) instead of
-    /// the historical collect-sort-sweep, with bit-equal Gini (see the
-    /// `dist` field) — so sampling is allocation-free.
-    fn sample_series(&mut self) {
+    /// Records the sample due at the current tick, if any: one series
+    /// row and one metrics sample, both read from the incrementally
+    /// maintained load distribution (see the `dist` field), plus a
+    /// per-worker ring snapshot when configured.
+    fn sample(&mut self) {
+        if !self.rec.due(self.tick, || self.ring.total_tasks() == 0) {
+            return;
+        }
         let _p = profile::span("sample");
-        debug_assert!(self.dist_on, "series sampling requires the load dist");
+        debug_assert!(self.dist_on, "sampling requires the load dist");
         debug_assert_eq!(self.dist.len() as usize, self.active_count);
-        self.series.ticks.push(self.tick);
-        self.series.active_workers.push(self.active_count);
-        self.series.vnodes.push(self.ring.len());
-        self.series.remaining.push(self.ring.total_tasks());
-        self.series.gini.push(self.dist.gini());
-        self.series.idle.push(self.dist.zeros() as usize);
-    }
-
-    /// Records one metrics sample: ring-shape gauges, fairness gauges
-    /// from the incremental distribution, and (when configured) a
-    /// per-worker ring snapshot.
-    fn sample_metrics(&mut self) {
-        let _p = profile::span("sample");
-        self.hub
-            .set_gauge(metric_names::VNODES, self.ring.len() as u64);
-        self.hub
-            .set_gauge(metric_names::TASKS_REMAINING, self.ring.total_tasks());
-        let ring_slots: Vec<RingSlot> = if self.hub.ring_enabled() {
+        let ring_slots: Vec<RingSlot> = if self.rec.ring_enabled() {
             self.workers
                 .iter()
                 .enumerate()
@@ -412,8 +390,13 @@ impl Sim {
         } else {
             Vec::new()
         };
-        let tick = self.tick;
-        self.hub.sample_from_dist(tick, &self.dist, ring_slots);
+        self.rec.sample_dist(
+            self.tick,
+            self.ring.len(),
+            self.ring.total_tasks(),
+            &self.dist,
+            ring_slots,
+        );
     }
 
     /// Runs to completion (or the tick cap) and returns the result.
@@ -428,20 +411,7 @@ impl Sim {
             let s = self.snapshot();
             self.snapshots.push(s);
         }
-        let series_every = self.cfg.series_interval;
-        if series_every.is_some() {
-            self.sample_series();
-        }
-        let metrics_every = self.hub.enabled().then(|| {
-            self.cfg
-                .metrics_interval
-                .or(self.cfg.series_interval)
-                .unwrap_or(1)
-                .max(1)
-        });
-        if metrics_every.is_some() {
-            self.sample_metrics();
-        }
+        self.sample();
         let cap = self.cfg.effective_max_ticks();
         // Nothing can observe worker loads once the run starts (the
         // result carries none), so eligible runs tick ledger-detached.
@@ -452,20 +422,11 @@ impl Sim {
                 let s = self.snapshot();
                 self.snapshots.push(s);
             }
-            if let Some(k) = series_every {
-                if self.tick.is_multiple_of(k) || self.ring.total_tasks() == 0 {
-                    self.sample_series();
-                }
-            }
-            if let Some(k) = metrics_every {
-                if self.tick.is_multiple_of(k) || self.ring.total_tasks() == 0 {
-                    self.sample_metrics();
-                }
-            }
+            self.sample();
         }
         let completed = self.ring.total_tasks() == 0;
         let ideal = self.cfg.ideal_ticks().max(1);
-        self.trace.run_end(self.tick, completed);
+        let rec = self.rec.finish(self.tick, completed);
         RunResult {
             ticks: self.tick,
             ideal_ticks: ideal,
@@ -473,30 +434,13 @@ impl Sim {
             completed,
             work_per_tick: self.work_history,
             snapshots: self.snapshots,
-            messages: self.msgs,
+            messages: rec.tally,
             peak_vnodes: self.peak_vnodes,
             final_active_workers: self.active_count,
-            series: self.series,
-            events: self.events,
-            trace: self.trace,
-            metrics: self.hub.into_samples(),
+            series: rec.series,
+            trace: rec.trace,
+            metrics: rec.metrics,
         }
-    }
-
-    /// Records a load-balancing event into the event log and — when
-    /// tracing — as a telemetry `Decision` attached to the current
-    /// span. Every observable action funnels through here so the two
-    /// records can never drift apart.
-    pub(crate) fn emit_event(&mut self, event: SimEvent) {
-        if self.trace.enabled() {
-            let (name, worker, pos, value) = event.decision_fields();
-            self.trace.decision(self.tick, name, worker, &pos, value);
-        }
-        if self.hub.enabled() {
-            let (name, value) = event.metric_fields();
-            self.hub.event(name, value);
-        }
-        self.events.push(event);
     }
 
     // ---- churn ----------------------------------------------------
@@ -524,9 +468,8 @@ impl Sim {
         self.workers[idx].load = 0;
         self.active_count -= 1;
         self.waiting.push(idx);
-        self.msgs.churn_leaves += 1;
         let tick = self.tick;
-        self.emit_event(SimEvent::WorkerLeft { tick, worker: idx });
+        self.rec.emit(SimEvent::WorkerLeft { tick, worker: idx });
     }
 
     /// A waiting worker joins at a fresh random position, immediately
@@ -559,11 +502,10 @@ impl Sim {
             self.workers[idx].statics.push(pos);
         }
         self.active_count += 1;
-        self.msgs.churn_joins += 1;
         let tick = self.tick;
         let pos = self.workers[idx].primary;
         let acquired = self.workers[idx].load;
-        self.emit_event(SimEvent::WorkerJoined {
+        self.rec.emit(SimEvent::WorkerJoined {
             tick,
             worker: idx,
             pos,
@@ -630,9 +572,8 @@ impl Sim {
         match self.insert_vnode_tracked(pos, owner) {
             Ok(acquired) => {
                 self.workers[owner].sybils.push(pos);
-                self.msgs.sybils_created += 1;
                 let tick = self.tick;
-                self.emit_event(SimEvent::SybilCreated {
+                self.rec.emit(SimEvent::SybilCreated {
                     tick,
                     worker: owner,
                     pos,
@@ -652,10 +593,9 @@ impl Sim {
         for s in sybils {
             let _ = self.remove_vnode_tracked(s);
         }
-        self.msgs.sybils_retired += n;
         if n > 0 {
             let tick = self.tick;
-            self.emit_event(SimEvent::SybilsRetired {
+            self.rec.emit(SimEvent::SybilsRetired {
                 tick,
                 worker: owner,
                 count: n as u32,
@@ -732,11 +672,11 @@ impl Substrate for Sim {
         // One telemetry span per strategy decision, stamped with the
         // tick; the messages and outcomes the decision causes attach
         // to it. Free (one branch, ROOT_SPAN back) when tracing is off.
-        let span = self.trace.open_span(self.tick, strategy.name(), w as u64);
+        let span = self.rec.open_span(self.tick, strategy.name(), w as u64);
         let mut ctx = self.node_ctx(w);
         strategy.check_node(&mut ctx);
         let tick = self.tick;
-        self.trace.close_span(tick, span);
+        self.rec.close_span(tick, span);
     }
 
     fn check_omniscient(&mut self, strategy: &dyn Strategy) -> bool {
@@ -875,15 +815,13 @@ impl Actions for SimNodeCtx<'_> {
     // oracle substrate's behavior bit-for-bit identical to the
     // pre-fault-plane code under every strategy.
     fn query_load(&mut self, neighbor: Id) -> Result<u64, ActionError> {
-        self.sim.msgs.load_queries += 1;
         let load = self.sim.ring.load(neighbor);
-        self.sim
-            .trace
-            .message(self.sim.tick, "load_query", MessageStatus::Delivered, 0);
-        self.sim.hub.message(metric_names::MSG_DELIVERED, 0);
         let tick = self.sim.tick;
+        self.sim
+            .rec
+            .bill(tick, LOAD_QUERY, MessageStatus::Delivered, 0);
         let worker = self.worker;
-        self.sim.emit_event(SimEvent::LoadQueried {
+        self.sim.rec.emit(SimEvent::LoadQueried {
             tick,
             worker,
             neighbor,
@@ -914,7 +852,8 @@ impl Actions for SimNodeCtx<'_> {
         let tick = self.sim.tick;
         let worker = self.worker;
         self.sim
-            .emit_event(SimEvent::NeighborGapSplit { tick, worker, pos });
+            .rec
+            .emit(SimEvent::NeighborGapSplit { tick, worker, pos });
     }
 
     fn invite(&mut self, hot: Id) -> InviteOutcome {
@@ -924,12 +863,9 @@ impl Actions for SimNodeCtx<'_> {
         if preds.is_empty() {
             return InviteOutcome::NoNeighbors;
         }
-        sim.msgs.invitations_sent += 1;
         let tick = sim.tick;
-        sim.trace
-            .message(tick, "invitation", MessageStatus::Delivered, 0);
-        sim.hub.message(metric_names::MSG_DELIVERED, 0);
-        sim.emit_event(SimEvent::InvitationSent {
+        sim.rec.bill(tick, INVITATION, MessageStatus::Delivered, 0);
+        sim.rec.emit(SimEvent::InvitationSent {
             tick,
             worker: inviter,
         });
@@ -958,7 +894,7 @@ impl Actions for SimNodeCtx<'_> {
                 let pos = sim.split_position(hot).expect("ring non-trivial");
                 match sim.create_sybil(helper, pos) {
                     Some(acquired) => {
-                        sim.emit_event(SimEvent::InvitationHonored {
+                        sim.rec.emit(SimEvent::InvitationHonored {
                             tick,
                             worker: inviter,
                             helper,
@@ -967,8 +903,7 @@ impl Actions for SimNodeCtx<'_> {
                         InviteOutcome::Helped { acquired }
                     }
                     None => {
-                        sim.msgs.invitations_refused += 1;
-                        sim.emit_event(SimEvent::InvitationRefused {
+                        sim.rec.emit(SimEvent::InvitationRefused {
                             tick,
                             worker: inviter,
                         });
@@ -977,8 +912,7 @@ impl Actions for SimNodeCtx<'_> {
                 }
             }
             None => {
-                sim.msgs.invitations_refused += 1;
-                sim.emit_event(SimEvent::InvitationRefused {
+                sim.rec.emit(SimEvent::InvitationRefused {
                     tick,
                     worker: inviter,
                 });
@@ -1184,6 +1118,7 @@ mod tests {
 mod series_tests {
     use super::*;
     use crate::config::StrategyKind;
+    use autobal_metrics::names as metric_names;
 
     #[test]
     fn series_disabled_by_default() {
@@ -1201,7 +1136,8 @@ mod series_tests {
         let cfg = SimConfig {
             nodes: 20,
             tasks: 500,
-            series_interval: Some(10),
+            record_metrics: true,
+            metrics_interval: Some(10),
             ..SimConfig::default()
         };
         let res = Sim::new(cfg, 2).run();
@@ -1221,12 +1157,43 @@ mod series_tests {
     }
 
     #[test]
+    fn series_and_metrics_are_one_sample() {
+        let cfg = SimConfig {
+            nodes: 30,
+            tasks: 900,
+            strategy: StrategyKind::RandomInjection,
+            churn_rate: 0.01,
+            record_metrics: true,
+            metrics_interval: Some(3),
+            ..SimConfig::default()
+        };
+        let res = Sim::new(cfg, 8).run();
+        let s = &res.series;
+        let times: Vec<u64> = res.metrics.iter().map(|m| m.time).collect();
+        assert_eq!(s.ticks, times);
+        assert_eq!(times.first(), Some(&0));
+        assert_eq!(times.last(), Some(&res.ticks));
+        let gauge = |name: &str| -> Vec<u64> {
+            res.metrics
+                .iter()
+                .map(|m| m.gauge(name).expect("gauge sampled"))
+                .collect()
+        };
+        let wide = |xs: &[usize]| -> Vec<u64> { xs.iter().map(|&x| x as u64).collect() };
+        assert_eq!(wide(&s.active_workers), gauge(metric_names::WORKERS_ACTIVE));
+        assert_eq!(wide(&s.vnodes), gauge(metric_names::VNODES));
+        assert_eq!(s.remaining, gauge(metric_names::TASKS_REMAINING));
+        assert_eq!(wide(&s.idle), gauge(metric_names::WORKERS_IDLE));
+    }
+
+    #[test]
     fn series_gini_lower_with_random_injection_than_none() {
         let mk = |strategy| SimConfig {
             nodes: 100,
             tasks: 10_000,
             strategy,
-            series_interval: Some(5),
+            record_metrics: true,
+            metrics_interval: Some(5),
             ..SimConfig::default()
         };
         // Same placement seed, different strategies.
@@ -1254,7 +1221,7 @@ mod series_tests {
 mod trace_tests {
     use super::*;
     use crate::config::StrategyKind;
-    use crate::trace::SimEvent;
+    use crate::trace::{event_log, SimEvent};
 
     #[test]
     fn events_disabled_by_default() {
@@ -1265,7 +1232,7 @@ mod trace_tests {
             ..SimConfig::default()
         };
         let res = Sim::new(cfg, 1).run();
-        assert!(res.events.is_empty());
+        assert!(event_log(&res.trace).is_empty());
         assert!(res.messages.sybils_created > 0, "actions happened anyway");
     }
 
@@ -1275,20 +1242,16 @@ mod trace_tests {
             nodes: 50,
             tasks: 2_000,
             strategy: StrategyKind::RandomInjection,
-            record_events: true,
+            record_trace: true,
             ..SimConfig::default()
         };
         let res = Sim::new(cfg, 2).run();
-        let created = res
-            .events
-            .events()
+        let created = event_log(&res.trace)
             .iter()
             .filter(|e| matches!(e, SimEvent::SybilCreated { .. }))
             .count() as u64;
         assert_eq!(created, res.messages.sybils_created);
-        let retired: u64 = res
-            .events
-            .events()
+        let retired: u64 = event_log(&res.trace)
             .iter()
             .map(|e| match e {
                 SimEvent::SybilsRetired { count, .. } => *count as u64,
@@ -1297,7 +1260,7 @@ mod trace_tests {
             .sum();
         assert_eq!(retired, res.messages.sybils_retired);
         // Ticks are monotone.
-        let ticks: Vec<u64> = res.events.events().iter().map(|e| e.tick()).collect();
+        let ticks: Vec<u64> = event_log(&res.trace).iter().map(|e| e.tick()).collect();
         assert!(ticks.windows(2).all(|w| w[0] <= w[1]));
     }
 
@@ -1308,19 +1271,15 @@ mod trace_tests {
             tasks: 2_000,
             strategy: StrategyKind::Churn,
             churn_rate: 0.02,
-            record_events: true,
+            record_trace: true,
             ..SimConfig::default()
         };
         let res = Sim::new(cfg, 3).run();
-        let left = res
-            .events
-            .events()
+        let left = event_log(&res.trace)
             .iter()
             .filter(|e| matches!(e, SimEvent::WorkerLeft { .. }))
             .count() as u64;
-        let joined = res
-            .events
-            .events()
+        let joined = event_log(&res.trace)
             .iter()
             .filter(|e| matches!(e, SimEvent::WorkerJoined { .. }))
             .count() as u64;
@@ -1334,13 +1293,11 @@ mod trace_tests {
             nodes: 60,
             tasks: 6_000,
             strategy: StrategyKind::Invitation,
-            record_events: true,
+            record_trace: true,
             ..SimConfig::default()
         };
         let res = Sim::new(cfg, 4).run();
-        let sent = res
-            .events
-            .events()
+        let sent = event_log(&res.trace)
             .iter()
             .filter(|e| matches!(e, SimEvent::InvitationSent { .. }))
             .count() as u64;
@@ -1353,13 +1310,11 @@ mod trace_tests {
             nodes: 50,
             tasks: 2_000,
             strategy: StrategyKind::SmartNeighbor,
-            record_events: true,
+            record_trace: true,
             ..SimConfig::default()
         };
         let res = Sim::new(cfg, 5).run();
-        let queried = res
-            .events
-            .events()
+        let queried = event_log(&res.trace)
             .iter()
             .filter(|e| matches!(e, SimEvent::LoadQueried { .. }))
             .count() as u64;
@@ -1373,16 +1328,14 @@ mod trace_tests {
             nodes: 50,
             tasks: 2_000,
             strategy: StrategyKind::NeighborInjection,
-            record_events: true,
+            record_trace: true,
             ..SimConfig::default()
         };
         let res = Sim::new(cfg, 6).run();
         // Every plain-neighbor Sybil came from a gap estimate; splits
         // can outnumber creations because an occupied midpoint skips
         // the spawn after the split was noted.
-        let splits = res
-            .events
-            .events()
+        let splits = event_log(&res.trace)
             .iter()
             .filter(|e| matches!(e, SimEvent::NeighborGapSplit { .. }))
             .count() as u64;
@@ -1396,13 +1349,11 @@ mod trace_tests {
             nodes: 60,
             tasks: 6_000,
             strategy: StrategyKind::Invitation,
-            record_events: true,
+            record_trace: true,
             ..SimConfig::default()
         };
         let res = Sim::new(cfg, 4).run();
-        let honored: Vec<_> = res
-            .events
-            .events()
+        let honored: Vec<_> = event_log(&res.trace)
             .iter()
             .filter_map(|e| match e {
                 SimEvent::InvitationHonored {
@@ -1484,26 +1435,5 @@ mod telemetry_tests {
         let a = Sim::new(cfg(StrategyKind::Invitation), 3).run();
         let b = Sim::new(cfg(StrategyKind::Invitation), 3).run();
         assert_eq!(to_jsonl(a.trace.records()), to_jsonl(b.trace.records()));
-    }
-
-    #[test]
-    fn decisions_match_the_event_log_one_to_one() {
-        let mut c = cfg(StrategyKind::RandomInjection);
-        c.record_events = true;
-        let res = Sim::new(c, 4).run();
-        let decisions: Vec<_> = res
-            .trace
-            .records()
-            .iter()
-            .filter_map(|r| match &r.body {
-                TraceBody::Decision { name, worker, .. } => Some((name.clone(), *worker)),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(decisions.len(), res.events.len());
-        for (ev, (name, worker)) in res.events.events().iter().zip(&decisions) {
-            let (n, w, _, _) = ev.decision_fields();
-            assert_eq!((n, w), (name.as_str(), *worker));
-        }
     }
 }

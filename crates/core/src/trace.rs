@@ -1,13 +1,17 @@
-//! Structured event log — a postmortem record of every load-balancing
-//! action a run took (enabled by `SimConfig::record_events`).
+//! The load-balancing event vocabulary — every action a run takes, as
+//! one [`SimEvent`].
 //!
 //! The paper's analysis is aggregate (runtime factors, histograms); the
-//! event log supports the per-decision questions those aggregates hide:
+//! events support the per-decision questions those aggregates hide:
 //! *which* nodes created Sybils, how much work each acquisition moved,
-//! how often invitations bounced.
+//! how often invitations bounced. Substrates emit them through
+//! [`crate::record::Recorder::emit`], which writes each one to the
+//! trace as a `Decision`; [`event_log`] decodes them back out, so the
+//! trace is the event log (record it with `record_trace`).
 
 use crate::worker::WorkerId;
 use autobal_id::Id;
+use autobal_telemetry::{Trace, TraceBody};
 
 /// One load-balancing event.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -108,52 +112,41 @@ pub enum SimEvent {
 impl SimEvent {
     /// The tick the event occurred at.
     pub fn tick(&self) -> u64 {
-        match self {
-            SimEvent::SybilCreated { tick, .. }
-            | SimEvent::SybilsRetired { tick, .. }
-            | SimEvent::WorkerLeft { tick, .. }
-            | SimEvent::WorkerCrashed { tick, .. }
-            | SimEvent::WorkerJoined { tick, .. }
-            | SimEvent::InvitationSent { tick, .. }
-            | SimEvent::InvitationRefused { tick, .. }
-            | SimEvent::InvitationHonored { tick, .. }
-            | SimEvent::LoadQueried { tick, .. }
-            | SimEvent::NeighborGapSplit { tick, .. }
-            | SimEvent::LoadLied { tick, .. }
-            | SimEvent::ProbeAgreed { tick, .. }
-            | SimEvent::ProbeConflict { tick, .. }
-            | SimEvent::Quarantined { tick, .. } => *tick,
-        }
+        self.stamp().0
     }
 
     /// The worker that acted (or was acted upon).
     pub fn worker(&self) -> WorkerId {
-        match self {
-            SimEvent::SybilCreated { worker, .. }
-            | SimEvent::SybilsRetired { worker, .. }
-            | SimEvent::WorkerLeft { worker, .. }
-            | SimEvent::WorkerCrashed { worker, .. }
-            | SimEvent::WorkerJoined { worker, .. }
-            | SimEvent::InvitationSent { worker, .. }
-            | SimEvent::InvitationRefused { worker, .. }
-            | SimEvent::InvitationHonored { worker, .. }
-            | SimEvent::LoadQueried { worker, .. }
-            | SimEvent::NeighborGapSplit { worker, .. }
-            | SimEvent::LoadLied { worker, .. }
-            | SimEvent::ProbeAgreed { worker, .. }
-            | SimEvent::ProbeConflict { worker, .. }
-            | SimEvent::Quarantined { worker, .. } => *worker,
+        self.stamp().1
+    }
+
+    /// The `(tick, worker)` every event carries.
+    fn stamp(&self) -> (u64, WorkerId) {
+        match *self {
+            SimEvent::SybilCreated { tick, worker, .. }
+            | SimEvent::SybilsRetired { tick, worker, .. }
+            | SimEvent::WorkerLeft { tick, worker }
+            | SimEvent::WorkerCrashed { tick, worker, .. }
+            | SimEvent::WorkerJoined { tick, worker, .. }
+            | SimEvent::InvitationSent { tick, worker }
+            | SimEvent::InvitationRefused { tick, worker }
+            | SimEvent::InvitationHonored { tick, worker, .. }
+            | SimEvent::LoadQueried { tick, worker, .. }
+            | SimEvent::NeighborGapSplit { tick, worker, .. }
+            | SimEvent::LoadLied { tick, worker, .. }
+            | SimEvent::ProbeAgreed { tick, worker, .. }
+            | SimEvent::ProbeConflict { tick, worker, .. }
+            | SimEvent::Quarantined { tick, worker, .. } => (tick, worker),
         }
     }
 
-    /// The `(decision name, magnitude)` pair of the event, without the
-    /// position rendering of [`decision_fields`](Self::decision_fields)
-    /// — the metrics plane increments counters by this name from the
-    /// steady-state path, so it must not allocate.
+    /// The `(decision name, magnitude)` pair of the event: the one
+    /// table of decision names. Metrics counters are bumped by this name
+    /// on the steady-state path, so it must not allocate.
     pub fn metric_fields(&self) -> (&'static str, u64) {
         match self {
             SimEvent::SybilCreated { acquired, .. } => ("sybil_created", *acquired),
-            SimEvent::SybilsRetired { count, .. } => ("sybils_retired", *count as u64),
+            SimEvent::SybilsRetired { count, .. } => ("sybils_retired", u64::from(*count)),
             SimEvent::WorkerLeft { .. } => ("worker_left", 0),
             SimEvent::WorkerCrashed { keys_lost, .. } => ("worker_crashed", *keys_lost),
             SimEvent::WorkerJoined { acquired, .. } => ("worker_joined", *acquired),
@@ -171,176 +164,141 @@ impl SimEvent {
 
     /// Flattens the event into the telemetry decision tuple
     /// `(name, worker, pos, value)` — stable lowercase names, hex ring
-    /// positions — so both substrates emit identical `Decision`
-    /// records for identical events.
+    /// positions (`w<id>` for an invitation's helper, empty when the
+    /// event carries none) — so every substrate emits identical
+    /// `Decision` records for identical events.
     pub fn decision_fields(&self) -> (&'static str, u64, String, u64) {
-        match self {
-            SimEvent::SybilCreated {
-                worker,
-                pos,
-                acquired,
-                ..
-            } => ("sybil_created", *worker as u64, pos.to_hex(), *acquired),
-            SimEvent::SybilsRetired { worker, count, .. } => (
-                "sybils_retired",
-                *worker as u64,
-                String::new(),
-                *count as u64,
-            ),
-            SimEvent::WorkerLeft { worker, .. } => {
-                ("worker_left", *worker as u64, String::new(), 0)
-            }
-            SimEvent::WorkerCrashed {
-                worker, keys_lost, ..
-            } => ("worker_crashed", *worker as u64, String::new(), *keys_lost),
-            SimEvent::WorkerJoined {
-                worker,
-                pos,
-                acquired,
-                ..
-            } => ("worker_joined", *worker as u64, pos.to_hex(), *acquired),
-            SimEvent::InvitationSent { worker, .. } => {
-                ("invitation_sent", *worker as u64, String::new(), 0)
-            }
-            SimEvent::InvitationRefused { worker, .. } => {
-                ("invitation_refused", *worker as u64, String::new(), 0)
-            }
-            SimEvent::InvitationHonored {
-                worker,
-                helper,
-                acquired,
-                ..
-            } => (
-                "invitation_honored",
-                *worker as u64,
-                format!("w{helper}"),
-                *acquired,
-            ),
-            SimEvent::LoadQueried {
-                worker,
-                neighbor,
-                load,
-                ..
-            } => ("load_queried", *worker as u64, neighbor.to_hex(), *load),
-            SimEvent::NeighborGapSplit { worker, pos, .. } => {
-                ("neighbor_gap_split", *worker as u64, pos.to_hex(), 0)
-            }
-            SimEvent::LoadLied {
-                worker,
-                about,
-                reported,
-                ..
-            } => ("lied", *worker as u64, about.to_hex(), *reported),
-            SimEvent::ProbeAgreed {
-                worker,
-                target,
-                estimate,
-                ..
-            } => ("probe_agree", *worker as u64, target.to_hex(), *estimate),
-            SimEvent::ProbeConflict {
-                worker,
-                target,
-                estimate,
-                ..
-            } => ("probe_conflict", *worker as u64, target.to_hex(), *estimate),
-            SimEvent::Quarantined {
-                worker,
-                reporter,
-                suspicion,
-                ..
-            } => ("quarantined", *worker as u64, reporter.to_hex(), *suspicion),
-        }
+        let (name, value) = self.metric_fields();
+        let pos = match self {
+            SimEvent::SybilCreated { pos, .. }
+            | SimEvent::WorkerJoined { pos, .. }
+            | SimEvent::NeighborGapSplit { pos, .. }
+            | SimEvent::LoadQueried { neighbor: pos, .. }
+            | SimEvent::LoadLied { about: pos, .. }
+            | SimEvent::ProbeAgreed { target: pos, .. }
+            | SimEvent::ProbeConflict { target: pos, .. }
+            | SimEvent::Quarantined { reporter: pos, .. } => pos.to_hex(),
+            SimEvent::InvitationHonored { helper, .. } => format!("w{helper}"),
+            SimEvent::SybilsRetired { .. }
+            | SimEvent::WorkerLeft { .. }
+            | SimEvent::WorkerCrashed { .. }
+            | SimEvent::InvitationSent { .. }
+            | SimEvent::InvitationRefused { .. } => String::new(),
+        };
+        (name, self.worker() as u64, pos, value)
+    }
+
+    /// The exact inverse of [`decision_fields`](Self::decision_fields):
+    /// the event a `Decision` record stamped `tick` encodes, or `None`
+    /// when the name is unknown or the fields are not what that event
+    /// would encode to.
+    pub fn from_decision(
+        tick: u64,
+        name: &str,
+        worker: u64,
+        pos: &str,
+        value: u64,
+    ) -> Option<SimEvent> {
+        let w = WorkerId::try_from(worker).ok()?;
+        let id = || Id::from_hex(pos);
+        let event = match name {
+            "sybil_created" => SimEvent::SybilCreated {
+                tick,
+                worker: w,
+                pos: id()?,
+                acquired: value,
+            },
+            "sybils_retired" => SimEvent::SybilsRetired {
+                tick,
+                worker: w,
+                count: u32::try_from(value).ok()?,
+            },
+            "worker_left" => SimEvent::WorkerLeft { tick, worker: w },
+            "worker_crashed" => SimEvent::WorkerCrashed {
+                tick,
+                worker: w,
+                keys_lost: value,
+            },
+            "worker_joined" => SimEvent::WorkerJoined {
+                tick,
+                worker: w,
+                pos: id()?,
+                acquired: value,
+            },
+            "invitation_sent" => SimEvent::InvitationSent { tick, worker: w },
+            "invitation_refused" => SimEvent::InvitationRefused { tick, worker: w },
+            "invitation_honored" => SimEvent::InvitationHonored {
+                tick,
+                worker: w,
+                helper: pos.strip_prefix('w')?.parse().ok()?,
+                acquired: value,
+            },
+            "load_queried" => SimEvent::LoadQueried {
+                tick,
+                worker: w,
+                neighbor: id()?,
+                load: value,
+            },
+            "neighbor_gap_split" => SimEvent::NeighborGapSplit {
+                tick,
+                worker: w,
+                pos: id()?,
+            },
+            "lied" => SimEvent::LoadLied {
+                tick,
+                worker: w,
+                about: id()?,
+                reported: value,
+            },
+            "probe_agree" => SimEvent::ProbeAgreed {
+                tick,
+                worker: w,
+                target: id()?,
+                estimate: value,
+            },
+            "probe_conflict" => SimEvent::ProbeConflict {
+                tick,
+                worker: w,
+                target: id()?,
+                estimate: value,
+            },
+            "quarantined" => SimEvent::Quarantined {
+                tick,
+                worker: w,
+                reporter: id()?,
+                suspicion: value,
+            },
+            _ => return None,
+        };
+        // Re-encoding rejects what parsing alone would accept: a value
+        // or position on an event that carries none, uppercase hex, a
+        // helper written `w007`.
+        let (n, wk, p, v) = event.decision_fields();
+        ((n, wk, p.as_str(), v) == (name, worker, pos, value)).then_some(event)
     }
 }
 
-/// An append-only event log that is free when disabled.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-pub struct EventLog {
-    enabled: bool,
-    events: Vec<SimEvent>,
-}
-
-impl EventLog {
-    pub fn new(enabled: bool) -> EventLog {
-        EventLog {
-            enabled,
-            events: Vec::new(),
-        }
-    }
-
-    /// Records an event (no-op when disabled).
-    #[inline]
-    pub fn push(&mut self, event: SimEvent) {
-        if self.enabled {
-            self.events.push(event);
-        }
-    }
-
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
-    pub fn events(&self) -> &[SimEvent] {
-        &self.events
-    }
-
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    /// Events of one worker, in order.
-    pub fn for_worker(&self, worker: WorkerId) -> impl Iterator<Item = &SimEvent> {
-        self.events.iter().filter(move |e| e.worker() == worker)
-    }
-
-    /// Total tasks moved by Sybil acquisitions.
-    pub fn tasks_acquired_by_sybils(&self) -> u64 {
-        self.events
-            .iter()
-            .map(|e| match e {
-                SimEvent::SybilCreated { acquired, .. } => *acquired,
-                _ => 0,
-            })
-            .sum()
-    }
+/// The event log of a run: its trace's `Decision` records, decoded in
+/// order. Empty unless the trace was recorded.
+pub fn event_log(trace: &Trace) -> Vec<SimEvent> {
+    trace
+        .records()
+        .iter()
+        .filter_map(|r| match &r.body {
+            TraceBody::Decision {
+                name,
+                worker,
+                pos,
+                value,
+            } => SimEvent::from_decision(r.time, name, *worker, pos, *value),
+            _ => None,
+        })
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn ev(tick: u64, worker: WorkerId) -> SimEvent {
-        SimEvent::SybilCreated {
-            tick,
-            worker,
-            pos: Id::from(42u64),
-            acquired: 3,
-        }
-    }
-
-    #[test]
-    fn disabled_log_records_nothing() {
-        let mut log = EventLog::new(false);
-        log.push(ev(1, 0));
-        assert!(log.is_empty());
-        assert!(!log.is_enabled());
-    }
-
-    #[test]
-    fn enabled_log_records_in_order() {
-        let mut log = EventLog::new(true);
-        log.push(ev(1, 0));
-        log.push(SimEvent::WorkerLeft { tick: 2, worker: 1 });
-        assert_eq!(log.len(), 2);
-        assert_eq!(log.events()[0].tick(), 1);
-        assert_eq!(log.events()[1].tick(), 2);
-        assert_eq!(log.events()[1].worker(), 1);
-    }
 
     #[test]
     fn coverage_variants_carry_tick_and_worker() {
@@ -424,52 +382,148 @@ mod tests {
         assert_eq!(events[3].decision_fields(), ("quarantined", 3, hex, 3));
     }
 
-    #[test]
-    fn metric_fields_agree_with_decision_fields() {
-        let events = [
-            ev(1, 0),
+    /// One event of every variant, at boundary values.
+    fn every_variant() -> Vec<SimEvent> {
+        let top = Id::MAX;
+        let big = usize::MAX;
+        vec![
+            SimEvent::SybilCreated {
+                tick: u64::MAX,
+                worker: big,
+                pos: top,
+                acquired: u64::MAX,
+            },
             SimEvent::SybilsRetired {
-                tick: 2,
-                worker: 1,
-                count: 4,
+                tick: 0,
+                worker: 0,
+                count: u32::MAX,
+            },
+            SimEvent::WorkerLeft {
+                tick: u64::MAX,
+                worker: big,
             },
             SimEvent::WorkerCrashed {
                 tick: 3,
-                worker: 2,
-                keys_lost: 9,
+                worker: 1,
+                keys_lost: u64::MAX,
             },
-            SimEvent::InvitationHonored {
+            SimEvent::WorkerJoined {
                 tick: 4,
                 worker: 2,
-                helper: 7,
-                acquired: 12,
+                pos: Id::ZERO,
+                acquired: 0,
+            },
+            SimEvent::InvitationSent { tick: 5, worker: 3 },
+            SimEvent::InvitationRefused {
+                tick: 6,
+                worker: big,
+            },
+            SimEvent::InvitationHonored {
+                tick: 7,
+                worker: 4,
+                helper: big,
+                acquired: u64::MAX,
+            },
+            SimEvent::LoadQueried {
+                tick: 8,
+                worker: 5,
+                neighbor: top,
+                load: u64::MAX,
+            },
+            SimEvent::NeighborGapSplit {
+                tick: 9,
+                worker: 6,
+                pos: top,
             },
             SimEvent::LoadLied {
-                tick: 5,
-                worker: 3,
-                about: Id::from(5u64),
-                reported: 2,
+                tick: 10,
+                worker: 7,
+                about: top,
+                reported: u64::MAX,
+            },
+            SimEvent::ProbeAgreed {
+                tick: 11,
+                worker: 8,
+                target: top,
+                estimate: 0,
+            },
+            SimEvent::ProbeConflict {
+                tick: 12,
+                worker: 9,
+                target: Id::from(5u64),
+                estimate: u64::MAX,
             },
             SimEvent::Quarantined {
-                tick: 6,
-                worker: 3,
-                reporter: Id::from(5u64),
-                suspicion: 3,
+                tick: u64::MAX,
+                worker: big,
+                reporter: top,
+                suspicion: u64::MAX,
             },
-        ];
+        ]
+    }
+
+    #[test]
+    fn from_decision_inverts_decision_fields() {
+        let events = every_variant();
+        let names: std::collections::BTreeSet<&str> =
+            events.iter().map(|e| e.metric_fields().0).collect();
+        assert_eq!(names.len(), 14, "one event per variant");
         for e in &events {
-            let (name, _, _, value) = e.decision_fields();
-            assert_eq!(e.metric_fields(), (name, value), "{e:?}");
+            let (name, worker, pos, value) = e.decision_fields();
+            assert_eq!(
+                SimEvent::from_decision(e.tick(), name, worker, &pos, value),
+                Some(e.clone()),
+                "{e:?}"
+            );
         }
     }
 
     #[test]
-    fn per_worker_filter_and_acquisition_sum() {
-        let mut log = EventLog::new(true);
-        log.push(ev(1, 0));
-        log.push(ev(2, 1));
-        log.push(ev(3, 0));
-        assert_eq!(log.for_worker(0).count(), 2);
-        assert_eq!(log.tasks_acquired_by_sybils(), 9);
+    fn from_decision_rejects_what_no_event_encodes_to() {
+        let hex = Id::from(5u64).to_hex();
+        assert_eq!(
+            SimEvent::from_decision(1, "sybil_spawned", 0, &hex, 1),
+            None
+        );
+        assert_eq!(SimEvent::from_decision(1, "", 0, "", 0), None);
+        // A field the event does not carry, or a non-canonical one.
+        assert_eq!(SimEvent::from_decision(1, "worker_left", 0, "", 1), None);
+        assert_eq!(SimEvent::from_decision(1, "worker_left", 0, &hex, 0), None);
+        let max = Id::MAX.to_hex();
+        assert!(SimEvent::from_decision(1, "load_queried", 0, &max, 1).is_some());
+        assert_eq!(
+            SimEvent::from_decision(1, "load_queried", 0, &max.to_uppercase(), 1),
+            None
+        );
+        assert_eq!(
+            SimEvent::from_decision(1, "invitation_honored", 0, "w007", 1),
+            None
+        );
+        assert_eq!(
+            SimEvent::from_decision(1, "sybils_retired", 0, "", u64::MAX),
+            None
+        );
+        assert_eq!(SimEvent::from_decision(1, "load_queried", 0, "zz", 1), None);
+    }
+
+    #[test]
+    fn event_log_decodes_the_decisions_of_a_trace() {
+        use autobal_telemetry::TraceSink;
+        let mut trace = Trace::new(true);
+        trace.run_start(0, "oracle", "random", 1);
+        trace.message(
+            2,
+            "load_query",
+            autobal_telemetry::MessageStatus::Delivered,
+            0,
+        );
+        let events = every_variant();
+        for e in &events {
+            let (name, worker, pos, value) = e.decision_fields();
+            trace.decision(e.tick(), name, worker, &pos, value);
+        }
+        trace.run_end(9, true);
+        assert_eq!(event_log(&trace), events);
+        assert!(event_log(&Trace::new(false)).is_empty());
     }
 }

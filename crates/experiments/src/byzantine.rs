@@ -25,7 +25,7 @@ use autobal::event_sim::{run_event_sim, EventSimConfig};
 use autobal::protocol_sim::{run_protocol_sim, ProtocolSimConfig};
 use autobal_chord::{AdversaryPlan, LiePolicy};
 use autobal_core::strategy::crosscheck::CrossCheckConfig;
-use autobal_core::trace::SimEvent;
+use autobal_core::trace::{event_log, SimEvent};
 use autobal_core::StrategyKind;
 use autobal_stats::fairness::gini;
 use autobal_workload::tables::{f3, Table};
@@ -103,7 +103,7 @@ fn proto_cfg(spec: &Spec, fault_seed: u64) -> ProtocolSimConfig {
         nodes: NODES,
         tasks: TASKS,
         strategy: StrategyKind::SmartNeighbor,
-        record_events: true,
+        record_trace: true,
         adversary,
         cross_check: CrossCheckConfig::with_budget(spec.k),
         ..ProtocolSimConfig::default()
@@ -119,7 +119,7 @@ fn observe(spec: &Spec, cfg: &ProtocolSimConfig, seed: u64) -> Obs {
                 factor: run.runtime_factor,
                 bill: run.messages.load_query,
                 lied: run.messages.lied,
-                quarantined: count_quarantined(run.events.events()),
+                quarantined: count_quarantined(&event_log(&run.trace)),
                 completed: run.completed,
             }
         }
@@ -136,7 +136,7 @@ fn observe(spec: &Spec, cfg: &ProtocolSimConfig, seed: u64) -> Obs {
                 factor: run.runtime_factor,
                 bill: run.wire.load_query,
                 lied: run.wire.lied,
-                quarantined: count_quarantined(run.events.events()),
+                quarantined: count_quarantined(&event_log(&run.trace)),
                 completed: run.completed,
             }
         }
@@ -280,7 +280,6 @@ mod tests {
             out: std::env::temp_dir().join("autobal-byzantine-test"),
             seed: 7,
             trace: None,
-            events: false,
             baseline: None,
             cache: std::sync::Arc::new(autobal_workload::WorkloadCache::new()),
         }

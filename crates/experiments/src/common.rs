@@ -24,10 +24,9 @@ pub struct Args {
     /// Master seed.
     pub seed: u64,
     /// Base path for flight-recorder JSONL dumps (`--trace PATH`);
-    /// `None` leaves tracing disabled and zero-cost.
+    /// `None` leaves tracing disabled and zero-cost. A recorded trace
+    /// also carries the run's event log.
     pub trace: Option<PathBuf>,
-    /// Record strategy event logs in single-run experiments.
-    pub events: bool,
     /// Committed benchmark baseline to compare against (`repro perf
     /// --baseline BENCH_10.json`); `None` skips the comparison.
     pub baseline: Option<PathBuf>,
@@ -45,7 +44,6 @@ impl Args {
             out: PathBuf::from("results"),
             seed: 0xA0B1_C2D3,
             trace: None,
-            events: false,
             baseline: None,
             cache: Arc::new(WorkloadCache::new()),
         };
@@ -80,7 +78,6 @@ impl Args {
                 "--trace" => {
                     args.trace = Some(PathBuf::from(it.next().ok_or("--trace needs a path")?));
                 }
-                "--events" => args.events = true,
                 "--baseline" => {
                     args.baseline =
                         Some(PathBuf::from(it.next().ok_or("--baseline needs a path")?));
@@ -105,11 +102,10 @@ impl Args {
         run_and_summarize_cached(&self.cache, cfg, self.trials, seed)
     }
 
-    /// Applies the `--trace` / `--events` instrumentation flags to a
-    /// simulator config.
+    /// Applies the `--trace` instrumentation flag to a simulator
+    /// config.
     pub fn instrument(&self, cfg: &mut SimConfig) {
         cfg.record_trace = cfg.record_trace || self.trace.is_some();
-        cfg.record_events = cfg.record_events || self.events;
     }
 
     /// Where a tagged trace dump lands: `--trace out/t.jsonl` with tag
@@ -170,8 +166,8 @@ pub fn aligned_histograms(series: &[&[u64]]) -> Vec<Vec<(u64, u64, u64)>> {
 
 /// Runs one simulation with snapshots, returning the result (helper for
 /// the figure experiments, which need one run rather than a batch). The
-/// run is instrumented per the `--trace` / `--events` flags; a recorded
-/// trace is dumped under `tag`.
+/// run is instrumented per the `--trace` flag; a recorded trace is
+/// dumped under `tag`.
 pub fn run_with_snapshots(args: &Args, tag: &str, mut cfg: SimConfig, ticks: &[u64]) -> RunResult {
     cfg.snapshot_ticks = ticks.to_vec();
     args.instrument(&mut cfg);
@@ -231,14 +227,15 @@ mod tests {
     }
 
     #[test]
-    fn parse_trace_and_events() {
+    fn parse_trace() {
         let a = Args::parse(&[]).unwrap();
-        assert!(a.trace.is_none() && !a.events);
+        assert!(a.trace.is_none());
         assert!(a.trace_path("x").is_none());
+        // The trace is the event log: there is no separate flag.
+        assert!(Args::parse(&s(&["--events"])).is_err());
 
-        let a = Args::parse(&s(&["--trace", "out/t.jsonl", "--events"])).unwrap();
+        let a = Args::parse(&s(&["--trace", "out/t.jsonl"])).unwrap();
         assert_eq!(a.trace, Some(PathBuf::from("out/t.jsonl")));
-        assert!(a.events);
         assert_eq!(a.trace_path(""), Some(PathBuf::from("out/t.jsonl")));
         assert_eq!(
             a.trace_path("fig1"),
@@ -248,15 +245,15 @@ mod tests {
 
     #[test]
     fn instrument_arms_recording_from_flags() {
-        let a = Args::parse(&s(&["--trace", "t.jsonl", "--events"])).unwrap();
+        let a = Args::parse(&s(&["--trace", "t.jsonl"])).unwrap();
         let mut cfg = SimConfig::default();
         a.instrument(&mut cfg);
-        assert!(cfg.record_trace && cfg.record_events);
+        assert!(cfg.record_trace);
 
         let off = Args::parse(&[]).unwrap();
         let mut cfg = SimConfig::default();
         off.instrument(&mut cfg);
-        assert!(!cfg.record_trace && !cfg.record_events);
+        assert!(!cfg.record_trace);
     }
 
     #[test]

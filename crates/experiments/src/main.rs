@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! repro [--quick | --full | --trials N] [--seed S] [--out DIR]
-//!       [--trace PATH] [--events] [--baseline BENCH.json] [targets…]
+//!       [--trace PATH] [--baseline BENCH.json] [targets…]
 //!
 //! targets: table1 table2 fig1 fig2_3 fig4_6 fig7_9 fig10 fig11_12
 //!          fig13_14 text_ri text_ni text_inv messages extensions
@@ -20,9 +20,10 @@
 //! `--quick` (default) uses 5 trials per cell; `--full` uses the paper's
 //! 100. Outputs land in `results/` as CSV + Markdown + SVG. `--trace`
 //! arms the flight recorder in single-run experiments and dumps JSONL
-//! traces under the given base path; `--events` records structured
-//! event logs; the `trace` target produces the full telemetry artifact
-//! set (JSONL dumps, span breakdowns, divergence diff, histograms).
+//! traces under the given base path (a trace's `Decision` records are
+//! the run's event log); the `trace` target produces the full telemetry
+//! artifact set (JSONL dumps, span breakdowns, divergence diff,
+//! histograms).
 
 mod byzantine;
 mod chordx;
@@ -50,7 +51,7 @@ fn main() {
             eprintln!("error: {e}");
             eprintln!(
                 "usage: repro [--quick|--full|--trials N] [--seed S] [--out DIR] \
-                 [--trace PATH] [--events] [--baseline BENCH.json] [targets…]"
+                 [--trace PATH] [--baseline BENCH.json] [targets…]"
             );
             std::process::exit(2);
         }

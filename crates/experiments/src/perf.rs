@@ -156,7 +156,6 @@ fn oracle_cfg() -> SimConfig {
         tasks: 1_200_000,
         strategy: StrategyKind::None,
         churn_rate: 0.0,
-        series_interval: None,
         ..SimConfig::default()
     }
 }
@@ -538,7 +537,6 @@ fn oracle_scaling(args: &Args) -> Vec<Measurement> {
                 tasks,
                 strategy: StrategyKind::None,
                 churn_rate: 0.0,
-                series_interval: None,
                 shards,
                 ..SimConfig::default()
             };

@@ -323,7 +323,6 @@ mod tests {
             out: std::env::temp_dir().join("autobal-resilience-test"),
             seed: 7,
             trace: None,
-            events: false,
             baseline: None,
             cache: std::sync::Arc::new(autobal_workload::WorkloadCache::new()),
         };
@@ -355,7 +354,6 @@ mod tests {
             out: std::env::temp_dir().join("autobal-resilience-test"),
             seed: 7,
             trace: None,
-            events: false,
             baseline: None,
             cache: std::sync::Arc::new(autobal_workload::WorkloadCache::new()),
         };

@@ -340,7 +340,8 @@ pub fn timeseries(args: &Args) {
             } else {
                 0.0
             },
-            series_interval: Some(5),
+            record_metrics: true,
+            metrics_interval: Some(5),
             ..base(1000, 100_000, strat)
         };
         args.instrument(&mut cfg);

@@ -72,18 +72,18 @@ pub fn trace(args: &Args) {
     println!("trace: unified telemetry plane (oracle vs chord, {NODES}n/{TASKS}t)");
     let (ids, keys) = placement(args.seed);
 
-    let mut ocfg = SimConfig {
+    // This target exists to produce traces, so recording is always on;
+    // the metrics plane supplies the per-tick Gini series.
+    let ocfg = SimConfig {
         nodes: NODES,
         tasks: TASKS,
         strategy: StrategyKind::RandomInjection,
         check_interval: 1,
         record_trace: true,
-        series_interval: Some(1),
+        record_metrics: true,
+        metrics_interval: Some(1),
         ..SimConfig::default()
     };
-    // This target exists to produce traces, so recording is always on;
-    // `--events` additionally keeps the structured event log.
-    ocfg.record_events = args.events;
     let oracle = Sim::with_placement(ocfg, args.seed, ids.clone(), keys.clone()).run();
     let chord = run_protocol_sim_with_placement(
         &ProtocolSimConfig {

@@ -41,7 +41,8 @@
 //!   schedule-ordered reductions over rayon parallel iterators, no
 //!   `partial_cmp` comparators (use `f64::total_cmp`).
 //! * **T — telemetry vocabulary** (`telemetry-vocab`): every
-//!   `SimEvent` variant has an emit site; decision names and
+//!   `SimEvent` variant has an emit site outside its defining file;
+//!   decision names (the literals of `SimEvent::metric_fields`) and
 //!   `MessageStatus`/`TraceBody` variants are covered by the trace
 //!   summary, the validate schema, and the golden-schema fixture;
 //!   every metric name const is snake_case, enumerated in the

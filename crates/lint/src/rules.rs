@@ -289,7 +289,7 @@ fn strategy_locality(file: &FileModel, out: &mut Vec<Finding>) {
                 Some("ring") => Some(
                     "strategy touches global ring state; strategies see only LocalView/Actions",
                 ),
-                Some("trace") | Some("metrics") => {
+                Some("trace") | Some("metrics") | Some("record") => {
                     Some("strategy touches global observability state; use the Actions surface")
                 }
                 _ => None,
@@ -572,11 +572,16 @@ pub fn check_layering(ws: &Workspace, out: &mut Vec<Finding>) {
     }
 }
 
-/// True when some file constructs `Enum::Variant { … }` outside test
-/// code — braces without `..`, which in this tree distinguishes a
-/// construction from a pattern (patterns always elide fields).
-fn has_struct_construction(ws: &Workspace, enum_name: &str, variant: &str) -> bool {
+/// True when some file other than `skip_rel` constructs
+/// `Enum::Variant { … }` outside test code — braces without `..`, which
+/// in this tree distinguishes a construction from a pattern (patterns
+/// always elide fields). The enum's own file is skipped: a decoder
+/// there constructs every variant without emitting any.
+fn has_struct_construction(ws: &Workspace, enum_name: &str, variant: &str, skip_rel: &str) -> bool {
     for file in &ws.files {
+        if file.rel == skip_rel {
+            continue;
+        }
         let toks = &file.toks;
         for (i, tok) in toks.iter().enumerate() {
             if !tok.is_ident(enum_name) || file.masked(tok.line) {
@@ -647,12 +652,12 @@ fn file_has_str(file: &FileModel, content: &str) -> bool {
 }
 
 /// The decision-name vocabulary: string literals returned by
-/// `SimEvent::decision_fields`, filtered to snake_case words (format
-/// strings and hex payloads are not names).
+/// `SimEvent::metric_fields`, the one name table both the trace and the
+/// metrics encodings read, filtered to snake_case words.
 fn decision_names(file: &FileModel) -> Vec<(usize, String)> {
     let mut names = Vec::new();
     for f in &file.items.fns {
-        if f.name != "decision_fields" {
+        if f.name != "metric_fields" {
             continue;
         }
         let Some((open, close)) = f.body else {
@@ -702,11 +707,12 @@ fn metric_name_consts(file: &FileModel) -> Vec<(usize, String, String)> {
 }
 
 /// T — telemetry-vocabulary sync: every `SimEvent` variant has an emit
-/// site, every decision name and `MessageStatus` is covered by the
-/// golden-schema fixture, the `TraceBody`/`MessageStatus` enums are
-/// fully handled by the trace summary and the validate schema, and the
-/// metric-name vocabulary stays closed (snake_case, in the registry
-/// table, in the golden metrics fixture, and actually emitted).
+/// site outside its defining file, every decision name and
+/// `MessageStatus` is covered by the golden-schema fixture, the
+/// `TraceBody`/`MessageStatus` enums are fully handled by the trace
+/// summary and the validate schema, and the metric-name vocabulary
+/// stays closed (snake_case, in the registry table, in the golden
+/// metrics fixture, and actually emitted).
 pub fn check_telemetry(ws: &Workspace, out: &mut Vec<Finding>) {
     let schema = ws
         .resources
@@ -717,7 +723,7 @@ pub fn check_telemetry(ws: &Workspace, out: &mut Vec<Finding>) {
 
     if let Some((evfile, ev)) = ws.find_enum("SimEvent") {
         for v in &ev.variants {
-            if !has_struct_construction(ws, "SimEvent", &v.name) {
+            if !has_struct_construction(ws, "SimEvent", &v.name, &evfile.rel) {
                 push(
                     out,
                     &evfile.rel,
@@ -910,7 +916,7 @@ pub fn check_telemetry(ws: &Workspace, out: &mut Vec<Finding>) {
             }
             // Emit site: some other first-party file references the
             // const, or emits the name literally (event counters reuse
-            // the decision-name literals of `decision_fields`).
+            // the decision-name literals of `metric_fields`).
             let emitted = ws.files.iter().any(|f| {
                 f.rel != names.rel
                     && f.toks.iter().any(|t| {

@@ -8,6 +8,7 @@ pub fn sneaky() {
     let owner = crate::ring::owner_of(42); //~ ERROR strategy-locality
     crate::trace::emit("cheating"); //~ ERROR strategy-locality
     crate::metrics::bump(owner); //~ ERROR strategy-locality
+    crate::record::Recorder::emit(owner); //~ ERROR strategy-locality
 }
 
 pub fn omniscient(view: &mut dyn OracleView) {} //~ ERROR strategy-locality

@@ -6,7 +6,7 @@ pub enum SimEvent {
 }
 
 impl SimEvent {
-    pub fn decision_fields(&self) -> &'static str {
+    pub fn metric_fields(&self) -> &'static str {
         match self {
             SimEvent::Done { .. } => "done",
             SimEvent::Skipped { .. } => "skipped", //~ ERROR telemetry-vocab

@@ -118,7 +118,7 @@ mod tests {
     // whole test harness); the unit tests drive the trait directly.
 
     #[test]
-    fn counters_record_events() {
+    fn counters_count_allocation_events() {
         let a = CountingAlloc::new();
         let layout = Layout::from_size_align(64, 8).unwrap();
         let before_total = total_allocations();

@@ -214,12 +214,14 @@ pub fn validate_exposition(text: &str) -> Result<(), String> {
 mod tests {
     use super::*;
     use crate::dist::LoadDist;
-    use crate::hub::{MetricsHub, MetricsSink};
+    use crate::hub::MetricsHub;
 
     fn rendered() -> String {
         let mut hub = MetricsHub::new(true);
-        hub.event("sybil_created", 5);
-        hub.message(names::MSG_DELIVERED, 1);
+        hub.inc(names::SYBIL_CREATED);
+        hub.observe(names::TRANSFER_SIZE, 5);
+        hub.inc(names::MSG_DELIVERED);
+        hub.observe(names::MSG_RETRIES, 1);
         hub.inc(names::TICKS);
         let mut dist = LoadDist::new();
         for l in [0u64, 3, 9] {

@@ -2,32 +2,18 @@
 //!
 //! [`MetricsHub`] plays the same role for metrics that
 //! `autobal_telemetry::Trace` plays for traces: a concrete,
-//! always-constructible recorder that is free when disabled. Substrates
-//! call the narrow [`MetricsSink`] surface from their hot paths
-//! (counter increments, histogram observations — all allocation-free
-//! after construction) and the sampling methods at their chosen
-//! cadence (which snapshot the registry into a [`MetricsSample`] and
-//! may allocate; sampling is outside the steady-state alloc gate).
+//! always-constructible recorder that is free when disabled. The
+//! substrates' recorder (`autobal_core::record::Recorder`) calls its
+//! counter and histogram methods from their hot paths (all
+//! allocation-free after construction) and the sampling methods at its
+//! cadence (which
+//! snapshot the registry into a [`MetricsSample`] and may allocate;
+//! sampling is outside the steady-state alloc gate).
 
 use crate::dist::{gini_ppm_from_sums, LoadDist};
 use crate::names;
 use crate::registry::Registry;
 use crate::sample::{HistSnapshot, MetricsSample, RingSlot};
-
-/// The hook substrates drive from their hot paths. Mirrors `TraceSink`:
-/// check [`enabled`](MetricsSink::enabled) before assembling anything
-/// costly, and every method is a no-op when disabled.
-pub trait MetricsSink {
-    fn enabled(&self) -> bool;
-    /// Increment a counter by one.
-    fn inc(&mut self, name: &'static str);
-    /// Add `delta` to a counter.
-    fn add(&mut self, name: &'static str, delta: u64);
-    /// Overwrite a gauge.
-    fn set_gauge(&mut self, name: &'static str, value: u64);
-    /// Record one histogram observation.
-    fn observe(&mut self, name: &'static str, value: u64);
-}
 
 /// Pre-sorted percentile levels sampled into gauges.
 const PCTS: [(u64, &str); 3] = [
@@ -40,62 +26,55 @@ const PCTS: [(u64, &str); 3] = [
 #[derive(Debug, Clone, Default)]
 pub struct MetricsHub {
     registry: Option<Registry>,
-    ring: bool,
     samples: Vec<MetricsSample>,
-    scratch: Vec<u64>,
 }
 
 impl MetricsHub {
-    /// A hub that records when `enabled`, without ring snapshots.
+    /// A hub that records when `enabled`.
     pub fn new(enabled: bool) -> MetricsHub {
         MetricsHub {
             registry: enabled.then(Registry::new),
-            ring: false,
             samples: Vec::new(),
-            scratch: Vec::new(),
         }
     }
 
-    /// Enable per-worker ring snapshots in each sample (monitor food;
-    /// costs O(workers) per sample, so off by default).
-    pub fn with_ring(mut self, ring: bool) -> MetricsHub {
-        self.ring = ring;
-        self
-    }
-
-    /// Whether samples should carry a ring snapshot. Substrates check
-    /// this before assembling the per-worker rows.
-    pub fn ring_enabled(&self) -> bool {
-        self.registry.is_some() && self.ring
-    }
-
-    /// Counter increment for a `SimEvent`, keyed by its stable decision
-    /// name, with the moved-task histogram fed from acquisition events.
+    /// Is anything being recorded? Callers gate argument construction
+    /// on this; every other method is a no-op when it is false.
     #[inline]
-    pub fn event(&mut self, name: &'static str, value: u64) {
-        let Some(reg) = self.registry.as_mut() else {
-            return;
-        };
-        reg.inc(name);
-        if matches!(
-            name,
-            "sybil_created" | "worker_joined" | "invitation_honored"
-        ) && value > 0
-        {
-            reg.observe(names::TRANSFER_SIZE, value);
+    pub fn enabled(&self) -> bool {
+        self.registry.is_some()
+    }
+
+    /// Increment a counter by one.
+    #[inline]
+    pub fn inc(&mut self, name: &'static str) {
+        if let Some(reg) = self.registry.as_mut() {
+            reg.inc(name);
         }
     }
 
-    /// Message-fate accounting: `fate` is one of the `msg_*` counter
-    /// names; `retries` is the number of re-sends beyond the first
-    /// attempt, observed into the retry histogram.
+    /// Add `delta` to a counter.
     #[inline]
-    pub fn message(&mut self, fate: &'static str, retries: u64) {
-        let Some(reg) = self.registry.as_mut() else {
-            return;
-        };
-        reg.inc(fate);
-        reg.observe(names::MSG_RETRIES, retries);
+    pub fn add(&mut self, name: &'static str, delta: u64) {
+        if let Some(reg) = self.registry.as_mut() {
+            reg.add(name, delta);
+        }
+    }
+
+    /// Overwrite a gauge.
+    #[inline]
+    pub fn set_gauge(&mut self, name: &'static str, value: u64) {
+        if let Some(reg) = self.registry.as_mut() {
+            reg.set_gauge(name, value);
+        }
+    }
+
+    /// Record one histogram observation.
+    #[inline]
+    pub fn observe(&mut self, name: &'static str, value: u64) {
+        if let Some(reg) = self.registry.as_mut() {
+            reg.observe(name, value);
+        }
     }
 
     /// Recorded samples so far.
@@ -162,19 +141,6 @@ impl MetricsHub {
         self.push_sample(time, stats, ring);
     }
 
-    /// Borrowable scratch buffer for callers assembling a batch load
-    /// sample (kept on the hub so repeated sampling reuses capacity).
-    pub fn take_scratch(&mut self) -> Vec<u64> {
-        let mut v = std::mem::take(&mut self.scratch);
-        v.clear();
-        v
-    }
-
-    /// Return the scratch buffer after a batch sample.
-    pub fn put_scratch(&mut self, scratch: Vec<u64>) {
-        self.scratch = scratch;
-    }
-
     fn push_sample(&mut self, time: u64, stats: FairnessGauges, ring: Vec<RingSlot>) {
         let reg = self.registry.as_mut().expect("checked by callers");
         reg.set_gauge(names::WORKERS_ACTIVE, stats.n);
@@ -229,41 +195,6 @@ struct FairnessGauges {
     gini_ppm: u64,
 }
 
-impl MetricsSink for MetricsHub {
-    #[inline]
-    fn enabled(&self) -> bool {
-        self.registry.is_some()
-    }
-
-    #[inline]
-    fn inc(&mut self, name: &'static str) {
-        if let Some(reg) = self.registry.as_mut() {
-            reg.inc(name);
-        }
-    }
-
-    #[inline]
-    fn add(&mut self, name: &'static str, delta: u64) {
-        if let Some(reg) = self.registry.as_mut() {
-            reg.add(name, delta);
-        }
-    }
-
-    #[inline]
-    fn set_gauge(&mut self, name: &'static str, value: u64) {
-        if let Some(reg) = self.registry.as_mut() {
-            reg.set_gauge(name, value);
-        }
-    }
-
-    #[inline]
-    fn observe(&mut self, name: &'static str, value: u64) {
-        if let Some(reg) = self.registry.as_mut() {
-            reg.observe(name, value);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -273,8 +204,7 @@ mod tests {
         let mut hub = MetricsHub::new(false);
         assert!(!hub.enabled());
         hub.inc(names::TICKS);
-        hub.event("sybil_created", 9);
-        hub.message(names::MSG_DELIVERED, 2);
+        hub.observe(names::MSG_RETRIES, 2);
         let mut dist = LoadDist::new();
         dist.insert(5);
         hub.sample_from_dist(3, &dist, Vec::new());
@@ -305,37 +235,28 @@ mod tests {
     }
 
     #[test]
-    fn events_feed_counters_and_transfer_histogram() {
+    fn counters_and_histograms_land_in_the_sample() {
         let mut hub = MetricsHub::new(true);
-        hub.event("sybil_created", 12);
-        hub.event("worker_left", 0);
-        hub.event("invitation_honored", 3);
-        hub.message(names::MSG_DELIVERED, 0);
-        hub.message(names::MSG_TIMED_OUT, 4);
+        hub.inc(names::SYBIL_CREATED);
+        hub.observe(names::TRANSFER_SIZE, 12);
+        hub.observe(names::TRANSFER_SIZE, 3);
         hub.inc(names::TICKS);
         hub.add(names::TASKS_DONE, 50);
         let dist = LoadDist::new();
         hub.sample_from_dist(1, &dist, Vec::new());
         let s = &hub.samples()[0];
         assert_eq!(s.counter(names::SYBIL_CREATED), Some(1));
-        assert_eq!(s.counter(names::WORKER_LEFT), Some(1));
-        assert_eq!(s.counter(names::INVITATION_HONORED), Some(1));
-        assert_eq!(s.counter(names::MSG_DELIVERED), Some(1));
-        assert_eq!(s.counter(names::MSG_TIMED_OUT), Some(1));
+        assert_eq!(s.counter(names::WORKER_LEFT), Some(0));
         assert_eq!(s.counter(names::TICKS), Some(1));
         assert_eq!(s.counter(names::TASKS_DONE), Some(50));
         let transfers = s.hist(names::TRANSFER_SIZE).unwrap();
         assert_eq!(transfers.count, 2);
         assert_eq!(transfers.sum, 15);
-        let retries = s.hist(names::MSG_RETRIES).unwrap();
-        assert_eq!(retries.count, 2);
-        assert_eq!(retries.sum, 4);
     }
 
     #[test]
     fn ring_snapshot_is_carried_through() {
-        let mut hub = MetricsHub::new(true).with_ring(true);
-        assert!(hub.ring_enabled());
+        let mut hub = MetricsHub::new(true);
         let dist = LoadDist::new();
         hub.sample_from_dist(
             0,
@@ -349,6 +270,5 @@ mod tests {
             }],
         );
         assert_eq!(hub.samples()[0].ring.len(), 1);
-        assert!(!MetricsHub::new(true).ring_enabled());
     }
 }

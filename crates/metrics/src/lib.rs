@@ -34,5 +34,5 @@ pub mod registry;
 pub mod sample;
 
 pub use dist::{DistSummary, LoadDist};
-pub use hub::{MetricsHub, MetricsSink};
+pub use hub::MetricsHub;
 pub use sample::{MetricsSample, RingSlot};

@@ -7,7 +7,6 @@ fn main() {
         tasks: 1_200_000,
         strategy: StrategyKind::None,
         churn_rate: 0.0,
-        series_interval: None,
         ..SimConfig::default()
     };
     let seed = 0xA0B1_C2D3u64 ^ 0x5E;

@@ -20,6 +20,7 @@
 //! predecessor lists from it, and the work phase pops keys from it.
 
 use autobal_chord::{AdversaryState, MessageStats, Network, NetworkError};
+use autobal_core::record::{Recorder, Records, INVITATION, JOIN};
 use autobal_core::strategy::{
     churn::BackgroundChurn,
     crosscheck::wrap_if_enabled,
@@ -27,31 +28,16 @@ use autobal_core::strategy::{
     strategy_for, ActionError, Actions, ChurnOps, InviteOutcome, LocalView, Strategy,
     StrategyParams, StrategyStack, Substrate,
 };
-use autobal_core::trace::{EventLog, SimEvent};
+use autobal_core::trace::SimEvent;
 use autobal_core::StrategyKind;
 use autobal_id::{ring, Id};
-use autobal_metrics::{names as metric_names, profile, MetricsHub, MetricsSink, RingSlot};
+use autobal_metrics::{profile, RingSlot};
 use autobal_stats::rng::{domains, substream, DetRng};
-use autobal_telemetry::{MessageStatus, Trace, TraceSink};
+use autobal_telemetry::MessageStatus;
 use rand::Rng;
 use std::collections::{BTreeMap, VecDeque};
 
 use crate::protocol_sim::ProtocolSimConfig;
-
-/// Trace names of the billed message kinds.
-pub(crate) const LOAD_QUERY: &str = "load_query";
-const INVITATION: &str = "invitation";
-const JOIN: &str = "join";
-
-/// Metric counter name for a message fate.
-fn fate_metric(status: MessageStatus) -> &'static str {
-    match status {
-        MessageStatus::Delivered => metric_names::MSG_DELIVERED,
-        MessageStatus::Dropped => metric_names::MSG_DROPPED,
-        MessageStatus::TimedOut => metric_names::MSG_TIMED_OUT,
-        MessageStatus::Unreachable => metric_names::MSG_UNREACHABLE,
-    }
-}
 
 /// The fate of the message behind an action's result. An occupied
 /// position still means the join reached the ring.
@@ -168,10 +154,7 @@ pub(crate) struct Core {
     rng_faults: DetRng,
     /// Remaining substrate-level crash events, `(tick, victims)`.
     crash_schedule: VecDeque<(u64, u32)>,
-    pub(crate) sybils_created: u64,
-    pub(crate) sybils_retired: u64,
     pub(crate) tasks_lost: u64,
-    pub(crate) workers_crashed: u64,
     crash_retirement: bool,
     /// Armed Byzantine adversary: decides per owner whether a load
     /// reply is distorted. Stateless at query time, so a reply lies
@@ -179,13 +162,8 @@ pub(crate) struct Core {
     adversary: AdversaryState,
     /// Tasks consumed per worker slot — the Gini input.
     pub(crate) tasks_done: Vec<u64>,
-    pub(crate) events: EventLog,
-    /// Span-structured flight recorder; free when disabled.
-    pub(crate) trace: Trace,
-    /// Streaming metrics recorder; free when disabled.
-    pub(crate) hub: MetricsHub,
-    /// Metrics sampling cadence in ticks (None = metrics off).
-    metrics_every: Option<u64>,
+    /// The trace and metrics planes and the tallies derived from them.
+    pub(crate) rec: Recorder,
     /// Cumulative quarantine decisions against each worker, for the
     /// ring snapshot's quarantine markers.
     quarantined_marks: Vec<u64>,
@@ -274,8 +252,13 @@ impl Core {
         }
 
         let slots = workers.len();
-        let mut trace = Trace::new(cfg.record_trace);
-        trace.run_start(0, substrate, cfg.strategy.label(), seed);
+        let mut rec = Recorder::new(
+            cfg.record_trace,
+            cfg.record_metrics,
+            cfg.metrics_ring,
+            cfg.metrics_interval,
+        );
+        rec.start(substrate, cfg.strategy.label(), seed);
         let core = Core {
             net,
             workers,
@@ -298,48 +281,14 @@ impl Core {
             rng_churn: substream(seed, 0, domains::CHURN),
             rng_faults: substream(seed, 0, domains::FAULTS),
             crash_schedule: crash_schedule.into_iter().collect(),
-            sybils_created: 0,
-            sybils_retired: 0,
             tasks_lost: 0,
-            workers_crashed: 0,
             crash_retirement: cfg.crash_retirement,
             adversary: AdversaryState::new(cfg.adversary.clone(), cfg.nodes),
             tasks_done: vec![0; slots],
-            events: EventLog::new(cfg.record_events),
-            trace,
-            hub: MetricsHub::new(cfg.record_metrics).with_ring(cfg.metrics_ring),
-            metrics_every: cfg
-                .record_metrics
-                .then(|| cfg.metrics_interval.unwrap_or(1).max(1)),
+            rec,
             quarantined_marks: vec![0; slots],
         };
         (core, stack)
-    }
-
-    /// Records a load-balancing event into the event log and — when
-    /// tracing — as a telemetry `Decision` on the current span, using
-    /// the same `decision_fields` encoding as the oracle substrate and
-    /// stamped with the **tick**, so same-seed traces are comparable
-    /// across substrates.
-    pub(crate) fn emit_event(&mut self, event: SimEvent) {
-        if self.trace.enabled() {
-            let (name, worker, pos, value) = event.decision_fields();
-            self.trace.decision(self.tick, name, worker, &pos, value);
-        }
-        if self.hub.enabled() {
-            let (name, value) = event.metric_fields();
-            self.hub.event(name, value);
-        }
-        self.events.push(event);
-    }
-
-    /// Bills one message of `kind` with its fate to the trace and the
-    /// metrics plane.
-    pub(crate) fn bill(&mut self, kind: &'static str, status: MessageStatus, retries: u64) {
-        if self.trace.enabled() {
-            self.trace.message(self.tick, kind, status, retries);
-        }
-        self.hub.message(fate_metric(status), retries);
     }
 
     pub(crate) fn worker_load(&self, w: usize) -> u64 {
@@ -385,7 +334,7 @@ impl Core {
             return true_load;
         };
         link.plane(&mut self.net).lied += 1;
-        self.emit_event(SimEvent::LoadLied {
+        self.rec.emit(SimEvent::LoadLied {
             tick,
             worker: owner,
             about,
@@ -426,7 +375,7 @@ impl Core {
                 }
             }
         }
-        self.hub.add(metric_names::TASKS_DONE, consumed);
+        self.rec.work(consumed);
     }
 }
 
@@ -441,9 +390,7 @@ impl<T: Transport> Driver<T> {
     /// metrics sample.
     pub(crate) fn new(core: Core, link: T) -> Driver<T> {
         let mut d = Driver { core, link };
-        if d.core.metrics_every.is_some() {
-            d.sample_metrics();
-        }
+        d.sample();
         d
     }
 
@@ -453,7 +400,6 @@ impl<T: Transport> Driver<T> {
         self.core.tick += 1;
         let tick = self.core.tick;
         self.core.net.set_clock(tick);
-        self.core.hub.inc(metric_names::TICKS);
         let _p = profile::span("crash");
         while let Some(&(at, count)) = self.core.crash_schedule.front() {
             if at > tick {
@@ -498,47 +444,36 @@ impl<T: Transport> Driver<T> {
             self.core.net.maintenance_cycle();
         }
         let _p = profile::span("sample");
-        if let Some(k) = self.core.metrics_every {
-            if self.core.tick.is_multiple_of(k) || self.core.net.total_keys() == 0 {
-                self.sample_metrics();
-            }
-        }
+        self.sample();
     }
 
-    /// Closes the trace; returns whether every task was consumed.
-    pub(crate) fn finish(&mut self) -> bool {
+    /// Closes the trace and hands back the records, with whether every
+    /// task was consumed.
+    pub(crate) fn finish(&mut self) -> (bool, Records) {
         let completed = self.core.net.total_keys() == 0;
-        self.core.trace.run_end(self.core.tick, completed);
-        completed
+        let records = std::mem::take(&mut self.core.rec).finish(self.core.tick, completed);
+        (completed, records)
     }
 
-    /// Snapshot the metrics registry plus a batch fairness sweep over
-    /// the current per-worker loads (key movement happens inside the
-    /// network, so there is no per-delta hook to maintain a `LoadDist`;
-    /// the batch sweep emits byte-identical gauges).
-    fn sample_metrics(&mut self) {
+    /// Takes the metrics sample due now, if any, with a batch fairness
+    /// sweep over the current per-worker loads (key movement happens
+    /// inside the network, so there is no per-delta hook to maintain a
+    /// `LoadDist`; the batch sweep emits byte-identical gauges).
+    fn sample(&mut self) {
         let core = &mut self.core;
-        if !core.hub.enabled() {
+        if !core.rec.due(core.tick, || core.net.total_keys() == 0) {
             return;
         }
-        let vnodes: usize = core
-            .workers
-            .iter()
-            .filter(|w| w.active)
-            .map(|w| 1 + w.sybils.len())
-            .sum();
-        core.hub.set_gauge(metric_names::VNODES, vnodes as u64);
-        core.hub
-            .set_gauge(metric_names::TASKS_REMAINING, core.net.total_keys() as u64);
-        let mut loads = core.hub.take_scratch();
-        let mut ring = Vec::new();
+        let remaining = core.net.total_keys() as u64;
+        let (mut vnodes, mut loads, mut ring) = (0, Vec::new(), Vec::new());
         for (w, worker) in core.workers.iter().enumerate() {
             if !worker.active {
                 continue;
             }
+            vnodes += 1 + worker.sybils.len();
             let load = core.worker_load(w);
             loads.push(load);
-            if core.hub.ring_enabled() {
+            if core.rec.ring_enabled() {
                 ring.push(RingSlot {
                     worker: w as u64,
                     pos: worker.primary.to_hex(),
@@ -549,8 +484,8 @@ impl<T: Transport> Driver<T> {
             }
         }
         let now = self.link.sample_clock(core.tick);
-        core.hub.sample_batch(now, &mut loads, ring);
-        core.hub.put_scratch(loads);
+        core.rec
+            .sample_batch(now, vnodes, remaining, &mut loads, ring);
     }
 
     /// Joins a vnode at `pos` through `contact` over the transport and
@@ -559,7 +494,9 @@ impl<T: Transport> Driver<T> {
         let before = self.link.plane(&mut self.core.net).retries;
         let joined = self.link.join(&mut self.core, pos, contact);
         let retries = self.link.plane(&mut self.core.net).retries - before;
-        self.core.bill(JOIN, fate(&joined), retries);
+        self.core
+            .rec
+            .bill(self.core.tick, JOIN, fate(&joined), retries);
         joined
     }
 
@@ -581,9 +518,8 @@ impl<T: Transport> Driver<T> {
             p.sybils.push(pos);
         }
         core.owner_of.insert(pos, w);
-        core.sybils_created += 1;
         let tick = core.tick;
-        core.emit_event(SimEvent::SybilCreated {
+        core.rec.emit(SimEvent::SybilCreated {
             tick,
             worker: w,
             pos,
@@ -613,11 +549,10 @@ impl<T: Transport> Driver<T> {
             self.link.vnode_gone(s);
             core.owner_of.remove(&s);
         }
-        core.sybils_retired += n;
         if n > 0 {
             self.link.membership_changed();
             let tick = core.tick;
-            core.emit_event(SimEvent::SybilsRetired {
+            core.rec.emit(SimEvent::SybilsRetired {
                 tick,
                 worker: w,
                 count: n as u32,
@@ -644,11 +579,10 @@ impl<T: Transport> Driver<T> {
             p.active = false;
         }
         core.active_count = core.active_count.saturating_sub(1);
-        core.workers_crashed += 1;
         core.tasks_lost += lost;
         self.link.membership_changed();
         let tick = core.tick;
-        core.emit_event(SimEvent::WorkerCrashed {
+        core.rec.emit(SimEvent::WorkerCrashed {
             tick,
             worker: w,
             keys_lost: lost,
@@ -695,11 +629,11 @@ impl<T: Transport> Substrate for Driver<T> {
     fn check_worker(&mut self, w: usize, strategy: &dyn Strategy) {
         let span = self
             .core
-            .trace
+            .rec
             .open_span(self.core.tick, strategy.name(), w as u64);
         strategy.check_node(&mut NodeCtx { d: self, worker: w });
         let tick = self.core.tick;
-        self.core.trace.close_span(tick, span);
+        self.core.rec.close_span(tick, span);
     }
 
     fn check_omniscient(&mut self, _strategy: &dyn Strategy) -> bool {
@@ -743,7 +677,7 @@ impl<T: Transport> ChurnOps for Driver<T> {
         core.waiting.push(w);
         self.link.membership_changed();
         let tick = core.tick;
-        core.emit_event(SimEvent::WorkerLeft { tick, worker: w });
+        core.rec.emit(SimEvent::WorkerLeft { tick, worker: w });
     }
 
     fn take_waiting(&mut self) -> Vec<usize> {
@@ -790,7 +724,7 @@ impl<T: Transport> ChurnOps for Driver<T> {
         core.active_count += 1;
         let acquired = core.net.node(pos).map(|n| n.keys.len() as u64).unwrap_or(0);
         let tick = core.tick;
-        core.emit_event(SimEvent::WorkerJoined {
+        core.rec.emit(SimEvent::WorkerJoined {
             tick,
             worker: w,
             pos,
@@ -870,7 +804,7 @@ impl<T: Transport> Actions for NodeCtx<'_, T> {
         let from = self.primary();
         let load = self.d.link.probe(&mut self.d.core, from, neighbor, None)?;
         let (tick, worker) = (self.d.core.tick, self.worker);
-        self.d.core.emit_event(SimEvent::LoadQueried {
+        self.d.core.rec.emit(SimEvent::LoadQueried {
             tick,
             worker,
             neighbor,
@@ -894,7 +828,7 @@ impl<T: Transport> Actions for NodeCtx<'_, T> {
 
     fn note_probe(&mut self, target: Id, agreed: bool, estimate: u64) {
         let (tick, worker) = (self.d.core.tick, self.worker);
-        self.d.core.emit_event(if agreed {
+        self.d.core.rec.emit(if agreed {
             SimEvent::ProbeAgreed {
                 tick,
                 worker,
@@ -922,7 +856,7 @@ impl<T: Transport> Actions for NodeCtx<'_, T> {
             *mark += 1;
         }
         let tick = core.tick;
-        core.emit_event(SimEvent::Quarantined {
+        core.rec.emit(SimEvent::Quarantined {
             tick,
             worker: self.worker,
             reporter,
@@ -946,7 +880,8 @@ impl<T: Transport> Actions for NodeCtx<'_, T> {
         let (tick, worker) = (self.d.core.tick, self.worker);
         self.d
             .core
-            .emit_event(SimEvent::NeighborGapSplit { tick, worker, pos });
+            .rec
+            .emit(SimEvent::NeighborGapSplit { tick, worker, pos });
     }
 
     fn split_target(&mut self, victim: Id) -> Option<Id> {
@@ -986,11 +921,17 @@ impl<T: Transport> Actions for NodeCtx<'_, T> {
             // The announcement died on the network: the overloaded node
             // simply re-announces on its next check, because it is
             // still overburdened then.
-            self.d.core.bill(INVITATION, MessageStatus::Dropped, 0);
+            self.d
+                .core
+                .rec
+                .bill(tick, INVITATION, MessageStatus::Dropped, 0);
             return InviteOutcome::Unreachable;
         };
-        self.d.core.bill(INVITATION, MessageStatus::Delivered, 0);
-        self.d.core.emit_event(SimEvent::InvitationSent {
+        self.d
+            .core
+            .rec
+            .bill(tick, INVITATION, MessageStatus::Delivered, 0);
+        self.d.core.rec.emit(SimEvent::InvitationSent {
             tick,
             worker: inviter,
         });
@@ -1005,7 +946,7 @@ impl<T: Transport> Actions for NodeCtx<'_, T> {
             });
         match outcome {
             Some((helper, acquired)) => {
-                self.d.core.emit_event(SimEvent::InvitationHonored {
+                self.d.core.rec.emit(SimEvent::InvitationHonored {
                     tick,
                     worker: inviter,
                     helper,
@@ -1014,7 +955,7 @@ impl<T: Transport> Actions for NodeCtx<'_, T> {
                 InviteOutcome::Helped { acquired }
             }
             None => {
-                self.d.core.emit_event(SimEvent::InvitationRefused {
+                self.d.core.rec.emit(SimEvent::InvitationRefused {
                     tick,
                     worker: inviter,
                 });

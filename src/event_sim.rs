@@ -48,14 +48,14 @@
 //! Under real latency, divergence is the measurement, not a bug.
 
 use autobal_chord::{AppEvent, AppMsg, AsyncLookup, EventConfig, EventNet, MessageStats, Network};
+use autobal_core::record::LOAD_QUERY;
 use autobal_core::strategy::{invitation::HelperCandidate, ActionError, Substrate};
-use autobal_core::trace::EventLog;
 use autobal_id::Id;
 use autobal_metrics::MetricsSample;
 use autobal_telemetry::Trace;
 use std::collections::{BTreeSet, VecDeque};
 
-use crate::chord_driver::{action_error, bootstrap, fate, Core, Driver, Transport, LOAD_QUERY};
+use crate::chord_driver::{action_error, bootstrap, fate, Core, Driver, Transport};
 pub use crate::protocol_sim::ProtocolSimConfig;
 
 /// Substrate timer tokens: the top two bits carry the kind, the low 62
@@ -151,7 +151,8 @@ pub struct EventRun {
     pub lookup_latencies: Vec<u64>,
     /// Wire lookups that exhausted their retry budget.
     pub lookup_timeouts: u64,
-    pub events: EventLog,
+    /// Flight-recorder trace (empty unless
+    /// [`ProtocolSimConfig::record_trace`]).
     pub trace: Trace,
     /// Streaming metrics samples (empty unless
     /// [`ProtocolSimConfig::record_metrics`]). Sample times are the
@@ -306,7 +307,7 @@ impl Transport for EventWire {
                 AppEvent::LookupDone(_) => {}
             }
         };
-        core.bill(LOAD_QUERY, fate(&answer), 0);
+        core.rec.bill(core.tick, LOAD_QUERY, fate(&answer), 0);
         answer
     }
 
@@ -534,7 +535,7 @@ fn run_event_inner(
         }
     }
     d.link.drain_lookups();
-    let completed = d.finish();
+    let (completed, rec) = d.finish();
 
     let (core, link) = (d.core, d.link);
     EventRun {
@@ -546,17 +547,16 @@ fn run_event_inner(
         messages: core.net.stats.clone(),
         wire: link.wire.stats.clone(),
         wire_events: link.wire.wire_events,
-        sybils_created: core.sybils_created,
-        sybils_retired: core.sybils_retired,
+        sybils_created: rec.tally.sybils_created,
+        sybils_retired: rec.tally.sybils_retired,
         tasks_lost: core.tasks_lost,
-        workers_crashed: core.workers_crashed,
+        workers_crashed: rec.workers_crashed,
         tasks_remaining: core.net.total_keys() as u64,
         tasks_done: core.tasks_done,
         lookup_latencies: link.lookup_latencies,
         lookup_timeouts: link.lookup_timeouts,
-        events: core.events,
-        trace: core.trace,
-        metrics: core.hub.into_samples(),
+        trace: rec.trace,
+        metrics: rec.metrics,
     }
 }
 
@@ -565,7 +565,7 @@ mod tests {
     use super::*;
     use crate::protocol_sim::{run_protocol_sim, ProtocolRun};
     use autobal_chord::FaultPlan;
-    use autobal_core::trace::SimEvent;
+    use autobal_core::trace::{event_log, SimEvent};
     use autobal_core::StrategyKind;
 
     fn small(strategy: StrategyKind) -> EventSimConfig {
@@ -632,7 +632,7 @@ mod tests {
         ] {
             let cfg = degenerate(kind);
             let mut pcfg = cfg.proto.clone();
-            pcfg.record_events = true;
+            pcfg.record_trace = true;
             let ecfg = EventSimConfig {
                 proto: pcfg.clone(),
                 ..cfg
@@ -641,8 +641,8 @@ mod tests {
             let event = run_event_sim(&ecfg, 2);
             assert_eq!(proto.ticks, event.ticks, "{kind:?}: tick counts differ");
             assert_eq!(
-                proto.events.events(),
-                event.events.events(),
+                event_log(&proto.trace),
+                event_log(&event.trace),
                 "{kind:?}: decision streams differ"
             );
             assert_eq!(proto.sybils_created, event.sybils_created, "{kind:?}");
@@ -657,12 +657,12 @@ mod tests {
             let mut cfg = degenerate(StrategyKind::RandomInjection);
             cfg.proto.churn_rate = churn;
             cfg.proto.crash_rate = crash;
-            cfg.proto.record_events = true;
+            cfg.proto.record_trace = true;
             let proto = run_protocol_sim(&cfg.proto, 3);
             let event = run_event_sim(&cfg, 3);
             assert_eq!(
-                proto.events.events(),
-                event.events.events(),
+                event_log(&proto.trace),
+                event_log(&event.trace),
                 "churn={churn} crash={crash}: decision streams differ"
             );
             assert_eq!(proto.ticks, event.ticks);
@@ -692,7 +692,7 @@ mod tests {
             &EventSimConfig {
                 proto: ProtocolSimConfig {
                     overload_factor: 1.0,
-                    record_events: true,
+                    record_trace: true,
                     ..small(StrategyKind::Invitation).proto
                 },
                 ..small(StrategyKind::Invitation)
@@ -702,21 +702,15 @@ mod tests {
         assert!(inv.completed);
         assert!(inv.wire.invitation > 0, "announcements were sent");
         assert!(inv.sybils_created > 0, "helpers actually joined");
-        let sent = inv
-            .events
-            .events()
+        let sent = event_log(&inv.trace)
             .iter()
             .filter(|e| matches!(e, SimEvent::InvitationSent { .. }))
             .count() as u64;
-        let honored = inv
-            .events
-            .events()
+        let honored = event_log(&inv.trace)
             .iter()
             .filter(|e| matches!(e, SimEvent::InvitationHonored { .. }))
             .count() as u64;
-        let refused = inv
-            .events
-            .events()
+        let refused = event_log(&inv.trace)
             .iter()
             .filter(|e| matches!(e, SimEvent::InvitationRefused { .. }))
             .count() as u64;
@@ -776,7 +770,7 @@ mod tests {
             &EventSimConfig {
                 proto: ProtocolSimConfig {
                     churn_rate: 0.005,
-                    record_events: true,
+                    record_trace: true,
                     ..small(StrategyKind::RandomInjection).proto
                 },
                 ..small(StrategyKind::RandomInjection)
@@ -784,15 +778,11 @@ mod tests {
             8,
         );
         assert!(res.completed);
-        let left = res
-            .events
-            .events()
+        let left = event_log(&res.trace)
             .iter()
             .filter(|e| matches!(e, SimEvent::WorkerLeft { .. }))
             .count();
-        let joined = res
-            .events
-            .events()
+        let joined = event_log(&res.trace)
             .iter()
             .filter(|e| matches!(e, SimEvent::WorkerJoined { .. }))
             .count();
@@ -867,7 +857,7 @@ mod tests {
         let res = run_event_sim(
             &EventSimConfig {
                 proto: ProtocolSimConfig {
-                    record_events: true,
+                    record_trace: true,
                     adversary: AdversaryPlan::lying(7, 0.25, LiePolicy::OverReport),
                     ..small(StrategyKind::SmartNeighbor).proto
                 },
@@ -877,9 +867,7 @@ mod tests {
         );
         assert!(res.completed);
         assert!(res.wire.lied > 0, "some probe was answered by a liar");
-        let lied_events = res
-            .events
-            .events()
+        let lied_events = event_log(&res.trace)
             .iter()
             .filter(|e| matches!(e, SimEvent::LoadLied { .. }))
             .count() as u64;
@@ -900,15 +888,15 @@ mod tests {
         // deterministically, so nothing depends on wall-clock order.
         for kind in [StrategyKind::SmartNeighbor, StrategyKind::Invitation] {
             let mut cfg = degenerate(kind);
-            cfg.proto.record_events = true;
+            cfg.proto.record_trace = true;
             cfg.proto.adversary = AdversaryPlan::lying(7, 0.25, LiePolicy::OverReport);
             cfg.proto.cross_check = CrossCheckConfig::with_budget(2);
             let proto = run_protocol_sim(&cfg.proto, 13);
             let event = run_event_sim(&cfg, 13);
             assert_eq!(proto.ticks, event.ticks, "{kind:?}: tick counts differ");
             assert_eq!(
-                proto.events.events(),
-                event.events.events(),
+                event_log(&proto.trace),
+                event_log(&event.trace),
                 "{kind:?}: decision streams differ under adversary"
             );
             // Satellite pin: probes and lied replies bill the tick shim

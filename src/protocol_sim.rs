@@ -22,16 +22,16 @@
 //! shortcut is justified.
 
 use autobal_chord::{AdversaryPlan, FaultPlan, MessageKind, MessageStats, NetConfig, Network};
+use autobal_core::record::LOAD_QUERY;
 use autobal_core::strategy::{
     crosscheck::CrossCheckConfig, invitation::HelperCandidate, ActionError,
 };
-use autobal_core::trace::EventLog;
 use autobal_core::StrategyKind;
 use autobal_id::Id;
 use autobal_metrics::MetricsSample;
 use autobal_telemetry::Trace;
 
-use crate::chord_driver::{action_error, bootstrap, fate, Core, Driver, Transport, LOAD_QUERY};
+use crate::chord_driver::{action_error, bootstrap, fate, Core, Driver, Transport};
 
 /// Configuration for a protocol-level run.
 #[derive(Debug, Clone)]
@@ -59,10 +59,10 @@ pub struct ProtocolSimConfig {
     pub net: NetConfig,
     /// Safety cap.
     pub max_ticks: u64,
-    /// Record a `SimEvent` trace of strategy decisions.
-    pub record_events: bool,
     /// Record a span-structured flight-recorder trace (see
-    /// `autobal-telemetry`). Stamped with ticks, never wall-clock.
+    /// `autobal-telemetry`). Stamped with ticks, never wall-clock. Its
+    /// `Decision` records are the run's event log
+    /// (`autobal_core::trace::event_log`).
     pub record_trace: bool,
     /// Fault plan armed on the network after the initial stabilization
     /// (the paper's "network starts stable" assumption is preserved;
@@ -110,7 +110,6 @@ impl Default for ProtocolSimConfig {
                 ..NetConfig::default()
             },
             max_ticks: 100_000,
-            record_events: false,
             record_trace: false,
             fault: FaultPlan::default(),
             crash_rate: 0.0,
@@ -149,9 +148,6 @@ pub struct ProtocolRun {
     /// Tasks consumed per worker slot — the Gini input for the
     /// cross-substrate decision-quality comparison.
     pub tasks_done: Vec<u64>,
-    /// Strategy decision trace (empty unless
-    /// [`ProtocolSimConfig::record_events`]).
-    pub events: EventLog,
     /// Flight-recorder trace (empty unless
     /// [`ProtocolSimConfig::record_trace`]).
     pub trace: Trace,
@@ -190,7 +186,7 @@ impl Transport for SyncShim {
         } else {
             Err(ActionError::TimedOut)
         };
-        core.bill(LOAD_QUERY, fate(&answer), 0);
+        core.rec.bill(core.tick, LOAD_QUERY, fate(&answer), 0);
         // The querier only ever sees what the reporter *says*.
         Ok(core.reported_load(self, to, about, answer?))
     }
@@ -276,7 +272,7 @@ fn run_inner(
         }
         d.end_tick();
     }
-    let completed = d.finish();
+    let (completed, rec) = d.finish();
 
     let core = d.core;
     ProtocolRun {
@@ -285,21 +281,20 @@ fn run_inner(
         runtime_factor: core.tick as f64 / core.ideal_ticks as f64,
         completed,
         messages: core.net.stats.clone(),
-        sybils_created: core.sybils_created,
-        sybils_retired: core.sybils_retired,
+        sybils_created: rec.tally.sybils_created,
+        sybils_retired: rec.tally.sybils_retired,
         tasks_lost: core.tasks_lost,
-        workers_crashed: core.workers_crashed,
+        workers_crashed: rec.workers_crashed,
         tasks_done: core.tasks_done,
-        events: core.events,
-        trace: core.trace,
-        metrics: core.hub.into_samples(),
+        trace: rec.trace,
+        metrics: rec.metrics,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use autobal_core::trace::SimEvent;
+    use autobal_core::trace::{event_log, SimEvent};
 
     fn small(strategy: StrategyKind) -> ProtocolSimConfig {
         ProtocolSimConfig {
@@ -424,21 +419,17 @@ mod tests {
         let res = run_protocol_sim(
             &ProtocolSimConfig {
                 churn_rate: 0.005,
-                record_events: true,
+                record_trace: true,
                 ..small(StrategyKind::RandomInjection)
             },
             8,
         );
         assert!(res.completed);
-        let left = res
-            .events
-            .events()
+        let left = event_log(&res.trace)
             .iter()
             .filter(|e| matches!(e, SimEvent::WorkerLeft { .. }))
             .count();
-        let joined = res
-            .events
-            .events()
+        let joined = event_log(&res.trace)
             .iter()
             .filter(|e| matches!(e, SimEvent::WorkerJoined { .. }))
             .count();
@@ -578,14 +569,12 @@ mod tests {
         // as a LoadQueried event — on a faultless network, all of them.
         let res = run_protocol_sim(
             &ProtocolSimConfig {
-                record_events: true,
+                record_trace: true,
                 ..small(StrategyKind::SmartNeighbor)
             },
             14,
         );
-        let queried = res
-            .events
-            .events()
+        let queried = event_log(&res.trace)
             .iter()
             .filter(|e| matches!(e, SimEvent::LoadQueried { .. }))
             .count() as u64;
@@ -597,14 +586,12 @@ mod tests {
     fn plain_neighbor_records_gap_splits_on_the_protocol() {
         let res = run_protocol_sim(
             &ProtocolSimConfig {
-                record_events: true,
+                record_trace: true,
                 ..small(StrategyKind::NeighborInjection)
             },
             15,
         );
-        let splits = res
-            .events
-            .events()
+        let splits = event_log(&res.trace)
             .iter()
             .filter(|e| matches!(e, SimEvent::NeighborGapSplit { .. }))
             .count() as u64;
@@ -619,28 +606,24 @@ mod tests {
         let res = run_protocol_sim(
             &ProtocolSimConfig {
                 overload_factor: 1.0,
-                record_events: true,
+                record_trace: true,
                 ..small(StrategyKind::Invitation)
             },
             16,
         );
         let mut honored = 0u64;
-        for e in res.events.events() {
+        for e in &event_log(&res.trace) {
             if let SimEvent::InvitationHonored { worker, helper, .. } = e {
                 honored += 1;
                 assert_ne!(worker, helper, "a node cannot honor its own call");
             }
         }
         assert!(honored > 0, "some invitation was honored");
-        let sent = res
-            .events
-            .events()
+        let sent = event_log(&res.trace)
             .iter()
             .filter(|e| matches!(e, SimEvent::InvitationSent { .. }))
             .count() as u64;
-        let refused = res
-            .events
-            .events()
+        let refused = event_log(&res.trace)
             .iter()
             .filter(|e| matches!(e, SimEvent::InvitationRefused { .. }))
             .count() as u64;
@@ -700,7 +683,7 @@ mod tests {
         // cross-check with non-default knobs, must not perturb a
         // single counter or decision relative to the plain default.
         let base = ProtocolSimConfig {
-            record_events: true,
+            record_trace: true,
             ..small(StrategyKind::SmartNeighbor)
         };
         let a = run_protocol_sim(&base, 19);
@@ -723,7 +706,7 @@ mod tests {
         );
         assert_eq!(a.ticks, b.ticks);
         assert_eq!(a.messages, b.messages);
-        assert_eq!(a.events.events(), b.events.events());
+        assert_eq!(event_log(&a.trace), event_log(&b.trace));
         assert_eq!(a.sybils_created, b.sybils_created);
         assert_eq!(b.messages.lied, 0);
     }
@@ -737,14 +720,14 @@ mod tests {
         // decisions than the clean run.
         let clean = run_protocol_sim(
             &ProtocolSimConfig {
-                record_events: true,
+                record_trace: true,
                 ..small(StrategyKind::SmartNeighbor)
             },
             20,
         );
         let lied = run_protocol_sim(
             &ProtocolSimConfig {
-                record_events: true,
+                record_trace: true,
                 adversary: AdversaryPlan::lying(7, 0.25, LiePolicy::OverReport),
                 ..small(StrategyKind::SmartNeighbor)
             },
@@ -752,16 +735,14 @@ mod tests {
         );
         assert!(lied.completed, "liars slow the run down, not break it");
         assert!(lied.messages.lied > 0, "some probe hit a liar");
-        let lied_events = lied
-            .events
-            .events()
+        let lied_events = event_log(&lied.trace)
             .iter()
             .filter(|e| matches!(e, SimEvent::LoadLied { .. }))
             .count() as u64;
         assert_eq!(lied_events, lied.messages.lied);
         assert_ne!(
-            clean.events.events(),
-            lied.events.events(),
+            event_log(&clean.trace),
+            event_log(&lied.trace),
             "distorted reports must change the decision stream"
         );
     }
@@ -776,7 +757,7 @@ mod tests {
         let plan = AdversaryPlan::lying(7, 0.25, LiePolicy::OverReport);
         let undefended = run_protocol_sim(
             &ProtocolSimConfig {
-                record_events: true,
+                record_trace: true,
                 adversary: plan.clone(),
                 ..small(StrategyKind::SmartNeighbor)
             },
@@ -784,7 +765,7 @@ mod tests {
         );
         let defended = run_protocol_sim(
             &ProtocolSimConfig {
-                record_events: true,
+                record_trace: true,
                 adversary: plan,
                 cross_check: CrossCheckConfig::with_budget(2),
                 ..small(StrategyKind::SmartNeighbor)
@@ -796,14 +777,12 @@ mod tests {
             defended.messages.load_query > undefended.messages.load_query,
             "redundant probes must be billed as real load queries"
         );
-        let conflicts = defended
-            .events
-            .events()
+        let conflicts = event_log(&defended.trace)
             .iter()
             .filter(|e| matches!(e, SimEvent::ProbeConflict { .. }))
             .count() as u64;
         let mut quarantined = 0u64;
-        for e in defended.events.events() {
+        for e in &event_log(&defended.trace) {
             if let SimEvent::Quarantined { suspicion, .. } = e {
                 quarantined += 1;
                 assert!(*suspicion >= 3, "quarantine fires at the threshold");

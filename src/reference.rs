@@ -488,7 +488,10 @@ impl NaiveSim {
     /// Runs to completion (or the tick cap), mirroring `Sim::run`'s
     /// sampling schedule.
     pub fn run(mut self) -> NaiveRunResult {
-        let series_every = self.cfg.series_interval;
+        let series_every = self
+            .cfg
+            .record_metrics
+            .then(|| self.cfg.metrics_interval.unwrap_or(1).max(1));
         if series_every.is_some() {
             self.sample_series();
         }

@@ -20,6 +20,7 @@
 use autobal::chord::{CrashEvent, EventConfig, FaultPlan, NetConfig, Network, Partition};
 use autobal::event_sim::{run_event_sim, EventSimConfig};
 use autobal::protocol_sim::{run_protocol_sim, ProtocolSimConfig};
+use autobal::sim::trace::event_log;
 use autobal::sim::StrategyKind;
 use autobal::stats::rng::{domains, substream};
 use autobal::Id;
@@ -136,7 +137,7 @@ fn identical_fault_seeds_replay_identically_across_thread_counts() {
                         strategy: StrategyKind::RandomInjection,
                         fault: FaultPlan::lossy(99, 0.10),
                         crash_rate: 0.1,
-                        record_events: true,
+                        record_trace: true,
                         ..ProtocolSimConfig::default()
                     },
                     5,
@@ -151,8 +152,8 @@ fn identical_fault_seeds_replay_identically_across_thread_counts() {
     assert_eq!(a.workers_crashed, b.workers_crashed);
     assert_eq!(a.sybils_created, b.sybils_created);
     assert_eq!(
-        a.events.events(),
-        b.events.events(),
+        event_log(&a.trace),
+        event_log(&b.trace),
         "full decision traces match"
     );
 }
@@ -241,7 +242,7 @@ fn event_runs_replay_identically_across_thread_counts() {
                             strategy: StrategyKind::SmartNeighbor,
                             fault: FaultPlan::lossy(99, 0.10),
                             crash_rate: 0.1,
-                            record_events: true,
+                            record_trace: true,
                             ..ProtocolSimConfig::default()
                         },
                         event: EventConfig {
@@ -264,8 +265,8 @@ fn event_runs_replay_identically_across_thread_counts() {
     assert_eq!(a.lookup_latencies, b.lookup_latencies);
     assert_eq!(a.workers_crashed, b.workers_crashed);
     assert_eq!(
-        a.events.events(),
-        b.events.events(),
+        event_log(&a.trace),
+        event_log(&b.trace),
         "full decision traces match"
     );
 }
@@ -419,7 +420,7 @@ fn byzantine_runs_replay_identically_across_thread_counts() {
         adversary: AdversaryPlan::lying(99, 0.25, LiePolicy::FlipFlop),
         cross_check: CrossCheckConfig::with_budget(2),
         fault: FaultPlan::lossy(99, 0.05),
-        record_events: true,
+        record_trace: true,
         ..ProtocolSimConfig::default()
     };
     let run_proto = |threads: usize| {
@@ -435,7 +436,7 @@ fn byzantine_runs_replay_identically_across_thread_counts() {
     assert_eq!(a.ticks, b.ticks);
     assert_eq!(a.messages, b.messages, "lie and probe bills diverged");
     assert!(a.messages.lied > 0, "the adversary actually fired");
-    assert_eq!(a.events.events(), b.events.events());
+    assert_eq!(event_log(&a.trace), event_log(&b.trace));
 
     let run_event = |threads: usize| {
         let cfg = EventSimConfig {
@@ -457,7 +458,7 @@ fn byzantine_runs_replay_identically_across_thread_counts() {
     assert_eq!(c.time, d.time, "event clocks diverged");
     assert_eq!(c.wire, d.wire, "wire bills diverged");
     assert!(c.wire.lied > 0, "liars answered on the wire too");
-    assert_eq!(c.events.events(), d.events.events());
+    assert_eq!(event_log(&c.trace), event_log(&d.trace));
 }
 
 /// Scheduled crash events from the plan (rather than `crash_rate`)
@@ -477,7 +478,7 @@ fn scheduled_crash_events_fire_at_their_ticks() {
                 ],
                 ..FaultPlan::default()
             },
-            record_events: true,
+            record_trace: true,
             ..ProtocolSimConfig::default()
         },
         23,
@@ -488,9 +489,7 @@ fn scheduled_crash_events_fire_at_their_ticks() {
         res.tasks_lost, 0,
         "replication had cycles to cover all three"
     );
-    let crash_ticks: Vec<u64> = res
-        .events
-        .events()
+    let crash_ticks: Vec<u64> = event_log(&res.trace)
         .iter()
         .filter_map(|e| match e {
             autobal::sim::SimEvent::WorkerCrashed { tick, .. } => Some(*tick),

@@ -23,7 +23,7 @@ use autobal::chord::{AdversaryPlan, EventConfig, FaultPlan, LiePolicy, MessageSt
 use autobal::event_sim::{run_event_sim, EventRun, EventSimConfig};
 use autobal::protocol_sim::{run_protocol_sim, ProtocolRun, ProtocolSimConfig};
 use autobal::sim::strategy::crosscheck::CrossCheckConfig;
-use autobal::sim::trace::EventLog;
+use autobal::sim::trace::event_log;
 use autobal::sim::StrategyKind;
 use autobal_metrics::MetricsSample;
 use autobal_telemetry::Trace;
@@ -60,7 +60,6 @@ fn conditions(strategy: StrategyKind) -> Vec<(&'static str, ProtocolSimConfig)> 
         nodes: 16,
         tasks: 800,
         strategy,
-        record_events: true,
         record_trace: true,
         record_metrics: true,
         metrics_ring: true,
@@ -102,13 +101,9 @@ fn conditions(strategy: StrategyKind) -> Vec<(&'static str, ProtocolSimConfig)> 
 }
 
 /// The fields both substrate reports share, rendered as one line tail.
-fn common(
-    tasks_done: &[u64],
-    events: &EventLog,
-    trace: &Trace,
-    metrics: &[MetricsSample],
-) -> String {
-    let event_digest = fnv1a(events.events().iter().flat_map(|e| {
+fn common(tasks_done: &[u64], trace: &Trace, metrics: &[MetricsSample]) -> String {
+    let events = event_log(trace);
+    let event_digest = fnv1a(events.iter().flat_map(|e| {
         let (name, worker, pos, value) = e.decision_fields();
         format!("{} {name} {worker} {pos} {value}\n", e.tick()).into_bytes()
     }));
@@ -139,7 +134,7 @@ fn protocol_line(name: &str, r: &ProtocolRun) -> String {
         r.workers_crashed,
         r.sybils_created,
         r.sybils_retired,
-        common(&r.tasks_done, &r.events, &r.trace, &r.metrics),
+        common(&r.tasks_done, &r.trace, &r.metrics),
         stats(&r.messages),
     )
 }
@@ -162,7 +157,7 @@ fn event_line(name: &str, r: &EventRun) -> String {
         r.lookup_latencies.iter().sum::<u64>(),
         u64s_digest(&r.lookup_latencies),
         r.lookup_timeouts,
-        common(&r.tasks_done, &r.events, &r.trace, &r.metrics),
+        common(&r.tasks_done, &r.trace, &r.metrics),
         stats(&r.messages),
         stats(&r.wire),
     )

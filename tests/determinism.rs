@@ -2,6 +2,7 @@
 //! identical runs regardless of parallelism, and every result record
 //! survives a serde round-trip.
 
+use autobal::sim::trace::event_log;
 use autobal::sim::{RunResult, Sim, SimConfig, StrategyKind};
 use autobal::workload::trials::run_trials;
 use autobal::workload::ExperimentSpec;
@@ -68,7 +69,7 @@ fn trait_dispatch_is_deterministic_for_every_strategy() {
                 tasks: 6_000,
                 strategy: kind,
                 churn_rate,
-                record_events: true,
+                record_trace: true,
                 ..SimConfig::default()
             };
             let a = Sim::new(cfg.clone(), 123).run();
@@ -122,7 +123,7 @@ fn protocol_substrate_is_deterministic() {
         tasks: 1_600,
         strategy: StrategyKind::SmartNeighbor,
         churn_rate: 0.005,
-        record_events: true,
+        record_trace: true,
         ..ProtocolSimConfig::default()
     };
     let a = run_protocol_sim(&cfg, 21);
@@ -130,7 +131,7 @@ fn protocol_substrate_is_deterministic() {
     assert_eq!(a.ticks, b.ticks);
     assert_eq!(a.messages, b.messages);
     assert_eq!(a.sybils_created, b.sybils_created);
-    assert_eq!(a.events.events(), b.events.events());
+    assert_eq!(event_log(&a.trace), event_log(&b.trace));
 }
 
 #[test]

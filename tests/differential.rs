@@ -18,6 +18,7 @@
 //! produces identical decisions on untouched state.
 
 use autobal::protocol_sim::{run_protocol_sim_with_placement, ProtocolSimConfig};
+use autobal::sim::trace::event_log;
 use autobal::sim::{Sim, SimConfig, SimEvent, StrategyKind};
 use autobal::stats::rng::{domains, substream, DetRng};
 use autobal::Id;
@@ -69,7 +70,7 @@ fn oracle_and_chord_substrates_make_the_same_decisions() {
             tasks: TASKS,
             strategy: StrategyKind::RandomInjection,
             check_interval: 1,
-            record_events: true,
+            record_trace: true,
             ..SimConfig::default()
         },
         SEED,
@@ -84,7 +85,7 @@ fn oracle_and_chord_substrates_make_the_same_decisions() {
             tasks: TASKS,
             strategy: StrategyKind::RandomInjection,
             check_interval: 1,
-            record_events: true,
+            record_trace: true,
             ..ProtocolSimConfig::default()
         },
         SEED,
@@ -96,7 +97,10 @@ fn oracle_and_chord_substrates_make_the_same_decisions() {
 
     let mut compared = 0usize;
     let mut views_identical = true;
-    for (a, b) in oracle.events.events().iter().zip(proto.events.events()) {
+    for (a, b) in event_log(&oracle.trace)
+        .iter()
+        .zip(&event_log(&proto.trace))
+    {
         match (a, b) {
             (
                 SimEvent::SybilCreated {
@@ -162,7 +166,7 @@ fn first_check_tick_decisions_are_bit_identical() {
             tasks: TASKS,
             strategy: StrategyKind::RandomInjection,
             check_interval: 1,
-            record_events: true,
+            record_trace: true,
             ..SimConfig::default()
         },
         SEED,
@@ -176,7 +180,7 @@ fn first_check_tick_decisions_are_bit_identical() {
             tasks: TASKS,
             strategy: StrategyKind::RandomInjection,
             check_interval: 1,
-            record_events: true,
+            record_trace: true,
             ..ProtocolSimConfig::default()
         },
         SEED,
@@ -187,8 +191,8 @@ fn first_check_tick_decisions_are_bit_identical() {
     let first = |evs: &[SimEvent]| -> Vec<SimEvent> {
         evs.iter().filter(|e| e.tick() == 1).cloned().collect()
     };
-    let o1 = first(oracle.events.events());
-    let p1 = first(proto.events.events());
+    let o1 = first(&event_log(&oracle.trace));
+    let p1 = first(&event_log(&proto.trace));
     assert!(
         o1.len() >= 8,
         "the 8 idle workers should all have acted on tick 1, got {}",
@@ -266,7 +270,7 @@ fn adversary_and_probe_bills_match_across_substrates() {
         nodes: NODES,
         tasks: TASKS,
         strategy: StrategyKind::SmartNeighbor,
-        record_events: true,
+        record_trace: true,
         adversary: AdversaryPlan::lying(SEED, 0.25, LiePolicy::OverReport),
         cross_check: CrossCheckConfig::with_budget(2),
         ..ProtocolSimConfig::default()
@@ -286,8 +290,8 @@ fn adversary_and_probe_bills_match_across_substrates() {
     assert!(proto.completed && event.completed);
     assert!(proto.messages.lied > 0, "the adversary actually fired");
     assert_eq!(
-        proto.events.events(),
-        event.events.events(),
+        event_log(&proto.trace),
+        event_log(&event.trace),
         "decision streams diverged under the adversary"
     );
     // The parity that matters for accounting: every probe (direct or

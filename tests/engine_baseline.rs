@@ -7,7 +7,7 @@
 //! simulator does not model. Each cell is one seeded run; its line
 //! holds the tick count, the work curve (length, sum and digest), the
 //! message counters, the peak vnode count, and a digest of the event
-//! log. The cells cover every strategy plus the centralized oracle
+//! log decoded from the trace. The cells cover every strategy plus the centralized oracle
 //! under churn, static virtual servers (capacity spills across a
 //! worker's vnodes), heterogeneous strength-based consumption, and the
 //! no-churn baseline that takes the ledger-detached tick.
@@ -19,6 +19,7 @@
 //! UPDATE_GOLDEN=1 cargo test --test engine_baseline
 //! ```
 
+use autobal::sim::trace::event_log;
 use autobal::sim::{Heterogeneity, RunResult, Sim, SimConfig, StrategyKind, WorkMeasurement};
 use std::path::PathBuf;
 
@@ -46,7 +47,7 @@ fn cells() -> Vec<(String, SimConfig)> {
         tasks: 3_000,
         strategy,
         churn_rate: 0.01,
-        record_events: true,
+        record_trace: true,
         ..SimConfig::default()
     };
     let mut out = Vec::new();
@@ -96,7 +97,7 @@ fn cells() -> Vec<(String, SimConfig)> {
             name.to_string(),
             SimConfig {
                 churn_rate: 0.0,
-                record_events: false,
+                record_trace: false,
                 heterogeneity,
                 work_measurement,
                 ..base(StrategyKind::None)
@@ -110,7 +111,8 @@ fn cells() -> Vec<(String, SimConfig)> {
 fn fingerprint(name: &str, r: &RunResult) -> String {
     let work_sum: u64 = r.work_per_tick.iter().sum();
     let work_digest = fnv1a(r.work_per_tick.iter().flat_map(|w| w.to_le_bytes()));
-    let event_digest = fnv1a(r.events.events().iter().flat_map(|e| {
+    let events = event_log(&r.trace);
+    let event_digest = fnv1a(events.iter().flat_map(|e| {
         let (name, worker, pos, value) = e.decision_fields();
         format!("{} {name} {worker} {pos} {value}\n", e.tick()).into_bytes()
     }));
@@ -122,7 +124,7 @@ fn fingerprint(name: &str, r: &RunResult) -> String {
         r.work_per_tick.len(),
         r.peak_vnodes,
         r.final_active_workers,
-        r.events.len(),
+        events.len(),
         r.messages,
     )
 }

@@ -208,7 +208,8 @@ fn naive_sim_matches_optimized_sim() {
             tasks: 2_000,
             strategy,
             churn_rate,
-            series_interval: Some(3),
+            record_metrics: true,
+            metrics_interval: Some(3),
             ..SimConfig::default()
         };
         for seed in [1u64, 42, 0xA0B1_C2D3] {

@@ -219,10 +219,9 @@ fn every_strategy_is_shard_count_invariant() {
             strategy: kind,
             churn_rate: 0.01,
             snapshot_ticks: vec![0, 5],
-            series_interval: Some(3),
-            record_events: true,
             record_trace: true,
             record_metrics: true,
+            metrics_interval: Some(3),
             ..SimConfig::default()
         };
         let solo = Sim::new(
@@ -257,7 +256,8 @@ fn sharded_sim_matches_naive_reference() {
             tasks: 2_000,
             strategy,
             churn_rate,
-            series_interval: Some(3),
+            record_metrics: true,
+            metrics_interval: Some(3),
             shards: 4,
             ..SimConfig::default()
         };
@@ -318,7 +318,6 @@ fn detached_ledger_runs_match_classic_and_naive() {
             tasks: 7_000,
             strategy: StrategyKind::None,
             churn_rate: 0.0,
-            series_interval: None,
             heterogeneity,
             work_measurement,
             ..SimConfig::default()

@@ -28,7 +28,6 @@ fn steady_cfg() -> SimConfig {
         tasks: 2_000_000,
         strategy: StrategyKind::None,
         churn_rate: 0.0,
-        series_interval: None,
         ..SimConfig::default()
     }
 }
