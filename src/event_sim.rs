@@ -136,7 +136,9 @@ pub struct EventRun {
     /// rides the real queue. `wire.strategy_overhead()` isolates the
     /// balancing cost.
     pub wire: MessageStats,
-    /// Events processed by the wire's queue over the whole run.
+    /// Events the wire's queue delivered to a handler over the whole
+    /// run. A finished lookup's first-attempt timeout is skipped, not
+    /// delivered, and is not counted.
     pub wire_events: u64,
     pub sybils_created: u64,
     pub sybils_retired: u64,
