@@ -14,6 +14,13 @@
 //! * lookup **latency** in time units (≈ hops × latency + reply),
 //! * genuinely concurrent joins/failures between maintenance rounds,
 //! * message loss on dead nodes and the resulting lookup timeouts.
+//!
+//! Finger tables come only from [`EventNet::rewire_ground_truth`]; an
+//! entry clears when stabilization finds that node dead as the
+//! successor. There is no finger refresh over the wire: with a fixed
+//! per-message latency and no bandwidth model, a background lookup can
+//! delay no other message, so only the lookups a caller issues (joins,
+//! [`EventNet::lookup`]) ride the queue.
 
 use crate::fault::{FaultPlan, FaultState};
 use crate::messages::MessageStats;
@@ -35,8 +42,6 @@ pub struct EventConfig {
     pub lookup_timeout: u64,
     /// Successor-list length.
     pub successor_list_len: usize,
-    /// Fingers refreshed per stabilize firing.
-    pub fingers_per_stabilize: usize,
     /// Safety cap on forwarding hops.
     pub max_hops: u32,
 }
@@ -48,7 +53,6 @@ impl Default for EventConfig {
             stabilize_every: 100,
             lookup_timeout: 2_000,
             successor_list_len: 5,
-            fingers_per_stabilize: 8,
             max_hops: 256,
         }
     }
@@ -144,8 +148,9 @@ struct ENode {
     id: Id,
     successors: Vec<Id>,
     predecessor: Option<Id>,
+    /// Set only by [`EventNet::rewire_ground_truth`]; an entry clears
+    /// when its node is found dead as this node's successor.
     fingers: Vec<Option<Id>>,
-    next_finger: usize,
     /// Per-node strategy state: load probes received.
     queries_seen: u64,
     /// Per-node strategy state: invitations received.
@@ -159,7 +164,6 @@ impl ENode {
             successors: vec![id],
             predecessor: None,
             fingers: vec![None; ID_BITS as usize],
-            next_finger: 0,
             queries_seen: 0,
             invites_seen: 0,
         }
@@ -597,8 +601,8 @@ impl EventNet {
     /// Runs the event loop until the next application event (message
     /// arrival, timer firing, watched-lookup completion), `deadline`,
     /// or queue exhaustion — whichever comes first. Protocol traffic
-    /// (stabilize, notify, finger refresh, routing) is processed
-    /// inline, so application events genuinely race stabilization.
+    /// (stabilize, notify, routing) is processed inline, so
+    /// application events genuinely race stabilization.
     ///
     /// A `deadline` of `u64::MAX` means "wait for the next app event":
     /// the clock is left at the last processed event rather than being
@@ -966,19 +970,6 @@ impl EventNet {
                         }
                     }
                 }
-                // Refresh a few fingers through real routing.
-                for _ in 0..self.cfg.fingers_per_stabilize {
-                    let Some((k, target)) = self.nodes.get(&dst).map(|node| {
-                        let k = node.next_finger % node.fingers.len();
-                        (k, node.id.wrapping_add(Id::pow2(k as u32)))
-                    }) else {
-                        break;
-                    };
-                    if let Some(node) = self.nodes.get_mut(&dst) {
-                        node.next_finger = (k + 1) % ID_BITS as usize;
-                    }
-                    self.start_lookup_from(dst, target);
-                }
                 // Re-arm the timer.
                 let at = self.time + self.cfg.stabilize_every;
                 self.send_at(at, dst, Msg::StabilizeTimer);
@@ -1113,8 +1104,8 @@ mod tests {
         assert_eq!(done.len(), 20);
         let s = summarize(net.trace().records());
         assert_eq!(s.substrate, "eventnet");
-        // Every lookup (app + finger refresh) ends as exactly one
-        // Delivered or TimedOut record; loss shows up as drops/retries.
+        // Every lookup ends as exactly one Delivered or TimedOut
+        // record; loss shows up as drops/retries.
         let resolved = s.messages.delivered + s.messages.timed_out;
         assert!(resolved >= 20, "at least the app lookups resolved");
         assert!(

@@ -12,6 +12,7 @@
 use crate::messages::MessageKind;
 use crate::network::Network;
 use autobal_id::ring;
+use std::sync::Arc;
 
 impl Network {
     /// Runs one full maintenance cycle on every live node (in ring
@@ -205,7 +206,9 @@ impl Network {
     }
 
     /// Pushes a full replica of this node's keys to its first
-    /// `replication_factor` live successors (active backup).
+    /// `replication_factor` live successors (active backup). Every
+    /// target receives the same snapshot; each push is still billed as
+    /// its own message.
     fn push_replicas(&mut self, id: autobal_id::Id) {
         let (keys, store, targets) = {
             let node = &self.nodes[&id];
@@ -216,7 +219,11 @@ impl Network {
                 .filter(|s| *s != id && self.nodes.contains_key(s))
                 .take(self.cfg.replication_factor)
                 .collect();
-            (node.keys.clone(), node.store.clone(), targets)
+            (
+                Arc::new(node.keys.clone()),
+                Arc::new(node.store.clone()),
+                targets,
+            )
         };
         for t in targets {
             // A lost push leaves the target's previous (stale) replica
@@ -225,8 +232,8 @@ impl Network {
                 continue;
             }
             let tgt = self.nodes.get_mut(&t).unwrap();
-            tgt.replicas.insert(id, keys.clone());
-            tgt.replica_store.insert(id, store.clone());
+            tgt.replicas.insert(id, Arc::clone(&keys));
+            tgt.replica_store.insert(id, Arc::clone(&store));
         }
     }
 
@@ -247,10 +254,11 @@ impl Network {
         for owner in dead_owners {
             let node = self.nodes.get_mut(&id).unwrap();
             let keys = node.replicas.remove(&owner).unwrap();
-            let mut values = node.replica_store.remove(&owner).unwrap_or_default();
+            let mut values =
+                Arc::unwrap_or_clone(node.replica_store.remove(&owner).unwrap_or_default());
             let mut promoted = 0u64;
             let mut forwarded = Vec::new();
-            for k in keys {
+            for &k in keys.iter() {
                 if ring::in_arc(pred, id, k) {
                     let node = self.nodes.get_mut(&id).unwrap();
                     node.keys.insert(k);
@@ -320,7 +328,7 @@ mod tests {
             }
             let succ = net.node(id).unwrap().successor();
             let rep = net.node(succ).unwrap().replicas.get(&id).cloned();
-            assert_eq!(rep, Some(keys), "replica of {id} on {succ}");
+            assert_eq!(rep.as_deref(), Some(&keys), "replica of {id} on {succ}");
         }
     }
 

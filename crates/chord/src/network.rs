@@ -690,9 +690,11 @@ impl Network {
                     continue;
                 };
                 let keys = node.replicas.remove(&owner).unwrap_or_default();
-                let mut values = node.replica_store.remove(&owner).unwrap_or_default();
+                let mut values = std::sync::Arc::unwrap_or_clone(
+                    node.replica_store.remove(&owner).unwrap_or_default(),
+                );
                 report.stale_replicas_purged += 1;
-                for k in keys {
+                for &k in keys.iter() {
                     if !live_primaries.contains(&k) {
                         stranded.push((k, values.remove(&k)));
                     }

@@ -3,6 +3,7 @@
 use autobal_id::{ring, Id, ID_BITS};
 use bytes::Bytes;
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 /// The local state of one Chord participant.
 ///
@@ -27,10 +28,11 @@ pub struct Node {
     /// purely as task markers have no entry here.
     pub store: BTreeMap<Id, Bytes>,
     /// Active backups: owner id → that owner's key set as of the last
-    /// replica push received.
-    pub replicas: BTreeMap<Id, BTreeSet<Id>>,
+    /// replica push received. One push shares a single snapshot among
+    /// all of the owner's targets.
+    pub replicas: BTreeMap<Id, Arc<BTreeSet<Id>>>,
     /// Value backups mirroring [`Node::replicas`].
-    pub replica_store: BTreeMap<Id, BTreeMap<Id, Bytes>>,
+    pub replica_store: BTreeMap<Id, Arc<BTreeMap<Id, Bytes>>>,
     /// Next finger index to fix (incremental `fix_fingers` cursor).
     pub next_finger: usize,
 }
