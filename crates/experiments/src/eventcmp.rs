@@ -23,6 +23,13 @@
 //! bill). Decision quality only moves once the wire actually fails —
 //! the final lossy row is where the Gini leaves the synchronous
 //! reference.
+//!
+//! The wire does no finger refresh, so its routed lookups are join
+//! lookups only (Sybil joins and churn rejoins). The `wire msgs`,
+//! `lookup p50/p99` and `lookup timeouts` columns count that traffic
+//! plus stabilize, notify and strategy messages. Tables recorded while
+//! the wire still refreshed fingers over routed lookups counted those
+//! too, and do not compare column for column.
 
 use crate::common::{write_out, Args};
 use autobal::event_sim::{run_event_sim, EventSimConfig};
