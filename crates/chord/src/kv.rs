@@ -16,7 +16,7 @@ impl Network {
     /// Stores `value` under `key`, routing from `from`. Returns the
     /// owner that accepted the write.
     pub fn put(&mut self, from: Id, key: Id, value: Bytes) -> Result<Id, NetworkError> {
-        let owner = self.lookup(from, key)?.owner;
+        let owner = self.route(from, key, None)?;
         self.stats.record(MessageKind::StoreValue);
         let node = self.node_mut(owner).expect("owner is live");
         node.keys.insert(key);
@@ -27,7 +27,7 @@ impl Network {
     /// Fetches the value under `key`, routing from `from`. `Ok(None)`
     /// means the key is unknown (or holds no value).
     pub fn get(&mut self, from: Id, key: Id) -> Result<Option<Bytes>, NetworkError> {
-        let owner = self.lookup(from, key)?.owner;
+        let owner = self.route(from, key, None)?;
         self.stats.record(MessageKind::FetchValue);
         Ok(self.node(owner).and_then(|n| n.store.get(&key)).cloned())
     }
@@ -36,7 +36,7 @@ impl Network {
     /// that was removed, if any. Replicas forget it on the owner's next
     /// replica push.
     pub fn remove(&mut self, from: Id, key: Id) -> Result<Option<Bytes>, NetworkError> {
-        let owner = self.lookup(from, key)?.owner;
+        let owner = self.route(from, key, None)?;
         self.stats.record(MessageKind::StoreValue);
         let node = self.node_mut(owner).expect("owner is live");
         node.keys.remove(&key);

@@ -17,8 +17,9 @@ use std::sync::Arc;
 impl Network {
     /// Runs one full maintenance cycle on every live node (in ring
     /// order): prune dead neighbors, stabilize successor/predecessor
-    /// pointers, refresh the successor and predecessor lists, fix a batch
-    /// of fingers, push replicas, and promote replicas of dead owners.
+    /// pointers, refresh the successor and predecessor lists, and fix a
+    /// batch of fingers; then promote replicas of dead owners; then push
+    /// replicas (promotion goes first, for the reason given below).
     pub fn maintenance_cycle(&mut self) {
         let ids = self.node_ids();
         for &id in &ids {
@@ -53,19 +54,29 @@ impl Network {
         self.nodes.contains_key(&id)
     }
 
-    /// Drops dead entries from the node's neighbor lists (each discovery
-    /// costs a ping). Falls back to the ground-truth successor when the
-    /// entire successor list has died — standing in for the out-of-band
-    /// re-bootstrap a real deployment would perform.
+    /// Drops dead entries from the node's neighbor lists (each stale
+    /// entry costs a ping, duplicates included). A run of equal ids, such
+    /// as the fingers that all point at the successor, is probed once.
+    /// Falls back to the ground-truth successor when the entire successor
+    /// list has died — standing in for the out-of-band re-bootstrap a
+    /// real deployment would perform.
     fn prune_dead_neighbors(&mut self, id: autobal_id::Id) {
         let node = &self.nodes[&id];
+        let mut last: Option<(autobal_id::Id, bool)> = None;
         let stale: Vec<autobal_id::Id> = node
             .successors
             .iter()
             .chain(node.predecessors.iter())
             .chain(node.fingers.iter().flatten())
             .copied()
-            .filter(|n| !self.nodes.contains_key(n))
+            .filter(|&n| {
+                let dead = match last {
+                    Some((prev, dead)) if prev == n => dead,
+                    _ => !self.nodes.contains_key(&n),
+                };
+                last = Some((n, dead));
+                dead
+            })
             .collect();
         if !stale.is_empty() {
             self.stats.record_n(MessageKind::Ping, stale.len() as u64);
@@ -74,19 +85,18 @@ impl Network {
                 node.forget(d);
             }
         }
-        let node = self.nodes.get_mut(&id).unwrap();
-        if node.successors.is_empty() {
+        let node = &self.nodes[&id];
+        let (no_successor, no_predecessor) =
+            (node.successors.is_empty(), node.predecessors.is_empty());
+        if no_successor {
             if let Some(s) = self.truth_successor(id) {
-                let node = self.nodes.get_mut(&id).unwrap();
-                node.successors.push(s);
+                self.nodes.get_mut(&id).unwrap().successors.push(s);
                 self.stats.record(MessageKind::SuccessorListPull);
             }
         }
-        let node = self.nodes.get_mut(&id).unwrap();
-        if node.predecessors.is_empty() {
+        if no_predecessor {
             if let Some(p) = self.truth_predecessor(id) {
-                let node = self.nodes.get_mut(&id).unwrap();
-                node.predecessors.push(p);
+                self.nodes.get_mut(&id).unwrap().predecessors.push(p);
             }
         }
     }
@@ -136,7 +146,8 @@ impl Network {
     }
 
     /// Pulls the successor's successor list and the predecessor's
-    /// predecessor list, keeping ours fresh.
+    /// predecessor list, keeping ours fresh. Each list is rebuilt in its
+    /// own buffer.
     fn refresh_lists(&mut self, id: autobal_id::Id) {
         let succ = self.nodes[&id].successor();
         if succ != id
@@ -145,19 +156,18 @@ impl Network {
                 .deliver(MessageKind::SuccessorListPull, id, succ)
                 .is_ok()
         {
-            let pulled: Vec<autobal_id::Id> = {
-                let s = &self.nodes[&succ];
-                let mut list = vec![succ];
-                list.extend(
-                    s.successors
-                        .iter()
-                        .copied()
-                        .filter(|&x| x != id && x != succ),
-                );
-                list.truncate(self.cfg.successor_list_len);
-                list
-            };
-            self.nodes.get_mut(&id).unwrap().successors = pulled;
+            let mut list = std::mem::take(&mut self.nodes.get_mut(&id).unwrap().successors);
+            list.clear();
+            list.push(succ);
+            list.extend(
+                self.nodes[&succ]
+                    .successors
+                    .iter()
+                    .copied()
+                    .filter(|&x| x != id && x != succ),
+            );
+            list.truncate(self.cfg.successor_list_len);
+            self.nodes.get_mut(&id).unwrap().successors = list;
         }
         let pred = self.nodes[&id].predecessor();
         if pred != id
@@ -166,19 +176,18 @@ impl Network {
                 .deliver(MessageKind::SuccessorListPull, id, pred)
                 .is_ok()
         {
-            let pulled: Vec<autobal_id::Id> = {
-                let p = &self.nodes[&pred];
-                let mut list = vec![pred];
-                list.extend(
-                    p.predecessors
-                        .iter()
-                        .copied()
-                        .filter(|&x| x != id && x != pred),
-                );
-                list.truncate(self.cfg.predecessor_list_len);
-                list
-            };
-            self.nodes.get_mut(&id).unwrap().predecessors = pulled;
+            let mut list = std::mem::take(&mut self.nodes.get_mut(&id).unwrap().predecessors);
+            list.clear();
+            list.push(pred);
+            list.extend(
+                self.nodes[&pred]
+                    .predecessors
+                    .iter()
+                    .copied()
+                    .filter(|&x| x != id && x != pred),
+            );
+            list.truncate(self.cfg.predecessor_list_len);
+            self.nodes.get_mut(&id).unwrap().predecessors = list;
         }
     }
 
@@ -192,8 +201,8 @@ impl Network {
                 (k, node.finger_target(k))
             };
             self.stats.record(MessageKind::FixFinger);
-            let resolved = match self.lookup(id, target) {
-                Ok(r) => Some(r.owner),
+            let resolved = match self.route(id, target, None) {
+                Ok(owner) => Some(owner),
                 // A fault-plane timeout says nothing about the old
                 // entry; keep it rather than tearing a working finger.
                 Err(crate::network::NetworkError::TimedOut { .. }) => self.nodes[&id].fingers[k],
@@ -207,34 +216,49 @@ impl Network {
 
     /// Pushes a full replica of this node's keys to its first
     /// `replication_factor` live successors (active backup). Every
-    /// target receives the same snapshot; each push is still billed as
-    /// its own message.
+    /// target receives the same snapshot. While the owner's keys and
+    /// values are unchanged, that is the snapshot its first target
+    /// already holds, so the trees are copied only after they change.
+    /// Each push is still billed as its own message.
     fn push_replicas(&mut self, id: autobal_id::Id) {
-        let (keys, store, targets) = {
+        // Lend the successor list out for the pushes; nothing below
+        // reads or changes it.
+        let targets = std::mem::take(&mut self.nodes.get_mut(&id).unwrap().successors);
+        let first = targets
+            .iter()
+            .find(|&&t| t != id && self.nodes.contains_key(&t))
+            .map(|t| &self.nodes[t]);
+        if let Some(first) = first {
             let node = &self.nodes[&id];
-            let targets: Vec<autobal_id::Id> = node
-                .successors
-                .iter()
-                .copied()
-                .filter(|s| *s != id && self.nodes.contains_key(s))
-                .take(self.cfg.replication_factor)
-                .collect();
-            (
-                Arc::new(node.keys.clone()),
-                Arc::new(node.store.clone()),
-                targets,
-            )
-        };
-        for t in targets {
-            // A lost push leaves the target's previous (stale) replica
-            // in place — strictly less fresh, never less safe.
-            if self.deliver(MessageKind::ReplicaPush, id, t).is_err() {
-                continue;
+            let keys = match first.replicas.get(&id) {
+                Some(held) if **held == node.keys => Arc::clone(held),
+                _ => Arc::new(node.keys.clone()),
+            };
+            let store = match first.replica_store.get(&id) {
+                Some(held) if **held == node.store => Arc::clone(held),
+                _ => Arc::new(node.store.clone()),
+            };
+            let mut pushed = 0;
+            for &t in &targets {
+                if pushed == self.cfg.replication_factor {
+                    break;
+                }
+                if t == id || !self.nodes.contains_key(&t) {
+                    continue;
+                }
+                pushed += 1;
+                // A lost push leaves the target's previous (stale)
+                // replica in place — strictly less fresh, never less
+                // safe.
+                if self.deliver(MessageKind::ReplicaPush, id, t).is_err() {
+                    continue;
+                }
+                let tgt = self.nodes.get_mut(&t).unwrap();
+                tgt.replicas.insert(id, Arc::clone(&keys));
+                tgt.replica_store.insert(id, Arc::clone(&store));
             }
-            let tgt = self.nodes.get_mut(&t).unwrap();
-            tgt.replicas.insert(id, Arc::clone(&keys));
-            tgt.replica_store.insert(id, Arc::clone(&store));
         }
+        self.nodes.get_mut(&id).unwrap().successors = targets;
     }
 
     /// Promotes keys from replicas whose owner has died and whose keys
@@ -311,6 +335,40 @@ mod tests {
         }
         assert!(net.is_consistent());
         assert_eq!(net.total_keys(), 100);
+    }
+
+    /// Pruning bills one ping per stale entry, duplicates included: the
+    /// successor repeats through a run of fingers, and every repeat is a
+    /// reference the node had to drop. Probing a run once must not shrink
+    /// the bill.
+    #[test]
+    fn prune_bills_one_ping_per_stale_entry() {
+        let ids: Vec<autobal_id::Id> = (0..24u64).map(sha1_id_of_u64).collect();
+        let mut net = Network::from_ids(NetConfig::default(), &ids).unwrap();
+        let id = net.node_ids()[0];
+        let node = net.node(id).unwrap();
+        // The successor and the third successor fail; the second lives.
+        let dead = [node.successors[0], node.successors[2]];
+        let refs = |net: &Network| {
+            let n = net.node(id).unwrap();
+            n.successors
+                .iter()
+                .chain(&n.predecessors)
+                .chain(n.fingers.iter().flatten())
+                .filter(|x| dead.contains(x))
+                .count() as u64
+        };
+        let stale = refs(&net);
+        let run = node.fingers.iter().filter(|f| **f == Some(dead[0])).count();
+        assert!(run > 1, "the successor fills a run of fingers");
+        for d in dead {
+            net.fail(d).unwrap();
+        }
+        let pings = net.stats.ping;
+        net.prune_dead_neighbors(id);
+        assert_eq!(net.stats.ping - pings, stale, "one ping per stale entry");
+        assert!(stale > run as u64, "duplicates and both victims billed");
+        assert_eq!(refs(&net), 0, "no reference to a dead node remains");
     }
 
     #[test]

@@ -328,12 +328,34 @@ impl Network {
     /// node-local routing state. Dead references encountered en route are
     /// lazily repaired (timeout → forget), exactly like a real deployment.
     pub fn lookup(&mut self, from: Id, key: Id) -> Result<LookupResult, NetworkError> {
+        let mut path = Vec::new();
+        let owner = self.route(from, key, Some(&mut path))?;
+        Ok(LookupResult {
+            owner,
+            hops: (path.len() - 1) as u32,
+            path,
+        })
+    }
+
+    /// The routing loop behind [`Network::lookup`]: returns the owner
+    /// of `key` and, when `path` is given, appends the nodes visited
+    /// (starting node first). Callers that read only the owner pass
+    /// `None` and pay for no path; the bill and every repair are the
+    /// same either way.
+    pub(crate) fn route(
+        &mut self,
+        from: Id,
+        key: Id,
+        mut path: Option<&mut Vec<Id>>,
+    ) -> Result<Id, NetworkError> {
         if !self.nodes.contains_key(&from) {
             return Err(NetworkError::UnknownNode(from));
         }
         let mut cur = from;
         let mut hops = 0u32;
-        let mut path = vec![cur];
+        if let Some(p) = path.as_deref_mut() {
+            p.push(cur);
+        }
         loop {
             if hops as usize > self.cfg.max_lookup_hops {
                 return Err(NetworkError::LookupFailed { hops });
@@ -343,32 +365,17 @@ impl Network {
             };
             // Does the current node already own the key?
             if node.owns(key) && self.nodes.contains_key(&node.predecessor()) {
-                return Ok(LookupResult {
-                    owner: cur,
-                    hops,
-                    path,
-                });
+                return Ok(cur);
             }
             let succ = node.successor();
             // Key between cur and its live successor → successor owns it.
-            if self.nodes.contains_key(&succ) && ring::in_arc(cur, succ, key) {
-                self.deliver(MessageKind::FindSuccessorHop, cur, succ)?;
-                hops += 1;
-                path.push(succ);
-                return Ok(LookupResult {
-                    owner: succ,
-                    hops,
-                    path,
-                });
-            }
-            // Otherwise route through the closest preceding live entry.
-            let next = {
-                let Some(node) = self.nodes.get(&cur) else {
-                    return Err(NetworkError::UnknownNode(cur));
-                };
+            let (next, found) = if self.nodes.contains_key(&succ) && ring::in_arc(cur, succ, key) {
+                (succ, true)
+            } else {
+                // Otherwise route through the closest preceding live entry.
                 let mut candidate = node.closest_preceding(key);
                 // Skip dead candidates, forgetting them as we go.
-                loop {
+                let preceding = loop {
                     match candidate {
                         Some(c) if self.nodes.contains_key(&c) => break Some(c),
                         Some(c) => {
@@ -381,37 +388,27 @@ impl Network {
                         }
                         None => break None,
                     }
+                };
+                match preceding {
+                    Some(n) if n != cur => (n, false),
+                    // No better candidate: fall to the live successor.
+                    _ => match self.first_live_successor(cur) {
+                        Some(s) if s != cur => (s, false),
+                        // Alone in the ring (or fully partitioned):
+                        // current node is the owner by default.
+                        _ => return Ok(cur),
+                    },
                 }
             };
-            match next {
-                Some(n) if n != cur => {
-                    self.deliver(MessageKind::FindSuccessorHop, cur, n)?;
-                    hops += 1;
-                    path.push(n);
-                    cur = n;
-                }
-                _ => {
-                    // No better candidate: fall to the live successor.
-                    let succ = self.first_live_successor(cur);
-                    match succ {
-                        Some(s) if s != cur => {
-                            self.deliver(MessageKind::FindSuccessorHop, cur, s)?;
-                            hops += 1;
-                            path.push(s);
-                            cur = s;
-                        }
-                        _ => {
-                            // Alone in the ring (or fully partitioned):
-                            // current node is the owner by default.
-                            return Ok(LookupResult {
-                                owner: cur,
-                                hops,
-                                path,
-                            });
-                        }
-                    }
-                }
+            self.deliver(MessageKind::FindSuccessorHop, cur, next)?;
+            hops += 1;
+            if let Some(p) = path.as_deref_mut() {
+                p.push(next);
             }
+            if found {
+                return Ok(next);
+            }
+            cur = next;
         }
     }
 
@@ -453,7 +450,7 @@ impl Network {
             return Err(NetworkError::UnknownNode(contact));
         }
 
-        let succ_id = self.lookup(contact, new_id)?.owner;
+        let succ_id = self.route(contact, new_id, None)?;
         let Some(pred_id) = self
             .nodes
             .get(&succ_id)
@@ -1213,5 +1210,80 @@ mod fault_tests {
             200,
             "every key is either alive or explicitly billed lost"
         );
+    }
+}
+
+#[cfg(test)]
+mod route_tests {
+    use super::*;
+    use crate::fault::FaultPlan;
+    use autobal_id::sha1::sha1_id_of_u64;
+    use proptest::prelude::*;
+    use rand::{Rng, SeedableRng};
+    use rand_chacha::ChaCha8Rng;
+
+    /// Every node's successors, predecessors and fingers, in ring order.
+    type RoutingState = Vec<(Id, Vec<Id>, Vec<Id>, Vec<Option<Id>>)>;
+
+    fn routing_state(net: &Network) -> RoutingState {
+        net.nodes
+            .values()
+            .map(|n| {
+                (
+                    n.id,
+                    n.successors.clone(),
+                    n.predecessors.clone(),
+                    n.fingers.clone(),
+                )
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// `route` without a path is `lookup` without the path: the same
+        /// owner or error, the same hops, the same bill and the same lazy
+        /// repairs, op after op, on a ring whose failed nodes no
+        /// maintenance has pruned yet, under an inert and a lossy plan.
+        #[test]
+        fn route_without_path_matches_lookup(
+            seed in any::<u64>(),
+            n in 8usize..48,
+            kills in 1usize..16,
+            ops in proptest::collection::vec((any::<u16>(), any::<u64>()), 1..60),
+        ) {
+            for plan in [FaultPlan::default(), FaultPlan::lossy(seed, 0.2)] {
+                let mut rng = ChaCha8Rng::seed_from_u64(seed);
+                let mut net = Network::bootstrap(NetConfig::default(), n, &mut rng);
+                let ids = net.node_ids();
+                for _ in 0..kills.min(n - 1) {
+                    let live = net.node_ids();
+                    net.fail(live[rng.gen_range(0..live.len())]).unwrap();
+                }
+                net.set_fault_plan(plan);
+                let (mut a, mut b) = (net.clone(), net);
+                for &(from, key) in &ops {
+                    // Origins include failed nodes, so `UnknownNode` is covered.
+                    let from = ids[usize::from(from) % ids.len()];
+                    let key = sha1_id_of_u64(key);
+                    let before = a.stats.clone();
+                    let routed = a.route(from, key, None);
+                    let looked = b.lookup(from, key);
+                    prop_assert_eq!(routed, looked.as_ref().map(|r| r.owner).map_err(|e| *e));
+                    prop_assert_eq!(&a.stats, &b.stats);
+                    if let Ok(r) = &looked {
+                        prop_assert_eq!(r.path.first(), Some(&from));
+                        prop_assert_eq!(r.path.last(), Some(&r.owner));
+                        // Each hop is billed once, plus once per resend.
+                        prop_assert_eq!(
+                            a.stats.find_successor_hops - before.find_successor_hops,
+                            u64::from(r.hops) + a.stats.retries - before.retries
+                        );
+                    }
+                    prop_assert_eq!(routing_state(&a), routing_state(&b));
+                }
+            }
+        }
     }
 }

@@ -29,7 +29,8 @@ pub struct Node {
     pub store: BTreeMap<Id, Bytes>,
     /// Active backups: owner id → that owner's key set as of the last
     /// replica push received. One push shares a single snapshot among
-    /// all of the owner's targets.
+    /// all of the owner's targets, and the snapshot is reused from cycle
+    /// to cycle while the owner's keys are unchanged.
     pub replicas: BTreeMap<Id, Arc<BTreeSet<Id>>>,
     /// Value backups mirroring [`Node::replicas`].
     pub replica_store: BTreeMap<Id, Arc<BTreeMap<Id, Bytes>>>,

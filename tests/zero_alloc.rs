@@ -185,3 +185,37 @@ fn allocations_scale_with_setup_not_ticks() {
         long - short
     );
 }
+
+/// A quiet sync Chord maintenance cycle (no membership change, no key
+/// change since the last one) allocates exactly once: the id list it
+/// walks. Pruning probes without collecting, the neighbour lists refill
+/// their own buffers, finger fixes route without a path, and every
+/// replica push hands out the snapshot the owner's first target
+/// already holds.
+#[test]
+fn quiet_maintenance_cycle_allocates_only_its_id_list() {
+    use autobal::chord::{NetConfig, Network};
+    use autobal::id::sha1::sha1_id_of_u64;
+    let ids: Vec<autobal::Id> = (0..149u64).map(sha1_id_of_u64).collect();
+    let mut net = Network::from_ids(NetConfig::default(), &ids).unwrap();
+    for k in 0..12_800u64 {
+        net.insert_key(sha1_id_of_u64(1_000_000 + k));
+    }
+    // Warm cycles: the first pushes fresh snapshots, and list buffers
+    // reach their working capacity.
+    for _ in 0..3 {
+        net.maintenance_cycle();
+    }
+    let pushes = net.stats.replica_push;
+    let (allocs, ()) = allocation_delta(|| net.maintenance_cycle());
+    let rf = NetConfig::default().replication_factor as u64;
+    assert_eq!(
+        net.stats.replica_push - pushes,
+        149 * rf,
+        "every owner pushed to every target"
+    );
+    assert_eq!(
+        allocs, 1,
+        "a quiet maintenance cycle allocated {allocs} times"
+    );
+}
