@@ -1,6 +1,6 @@
-//! Chord substrate microbenchmarks: lookup hop cost, join, and one full
-//! maintenance cycle — the overheads the tick model abstracts away but a
-//! real deployment pays.
+//! Chord substrate microbenchmarks: lookup hop cost and join — overheads
+//! the tick model abstracts away but a real deployment pays. One full
+//! maintenance cycle is timed by `repro perf` (`chord_maintenance`).
 
 use autobal_chord::{NetConfig, Network};
 use autobal_id::Id;
@@ -53,27 +53,6 @@ fn bench_join(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_maintenance(c: &mut Criterion) {
-    let mut g = c.benchmark_group("chord_maintenance");
-    g.sample_size(10);
-    g.warm_up_time(Duration::from_secs(1));
-    g.measurement_time(Duration::from_secs(2));
-    for n in [64usize, 256] {
-        g.bench_with_input(BenchmarkId::new("cycle", n), &n, |b, &n| {
-            let mut rng = seeded_rng(3);
-            let mut net = Network::bootstrap(NetConfig::default(), n, &mut rng);
-            for k in 0..(n as u64 * 10) {
-                net.insert_key(autobal_id::sha1::sha1_id_of_u64(k));
-            }
-            b.iter(|| {
-                net.maintenance_cycle();
-                black_box(net.stats.total())
-            });
-        });
-    }
-    g.finish();
-}
-
 fn bench_eventnet(c: &mut Criterion) {
     use autobal_chord::{EventConfig, EventNet};
     let mut g = c.benchmark_group("chord_eventnet");
@@ -119,12 +98,5 @@ fn bench_kv(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_lookup,
-    bench_join,
-    bench_maintenance,
-    bench_eventnet,
-    bench_kv
-);
+criterion_group!(benches, bench_lookup, bench_join, bench_eventnet, bench_kv);
 criterion_main!(benches);

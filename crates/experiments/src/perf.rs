@@ -1,8 +1,9 @@
 //! `repro perf` — the benchmark/regression plane.
 //!
 //! Runs pinned end-to-end scenarios on every substrate — the oracle
-//! ring, the synchronous protocol loop, the event-time strategy loop,
-//! and the raw eventnet lookup plane — and emits `BENCH_10.json`
+//! ring, the synchronous protocol loop and its maintenance cycle, the
+//! event-time strategy loop, and the raw eventnet lookup plane — and
+//! emits `BENCH_10.json`
 //! (schema `autobal-perf-v1`) with wall time and throughput per
 //! scenario. The oracle-ring scenario additionally runs
 //! the naive pre-optimization reference engine
@@ -37,7 +38,7 @@ use crate::common::{write_out, Args};
 use autobal::event_sim::{run_event_sim, EventSimConfig};
 use autobal::protocol_sim::{run_protocol_sim, ProtocolSimConfig};
 use autobal::reference::NaiveSim;
-use autobal_chord::{EventConfig, EventNet};
+use autobal_chord::{EventConfig, EventNet, NetConfig, Network};
 use autobal_core::{RunResult, Sim, SimConfig, StrategyKind};
 use autobal_stats::rng::{domains, substream};
 use rand::Rng;
@@ -91,7 +92,8 @@ struct Measurement {
     workers: Option<u64>,
     /// Scaling rows: the configured shard count of the cell.
     shards: Option<u32>,
-    /// What `work` counts: `"ticks"`, `"tasks"`, or `"events"`.
+    /// What `work` counts: `"ticks"`, `"tasks"`, `"events"` or
+    /// `"cycles"`.
     units: &'static str,
     work: u64,
     wall_ms: f64,
@@ -264,6 +266,58 @@ fn chord_protocol(args: &Args) -> Measurement {
         work: run.ticks,
         wall_ms: ms,
         throughput: run.ticks as f64 / (ms / 1e3),
+        allocations: allocs,
+        peak_vnodes: None,
+        naive_wall_ms: None,
+        speedup_vs_naive: None,
+    }
+}
+
+/// Cycles per timed batch of `chord_maintenance`; the fastest of
+/// `MAINTENANCE_BATCHES` batches is kept.
+const MAINTENANCE_CYCLES: u64 = 100;
+const MAINTENANCE_BATCHES: usize = 3;
+
+/// One synchronous Chord maintenance cycle on a stabilized ring of 128
+/// nodes holding 12 800 keys (the `protocol_sync` benchmark's size, no
+/// churn): `work` counts cycles, and `allocations` is the count of one
+/// quiet cycle, not of the whole batch.
+fn chord_maintenance(args: &Args) -> Measurement {
+    let mut rng = substream(args.seed ^ 0x63, 0, domains::PLACEMENT);
+    let mut net = Network::bootstrap(NetConfig::default(), 128, &mut rng);
+    for _ in 0..12_800 {
+        net.insert_key(autobal_id::Id::random(&mut rng));
+    }
+    // The first cycles push fresh snapshots and size the list buffers.
+    for _ in 0..3 {
+        net.maintenance_cycle();
+    }
+    let (allocs, ()) = alloc_count(|| net.maintenance_cycle());
+    let mut ms = f64::INFINITY;
+    for _ in 0..MAINTENANCE_BATCHES {
+        let (batch_ms, ()) = wall_ms(|| {
+            for _ in 0..MAINTENANCE_CYCLES {
+                net.maintenance_cycle();
+            }
+        });
+        ms = ms.min(batch_ms);
+    }
+    let per_s = MAINTENANCE_CYCLES as f64 / (ms / 1e3);
+    println!(
+        "  chord_maintenance: {:.3} ms/cycle ({per_s:.0} cycles/s) | {} allocations/cycle",
+        ms / MAINTENANCE_CYCLES as f64,
+        opt_u64(allocs)
+    );
+    Measurement {
+        name: "chord_maintenance".to_string(),
+        group: None,
+        workers: None,
+        shards: None,
+        substrate: "protocol",
+        units: "cycles",
+        work: MAINTENANCE_CYCLES,
+        wall_ms: ms,
+        throughput: per_s,
         allocations: allocs,
         peak_vnodes: None,
         naive_wall_ms: None,
@@ -653,6 +707,7 @@ pub fn perf(args: &Args) {
     let mut measurements = vec![
         oracle_ring_large(args),
         chord_protocol(args),
+        chord_maintenance(args),
         event_substrate(args),
         eventnet(args),
         stats_incremental(args),
