@@ -24,6 +24,7 @@
 
 use crate::fault::{FaultPlan, FaultState};
 use crate::messages::MessageStats;
+use crate::table::{distinct_random_ids, IdTable};
 use autobal_id::{ring, Id, ID_BITS};
 use autobal_telemetry::{MessageStatus, Trace, TraceSink};
 use rand::Rng;
@@ -252,7 +253,8 @@ pub struct EventNet {
     /// that finishes first leaves its entry to be skipped on pop,
     /// without ever being delivered.
     timeouts: VecDeque<(u64, u64, u64)>,
-    nodes: BTreeMap<Id, ENode>,
+    /// Every live node, in ascending id order.
+    nodes: IdTable<ENode>,
     pending: BTreeMap<u64, PendingLookup>,
     completed: Vec<AsyncLookup>,
     next_req: u64,
@@ -313,7 +315,7 @@ impl EventNet {
             seq: 0,
             queue: BinaryHeap::new(),
             timeouts: VecDeque::new(),
-            nodes: BTreeMap::new(),
+            nodes: IdTable::default(),
             pending: BTreeMap::new(),
             completed: Vec::new(),
             next_req: 0,
@@ -331,13 +333,7 @@ impl EventNet {
 
     /// A fully stabilized ring of `n` random nodes with timers armed.
     pub fn bootstrap<R: rand::Rng + ?Sized>(cfg: EventConfig, n: usize, rng: &mut R) -> EventNet {
-        let mut net = EventNet::empty(cfg);
-        while net.nodes.len() < n {
-            let id = Id::random(rng);
-            net.nodes.entry(id).or_insert_with(|| ENode::new(id));
-        }
-        net.finish_bootstrap();
-        net
+        EventNet::from_ids(cfg, &distinct_random_ids(n, rng))
     }
 
     /// A fully stabilized ring over the given node ids (duplicates
@@ -345,9 +341,7 @@ impl EventNet {
     /// event-time substrate uses to mirror a synchronous `Network`.
     pub fn from_ids(cfg: EventConfig, ids: &[Id]) -> EventNet {
         let mut net = EventNet::empty(cfg);
-        for &id in ids {
-            net.nodes.entry(id).or_insert_with(|| ENode::new(id));
-        }
+        net.nodes = IdTable::from_ids(ids, ENode::new);
         net.finish_bootstrap();
         net
     }
@@ -455,9 +449,7 @@ impl EventNet {
     /// Ground-truth owner (oracle; used by tests).
     pub fn owner_of(&self, key: Id) -> Option<Id> {
         self.nodes
-            .range(key..)
-            .next()
-            .map(|(id, _)| *id)
+            .at_or_after(&key)
             .or_else(|| self.nodes.keys().next().copied())
     }
 
@@ -1054,9 +1046,7 @@ impl EventNet {
         for (&id, node) in &self.nodes {
             let Some(truth) = self
                 .nodes
-                .range((std::ops::Bound::Excluded(id), std::ops::Bound::Unbounded))
-                .next()
-                .map(|(i, _)| *i)
+                .after(&id)
                 .or_else(|| self.nodes.keys().next().copied())
             else {
                 return false;

@@ -14,7 +14,7 @@
 //!
 //! * **Routing** — 160-entry finger tables, iterative
 //!   `find_successor` with hop counting (`O(log n)` hops with high
-//!   probability; the `chord_micro` bench checks ≈ ½·log₂ n).
+//!   probability; `repro perf`'s `chord_lookup` rows report ≈ ½·log₂ n).
 //! * **Membership** — `join` through a bootstrap node, graceful `leave`
 //!   with key handoff, abrupt `fail` with recovery.
 //! * **Maintenance** — `stabilize` + `notify`, successor-list repair,
@@ -51,6 +51,7 @@ pub mod messages;
 pub mod network;
 pub mod node;
 pub mod routing;
+mod table;
 
 pub use adversary::{AdversaryPlan, AdversaryState, LiePolicy};
 pub use eventnet::{AppEvent, AppMsg, AsyncLookup, EventConfig, EventNet};

@@ -4,8 +4,8 @@
 use crate::fault::{FaultPlan, FaultState};
 use crate::messages::{MessageKind, MessageStats};
 use crate::node::Node;
+use crate::table::{distinct_random_ids, IdTable};
 use autobal_id::{ring, Id, ID_BITS};
-use std::collections::BTreeMap;
 
 /// Configuration knobs for the overlay.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -109,7 +109,8 @@ pub struct FailReport {
 #[derive(Debug, Clone)]
 pub struct Network {
     pub(crate) cfg: NetConfig,
-    pub(crate) nodes: BTreeMap<Id, Node>,
+    /// Every live node, in ascending id order.
+    pub(crate) nodes: IdTable<Node>,
     /// Message counters for the lifetime of the network.
     pub stats: MessageStats,
     /// The armed fault plan (inert unless [`Network::set_fault_plan`]).
@@ -124,7 +125,7 @@ impl Network {
     pub fn new(cfg: NetConfig) -> Network {
         Network {
             cfg,
-            nodes: BTreeMap::new(),
+            nodes: IdTable::default(),
             stats: MessageStats::new(),
             faults: FaultState::inert(),
             clock: 0,
@@ -210,15 +211,8 @@ impl Network {
     /// finger tables). This models the paper's assumption that "the
     /// network starts our experiments stable".
     pub fn bootstrap<R: rand::Rng + ?Sized>(cfg: NetConfig, n: usize, rng: &mut R) -> Network {
-        let mut ids = Vec::with_capacity(n);
         let mut net = Network::new(cfg);
-        while ids.len() < n {
-            let id = Id::random(rng);
-            if let std::collections::btree_map::Entry::Vacant(e) = net.nodes.entry(id) {
-                e.insert(Node::solo(id));
-                ids.push(id);
-            }
-        }
+        net.nodes = IdTable::from_ids(&distinct_random_ids(n, rng), Node::solo);
         net.rewire_ground_truth();
         net
     }
@@ -227,8 +221,11 @@ impl Network {
     /// evenly-spaced rings and deterministic tests). Duplicate ids error.
     pub fn from_ids(cfg: NetConfig, ids: &[Id]) -> Result<Network, NetworkError> {
         let mut net = Network::new(cfg);
-        for &id in ids {
-            if net.nodes.insert(id, Node::solo(id)).is_some() {
+        net.nodes = IdTable::from_ids(ids, Node::solo);
+        if net.nodes.len() < ids.len() {
+            // Name the first id that repeats an earlier one.
+            let mut seen = IdTable::default();
+            if let Some(&id) = ids.iter().find(|&&id| seen.insert(id, ()).is_some()) {
                 return Err(NetworkError::DuplicateId(id));
             }
         }
@@ -267,15 +264,11 @@ impl Network {
     }
 
     /// Ground-truth owner of `key`: the first live node clockwise from
-    /// the key (the BTreeMap oracle, *not* a protocol message).
+    /// the key (an ordered search of the node table, *not* a protocol
+    /// message).
     pub fn owner_of(&self, key: Id) -> Option<Id> {
-        if self.nodes.is_empty() {
-            return None;
-        }
         self.nodes
-            .range(key..)
-            .next()
-            .map(|(id, _)| *id)
+            .at_or_after(&key)
             .or_else(|| self.nodes.keys().next().copied())
     }
 
@@ -284,12 +277,9 @@ impl Network {
         if self.nodes.len() < 2 && self.nodes.contains_key(&id) {
             return Some(id);
         }
-        let after = self
-            .nodes
-            .range((std::ops::Bound::Excluded(id), std::ops::Bound::Unbounded))
-            .next()
-            .map(|(i, _)| *i);
-        after.or_else(|| self.nodes.keys().next().copied())
+        self.nodes
+            .after(&id)
+            .or_else(|| self.nodes.keys().next().copied())
     }
 
     /// Ground-truth predecessor of an id, excluding the id itself.
@@ -297,8 +287,9 @@ impl Network {
         if self.nodes.len() < 2 && self.nodes.contains_key(&id) {
             return Some(id);
         }
-        let before = self.nodes.range(..id).next_back().map(|(i, _)| *i);
-        before.or_else(|| self.nodes.keys().next_back().copied())
+        self.nodes
+            .before(&id)
+            .or_else(|| self.nodes.keys().next_back().copied())
     }
 
     /// Stores a key on its ground-truth owner. Returns the owner.
