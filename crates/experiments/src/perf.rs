@@ -1,8 +1,9 @@
 //! `repro perf` — the benchmark/regression plane.
 //!
 //! Runs pinned end-to-end scenarios on every substrate — the oracle
-//! ring, the synchronous protocol loop and its maintenance cycle, the
-//! event-time strategy loop, and the raw eventnet lookup plane — and
+//! ring, the synchronous protocol loop, its maintenance cycle, lookups
+//! and joins, the event-time strategy loop, and the raw eventnet lookup
+//! plane — and
 //! emits `BENCH_10.json`
 //! (schema `autobal-perf-v1`) with wall time and throughput per
 //! scenario. The oracle-ring scenario additionally runs
@@ -85,15 +86,17 @@ impl HostStamp {
 struct Measurement {
     name: String,
     substrate: &'static str,
-    /// Scenario family for grouped rows (`"oracle_scaling"`), `null`
+    /// Scenario family for grouped rows (`"oracle_scaling"`,
+    /// `"chord_lookup"`), `null`
     /// for the standalone pinned scenarios.
     group: Option<&'static str>,
-    /// Scaling rows: the worker count of the cell.
+    /// Scaling rows: the worker count of the cell; Chord lookup and
+    /// join rows: the ring's node count.
     workers: Option<u64>,
     /// Scaling rows: the configured shard count of the cell.
     shards: Option<u32>,
-    /// What `work` counts: `"ticks"`, `"tasks"`, `"events"` or
-    /// `"cycles"`.
+    /// What `work` counts: `"ticks"`, `"tasks"`, `"events"`,
+    /// `"cycles"`, `"lookups"` or `"joins"`.
     units: &'static str,
     work: u64,
     wall_ms: f64,
@@ -316,6 +319,112 @@ fn chord_maintenance(args: &Args) -> Measurement {
         substrate: "protocol",
         units: "cycles",
         work: MAINTENANCE_CYCLES,
+        wall_ms: ms,
+        throughput: per_s,
+        allocations: allocs,
+        peak_vnodes: None,
+        naive_wall_ms: None,
+        speedup_vs_naive: None,
+    }
+}
+
+/// Lookups per timed batch of `chord_lookup`; the fastest of
+/// `LOOKUP_BATCHES` batches is kept.
+const LOOKUPS: u64 = 20_000;
+const LOOKUP_BATCHES: usize = 3;
+
+/// Iterative lookups from random live nodes for random keys on a
+/// bootstrapped ring of 256 and of 1 024 nodes: the node-table probe
+/// cost of routing. `work` counts lookups, and `allocations` is the
+/// count of one batch (each lookup builds its visited path).
+fn chord_lookup(args: &Args) -> Vec<Measurement> {
+    [256usize, 1_024]
+        .into_iter()
+        .map(|n| {
+            let mut rng = substream(args.seed ^ 0x64, n as u64, domains::PLACEMENT);
+            let mut net = Network::bootstrap(NetConfig::default(), n, &mut rng);
+            let ids = net.node_ids();
+            let queries: Vec<(autobal_id::Id, autobal_id::Id)> = (0..LOOKUPS)
+                .map(|_| {
+                    let from = ids[rng.gen_range(0..ids.len())];
+                    (from, autobal_id::Id::random(&mut rng))
+                })
+                .collect();
+            let mut batch = || -> u64 {
+                queries
+                    .iter()
+                    .map(|&(from, key)| {
+                        let hops = net.lookup(from, key).expect("lookup on a stable ring").hops;
+                        u64::from(hops)
+                    })
+                    .sum()
+            };
+            let (allocs, hops) = alloc_count(&mut batch);
+            let mut ms = f64::INFINITY;
+            for _ in 0..LOOKUP_BATCHES {
+                ms = ms.min(wall_ms(&mut batch).0);
+            }
+            let per_s = LOOKUPS as f64 / (ms / 1e3);
+            println!(
+                "  chord_lookup n={n}: {:.2} hops/lookup | {:.0} ns/lookup ({per_s:.0} lookups/s)",
+                hops as f64 / LOOKUPS as f64,
+                ms * 1e6 / LOOKUPS as f64
+            );
+            Measurement {
+                name: format!("chord_lookup_n{n}"),
+                group: Some("chord_lookup"),
+                workers: Some(n as u64),
+                shards: None,
+                substrate: "protocol",
+                units: "lookups",
+                work: LOOKUPS,
+                wall_ms: ms,
+                throughput: per_s,
+                allocations: allocs,
+                peak_vnodes: None,
+                naive_wall_ms: None,
+                speedup_vs_naive: None,
+            }
+        })
+        .collect()
+}
+
+/// Joins timed by `chord_join`.
+const JOINS: u64 = 400;
+
+/// One node joining a bootstrapped 256-node ring through a fixed
+/// contact: the route to its successor, the handoff, the neighbour
+/// links and the node-table insert. Only the join is timed; the node
+/// then leaves, so every join finds 256 nodes in a table that has
+/// already grown once. `work` counts joins, and `allocations` is their
+/// total.
+fn chord_join(args: &Args) -> Measurement {
+    let mut rng = substream(args.seed ^ 0x65, 0, domains::PLACEMENT);
+    let mut net = Network::bootstrap(NetConfig::default(), 256, &mut rng);
+    let contact = net.node_ids()[0];
+    let mut ms = 0.0;
+    let mut allocs = Some(0);
+    for _ in 0..JOINS {
+        let id = autobal_id::Id::random(&mut rng);
+        let (join_ms, (a, joined)) = wall_ms(|| alloc_count(|| net.join(id, contact)));
+        joined.expect("join into a stable ring");
+        ms += join_ms;
+        allocs = allocs.zip(a).map(|(sum, a)| sum + a);
+        net.leave(id).expect("the joined node leaves");
+    }
+    let per_s = JOINS as f64 / (ms / 1e3);
+    println!(
+        "  chord_join: {:.2} us/join ({per_s:.0} joins/s) into 256 nodes",
+        ms * 1e3 / JOINS as f64
+    );
+    Measurement {
+        name: "chord_join".to_string(),
+        group: None,
+        workers: Some(256),
+        shards: None,
+        substrate: "protocol",
+        units: "joins",
+        work: JOINS,
         wall_ms: ms,
         throughput: per_s,
         allocations: allocs,
@@ -708,10 +817,14 @@ pub fn perf(args: &Args) {
         oracle_ring_large(args),
         chord_protocol(args),
         chord_maintenance(args),
+    ];
+    measurements.extend(chord_lookup(args));
+    measurements.extend([
+        chord_join(args),
         event_substrate(args),
         eventnet(args),
         stats_incremental(args),
-    ];
+    ]);
     measurements.extend(oracle_scaling(args));
 
     let host = HostStamp::current();
