@@ -1,8 +1,9 @@
 //! Routing measurement helpers.
 //!
 //! Chord's headline routing property is `O(log n)` lookup hops; the
-//! `chord_micro` bench and the overlay tests use these helpers to measure
-//! average hop counts against the theoretical ≈ ½·log₂ n.
+//! routing-scalability experiment (`chordx.rs`) and the overlay tests
+//! use these helpers to measure average hop counts against the
+//! theoretical ≈ ½·log₂ n.
 
 use crate::network::Network;
 use autobal_id::Id;
