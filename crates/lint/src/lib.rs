@@ -421,7 +421,6 @@ fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
 /// vendored stand-ins are deliberately out of scope.
 pub const SCAN_ROOTS: &[&str] = &[
     "src",
-    "crates/bench/src",
     "crates/chord/src",
     "crates/core/src",
     "crates/experiments/src",

@@ -96,16 +96,6 @@ pub const LAYERS: &[(&str, &[&str])] = &[
         ],
     ),
     (
-        "autobal-bench",
-        &[
-            "autobal-id",
-            "autobal-stats",
-            "autobal-chord",
-            "autobal-core",
-            "autobal-workload",
-        ],
-    ),
-    (
         "autobal-experiments",
         &[
             "autobal",

@@ -206,7 +206,12 @@ fn snapshot_to_figure_pipeline_conserves_mass() {
         ..cfg(120, 12_000, StrategyKind::RandomInjection)
     };
     let res = Sim::new(c, 8).run();
+    let ticks: Vec<u64> = res.snapshots.iter().map(|s| s.tick).collect();
+    assert_eq!(ticks, [0, 5, 35]);
     for snap in &res.snapshots {
+        assert_eq!(snap.loads.len(), 120, "one load per worker");
+        let done: u64 = res.work_per_tick[..snap.tick as usize].iter().sum();
+        assert_eq!(snap.loads.iter().sum::<u64>(), 12_000 - done);
         let hist = autobal::stats::Histogram::auto(&snap.loads, 25);
         assert_eq!(hist.total() as usize, snap.loads.len());
         let csv = autobal::viz::csv::histogram_series_csv(&[("net", &hist.rows())]);
