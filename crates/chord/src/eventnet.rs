@@ -26,7 +26,7 @@ use crate::fault::{FaultPlan, FaultState};
 use crate::messages::MessageStats;
 use crate::table::{distinct_random_ids, IdTable};
 use autobal_id::{ring, Id, ID_BITS};
-use autobal_telemetry::{MessageStatus, Trace, TraceSink};
+use autobal_telemetry::{MessageStatus, Trace};
 use rand::Rng;
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap, VecDeque};
@@ -152,10 +152,6 @@ struct ENode {
     /// Set only by [`EventNet::rewire_ground_truth`]; an entry clears
     /// when its node is found dead as this node's successor.
     fingers: Vec<Option<Id>>,
-    /// Per-node strategy state: load probes received.
-    queries_seen: u64,
-    /// Per-node strategy state: invitations received.
-    invites_seen: u64,
 }
 
 impl ENode {
@@ -165,8 +161,6 @@ impl ENode {
             successors: vec![id],
             predecessor: None,
             fingers: vec![None; ID_BITS as usize],
-            queries_seen: 0,
-            invites_seen: 0,
         }
     }
 
@@ -572,14 +566,6 @@ impl EventNet {
         self.send_at(at, Id::ZERO, Msg::AppTimer { token });
     }
 
-    /// Per-node strategy state: `(load queries seen, invitations
-    /// seen)` for a live node.
-    pub fn app_stats(&self, id: Id) -> Option<(u64, u64)> {
-        self.nodes
-            .get(&id)
-            .map(|n| (n.queries_seen, n.invites_seen))
-    }
-
     /// Runs the event loop until `deadline` (inclusive) or queue
     /// exhaustion. Returns events delivered to a handler.
     pub fn run_until(&mut self, deadline: u64) -> u64 {
@@ -755,13 +741,6 @@ impl EventNet {
                 // must stay exhaustive without a catch-all.
             }
             Msg::App { from, req, app } => {
-                if let Some(node) = self.nodes.get_mut(&dst) {
-                    match app {
-                        AppMsg::LoadQuery | AppMsg::LoadQueryAbout { .. } => node.queries_seen += 1,
-                        AppMsg::Invitation { .. } => node.invites_seen += 1,
-                        _ => {}
-                    }
-                }
                 self.app_events.push_back(AppEvent::Msg {
                     at: dst,
                     from,

@@ -11,8 +11,8 @@
 
 use crate::metrics::{SimMessageStats, TickSeries};
 use crate::trace::SimEvent;
-use autobal_metrics::{names, LoadDist, MetricsHub, MetricsSample, RingSlot};
-use autobal_telemetry::{MessageStatus, SpanId, Trace, TraceSink};
+use autobal_metrics::{names, MetricsHub, MetricsSample, RingSlot};
+use autobal_telemetry::{MessageStatus, SpanId, Trace};
 
 /// Trace names of the billed message kinds.
 pub const LOAD_QUERY: &str = "load_query";
@@ -39,8 +39,8 @@ pub struct Recorder {
 pub struct Records {
     pub trace: Trace,
     pub metrics: Vec<MetricsSample>,
-    /// One row per metrics sample on the oracle ring; empty on the
-    /// Chord substrates.
+    /// One row per metrics sample; only the oracle ring's result
+    /// carries it.
     pub series: TickSeries,
     pub tally: SimMessageStats,
     pub workers_crashed: u64,
@@ -149,30 +149,11 @@ impl Recorder {
         self.trace.close_span(tick, span);
     }
 
-    /// One oracle-ring sample: a [`TickSeries`] row and a metrics
-    /// sample, both read from the incremental load distribution.
-    pub fn sample_dist(
-        &mut self,
-        tick: u64,
-        vnodes: usize,
-        remaining: u64,
-        dist: &LoadDist,
-        ring: Vec<RingSlot>,
-    ) {
-        let s = &mut self.series;
-        s.ticks.push(tick);
-        s.active_workers.push(dist.len() as usize);
-        s.vnodes.push(vnodes);
-        s.remaining.push(remaining);
-        s.gini.push(dist.gini());
-        s.idle.push(dist.zeros() as usize);
-        self.shape(vnodes, remaining);
-        self.hub.sample_from_dist(tick, dist, ring);
-    }
-
-    /// One metrics sample stamped `time`, with fairness gauges from a
-    /// batch sweep of the active workers' `loads` (sorted in place).
-    pub fn sample_batch(
+    /// The one sampling method of every substrate: sorts the active
+    /// workers' `loads` once, writes the metrics sample stamped `time`
+    /// from that sweep, and fills the [`TickSeries`] row from the same
+    /// sorted slice (only the oracle ring hands its series on).
+    pub fn sample(
         &mut self,
         time: u64,
         vnodes: usize,
@@ -180,13 +161,17 @@ impl Recorder {
         loads: &mut [u64],
         ring: Vec<RingSlot>,
     ) {
-        self.shape(vnodes, remaining);
-        self.hub.sample_batch(time, loads, ring);
-    }
-
-    fn shape(&mut self, vnodes: usize, remaining: u64) {
+        loads.sort_unstable();
+        let s = &mut self.series;
+        s.ticks.push(time);
+        s.active_workers.push(loads.len());
+        s.vnodes.push(vnodes);
+        s.remaining.push(remaining);
+        s.gini.push(autobal_stats::fairness::gini_sorted(loads));
+        s.idle.push(loads.partition_point(|&v| v == 0));
         self.hub.set_gauge(names::VNODES, vnodes as u64);
         self.hub.set_gauge(names::TASKS_REMAINING, remaining);
+        self.hub.sample_batch(time, loads, ring);
     }
 
     /// The strategy and churn counters so far.
@@ -293,7 +278,7 @@ mod tests {
         rec.bill(1, INVITATION, MessageStatus::Delivered, 0);
         rec.bill(1, JOIN, MessageStatus::TimedOut, 4);
         rec.work(50);
-        rec.sample_batch(1, 4, 9, &mut [], Vec::new());
+        rec.sample(1, 4, 9, &mut [], Vec::new());
         let records = rec.finish(1, false);
         let s = &records.metrics[0];
         for (name, n) in [

@@ -12,7 +12,7 @@ use crate::strategy::{
 use crate::trace::SimEvent;
 use crate::worker::{Worker, WorkerId, WorkerState};
 use autobal_id::{ring, Id};
-use autobal_metrics::{profile, LoadDist, RingSlot};
+use autobal_metrics::{profile, RingSlot};
 use autobal_stats::rng::{domains, substream, DetRng};
 use autobal_telemetry::MessageStatus;
 use rand::Rng;
@@ -42,15 +42,6 @@ pub struct Sim {
     work_history: Vec<u64>,
     snapshots: Vec<Snapshot>,
     peak_vnodes: usize,
-    /// Incremental mirror of the active workers' cached loads (see
-    /// `autobal-metrics`): every load delta updates it in O(log L), so
-    /// sampling reads Gini/percentiles without the
-    /// per-sample copy-and-sort — bit-equal to the batch recompute
-    /// because both feed the same exact integer sums through
-    /// `autobal_stats::fairness`.
-    dist: LoadDist,
-    /// Whether the load dist is maintained (metrics sampling armed).
-    dist_on: bool,
     /// Whether [`Sim::run`] may tick with the worker load ledger
     /// detached: no churn, no strategy, one vnode per worker, no
     /// sampling or snapshots armed — nothing can observe per-worker
@@ -172,16 +163,9 @@ impl Sim {
         );
         rec.start("oracle", cfg.strategy.label(), seed);
         let strategies = crate::strategy::stack_for(&cfg);
-        let dist_on = cfg.record_metrics;
-        let mut dist = LoadDist::new();
-        if dist_on {
-            for w in workers.iter().filter(|w| w.is_active()) {
-                dist.insert(w.load);
-            }
-        }
         let ledger_detached_ok = matches!(cfg.strategy, crate::config::StrategyKind::None)
             && !cfg.churn_enabled()
-            && !dist_on
+            && !cfg.record_metrics
             && cfg.snapshot_ticks.is_empty()
             && cfg.virtual_nodes_per_worker <= 1;
         let caps: Vec<u32> = if ledger_detached_ok {
@@ -208,8 +192,6 @@ impl Sim {
             work_history: Vec::with_capacity((cfg_max_ticks.min(65_536)) as usize),
             snapshots: Vec::new(),
             peak_vnodes: peak,
-            dist,
-            dist_on,
             ledger_detached_ok,
             caps,
             rec,
@@ -320,16 +302,14 @@ impl Sim {
     /// each worker's vnodes in `Worker::vnodes()` order, spilling the
     /// worker's capacity across them as `min(remaining capacity, vnode
     /// load)` — exactly the pops a one-at-a-time loop would make, in
-    /// the order it would draw them. Settles load caches and the load
-    /// distribution as it goes. Returns the tick's total pop count.
+    /// the order it would draw them. Settles load caches as it goes.
+    /// Returns the tick's total pop count.
     fn plan_work(&mut self) -> u64 {
         let strength_based = self.cfg.work_measurement == WorkMeasurement::StrengthPerTick;
         let Sim {
             workers,
             handles,
             ring,
-            dist,
-            dist_on,
             ..
         } = self;
         let mut consumed = 0u64;
@@ -354,26 +334,22 @@ impl Sim {
                     left -= p;
                 }
             }
-            let done = budget - left;
-            if *dist_on {
-                dist.update(load, load - done);
-            }
-            w.load = load - done;
+            w.load = load - (budget - left);
         }
         consumed
     }
 
     /// Records the sample due at the current tick, if any: one series
-    /// row and one metrics sample, both read from the incrementally
-    /// maintained load distribution (see the `dist` field), plus a
-    /// per-worker ring snapshot when configured.
+    /// row and one metrics sample, both from one sweep of the active
+    /// workers' cached loads, plus a per-worker ring snapshot when
+    /// configured.
     fn sample(&mut self) {
         if !self.rec.due(self.tick, || self.ring.total_tasks() == 0) {
             return;
         }
         let _p = profile::span("sample");
-        debug_assert!(self.dist_on, "sampling requires the load dist");
-        debug_assert_eq!(self.dist.len() as usize, self.active_count);
+        let mut loads = self.active_loads();
+        debug_assert_eq!(loads.len(), self.active_count);
         let ring_slots: Vec<RingSlot> = if self.rec.ring_enabled() {
             self.workers
                 .iter()
@@ -390,11 +366,11 @@ impl Sim {
         } else {
             Vec::new()
         };
-        self.rec.sample_dist(
+        self.rec.sample(
             self.tick,
             self.ring.len(),
             self.ring.total_tasks(),
-            &self.dist,
+            &mut loads,
             ring_slots,
         );
     }
@@ -460,9 +436,6 @@ impl Sim {
         }
         let primary = self.workers[idx].primary;
         let _ = self.remove_vnode_tracked(primary);
-        if self.dist_on {
-            self.dist.remove(self.workers[idx].load);
-        }
         self.workers[idx].state = WorkerState::Waiting;
         debug_assert_eq!(self.workers[idx].load, 0);
         self.workers[idx].load = 0;
@@ -479,9 +452,6 @@ impl Sim {
         debug_assert!(!self.workers[idx].is_active());
         self.workers[idx].state = WorkerState::Active;
         self.workers[idx].load = 0;
-        if self.dist_on {
-            self.dist.insert(0);
-        }
         let pos = loop {
             let p = Id::random(&mut self.rng_churn);
             if !self.ring.contains(p) {
@@ -530,14 +500,6 @@ impl Sim {
         if acquired > 0 {
             let victim_vnode = self.ring.successor_of(pos).expect("successor after split");
             let victim_owner = self.ring.vnode_owner(victim_vnode).expect("vnode");
-            // Mirror both load deltas into the incremental distribution
-            // (a self-transfer is a net no-op there).
-            if self.dist_on && victim_owner != owner {
-                let v = self.workers[victim_owner].load;
-                let o = self.workers[owner].load;
-                self.dist.update(v, v - acquired);
-                self.dist.update(o, o + acquired);
-            }
             self.workers[victim_owner].load -= acquired;
             self.workers[owner].load += acquired;
         }
@@ -554,12 +516,6 @@ impl Sim {
         }
         if moved > 0 {
             let succ_owner = self.ring.vnode_owner(succ).expect("successor");
-            if self.dist_on && succ_owner != owner {
-                let o = self.workers[owner].load;
-                let s = self.workers[succ_owner].load;
-                self.dist.update(o, o - moved);
-                self.dist.update(s, s + moved);
-            }
             self.workers[owner].load -= moved;
             self.workers[succ_owner].load += moved;
         }
@@ -645,16 +601,6 @@ impl Sim {
                 .collect();
             let via_ids: Vec<u64> = w.vnodes().map(|v| self.ring.load(v)).collect();
             assert_eq!(via_handles, via_ids, "slot handles of worker {i}");
-        }
-        if self.dist_on {
-            assert_eq!(self.dist.len() as usize, self.active_count, "dist size");
-            let total: u128 = self
-                .workers
-                .iter()
-                .filter(|w| w.is_active())
-                .map(|w| w.load as u128)
-                .sum();
-            assert_eq!(self.dist.total(), total, "dist total");
         }
     }
 }
@@ -1406,7 +1352,7 @@ mod telemetry_tests {
         )
         .run();
         assert!(res.trace.is_empty());
-        assert!(!res.trace.is_enabled());
+        assert!(!res.trace.enabled());
     }
 
     #[test]

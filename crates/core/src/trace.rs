@@ -508,7 +508,6 @@ mod tests {
 
     #[test]
     fn event_log_decodes_the_decisions_of_a_trace() {
-        use autobal_telemetry::TraceSink;
         let mut trace = Trace::new(true);
         trace.run_start(0, "oracle", "random", 1);
         trace.message(

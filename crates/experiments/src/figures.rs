@@ -3,7 +3,6 @@
 
 use crate::common::{aligned_histograms, run_with_snapshots, write_out, Args};
 use autobal_core::{Heterogeneity, SimConfig, StrategyKind};
-use autobal_id::Id;
 use autobal_stats::rng::{domains, substream};
 use autobal_stats::LogHistogram;
 use autobal_viz::csv::histogram_series_csv;
@@ -306,18 +305,3 @@ pub fn fig13_14(args: &Args) {
         &[35],
     );
 }
-
-/// Sanity helper shared by tests: the tick-35 idle count of a strategy
-/// run must undercut the baseline's.
-#[allow(dead_code)]
-pub fn idle_at_tick(mut cfg: SimConfig, seed: u64, tick: u64) -> usize {
-    cfg.snapshot_ticks = vec![tick];
-    autobal_core::Sim::new(cfg, seed)
-        .run()
-        .snapshot_at(tick)
-        .map(|s| s.idle)
-        .unwrap_or(0)
-}
-
-#[allow(dead_code)]
-pub fn _silence(_: &[Id]) {}

@@ -43,7 +43,7 @@ fn ring_snapshot(samples: &[MetricsSample]) -> String {
 pub fn metrics(args: &Args) {
     println!("metrics: streaming sample streams on all three substrates ({NODES}n/{TASKS}t)");
 
-    // Oracle ring: the incremental LoadDist path.
+    // Oracle ring: one sweep of the workers' cached loads per sample.
     let oracle = Sim::new(
         SimConfig {
             nodes: NODES,
@@ -59,7 +59,7 @@ pub fn metrics(args: &Args) {
     )
     .run();
 
-    // Chord protocol: the batch sweep path, plus message-fate counters.
+    // Chord protocol: the same sweep, plus message-fate counters.
     let pcfg = ProtocolSimConfig {
         nodes: NODES,
         tasks: TASKS,

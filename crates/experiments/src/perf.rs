@@ -29,7 +29,8 @@
 //! `--baseline PATH` compares this run's throughput against a committed
 //! `BENCH_10.json` and fails (exit 1) only on a >2x regression; smaller
 //! wobble is expected CI noise. Scenarios absent from the baseline are
-//! skipped, so reduced-grid runs can be gated on full-grid baselines.
+//! skipped, so reduced-grid runs can be gated on full-grid baselines;
+//! baseline scenarios this run did not produce are listed by name.
 //!
 //! With the `count-allocs` feature the binary's global allocator counts
 //! allocation events and each scenario reports its count; without it
@@ -522,118 +523,6 @@ fn eventnet(args: &Args) -> Measurement {
     }
 }
 
-/// Workers and churn deltas of the stats-cost scenario — the same
-/// 6 000-worker scale as `oracle_ring_large`, isolated to the fairness
-/// sweep the metrics plane replaced.
-const STATS_WORKERS: usize = 6_000;
-const STATS_TICKS: u64 = 400;
-/// Load deltas applied between consecutive sample points.
-const STATS_DELTAS_PER_TICK: usize = 64;
-
-/// Per-tick fairness statistics, incremental vs batch: replay one
-/// deterministic load-churn script twice — once updating a
-/// [`autobal_metrics::LoadDist`] per delta and reading its aggregates
-/// (`O(log L)` per delta), once re-sorting the full load vector and
-/// recomputing from scratch at every tick (`O(n log n)`) — and assert
-/// (untimed) that the two per-tick `gini_ppm`/percentile sequences are
-/// identical before reporting the measured speedup in the
-/// `naive_wall_ms`/`speedup_vs_naive` columns.
-fn stats_incremental(args: &Args) -> Measurement {
-    let seed = args.seed ^ 0x62;
-    let mut rng = substream(seed, 0, domains::PLACEMENT);
-    let loads: Vec<u64> = (0..STATS_WORKERS)
-        .map(|_| rng.gen_range(0..400u64))
-        .collect();
-    // The churn script: (worker, new load) per delta, fixed up front so
-    // both engines replay identical inputs.
-    let mut script: Vec<(usize, u64)> = Vec::new();
-    for _ in 0..STATS_TICKS {
-        for _ in 0..STATS_DELTAS_PER_TICK {
-            script.push((rng.gen_range(0..STATS_WORKERS), rng.gen_range(0..400u64)));
-        }
-    }
-
-    let incremental = |loads: &[u64]| -> Vec<(u64, u64)> {
-        let mut dist = autobal_metrics::LoadDist::new();
-        for &v in loads {
-            dist.insert(v);
-        }
-        let mut cur = loads.to_vec();
-        let mut out = Vec::with_capacity(STATS_TICKS as usize);
-        for tick in script.chunks(STATS_DELTAS_PER_TICK) {
-            for &(w, new) in tick {
-                dist.update(cur[w], new);
-                cur[w] = new;
-            }
-            out.push((dist.gini_ppm(), dist.percentile(99)));
-        }
-        out
-    };
-    let batch = |loads: &[u64]| -> Vec<(u64, u64)> {
-        let mut cur = loads.to_vec();
-        let mut out = Vec::with_capacity(STATS_TICKS as usize);
-        let mut scratch = Vec::with_capacity(cur.len());
-        for tick in script.chunks(STATS_DELTAS_PER_TICK) {
-            for &(w, new) in tick {
-                cur[w] = new;
-            }
-            scratch.clear();
-            scratch.extend_from_slice(&cur);
-            scratch.sort_unstable();
-            let n = scratch.len() as u64;
-            let total: u128 = scratch.iter().map(|&v| v as u128).sum();
-            let weighted: u128 = scratch
-                .iter()
-                .enumerate()
-                .map(|(i, &v)| (i as u128 + 1) * v as u128)
-                .sum();
-            out.push((
-                autobal_metrics::dist::gini_ppm_from_sums(n, total, weighted),
-                autobal_stats::fairness::percentile_sorted(&scratch, 99),
-            ));
-        }
-        out
-    };
-
-    // Warm, then best-of-N both ways; equality is asserted untimed.
-    assert_eq!(
-        incremental(&loads),
-        batch(&loads),
-        "incremental stats diverged from the batch recompute"
-    );
-    let mut inc_ms = f64::INFINITY;
-    let mut batch_ms = f64::INFINITY;
-    let mut allocs = None;
-    for _ in 0..ORACLE_REPS {
-        let (ms, _) = wall_ms(|| batch(&loads));
-        batch_ms = batch_ms.min(ms);
-        let (ms, (a, _)) = wall_ms(|| alloc_count(|| incremental(&loads)));
-        inc_ms = inc_ms.min(ms);
-        allocs = a;
-    }
-
-    let speedup = batch_ms / inc_ms;
-    println!(
-        "  stats_incremental: {} ticks x {} workers | incremental {:.1} ms | batch {:.1} ms | speedup {:.2}x",
-        STATS_TICKS, STATS_WORKERS, inc_ms, batch_ms, speedup
-    );
-    Measurement {
-        name: "stats_incremental".to_string(),
-        group: None,
-        workers: None,
-        shards: None,
-        substrate: "metrics",
-        units: "ticks",
-        work: STATS_TICKS,
-        wall_ms: inc_ms,
-        throughput: STATS_TICKS as f64 / (inc_ms / 1e3),
-        allocations: allocs,
-        peak_vnodes: None,
-        naive_wall_ms: Some(batch_ms),
-        speedup_vs_naive: Some(speedup),
-    }
-}
-
 /// The scaling grid: `(workers, shard counts)` cells. Tasks are
 /// proportional (100 per worker) so every cell drains the same
 /// per-worker workload; the reduced grid is the CI smoke.
@@ -770,19 +659,26 @@ fn oracle_scaling(args: &Args) -> Vec<Measurement> {
     out
 }
 
-/// Compares this run against a committed `BENCH_10.json`. Returns the
-/// regressions found (scenario name, baseline throughput, current).
-fn compare_baseline(
-    baseline_raw: &str,
-    current: &[Measurement],
-) -> Result<Vec<(String, f64, f64)>, String> {
+/// What comparing a run against a baseline found.
+#[derive(Debug, Default)]
+struct BaselineReport {
+    /// Scenario name, baseline throughput and current throughput of
+    /// every >2x fall.
+    regressions: Vec<(String, f64, f64)>,
+    /// Baseline scenarios this run did not produce.
+    missing: Vec<String>,
+}
+
+/// Compares this run against a committed `BENCH_10.json`, printing one
+/// line per scenario either side has.
+fn compare_baseline(baseline_raw: &str, current: &[Measurement]) -> Result<BaselineReport, String> {
     let doc: serde_json::Value =
         serde_json::from_str(baseline_raw).map_err(|e| format!("baseline parse error: {e:?}"))?;
     let scenarios = doc
         .get("scenarios")
         .and_then(|s| s.as_array())
         .ok_or("baseline has no `scenarios` array")?;
-    let mut regressions = Vec::new();
+    let mut report = BaselineReport::default();
     for m in current {
         let Some(base) = scenarios
             .iter()
@@ -798,7 +694,9 @@ fn compare_baseline(
             return Err(format!("baseline scenario `{}` has no throughput", m.name));
         };
         let verdict = if m.throughput < base_tp / 2.0 {
-            regressions.push((m.name.to_string(), base_tp, m.throughput));
+            report
+                .regressions
+                .push((m.name.to_string(), base_tp, m.throughput));
             "REGRESSION (>2x)"
         } else {
             "ok"
@@ -808,7 +706,13 @@ fn compare_baseline(
             m.name, base_tp, m.throughput, m.units, verdict
         );
     }
-    Ok(regressions)
+    for name in scenarios.iter().filter_map(|s| s.get("name")?.as_str()) {
+        if !current.iter().any(|m| m.name == name) {
+            println!("  baseline: scenario `{name}` not produced by this run");
+            report.missing.push(name.to_string());
+        }
+    }
+    Ok(report)
 }
 
 pub fn perf(args: &Args) {
@@ -819,12 +723,7 @@ pub fn perf(args: &Args) {
         chord_maintenance(args),
     ];
     measurements.extend(chord_lookup(args));
-    measurements.extend([
-        chord_join(args),
-        event_substrate(args),
-        eventnet(args),
-        stats_incremental(args),
-    ]);
+    measurements.extend([chord_join(args), event_substrate(args), eventnet(args)]);
     measurements.extend(oracle_scaling(args));
 
     let host = HostStamp::current();
@@ -840,11 +739,11 @@ pub fn perf(args: &Args) {
         let raw = fs::read_to_string(path)
             .unwrap_or_else(|e| panic!("read baseline {}: {e}", path.display()));
         match compare_baseline(&raw, &measurements) {
-            Ok(regressions) if regressions.is_empty() => {
+            Ok(report) if report.regressions.is_empty() => {
                 println!("  baseline: no >2x regressions");
             }
-            Ok(regressions) => {
-                for (name, base, cur) in &regressions {
+            Ok(report) => {
+                for (name, base, cur) in &report.regressions {
                     eprintln!("perf regression: {name} fell from {base:.0}/s to {cur:.0}/s (>2x)");
                 }
                 std::process::exit(1);
@@ -906,13 +805,23 @@ mod tests {
     fn baseline_flags_only_2x_regressions() {
         // Current at 40% of baseline: within the 2x gate.
         let r = compare_baseline(&doc(1000.0), &[m("oracle_ring_large", 501.0)]).unwrap();
-        assert!(r.is_empty());
+        assert!(r.regressions.is_empty());
         // Below half: regression.
         let r = compare_baseline(&doc(1000.0), &[m("oracle_ring_large", 499.0)]).unwrap();
-        assert_eq!(r.len(), 1);
+        assert_eq!(r.regressions.len(), 1);
         // Unknown scenario: skipped, not an error.
         let r = compare_baseline(&doc(1000.0), &[m("brand_new", 1.0)]).unwrap();
-        assert!(r.is_empty());
+        assert!(r.regressions.is_empty());
+    }
+
+    #[test]
+    fn baseline_scenarios_this_run_lacks_are_listed() {
+        let r = compare_baseline(&doc(1000.0), &[m("oracle_ring_large", 900.0)]).unwrap();
+        assert!(r.missing.is_empty());
+        let r = compare_baseline(&doc(1000.0), &[m("brand_new", 1.0)]).unwrap();
+        assert_eq!(r.missing, vec!["oracle_ring_large".to_string()]);
+        let r = compare_baseline(&doc(1000.0), &[]).unwrap();
+        assert_eq!(r.missing, vec!["oracle_ring_large".to_string()]);
     }
 
     #[test]

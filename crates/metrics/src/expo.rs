@@ -213,7 +213,6 @@ pub fn validate_exposition(text: &str) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dist::LoadDist;
     use crate::hub::MetricsHub;
 
     fn rendered() -> String {
@@ -223,11 +222,7 @@ mod tests {
         hub.inc(names::MSG_DELIVERED);
         hub.observe(names::MSG_RETRIES, 1);
         hub.inc(names::TICKS);
-        let mut dist = LoadDist::new();
-        for l in [0u64, 3, 9] {
-            dist.insert(l);
-        }
-        hub.sample_from_dist(4, &dist, Vec::new());
+        hub.sample_batch(4, &[0, 3, 9], Vec::new());
         render_exposition(&hub.samples()[0])
     }
 

@@ -5,12 +5,12 @@
 //! always-constructible recorder that is free when disabled. The
 //! substrates' recorder (`autobal_core::record::Recorder`) calls its
 //! counter and histogram methods from their hot paths (all
-//! allocation-free after construction) and the sampling methods at its
-//! cadence (which
-//! snapshot the registry into a [`MetricsSample`] and may allocate;
-//! sampling is outside the steady-state alloc gate).
+//! allocation-free after construction) and [`MetricsHub::sample_batch`]
+//! at its cadence (which snapshots the registry into a
+//! [`MetricsSample`] and may allocate; sampling is outside the
+//! steady-state alloc gate).
 
-use crate::dist::{gini_ppm_from_sums, LoadDist};
+use crate::dist::gini_ppm_from_sums;
 use crate::names;
 use crate::registry::Registry;
 use crate::sample::{HistSnapshot, MetricsSample, RingSlot};
@@ -87,112 +87,75 @@ impl MetricsHub {
         self.samples
     }
 
-    /// Snapshot the registry plus fairness gauges computed from an
-    /// incrementally-maintained [`LoadDist`] — O(log L), no sort.
-    pub fn sample_from_dist(&mut self, time: u64, dist: &LoadDist, ring: Vec<RingSlot>) {
-        if self.registry.is_none() {
+    /// Snapshot the registry plus fairness gauges computed by one
+    /// sweep of the active workers' loads, `sorted` ascending: exact
+    /// integer count, total and rank-weighted sum, from which the Gini
+    /// gauge is derived, plus the idle count, max and percentiles read
+    /// off the slice.
+    pub fn sample_batch(&mut self, time: u64, sorted: &[u64], ring: Vec<RingSlot>) {
+        let Some(reg) = self.registry.as_mut() else {
             return;
-        }
-        let total = dist.total();
-        let stats = FairnessGauges {
-            n: dist.len(),
-            idle: dist.zeros(),
-            total: total as u64,
-            max: dist.max(),
-            pct: [
-                dist.percentile(PCTS[0].0),
-                dist.percentile(PCTS[1].0),
-                dist.percentile(PCTS[2].0),
-            ],
-            gini_ppm: dist.gini_ppm(),
         };
-        self.push_sample(time, stats, ring);
-    }
-
-    /// Snapshot the registry plus fairness gauges computed by a batch
-    /// sweep of `loads` (sorted in place). For substrates whose load
-    /// movements happen inside the network and cannot be intercepted
-    /// per-delta; emits byte-identical gauge values to the incremental
-    /// path because both reduce to the same exact integer aggregates.
-    pub fn sample_batch(&mut self, time: u64, loads: &mut [u64], ring: Vec<RingSlot>) {
-        if self.registry.is_none() {
-            return;
-        }
-        loads.sort_unstable();
-        let n = loads.len() as u64;
-        let total: u128 = loads.iter().map(|&v| v as u128).sum();
-        let weighted: u128 = loads
+        debug_assert!(
+            sorted.windows(2).all(|w| w[0] <= w[1]),
+            "sample_batch needs ascending loads"
+        );
+        let n = sorted.len() as u64;
+        let total: u128 = sorted.iter().map(|&v| v as u128).sum();
+        let weighted: u128 = sorted
             .iter()
             .enumerate()
             .map(|(i, &v)| (i as u128 + 1) * v as u128)
             .sum();
-        let stats = FairnessGauges {
-            n,
-            idle: loads.iter().take_while(|&&v| v == 0).count() as u64,
-            total: total as u64,
-            max: loads.last().copied().unwrap_or(0),
-            pct: [
-                autobal_stats::fairness::percentile_sorted(loads, PCTS[0].0),
-                autobal_stats::fairness::percentile_sorted(loads, PCTS[1].0),
-                autobal_stats::fairness::percentile_sorted(loads, PCTS[2].0),
-            ],
-            gini_ppm: gini_ppm_from_sums(n, total, weighted),
-        };
-        self.push_sample(time, stats, ring);
-    }
-
-    fn push_sample(&mut self, time: u64, stats: FairnessGauges, ring: Vec<RingSlot>) {
-        let reg = self.registry.as_mut().expect("checked by callers");
-        reg.set_gauge(names::WORKERS_ACTIVE, stats.n);
-        reg.set_gauge(names::WORKERS_IDLE, stats.idle);
-        reg.set_gauge(names::LOAD_TOTAL, stats.total);
-        reg.set_gauge(names::LOAD_MAX, stats.max);
-        for (i, &(_, name)) in PCTS.iter().enumerate() {
-            reg.set_gauge(name, stats.pct[i]);
+        let max = sorted.last().copied().unwrap_or(0);
+        reg.set_gauge(names::WORKERS_ACTIVE, n);
+        reg.set_gauge(
+            names::WORKERS_IDLE,
+            sorted.partition_point(|&v| v == 0) as u64,
+        );
+        reg.set_gauge(names::LOAD_TOTAL, total as u64);
+        reg.set_gauge(names::LOAD_MAX, max);
+        for (p, name) in PCTS {
+            reg.set_gauge(name, autobal_stats::fairness::percentile_sorted(sorted, p));
         }
-        reg.set_gauge(names::GINI_PPM, stats.gini_ppm);
-        let imbalance_ppm = if stats.n == 0 || stats.total == 0 {
+        reg.set_gauge(names::GINI_PPM, gini_ppm_from_sums(n, total, weighted));
+        let imbalance_ppm = if n == 0 || total == 0 {
             0
         } else {
-            (stats.max as u128 * stats.n as u128 * 1_000_000 / stats.total as u128) as u64
+            (max as u128 * n as u128 * 1_000_000 / total) as u64
         };
         reg.set_gauge(names::IMBALANCE_PPM, imbalance_ppm);
-
-        let mut counters = Vec::new();
-        let mut gauges = Vec::new();
-        reg.each_scalar(|name, kind, value| match kind {
-            crate::registry::Kind::Counter => counters.push((name.to_string(), value)),
-            crate::registry::Kind::Gauge => gauges.push((name.to_string(), value)),
-            crate::registry::Kind::Histogram => {}
-        });
-        let mut hists = Vec::new();
-        reg.each_hist(|name, h| {
-            hists.push((
-                name.to_string(),
-                HistSnapshot {
-                    count: h.count,
-                    sum: h.sum,
-                    buckets: h.buckets[..h.trimmed_len()].to_vec(),
-                },
-            ));
-        });
-        self.samples.push(MetricsSample {
-            time,
-            counters,
-            gauges,
-            hists,
-            ring,
-        });
+        self.samples.push(snapshot(reg, time, ring));
     }
 }
 
-struct FairnessGauges {
-    n: u64,
-    idle: u64,
-    total: u64,
-    max: u64,
-    pct: [u64; 3],
-    gini_ppm: u64,
+/// The registry's current values as one sample stamped `time`.
+fn snapshot(reg: &Registry, time: u64, ring: Vec<RingSlot>) -> MetricsSample {
+    let mut counters = Vec::new();
+    let mut gauges = Vec::new();
+    reg.each_scalar(|name, kind, value| match kind {
+        crate::registry::Kind::Counter => counters.push((name.to_string(), value)),
+        crate::registry::Kind::Gauge => gauges.push((name.to_string(), value)),
+        crate::registry::Kind::Histogram => {}
+    });
+    let mut hists = Vec::new();
+    reg.each_hist(|name, h| {
+        hists.push((
+            name.to_string(),
+            HistSnapshot {
+                count: h.count,
+                sum: h.sum,
+                buckets: h.buckets[..h.trimmed_len()].to_vec(),
+            },
+        ));
+    });
+    MetricsSample {
+        time,
+        counters,
+        gauges,
+        hists,
+        ring,
+    }
 }
 
 #[cfg(test)]
@@ -205,33 +168,24 @@ mod tests {
         assert!(!hub.enabled());
         hub.inc(names::TICKS);
         hub.observe(names::MSG_RETRIES, 2);
-        let mut dist = LoadDist::new();
-        dist.insert(5);
-        hub.sample_from_dist(3, &dist, Vec::new());
+        hub.sample_batch(3, &[5], Vec::new());
         assert!(hub.samples().is_empty());
     }
 
     #[test]
-    fn dist_and_batch_sampling_agree_byte_for_byte() {
-        let loads = [0u64, 4, 4, 9, 130, 2, 0, 77];
-        let mut dist = LoadDist::new();
-        for &l in &loads {
-            dist.insert(l);
-        }
-        let mut a = MetricsHub::new(true);
-        a.sample_from_dist(7, &dist, Vec::new());
-        let mut b = MetricsHub::new(true);
-        let mut scratch = loads.to_vec();
-        b.sample_batch(7, &mut scratch, Vec::new());
-        assert_eq!(
-            crate::sample::to_jsonl(a.samples()),
-            crate::sample::to_jsonl(b.samples())
-        );
-        let s = &a.samples()[0];
+    fn batch_sample_reads_fairness_gauges_off_the_sorted_loads() {
+        let mut hub = MetricsHub::new(true);
+        hub.sample_batch(7, &[0, 0, 2, 4, 4, 9, 77, 130], Vec::new());
+        let s = &hub.samples()[0];
+        assert_eq!(s.time, 7);
         assert_eq!(s.gauge(names::WORKERS_ACTIVE), Some(8));
         assert_eq!(s.gauge(names::WORKERS_IDLE), Some(2));
         assert_eq!(s.gauge(names::LOAD_MAX), Some(130));
         assert_eq!(s.gauge(names::LOAD_TOTAL), Some(226));
+        assert_eq!(s.gauge(names::LOAD_P50), Some(4));
+        assert_eq!(s.gauge(names::LOAD_P99), Some(130));
+        // max·n/T = 130·8/226.
+        assert_eq!(s.gauge(names::IMBALANCE_PPM), Some(4_601_769));
     }
 
     #[test]
@@ -242,8 +196,7 @@ mod tests {
         hub.observe(names::TRANSFER_SIZE, 3);
         hub.inc(names::TICKS);
         hub.add(names::TASKS_DONE, 50);
-        let dist = LoadDist::new();
-        hub.sample_from_dist(1, &dist, Vec::new());
+        hub.sample_batch(1, &[], Vec::new());
         let s = &hub.samples()[0];
         assert_eq!(s.counter(names::SYBIL_CREATED), Some(1));
         assert_eq!(s.counter(names::WORKER_LEFT), Some(0));
@@ -257,10 +210,9 @@ mod tests {
     #[test]
     fn ring_snapshot_is_carried_through() {
         let mut hub = MetricsHub::new(true);
-        let dist = LoadDist::new();
-        hub.sample_from_dist(
+        hub.sample_batch(
             0,
-            &dist,
+            &[],
             vec![RingSlot {
                 worker: 1,
                 pos: "aa".into(),

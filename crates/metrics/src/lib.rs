@@ -8,12 +8,13 @@
 //!   counters, gauges, and log₂ histograms. After construction every
 //!   increment is allocation-free (flat `u64` slots, binary-searched
 //!   static names), which the root crate's `meminstr` gate enforces.
-//! - **Incremental fairness** ([`dist::LoadDist`]): the per-tick
-//!   Gini/percentile sweep replaced by a Fenwick-tree-over-load-buckets
-//!   multiset, `O(log L)` per load delta, maintaining the *exact*
-//!   integer aggregates of the batch recompute so the floats produced
-//!   through `autobal_stats::fairness` are bit-equal — the simulator's
-//!   golden series do not move by a single byte.
+//! - **Fairness gauges** ([`MetricsHub::sample_batch`]): one sweep
+//!   over the active workers' sorted loads at each sample gives the
+//!   Gini, percentile, idle and max gauges from exact integer
+//!   aggregates ([`dist::gini_ppm_from_sums`]), the same on every
+//!   substrate. Loads change on every tick for every busy worker, so
+//!   a sort per sample costs less than keeping a multiset up to date
+//!   per delta.
 //! - **Export** ([`sample`], [`expo`]): integer-only JSONL samples
 //!   (byte-stable across platforms and thread counts), CSV time series,
 //!   and dependency-free Prometheus text exposition with a validator.
@@ -26,13 +27,12 @@
 
 pub mod dist;
 pub mod expo;
-pub mod fenwick;
 pub mod hub;
 pub mod names;
 pub mod profile;
 pub mod registry;
 pub mod sample;
 
-pub use dist::{DistSummary, LoadDist};
+pub use dist::DistSummary;
 pub use hub::MetricsHub;
 pub use sample::{MetricsSample, RingSlot};

@@ -170,7 +170,7 @@ pub fn render_divergence(d: &Divergence) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sink::{Trace, TraceSink};
+    use crate::sink::Trace;
 
     /// An oracle-side span: the load query always succeeds, the worker
     /// splits at the probed target.

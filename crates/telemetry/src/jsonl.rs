@@ -147,7 +147,7 @@ pub fn check_framing(records: &[TraceRecord]) -> Result<(), String> {
 mod tests {
     use super::*;
     use crate::record::MessageStatus;
-    use crate::sink::{Trace, TraceSink};
+    use crate::sink::Trace;
 
     fn sample() -> Trace {
         let mut t = Trace::new(true);

@@ -4,7 +4,7 @@
 //! (`autobal-core`), the synchronous Chord protocol sim, and the
 //! event-driven `EventNet` — produces the same fragmented signals:
 //! message counters, retry totals, an event log. This crate unifies
-//! them behind one [`TraceSink`] with a span model:
+//! them behind one recorder, [`Trace`], with a span model:
 //!
 //! * a **span** brackets one strategy decision — it opens when the
 //!   substrate hands a worker to the strategy and closes when the
@@ -18,9 +18,9 @@
 //!   byte-identical JSONL.
 //!
 //! The disabled path is free: [`Trace::new(false)`](Trace::new) never
-//! allocates, and every sink method is an inlined `enabled` check.
+//! allocates, and every recording method is an inlined `enabled` check.
 //! Callers that must build a string argument (a hex position, say)
-//! gate on [`TraceSink::enabled`] first.
+//! gate on [`Trace::enabled`] first.
 //!
 //! [`diff`] turns two same-seed traces from different substrates into a
 //! causal report: the first divergent decision plus the non-delivered
@@ -37,5 +37,5 @@ pub mod summary;
 pub use diff::{diff_traces, render_divergence, DecisionAt, Divergence, DivergencePoint};
 pub use jsonl::{check_framing, parse_jsonl, to_jsonl, validate_jsonl};
 pub use record::{MessageStatus, SpanId, TraceBody, TraceRecord, ROOT_SPAN};
-pub use sink::{Trace, TraceSink};
+pub use sink::Trace;
 pub use summary::{render_summary, span_breakdown_csv, summarize, MessageCounts, Summary};

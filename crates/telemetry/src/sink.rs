@@ -1,43 +1,19 @@
-//! The sink trait every substrate emits into, and the in-memory
-//! recorder implementing it.
+//! The in-memory flight recorder every substrate emits into.
 
 use crate::record::{MessageStatus, SpanId, TraceBody, TraceRecord, ROOT_SPAN};
-
-/// Where substrates send their telemetry.
-///
-/// All methods take virtual time explicitly: the substrate owns the
-/// clock (tick or event time), the sink never reads one. `enabled`
-/// exists so hot paths can skip building arguments (hex strings,
-/// labels) when nothing is listening — the contract is that every
-/// other method is a no-op when `enabled()` is false.
-pub trait TraceSink {
-    /// Is anything being recorded? Callers gate argument construction
-    /// on this.
-    fn enabled(&self) -> bool;
-    /// Writes the trace header.
-    fn run_start(&mut self, time: u64, substrate: &str, strategy: &str, seed: u64);
-    /// Opens a decision span for `worker` under the strategy layer
-    /// `kind`; returns [`ROOT_SPAN`] when disabled.
-    fn open_span(&mut self, time: u64, kind: &str, worker: u64) -> SpanId;
-    /// Closes `span`, recording how many records it captured.
-    fn close_span(&mut self, time: u64, span: SpanId);
-    /// Records a decision inside the current span.
-    fn decision(&mut self, time: u64, name: &str, worker: u64, pos: &str, value: u64);
-    /// Records a message outcome inside the current span.
-    fn message(&mut self, time: u64, kind: &str, status: MessageStatus, retries: u64);
-    /// Writes the trace footer.
-    fn run_end(&mut self, time: u64, completed: bool);
-}
 
 /// The in-memory flight recorder.
 ///
 /// Disabled (`Trace::new(false)`, also the `Default`), it is a single
 /// `false` bool and three empty vectors that are never pushed to —
-/// every sink method returns after one branch, so carrying a `Trace`
+/// every recording method returns after one branch, so carrying a `Trace`
 /// in a hot simulation struct costs nothing measurable.
 ///
 /// Span attribution uses a stack: records emitted while a span is open
 /// attach to the innermost one, everything else to [`ROOT_SPAN`].
+///
+/// Every recording method takes virtual time explicitly: the substrate
+/// owns the clock (tick or event time), the recorder never reads one.
 #[derive(Debug, Clone, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct Trace {
     enabled: bool,
@@ -59,7 +35,11 @@ impl Trace {
         }
     }
 
-    pub fn is_enabled(&self) -> bool {
+    /// Is anything being recorded? Hot paths gate argument
+    /// construction (hex strings, labels) on this; every recording
+    /// method is a no-op when it is false.
+    #[inline]
+    pub fn enabled(&self) -> bool {
         self.enabled
     }
 
@@ -89,16 +69,10 @@ impl Trace {
             body,
         });
     }
-}
 
-impl TraceSink for Trace {
+    /// Writes the trace header.
     #[inline]
-    fn enabled(&self) -> bool {
-        self.enabled
-    }
-
-    #[inline]
-    fn run_start(&mut self, time: u64, substrate: &str, strategy: &str, seed: u64) {
+    pub fn run_start(&mut self, time: u64, substrate: &str, strategy: &str, seed: u64) {
         if !self.enabled {
             return;
         }
@@ -113,8 +87,10 @@ impl TraceSink for Trace {
         );
     }
 
+    /// Opens a decision span for `worker` under the strategy layer
+    /// `kind`; returns [`ROOT_SPAN`] when disabled.
     #[inline]
-    fn open_span(&mut self, time: u64, kind: &str, worker: u64) -> SpanId {
+    pub fn open_span(&mut self, time: u64, kind: &str, worker: u64) -> SpanId {
         if !self.enabled {
             return ROOT_SPAN;
         }
@@ -132,8 +108,9 @@ impl TraceSink for Trace {
         span
     }
 
+    /// Closes `span`, recording how many records it captured.
     #[inline]
-    fn close_span(&mut self, time: u64, span: SpanId) {
+    pub fn close_span(&mut self, time: u64, span: SpanId) {
         if !self.enabled || span == ROOT_SPAN {
             return;
         }
@@ -156,8 +133,9 @@ impl TraceSink for Trace {
         }
     }
 
+    /// Records a decision inside the current span.
     #[inline]
-    fn decision(&mut self, time: u64, name: &str, worker: u64, pos: &str, value: u64) {
+    pub fn decision(&mut self, time: u64, name: &str, worker: u64, pos: &str, value: u64) {
         if !self.enabled {
             return;
         }
@@ -174,8 +152,9 @@ impl TraceSink for Trace {
         );
     }
 
+    /// Records a message outcome inside the current span.
     #[inline]
-    fn message(&mut self, time: u64, kind: &str, status: MessageStatus, retries: u64) {
+    pub fn message(&mut self, time: u64, kind: &str, status: MessageStatus, retries: u64) {
         if !self.enabled {
             return;
         }
@@ -191,8 +170,9 @@ impl TraceSink for Trace {
         );
     }
 
+    /// Writes the trace footer.
     #[inline]
-    fn run_end(&mut self, time: u64, completed: bool) {
+    pub fn run_end(&mut self, time: u64, completed: bool) {
         if !self.enabled {
             return;
         }
@@ -215,7 +195,7 @@ mod tests {
         t.close_span(1, span);
         t.run_end(2, true);
         assert!(t.is_empty());
-        assert!(!t.is_enabled());
+        assert!(!t.enabled());
         assert_eq!(t, Trace::default());
     }
 

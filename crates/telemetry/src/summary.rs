@@ -199,7 +199,7 @@ pub fn span_breakdown_csv(records: &[TraceRecord]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sink::{Trace, TraceSink};
+    use crate::sink::Trace;
 
     fn sample() -> Trace {
         let mut t = Trace::new(true);

@@ -455,10 +455,9 @@ impl<T: Transport> Driver<T> {
         (completed, records)
     }
 
-    /// Takes the metrics sample due now, if any, with a batch fairness
-    /// sweep over the current per-worker loads (key movement happens
-    /// inside the network, so there is no per-delta hook to maintain a
-    /// `LoadDist`; the batch sweep emits byte-identical gauges).
+    /// Takes the metrics sample due now, if any, through the same
+    /// recorder call as the oracle ring: one fairness sweep over the
+    /// active workers' current loads.
     fn sample(&mut self) {
         let core = &mut self.core;
         if !core.rec.due(core.tick, || core.net.total_keys() == 0) {
@@ -484,8 +483,7 @@ impl<T: Transport> Driver<T> {
             }
         }
         let now = self.link.sample_clock(core.tick);
-        core.rec
-            .sample_batch(now, vnodes, remaining, &mut loads, ring);
+        core.rec.sample(now, vnodes, remaining, &mut loads, ring);
     }
 
     /// Joins a vnode at `pos` through `contact` over the transport and

@@ -1,18 +1,19 @@
 //! The streaming metrics plane, tested end to end across substrates:
-//! the incremental Fenwick-backed fairness statistics are bit-equal to
-//! the batch recompute under arbitrary op soups, same-seed metrics
-//! JSONL is byte-identical and independent of harness thread count on
-//! all three substrates, the committed golden fixture pins the sample
-//! wire schema, and every dump renders a valid Prometheus exposition.
+//! every sample conserves tasks (the load gauges, swept from the
+//! workers' load caches, add up to the backlog) on all three
+//! substrates under churn and faults, same-seed metrics JSONL is
+//! byte-identical and independent of harness thread count, the
+//! committed golden fixture pins the sample wire schema, and every
+//! dump renders a valid Prometheus exposition.
 
+use autobal::chord::FaultPlan;
 use autobal::event_sim::{run_event_sim, EventSimConfig};
 use autobal::protocol_sim::{run_protocol_sim, ProtocolSimConfig};
 use autobal::sim::{Sim, SimConfig, StrategyKind};
 use autobal_metrics::expo::{render_exposition, validate_exposition};
 use autobal_metrics::names as metric_names;
 use autobal_metrics::sample::{parse_jsonl, timeseries_csv, to_jsonl, validate_samples};
-use autobal_metrics::LoadDist;
-use proptest::prelude::*;
+use autobal_metrics::MetricsSample;
 use rayon::prelude::*;
 use std::path::PathBuf;
 
@@ -61,80 +62,85 @@ fn event_jsonl(seed: u64) -> String {
     to_jsonl(&run_event_sim(&cfg, seed).metrics)
 }
 
-/// One mutation of the tracked load multiset, mirroring what the
-/// simulators do to it: a join inserts a worker's load, a crash or
-/// churn leave removes one, task/transfer movement updates in place.
-#[derive(Debug, Clone)]
-enum Op {
-    Join(u16),
-    Leave(usize),
-    Crash(usize),
-    Update(usize, u16),
+/// Asserts, for every sample of a run, that the summed worker loads
+/// equal the backlog and that no more workers idle than are active,
+/// and that each of the `disturbances` counters fired during the run
+/// (a lossy link shows up as retries in the `msg_retries` sum).
+fn assert_tasks_conserved(run: &str, samples: &[MetricsSample], disturbances: &[&str]) {
+    let last = samples
+        .last()
+        .unwrap_or_else(|| panic!("{run}: no samples recorded"));
+    for &name in disturbances {
+        let fired = match name {
+            metric_names::MSG_RETRIES => last.hist(name).map(|h| h.sum),
+            _ => last.counter(name),
+        };
+        assert!(fired > Some(0), "{run}: no `{name}` recorded");
+    }
+    for s in samples {
+        let gauge = |name| s.gauge(name).expect("gauge in every sample");
+        assert_eq!(
+            gauge(metric_names::LOAD_TOTAL),
+            gauge(metric_names::TASKS_REMAINING),
+            "{run}: load total differs from the backlog at t={}",
+            s.time
+        );
+        assert!(
+            gauge(metric_names::WORKERS_IDLE) <= gauge(metric_names::WORKERS_ACTIVE),
+            "{run}: more idle than active workers at t={}",
+            s.time
+        );
+    }
 }
 
-fn op_strategy() -> impl Strategy<Value = Op> {
-    (any::<u8>(), any::<usize>(), any::<u16>()).prop_map(|(which, i, v)| match which % 4 {
-        0 => Op::Join(v),
-        1 => Op::Leave(i),
-        2 => Op::Crash(i),
-        _ => Op::Update(i, v),
-    })
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// The tentpole contract: after ANY churn/join/crash op soup, every
-    /// aggregate the incremental structure reports — including the two
-    /// floats, compared bit-for-bit — equals a from-scratch batch
-    /// recompute over the surviving loads.
-    #[test]
-    fn incremental_stats_match_batch_under_op_soup(ops in proptest::collection::vec(op_strategy(), 1..200)) {
-        let mut dist = LoadDist::new();
-        let mut mirror: Vec<u64> = Vec::new();
-        for op in ops {
-            match op {
-                Op::Join(v) => {
-                    dist.insert(v as u64);
-                    mirror.push(v as u64);
-                }
-                Op::Leave(i) | Op::Crash(i) if !mirror.is_empty() => {
-                    let v = mirror.swap_remove(i % mirror.len());
-                    dist.remove(v);
-                }
-                Op::Update(i, new) if !mirror.is_empty() => {
-                    let at = i % mirror.len();
-                    dist.update(mirror[at], new as u64);
-                    mirror[at] = new as u64;
-                }
-                _ => {}
-            }
-        }
-        let mut sorted = mirror.clone();
-        sorted.sort_unstable();
-        let total: u128 = sorted.iter().map(|&v| v as u128).sum();
-        let weighted: u128 = sorted.iter().enumerate().map(|(i, &v)| (i as u128 + 1) * v as u128).sum();
-        prop_assert_eq!(dist.len() as usize, sorted.len());
-        prop_assert_eq!(dist.total(), total);
-        prop_assert_eq!(dist.weighted(), weighted);
-        prop_assert_eq!(dist.max(), sorted.last().copied().unwrap_or(0));
-        prop_assert_eq!(
-            dist.gini().to_bits(),
-            autobal::stats::fairness::gini_sorted(&sorted).to_bits(),
-            "gini drifted from the batch recompute"
+#[test]
+fn every_sample_conserves_tasks_under_churn_and_faults() {
+    for strategy in [
+        StrategyKind::RandomInjection,
+        StrategyKind::SmartNeighbor,
+        StrategyKind::Invitation,
+    ] {
+        let oracle = Sim::new(
+            SimConfig {
+                strategy,
+                churn_rate: 0.01,
+                virtual_nodes_per_worker: 2,
+                metrics_ring: false,
+                ..oracle_cfg()
+            },
+            SEED,
+        )
+        .run();
+        assert_tasks_conserved(
+            &format!("oracle/{strategy:?}"),
+            &oracle.metrics,
+            &[metric_names::WORKER_LEFT, metric_names::WORKER_JOINED],
         );
-        prop_assert_eq!(
-            dist.imbalance().to_bits(),
-            autobal::stats::fairness::imbalance_sorted(&sorted).to_bits(),
-            "imbalance drifted from the batch recompute"
+
+        let proto = ProtocolSimConfig {
+            strategy,
+            churn_rate: 0.01,
+            crash_rate: 0.1,
+            crash_retirement: true,
+            fault: FaultPlan::lossy(SEED, 0.05),
+            metrics_ring: false,
+            ..chord_cfg()
+        };
+        let chord = run_protocol_sim(&proto, SEED);
+        let faults = [
+            metric_names::WORKER_LEFT,
+            metric_names::WORKER_CRASHED,
+            metric_names::MSG_RETRIES,
+        ];
+        assert_tasks_conserved(&format!("chord/{strategy:?}"), &chord.metrics, &faults);
+        let event = run_event_sim(
+            &EventSimConfig {
+                proto,
+                ..EventSimConfig::default()
+            },
+            SEED,
         );
-        for p in [50u64, 90, 99] {
-            prop_assert_eq!(
-                dist.percentile(p),
-                autobal::stats::fairness::percentile_sorted(&sorted, p),
-                "p{} drifted", p
-            );
-        }
+        assert_tasks_conserved(&format!("event/{strategy:?}"), &event.metrics, &faults);
     }
 }
 

@@ -55,9 +55,9 @@ fn steady_state_ticks_do_not_allocate() {
 }
 
 /// The metrics plane keeps the promise: with recording on, every tick
-/// pays the incremental-statistics upkeep (Fenwick updates, counter
-/// bumps) yet still allocates nothing. Only the periodic sample dump
-/// may allocate, so the cadence is pushed past the measured window.
+/// pays its counter bumps yet still allocates nothing. Only the
+/// periodic sample (the load sweep and the sample dump) may allocate,
+/// so the cadence is pushed past the measured window.
 #[test]
 fn metrics_recording_ticks_do_not_allocate() {
     let mut cfg = steady_cfg();
