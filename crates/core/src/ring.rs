@@ -20,6 +20,14 @@
 //! `(shard, slot)` pair `Slot` is a stable handle the simulator uses
 //! to reach a vnode's queue without any ordered-map lookup.
 //!
+//! Structural operations search the ordered index once: an insert does
+//! one successor search (an exact hit is [`RingError::Occupied`]) plus
+//! the index insert, and a remove does the index remove plus one
+//! successor search. A search that runs off the end of its shard takes
+//! the first entry of the next non-empty shard, wrapping past the top.
+//! Both hand the successor's owner back to the caller, so `Sim` settles
+//! its load caches without another lookup.
+//!
 //! ## Determinism contract
 //!
 //! The shard count is a partitioning knob only: every operation
@@ -93,6 +101,26 @@ impl std::error::Error for RingError {}
 pub(crate) struct Slot {
     shard: u32,
     slot: u32,
+}
+
+/// What removing a virtual node did: the slot it freed, its owner, how
+/// many tasks merged into its successor, and that successor's id and
+/// owner (the vnode itself and its own owner when it was the last one).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Removal {
+    pub(crate) slot: Slot,
+    pub(crate) owner: WorkerId,
+    pub(crate) moved: u64,
+    pub(crate) succ: Id,
+    pub(crate) succ_owner: WorkerId,
+}
+
+/// Where a successor search landed: the vnode's shard, id and slot.
+#[derive(Debug, Clone, Copy)]
+struct Entry {
+    shard: usize,
+    id: Id,
+    slot: usize,
 }
 
 /// One planned vnode of a tick: pop `count` tasks from `slot` using the
@@ -360,26 +388,29 @@ impl Ring {
     /// The virtual node whose arc contains `key` (first id ≥ key,
     /// wrapping to the smallest id).
     pub fn owner_of_key(&self, key: Id) -> Option<Id> {
-        let s = self.shard_idx(key);
-        self.shards
-            .get(s)
-            .and_then(|sh| sh.index.range(key..).next())
-            .map(|(&id, _)| id)
-            .or_else(|| self.first_nonempty_after(s))
+        self.next_entry(key, true).map(|e| e.id)
     }
 
     /// Clockwise neighbor of `id` (excluding itself; `id` itself when it
     /// is the only node). `id` need not be present.
     pub fn successor_of(&self, id: Id) -> Option<Id> {
+        self.next_entry(id, false).map(|e| e.id)
+    }
+
+    /// The first vnode clockwise from `id` (at `id` itself too when
+    /// `inclusive`): one ordered-index descent in `id`'s shard, falling
+    /// back to the first entry of the next non-empty shard.
+    fn next_entry(&self, id: Id, inclusive: bool) -> Option<Entry> {
         let s = self.shard_idx(id);
+        let lo = if inclusive {
+            Bound::Included(id)
+        } else {
+            Bound::Excluded(id)
+        };
         self.shards
             .get(s)
-            .and_then(|sh| {
-                sh.index
-                    .range((Bound::Excluded(id), Bound::Unbounded))
-                    .next()
-            })
-            .map(|(&i, _)| i)
+            .and_then(|sh| sh.index.range((lo, Bound::Unbounded)).next())
+            .map(|(&id, &slot)| Entry { shard: s, id, slot })
             .or_else(|| self.first_nonempty_after(s))
     }
 
@@ -403,16 +434,17 @@ impl Ring {
         })
     }
 
-    /// The smallest id in the first non-empty shard clockwise after
-    /// shard `s` (cyclically, ending at `s` itself). Ids in shards
-    /// after `s` all sort above shard `s`'s arc, so this is both "next
-    /// id after the arc" and, once wrapped past the top, the global
+    /// The smallest vnode in the first non-empty shard clockwise after
+    /// shard `s` (cyclically, ending at `s` itself). Ids in shards after
+    /// `s` all sort above shard `s`'s arc, so this is both "next id
+    /// after the arc" and, once wrapped past the top, the global
     /// minimum.
-    fn first_nonempty_after(&self, s: usize) -> Option<Id> {
+    fn first_nonempty_after(&self, s: usize) -> Option<Entry> {
         let n = self.shards.len();
         (1..=n).find_map(|d| {
-            let sh = self.shards.get((s + d) % n)?;
-            sh.index.keys().next().copied()
+            let shard = (s + d) % n;
+            let (&id, &slot) = self.shards.get(shard)?.index.first_key_value()?;
+            Some(Entry { shard, id, slot })
         })
     }
 
@@ -447,44 +479,55 @@ impl Ring {
     /// newcomer — the successor may live in any shard. Returns how many
     /// tasks were acquired.
     pub fn insert_vnode(&mut self, id: Id, owner: WorkerId) -> Result<u64, RingError> {
-        self.insert_slotted(id, owner).map(|(_, acquired)| acquired)
+        self.insert_slotted(id, owner)
+            .map(|(_, acquired, _)| acquired)
     }
 
     /// [`Ring::insert_vnode`], also handing back the newcomer's stable
-    /// [`Slot`] handle.
+    /// [`Slot`] handle and the owner of the successor it split (its own
+    /// `owner` when the ring was empty). One successor search finds the
+    /// split victim — an exact hit is the `Occupied` case — and one
+    /// index insert files the newcomer.
     pub(crate) fn insert_slotted(
         &mut self,
         id: Id,
         owner: WorkerId,
-    ) -> Result<(Slot, u64), RingError> {
+    ) -> Result<(Slot, u64, WorkerId), RingError> {
         self.muts = self.muts.wrapping_add(1);
-        if self.contains(id) {
-            return Err(RingError::Occupied(id));
-        }
         let mut tasks = Vec::new();
-        if let Some(succ_id) = self.owner_of_key(id) {
-            let ss = self.shard_idx(succ_id);
+        let mut succ_owner = owner;
+        if let Some(succ) = self.next_entry(id, true) {
+            if succ.id == id {
+                return Err(RingError::Occupied(id));
+            }
             let Ring {
-                shards, scratch, ..
+                shards,
+                scratch,
+                pool,
+                ..
             } = self;
-            let Some(tv) = shards.get_mut(ss).and_then(|sh| sh.tasks_of_mut(succ_id)) else {
-                return Err(RingError::Unknown(succ_id));
+            let Some((tv, &victim)) = shards
+                .get_mut(succ.shard)
+                .and_then(|sh| sh.tasks.get_mut(succ.slot).zip(sh.owners.get(succ.slot)))
+            else {
+                return Err(RingError::Unknown(succ.id));
             };
-            // Keys keeping with the successor are those in (id, succ_id];
+            succ_owner = victim;
+            // Keys keeping with the successor are those in (id, succ];
             // everything else in its vector belongs to the newcomer.
             // `retain` is a stable in-place partition: keepers compact
             // down in order while the scratch buffer collects the
             // newcomer's keys in their original order.
             scratch.clear();
             tv.retain(|&k| {
-                let keep = arc::in_arc(id, succ_id, k);
+                let keep = arc::in_arc(id, succ.id, k);
                 if !keep {
                     scratch.push(k);
                 }
                 keep
             });
-            tasks = self.pool.pop().unwrap_or_default();
-            tasks.extend_from_slice(&self.scratch);
+            tasks = pool.pop().unwrap_or_default();
+            tasks.extend_from_slice(scratch);
         }
         let acquired = tasks.len() as u64;
         let s = self.shard_idx(id);
@@ -500,49 +543,60 @@ impl Ring {
             shard: s as u32,
             slot: slot as u32,
         };
-        Ok((handle, acquired))
+        Ok((handle, acquired, succ_owner))
     }
 
     /// Removes the virtual node at `id`, merging its remaining tasks
     /// into its successor (which may live in any shard). Returns
     /// `(owner, tasks_moved, successor)`.
     pub fn remove_vnode(&mut self, id: Id) -> Result<(WorkerId, u64, Id), RingError> {
-        self.remove_slotted(id)
-            .map(|(_, owner, moved, succ)| (owner, moved, succ))
+        self.remove_slotted(id).map(|r| (r.owner, r.moved, r.succ))
     }
 
-    /// [`Ring::remove_vnode`], also handing back the freed [`Slot`].
-    pub(crate) fn remove_slotted(
-        &mut self,
-        id: Id,
-    ) -> Result<(Slot, WorkerId, u64, Id), RingError> {
+    /// [`Ring::remove_vnode`], handing back the whole [`Removal`]: one
+    /// index remove unfiles the vnode and one successor search finds
+    /// where its tasks go.
+    pub(crate) fn remove_slotted(&mut self, id: Id) -> Result<Removal, RingError> {
         self.muts = self.muts.wrapping_add(1);
-        let Some(idle) = self.tasks(id).map(<[Id]>::is_empty) else {
-            return Err(RingError::Unknown(id));
-        };
-        let succ_id = if self.len == 1 {
-            if !idle {
-                return Err(RingError::LastVNode);
-            }
-            id
-        } else {
-            self.successor_of(id).ok_or(RingError::Unknown(id))?
-        };
+        // A lone vnode holds every task, so it may leave only once the
+        // ring is drained.
+        if self.len == 1 && self.total_tasks > 0 {
+            return Err(if self.contains(id) {
+                RingError::LastVNode
+            } else {
+                RingError::Unknown(id)
+            });
+        }
         let s = self.shard_idx(id);
         let Some((slot, owner, tasks)) = self.shards.get_mut(s).and_then(|sh| sh.remove(id)) else {
             return Err(RingError::Unknown(id));
         };
         self.len -= 1;
         let moved = tasks.len() as u64;
-        if let Some(tv) = self.tasks_of_mut(succ_id) {
-            tv.extend_from_slice(&tasks);
-        }
-        self.recycle(tasks);
-        let handle = Slot {
-            shard: s as u32,
-            slot: slot as u32,
+        let (succ, succ_owner) = match self.next_entry(id, false) {
+            Some(e) => {
+                let Some(sh) = self.shards.get_mut(e.shard) else {
+                    return Err(RingError::Unknown(e.id));
+                };
+                if let Some(tv) = sh.tasks.get_mut(e.slot) {
+                    tv.extend_from_slice(&tasks);
+                }
+                (e.id, sh.owners.get(e.slot).copied().unwrap_or(FREE_OWNER))
+            }
+            // The last vnode left idle: it was its own successor.
+            None => (id, owner),
         };
-        Ok((handle, owner, moved, succ_id))
+        self.recycle(tasks);
+        Ok(Removal {
+            slot: Slot {
+                shard: s as u32,
+                slot: slot as u32,
+            },
+            owner,
+            moved,
+            succ,
+            succ_owner,
+        })
     }
 
     /// Parks a retired task vector for reuse by a later split.
@@ -1195,19 +1249,128 @@ mod tests {
     #[test]
     fn slots_are_stable_and_reused_after_removal() {
         let mut r = Ring::with_shards(2);
-        let (a, _) = r.insert_slotted(id(100), 0).unwrap();
-        let (b, _) = r.insert_slotted(id(200), 1).unwrap();
+        let (a, _, _) = r.insert_slotted(id(100), 0).unwrap();
+        let (b, _, _) = r.insert_slotted(id(200), 1).unwrap();
         assert_ne!(a, b);
         r.assign_tasks(vec![id(150), id(160)]);
         assert_eq!(r.queue_len(b), 2);
         // Removing a vnode frees its slot; the next insert into the
         // same shard takes it over, the surviving handle is untouched.
-        let (freed, owner, moved, _) = r.remove_slotted(id(200)).unwrap();
-        assert_eq!((freed, owner, moved), (b, 1, 2));
+        let gone = r.remove_slotted(id(200)).unwrap();
+        assert_eq!((gone.slot, gone.owner, gone.moved), (b, 1, 2));
         assert_eq!(r.queue_len(a), 2);
-        let (c, _) = r.insert_slotted(id(210), 2).unwrap();
+        let (c, _, _) = r.insert_slotted(id(210), 2).unwrap();
         assert_eq!(c, b);
         assert_eq!(r.queue_len(c), 2);
+    }
+
+    /// An id in shard `s` of an 8-shard ring.
+    fn in_shard8(s: u64, lo: u64) -> Id {
+        Id::from_limbs(lo, 0, s << 29)
+    }
+
+    /// Inserts through the one-search path and checks the owner it hands
+    /// back against separate `successor_of` + `vnode_owner` lookups.
+    fn insert_checked(r: &mut Ring, at: Id, owner: WorkerId) -> u64 {
+        let (_, acquired, succ_owner) = r.insert_slotted(at, owner).unwrap();
+        let succ = r.successor_of(at).unwrap();
+        assert_eq!(Some(succ_owner), r.vnode_owner(succ), "insert at {at}");
+        r.check_invariants().unwrap();
+        acquired
+    }
+
+    /// Removes through the one-search path and checks the successor it
+    /// hands back against lookups made before the removal.
+    fn remove_checked(r: &mut Ring, at: Id) -> Removal {
+        let succ = r.successor_of(at).unwrap();
+        let succ_owner = r.vnode_owner(succ).unwrap();
+        let gone = r.remove_slotted(at).unwrap();
+        assert_eq!(
+            (gone.succ, gone.succ_owner),
+            (succ, succ_owner),
+            "remove {at}"
+        );
+        r.check_invariants().unwrap();
+        gone
+    }
+
+    #[test]
+    fn insert_into_wrap_arc_hands_back_the_smallest_vnode() {
+        let mut r = ring_with(&[100, 300]);
+        r.assign_tasks(vec![id(350), id(50), id(250)]);
+        // Above the largest id: the split victim is vnode 100 (owner 0).
+        assert_eq!(insert_checked(&mut r, id(400), 9), 1);
+    }
+
+    #[test]
+    fn removing_the_largest_id_wraps_to_the_smallest() {
+        let mut r = ring_with(&[100, 200, 300]);
+        r.assign_tasks(vec![id(250), id(260), id(50)]);
+        let gone = remove_checked(&mut r, id(300));
+        assert_eq!((gone.owner, gone.moved), (2, 2));
+        assert_eq!((gone.succ, gone.succ_owner), (id(100), 0));
+        assert_eq!(r.load(id(100)), 3);
+    }
+
+    #[test]
+    fn successor_is_found_across_empty_shards() {
+        // Two vnodes in shards 1 and 5 of 8: every other shard is empty,
+        // so each search below falls through to another shard.
+        let (a, b) = (in_shard8(1, 0), in_shard8(5, 0));
+        let mut r = Ring::with_shards(8);
+        assert_eq!(insert_checked(&mut r, a, 0), 0);
+        assert_eq!(insert_checked(&mut r, b, 1), 0);
+        r.assign_tasks((0..8).map(|s| in_shard8(s, 7)).collect());
+        // Shard 3 → b in shard 5; shard 7 → a in shard 1, wrapping.
+        assert_eq!(insert_checked(&mut r, in_shard8(3, 9), 2), 3);
+        assert_eq!(insert_checked(&mut r, in_shard8(7, 9), 3), 3);
+        let gone = remove_checked(&mut r, b);
+        assert_eq!(
+            (gone.succ, gone.succ_owner, gone.moved),
+            (in_shard8(7, 9), 3, 1)
+        );
+        let gone = remove_checked(&mut r, in_shard8(7, 9));
+        assert_eq!((gone.succ, gone.succ_owner, gone.moved), (a, 0, 4));
+        assert_eq!(r.load(a), 5);
+    }
+
+    #[test]
+    fn removing_the_last_vnode_loaded_then_idle() {
+        for shards in [1, 8] {
+            let at = id(42);
+            let mut r = Ring::with_shards(shards);
+            assert_eq!(insert_checked(&mut r, at, 3), 0);
+            r.assign_tasks(vec![id(7)]);
+            let before = r.rows();
+            assert_eq!(r.remove_slotted(at), Err(RingError::LastVNode));
+            assert_eq!(r.rows(), before);
+            assert!(r.pop_task(at));
+            let gone = remove_checked(&mut r, at);
+            assert_eq!((gone.owner, gone.moved), (3, 0));
+            assert_eq!((gone.succ, gone.succ_owner), (at, 3));
+            assert!(r.is_empty());
+        }
+    }
+
+    #[test]
+    fn occupied_insert_leaves_the_ring_unchanged() {
+        for shards in [1, 8] {
+            let mut r = Ring::with_shards(shards);
+            for (w, at) in [in_shard8(1, 5), in_shard8(5, 5), in_shard8(6, 5)]
+                .into_iter()
+                .enumerate()
+            {
+                r.insert_vnode(at, w).unwrap();
+            }
+            r.assign_tasks((0..8).map(|s| in_shard8(s, 9)).collect());
+            let before = r.rows();
+            for (w, at) in [in_shard8(1, 5), in_shard8(6, 5)].into_iter().enumerate() {
+                assert_eq!(r.insert_slotted(at, 9 + w), Err(RingError::Occupied(at)));
+            }
+            assert_eq!(r.rows(), before);
+            assert_eq!((r.len(), r.total_tasks()), (3, 8));
+            r.check_invariants().unwrap();
+        }
     }
 
     /// A planned tick — per-vnode `(offset, count)` slices of one

@@ -111,7 +111,7 @@ impl Sim {
             let s = draw_strength(&mut strength_rng);
             let widx = workers.len();
             workers.push(Worker::active(id, s));
-            let (slot, _) = ring
+            let (slot, _, _) = ring
                 .insert_slotted(id, widx)
                 .expect("duplicate node id in placement");
             handles.push(vec![slot]);
@@ -122,13 +122,14 @@ impl Sim {
             let mut statics_rng = substream(seed, 0, domains::STATICS);
             for ((widx, w), hs) in workers.iter_mut().enumerate().zip(handles.iter_mut()) {
                 for _ in 1..cfg.virtual_nodes_per_worker {
-                    let pos = loop {
+                    // A draw that lands on a vnode is redrawn.
+                    let (pos, slot) = loop {
                         let p = Id::random(&mut statics_rng);
-                        if !ring.contains(p) {
-                            break p;
+                        match ring.insert_slotted(p, widx) {
+                            Err(RingError::Occupied(_)) => continue,
+                            r => break (p, r.expect("insert at a free position").0),
                         }
                     };
-                    let (slot, _) = ring.insert_slotted(pos, widx).expect("fresh position");
                     w.statics.push(pos);
                     hs.push(slot);
                 }
@@ -452,23 +453,11 @@ impl Sim {
         debug_assert!(!self.workers[idx].is_active());
         self.workers[idx].state = WorkerState::Active;
         self.workers[idx].load = 0;
-        let pos = loop {
-            let p = Id::random(&mut self.rng_churn);
-            if !self.ring.contains(p) {
-                break p;
-            }
-        };
-        self.insert_vnode_tracked(pos, idx).expect("fresh position");
+        let pos = self.insert_at_churn_draw(idx);
         self.workers[idx].primary = pos;
         // A rejoining worker re-creates its static virtual servers.
         for _ in 1..self.cfg.virtual_nodes_per_worker {
-            let pos = loop {
-                let p = Id::random(&mut self.rng_churn);
-                if !self.ring.contains(p) {
-                    break p;
-                }
-            };
-            self.insert_vnode_tracked(pos, idx).expect("fresh position");
+            let pos = self.insert_at_churn_draw(idx);
             self.workers[idx].statics.push(pos);
         }
         self.active_count += 1;
@@ -483,6 +472,21 @@ impl Sim {
         });
     }
 
+    /// Inserts a vnode for `idx` at the first churn draw that lands on
+    /// a free position; a draw that hits a vnode is redrawn.
+    fn insert_at_churn_draw(&mut self, idx: WorkerId) -> Id {
+        loop {
+            let p = Id::random(&mut self.rng_churn);
+            match self.insert_vnode_tracked(p, idx) {
+                Err(RingError::Occupied(_)) => continue,
+                r => {
+                    r.expect("insert at a free position");
+                    return p;
+                }
+            }
+        }
+    }
+
     // ---- tracked ring mutations ------------------------------------
 
     /// Inserts a virtual node and keeps worker load caches consistent:
@@ -495,12 +499,10 @@ impl Sim {
         pos: Id,
         owner: WorkerId,
     ) -> Result<u64, RingError> {
-        let (slot, acquired) = self.ring.insert_slotted(pos, owner)?;
+        let (slot, acquired, victim) = self.ring.insert_slotted(pos, owner)?;
         self.handles[owner].push(slot);
         if acquired > 0 {
-            let victim_vnode = self.ring.successor_of(pos).expect("successor after split");
-            let victim_owner = self.ring.vnode_owner(victim_vnode).expect("vnode");
-            self.workers[victim_owner].load -= acquired;
+            self.workers[victim].load -= acquired;
             self.workers[owner].load += acquired;
         }
         Ok(acquired)
@@ -509,17 +511,16 @@ impl Sim {
     /// Removes a virtual node, updating both owners' load caches and
     /// dropping its slot handle (the rest keep their order).
     pub(crate) fn remove_vnode_tracked(&mut self, pos: Id) -> Result<u64, RingError> {
-        let (slot, owner, moved, succ) = self.ring.remove_slotted(pos)?;
-        let hs = &mut self.handles[owner];
-        if let Some(i) = hs.iter().position(|&h| h == slot) {
+        let r = self.ring.remove_slotted(pos)?;
+        let hs = &mut self.handles[r.owner];
+        if let Some(i) = hs.iter().position(|&h| h == r.slot) {
             hs.remove(i);
         }
-        if moved > 0 {
-            let succ_owner = self.ring.vnode_owner(succ).expect("successor");
-            self.workers[owner].load -= moved;
-            self.workers[succ_owner].load += moved;
+        if r.moved > 0 {
+            self.workers[r.owner].load -= r.moved;
+            self.workers[r.succ_owner].load += r.moved;
         }
-        Ok(moved)
+        Ok(r.moved)
     }
 
     /// Creates a Sybil for `owner` at `pos`. Returns acquired task count,
@@ -1048,6 +1049,35 @@ mod tests {
             let loads: Vec<u64> = sim.workers().iter().map(|w| w.load).collect();
             assert_eq!(loads, sim.ring().loads_by_owner(sim.workers().len()));
             sim.assert_load_caches();
+        }
+    }
+
+    #[test]
+    fn sybil_strategies_keep_load_caches_exact() {
+        // Every Sybil insert and retirement credits and debits load
+        // caches through the owner the ring hands back; stepping with
+        // churn and static virtual servers checks them after each tick.
+        for strategy in [
+            StrategyKind::RandomInjection,
+            StrategyKind::NeighborInjection,
+            StrategyKind::Invitation,
+        ] {
+            for shards in [1, 2, 8] {
+                let cfg = SimConfig {
+                    shards,
+                    churn_rate: 0.05,
+                    virtual_nodes_per_worker: 3,
+                    ..small_cfg(strategy)
+                };
+                let mut sim = Sim::new(cfg, 13);
+                while sim.remaining_tasks() > 0 && sim.tick() < 200 {
+                    sim.step();
+                    sim.assert_load_caches();
+                }
+                let m = sim.messages();
+                assert!(m.sybils_created > 0, "{strategy:?} at {shards} shards");
+                assert!(m.churn_joins > 0, "{strategy:?} at {shards} shards");
+            }
         }
     }
 

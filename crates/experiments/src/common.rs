@@ -3,7 +3,7 @@
 use autobal_core::{RunResult, SimConfig};
 use autobal_stats::Histogram;
 use autobal_telemetry::{to_jsonl, TraceRecord};
-use autobal_workload::{run_and_summarize_cached, TrialStats, WorkloadCache};
+use autobal_workload::{trials::run_and_summarize, TrialStats, WorkloadCache};
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -30,8 +30,8 @@ pub struct Args {
     /// Committed benchmark baseline to compare against (`repro perf
     /// --baseline BENCH_10.json`); `None` skips the comparison.
     pub baseline: Option<PathBuf>,
-    /// Workload memo table shared by every cell this process runs, so
-    /// cells that differ only in strategy reuse one generated workload.
+    /// Workload memo table for the single-run figure drivers, which
+    /// share the master seed and so reuse one generated workload.
     pub cache: Arc<WorkloadCache>,
 }
 
@@ -96,10 +96,12 @@ impl Args {
         self.targets.is_empty() || self.targets.iter().any(|t| t == id || t == "all")
     }
 
-    /// Runs one experiment cell (`self.trials` trials at `seed`)
-    /// through the process-wide workload cache.
+    /// Runs one experiment cell (`self.trials` trials at `seed`). Each
+    /// trial generates its own workload and drops it when it ends:
+    /// every trial draws its own seed, so a memo table would keep every
+    /// key set of the run alive for hits that almost never come.
     pub fn run_cell(&self, cfg: &SimConfig, seed: u64) -> TrialStats {
-        run_and_summarize_cached(&self.cache, cfg, self.trials, seed)
+        run_and_summarize(cfg, self.trials, seed)
     }
 
     /// Applies the `--trace` instrumentation flag to a simulator

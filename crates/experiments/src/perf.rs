@@ -1,7 +1,9 @@
 //! `repro perf` — the benchmark/regression plane.
 //!
 //! Runs pinned end-to-end scenarios on every substrate — the oracle
-//! ring, the synchronous protocol loop, its maintenance cycle, lookups
+//! ring (a plain drain, and `RandomInjection` Sybil churn in the
+//! `oracle_sybil` row, which also records the Sybils created and
+//! retired), the synchronous protocol loop, its maintenance cycle, lookups
 //! and joins, the event-time strategy loop, and the raw eventnet lookup
 //! plane — and
 //! emits `BENCH_10.json`
@@ -91,8 +93,8 @@ struct Measurement {
     /// `"chord_lookup"`), `null`
     /// for the standalone pinned scenarios.
     group: Option<&'static str>,
-    /// Scaling rows: the worker count of the cell; Chord lookup and
-    /// join rows: the ring's node count.
+    /// Scaling and Sybil rows: the worker count of the cell; Chord
+    /// lookup and join rows: the ring's node count.
     workers: Option<u64>,
     /// Scaling rows: the configured shard count of the cell.
     shards: Option<u32>,
@@ -109,6 +111,8 @@ struct Measurement {
     /// inputs, same process, same run.
     naive_wall_ms: Option<f64>,
     speedup_vs_naive: Option<f64>,
+    /// Sybil rows: Sybils created and retired over the run.
+    sybils: Option<(u64, u64)>,
 }
 
 fn opt_u64(v: Option<u64>) -> String {
@@ -130,7 +134,7 @@ fn opt_u32(v: Option<u32>) -> String {
 impl Measurement {
     fn to_json(&self, host: &HostStamp) -> String {
         format!(
-            "    {{\n      \"name\": \"{}\",\n      \"substrate\": \"{}\",\n      \"group\": {},\n      \"workers\": {},\n      \"shards\": {},\n      \"nproc\": {},\n      \"threads\": {},\n      \"units\": \"{}\",\n      \"work\": {},\n      \"wall_ms\": {:.2},\n      \"throughput\": {:.2},\n      \"allocations\": {},\n      \"peak_vnodes\": {},\n      \"naive_wall_ms\": {},\n      \"speedup_vs_naive\": {}\n    }}",
+            "    {{\n      \"name\": \"{}\",\n      \"substrate\": \"{}\",\n      \"group\": {},\n      \"workers\": {},\n      \"shards\": {},\n      \"nproc\": {},\n      \"threads\": {},\n      \"units\": \"{}\",\n      \"work\": {},\n      \"wall_ms\": {:.2},\n      \"throughput\": {:.2},\n      \"allocations\": {},\n      \"peak_vnodes\": {},\n      \"naive_wall_ms\": {},\n      \"speedup_vs_naive\": {},\n      \"sybils_created\": {},\n      \"sybils_retired\": {}\n    }}",
             self.name,
             self.substrate,
             opt_str(self.group),
@@ -146,6 +150,8 @@ impl Measurement {
             opt_u64(self.peak_vnodes),
             opt_f64(self.naive_wall_ms),
             opt_f64(self.speedup_vs_naive),
+            opt_u64(self.sybils.map(|(created, _)| created)),
+            opt_u64(self.sybils.map(|(_, retired)| retired)),
         )
     }
 }
@@ -239,6 +245,62 @@ fn oracle_ring_large(args: &Args) -> Measurement {
         peak_vnodes: Some(opt.peak_vnodes as u64),
         naive_wall_ms: Some(naive_ms),
         speedup_vs_naive: Some(speedup),
+        sybils: None,
+    }
+}
+
+/// Repetitions of the Sybil row (best-of).
+const SYBIL_REPS: usize = 3;
+
+/// The Sybil row: the paper's headline strategy, `RandomInjection`
+/// under 0.001 background churn, at 100 tasks per worker — 20k workers
+/// (perfbench `sybil`'s size) by default, 100k under `--full`. Idle
+/// workers retire and replant Sybils on every check, so the clock is
+/// dominated by vnode inserts and removes splitting and merging task
+/// sets. Placement happens outside the clock.
+fn oracle_sybil(args: &Args) -> Measurement {
+    let workers: u64 = if args.full { 100_000 } else { 20_000 };
+    let cfg = SimConfig {
+        nodes: workers as usize,
+        tasks: workers * 100,
+        strategy: StrategyKind::RandomInjection,
+        churn_rate: 0.001,
+        ..SimConfig::default()
+    };
+    let seed = args.seed ^ 0x5B;
+    let mut best_ms = f64::INFINITY;
+    let mut allocs = None;
+    let mut last = None;
+    for _ in 0..SYBIL_REPS {
+        let sim = Sim::new(cfg.clone(), seed);
+        let (ms, (a, run)) = wall_ms(|| alloc_count(|| sim.run()));
+        assert!(run.completed, "Sybil row did not drain");
+        best_ms = best_ms.min(ms);
+        allocs = a;
+        last = Some(run);
+    }
+    let run = last.expect("at least one repetition");
+    let (created, retired) = (run.messages.sybils_created, run.messages.sybils_retired);
+    println!(
+        "  oracle_sybil: n={workers} {} ticks | {created} Sybils created, {retired} retired | {best_ms:.0} ms ({:.0} ticks/s)",
+        run.ticks,
+        run.ticks as f64 / (best_ms / 1e3)
+    );
+    Measurement {
+        name: "oracle_sybil".to_string(),
+        substrate: "oracle-ring",
+        group: None,
+        workers: Some(workers),
+        shards: None,
+        units: "ticks",
+        work: run.ticks,
+        wall_ms: best_ms,
+        throughput: run.ticks as f64 / (best_ms / 1e3),
+        allocations: allocs,
+        peak_vnodes: Some(run.peak_vnodes as u64),
+        naive_wall_ms: None,
+        speedup_vs_naive: None,
+        sybils: Some((created, retired)),
     }
 }
 
@@ -274,6 +336,7 @@ fn chord_protocol(args: &Args) -> Measurement {
         peak_vnodes: None,
         naive_wall_ms: None,
         speedup_vs_naive: None,
+        sybils: None,
     }
 }
 
@@ -326,6 +389,7 @@ fn chord_maintenance(args: &Args) -> Measurement {
         peak_vnodes: None,
         naive_wall_ms: None,
         speedup_vs_naive: None,
+        sybils: None,
     }
 }
 
@@ -385,6 +449,7 @@ fn chord_lookup(args: &Args) -> Vec<Measurement> {
                 peak_vnodes: None,
                 naive_wall_ms: None,
                 speedup_vs_naive: None,
+                sybils: None,
             }
         })
         .collect()
@@ -432,6 +497,7 @@ fn chord_join(args: &Args) -> Measurement {
         peak_vnodes: None,
         naive_wall_ms: None,
         speedup_vs_naive: None,
+        sybils: None,
     }
 }
 
@@ -475,6 +541,7 @@ fn event_substrate(args: &Args) -> Measurement {
         peak_vnodes: None,
         naive_wall_ms: None,
         speedup_vs_naive: None,
+        sybils: None,
     }
 }
 
@@ -520,6 +587,7 @@ fn eventnet(args: &Args) -> Measurement {
         peak_vnodes: None,
         naive_wall_ms: None,
         speedup_vs_naive: None,
+        sybils: None,
     }
 }
 
@@ -635,6 +703,7 @@ fn oracle_scaling(args: &Args) -> Vec<Measurement> {
                 peak_vnodes: Some(peak),
                 naive_wall_ms: None,
                 speedup_vs_naive: None,
+                sybils: None,
             });
         }
         // Compare partition counts on the one engine: the best
@@ -719,6 +788,7 @@ pub fn perf(args: &Args) {
     println!("perf: pinned benchmark scenarios (BENCH_10.json)");
     let mut measurements = vec![
         oracle_ring_large(args),
+        oracle_sybil(args),
         chord_protocol(args),
         chord_maintenance(args),
     ];
@@ -775,6 +845,7 @@ mod tests {
             peak_vnodes: None,
             naive_wall_ms: None,
             speedup_vs_naive: None,
+            sybils: None,
         }
     }
 

@@ -8,6 +8,11 @@
 //! reference-counted slices (`Arc<[Id]>`), so concurrent rayon trials
 //! share one immutable copy.
 //!
+//! Entries live as long as the cache. A caller whose every run draws a
+//! fresh seed gets no hits and only keeps every key set alive, so
+//! `repro`'s multi-trial cells generate uncached; the single-run figure
+//! drivers, which all share the master seed, keep one cache.
+//!
 //! Generation is **bit-identical** to the uncached paths: the same
 //! substream domains and the same generator bodies as
 //! `autobal_core::Sim::new` and [`crate::placement::initial_loads`]
@@ -22,8 +27,6 @@ use rayon::prelude::*;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-
-use crate::trials::{summarize, TrialStats};
 
 /// Which generator a cached entry came from. Part of the cache key so
 /// the four generator families can never alias.
@@ -141,16 +144,6 @@ pub fn run_trials_cached(
             cache.sim(cfg.clone(), trial_seed).run()
         })
         .collect()
-}
-
-/// Convenience: cached run + summarize.
-pub fn run_and_summarize_cached(
-    cache: &WorkloadCache,
-    cfg: &SimConfig,
-    trials: u64,
-    seed: u64,
-) -> TrialStats {
-    summarize(&run_trials_cached(cache, cfg, trials, seed))
 }
 
 #[cfg(test)]

@@ -15,7 +15,7 @@ pub mod sweep;
 pub mod tables;
 pub mod trials;
 
-pub use cache::{run_and_summarize_cached, run_trials_cached, WorkloadCache};
+pub use cache::{run_trials_cached, WorkloadCache};
 pub use gen::{evenly_spaced_ids, random_ids, sha1_keys};
 pub use placement::initial_load_summary;
 pub use spec::ExperimentSpec;
