@@ -182,8 +182,7 @@ pub struct SimConfig {
     /// a [`crate::metrics::TickSeries`] row with each sample into
     /// `RunResult::series` (off by default; see `autobal-metrics`).
     /// Counters ride the same emit funnel as the trace plane; fairness
-    /// gauges come from the incremental load distribution, bit-equal
-    /// to the batch sweep.
+    /// gauges come from one sorted sweep over the loads per sample.
     #[cfg_attr(feature = "serde", serde(default))]
     pub record_metrics: bool,
     /// Metrics sampling cadence in ticks (used when `record_metrics`;
@@ -195,15 +194,6 @@ pub struct SimConfig {
     /// (monitor food; O(workers) per sample, so off by default).
     #[cfg_attr(feature = "serde", serde(default))]
     pub metrics_ring: bool,
-    /// Number of contiguous arc ranges the ring is partitioned into.
-    /// Every count runs the same struct-of-arrays engine and planned
-    /// work phase; with more than one shard the shards replay their
-    /// planned pops in parallel when the rayon pool has threads. `1` is
-    /// the default; `0` means auto: one shard per available hardware
-    /// thread. Results are bit-for-bit identical for every shard count
-    /// (see `crate::ring`).
-    #[cfg_attr(feature = "serde", serde(default = "one"))]
-    pub shards: u32,
 }
 
 fn one() -> u32 {
@@ -236,7 +226,6 @@ impl Default for SimConfig {
             record_metrics: false,
             metrics_interval: None,
             metrics_ring: false,
-            shards: 1,
         }
     }
 }
@@ -295,19 +284,6 @@ impl SimConfig {
     pub fn effective_max_ticks(&self) -> u64 {
         self.max_ticks
             .unwrap_or_else(|| (self.ideal_ticks().saturating_mul(100)).max(10_000))
-    }
-
-    /// Resolved shard count for the tick engine: `0` maps to the number
-    /// of available hardware threads, and the result is clamped to
-    /// `1..=MAX_SHARDS`. Purely a partitioning knob — the simulation
-    /// outcome is identical for every value (see `crate::ring`).
-    pub fn resolved_shards(&self) -> usize {
-        let raw = if self.shards == 0 {
-            std::thread::available_parallelism().map_or(1, |p| p.get())
-        } else {
-            self.shards as usize
-        };
-        raw.clamp(1, crate::ring::MAX_SHARDS)
     }
 
     /// Validates the configuration, returning a human-readable complaint

@@ -43,7 +43,7 @@ pub mod worker;
 pub use config::{ChurnModel, Heterogeneity, SimConfig, StrategyKind, WorkMeasurement};
 pub use metrics::{RunResult, SimMessageStats, Snapshot, TickSeries};
 pub use record::Recorder;
-pub use ring::{Ring, MAX_SHARDS};
+pub use ring::Ring;
 pub use sim::Sim;
 pub use trace::SimEvent;
 pub use worker::{Worker, WorkerId, WorkerState};

@@ -1,5 +1,5 @@
-//! The simulation ring: arc-range shards of virtual nodes in a
-//! struct-of-arrays layout, and the planned tick work phase.
+//! The simulation ring: virtual nodes in a struct-of-arrays layout, and
+//! the planned tick work phase.
 //!
 //! This is the fast substrate the tick simulator runs on (the
 //! protocol-level Chord implementation lives in `autobal-chord`; see
@@ -11,54 +11,36 @@
 //! holds the keys of the *remaining* tasks in that arc. Joins split the
 //! successor's task vector; departures merge into the successor.
 //!
-//! [`Ring`] partitions the 160-bit identifier circle into `S`
-//! contiguous arc-range shards (shard `s` owns ids whose top 96 bits
-//! fall in `[s·2⁹⁶/S, (s+1)·2⁹⁶/S)`), each holding its virtual nodes as
-//! an ordered id→slot index next to parallel `owners`/`tasks` columns,
-//! so the hot tick loop walks dense vectors instead of chasing ordered
-//! map nodes. A vnode keeps its slot for its whole lifetime, so the
-//! `(shard, slot)` pair `Slot` is a stable handle the simulator uses
-//! to reach a vnode's queue without any ordered-map lookup.
+//! [`Ring`] holds its virtual nodes as one ordered id→slot index next
+//! to parallel `owners`/`tasks` columns, so the hot tick loop walks
+//! dense vectors instead of chasing ordered map nodes. A vnode keeps
+//! its slot for its whole lifetime, so `Slot` is a stable handle the
+//! simulator uses to reach a vnode's queue without any ordered-map
+//! lookup.
 //!
 //! Structural operations search the ordered index once: an insert does
 //! one successor search (an exact hit is [`RingError::Occupied`]) plus
 //! the index insert, and a remove does the index remove plus one
-//! successor search. A search that runs off the end of its shard takes
-//! the first entry of the next non-empty shard, wrapping past the top.
-//! Both hand the successor's owner back to the caller, so `Sim` settles
-//! its load caches without another lookup.
+//! successor search. A search that runs off the end of the index wraps
+//! to its first entry. Both hand the successor's owner back to the
+//! caller, so `Sim` settles its load caches without another lookup.
 //!
-//! ## Determinism contract
+//! ## The planned work phase
 //!
-//! The shard count is a partitioning knob only: every operation
-//! sequence yields bit-for-bit identical state at every shard count and
-//! every thread count. Structural operations (join splits, departure
-//! merges, task placement) run in global id order — a shard boundary
-//! never changes *what* happens, only *where* the state lives. The work
-//! phase exploits one algebraic fact: the xorshift64* pop generator's
-//! state evolution is independent of the vector lengths being popped,
-//! and each vnode's pop count for a tick (`min(remaining capacity,
-//! vnode load)`) is known before any pop happens. So the tick barrier
+//! The work phase exploits one algebraic fact: the xorshift64* pop
+//! generator's state evolution is independent of the vector lengths
+//! being popped, and each vnode's pop count for a tick (`min(remaining
+//! capacity, vnode load)`) is known before any pop happens. So the tick
 //! (a) plans every popping vnode's `(offset, count)` slice of the
-//! tick's pop stream sequentially, in worker order and then in each
-//! worker's vnode order, (b) materializes the whole state stream once,
-//! and (c) lets every shard replay its planned slices against its own
-//! task vectors — in parallel, with no cross-shard effects, reproducing
-//! the sequential per-pop loop exactly. Cross-shard structural effects
-//! (a Sybil landing in another shard's arc, a departure merging into a
-//! successor across a boundary) happen in the sequential strategy
-//! phase, outside the parallel window.
+//! tick's pop stream, in worker order and then in each worker's vnode
+//! order, (b) materializes the whole state stream once, and (c) replays
+//! the planned slices against the task vectors, reproducing the
+//! sequential per-pop loop exactly.
 
 use crate::worker::WorkerId;
 use autobal_id::{ring as arc, Id};
-use autobal_metrics::DistSummary;
-use rayon::prelude::*;
 use std::collections::BTreeMap;
 use std::ops::Bound;
-
-/// Hard cap on the shard count (a partitioning knob, not a scaling
-/// limit — more shards than cores only adds merge bookkeeping).
-pub const MAX_SHARDS: usize = 64;
 
 /// Owner sentinel marking a freed slot in the struct-of-arrays columns.
 const FREE_OWNER: WorkerId = usize::MAX;
@@ -94,14 +76,11 @@ impl std::fmt::Display for RingError {
 
 impl std::error::Error for RingError {}
 
-/// Stable handle to one virtual node's storage: its shard and its slot
-/// in that shard's columns. Valid from the insert that returned it to
-/// the removal of the same vnode.
+/// Stable handle to one virtual node's storage: its slot in the ring's
+/// columns. Valid from the insert that returned it to the removal of
+/// the same vnode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct Slot {
-    shard: u32,
-    slot: u32,
-}
+pub(crate) struct Slot(u32);
 
 /// What removing a virtual node did: the slot it freed, its owner, how
 /// many tasks merged into its successor, and that successor's id and
@@ -115,14 +94,6 @@ pub(crate) struct Removal {
     pub(crate) succ_owner: WorkerId,
 }
 
-/// Where a successor search landed: the vnode's shard, id and slot.
-#[derive(Debug, Clone, Copy)]
-struct Entry {
-    shard: usize,
-    id: Id,
-    slot: usize,
-}
-
 /// One planned vnode of a tick: pop `count` tasks from `slot` using the
 /// pop-stream states at `offset..offset + count`.
 #[derive(Debug, Clone, Copy)]
@@ -132,21 +103,11 @@ struct PlannedPops {
     count: u32,
 }
 
-/// Which shard an identifier belongs to: the top 96 bits of the id,
-/// scaled by the shard count. Monotone in the id, so concatenating the
-/// shards' ordered indexes in shard order yields the global id order.
-#[inline]
-fn shard_of(id: Id, shards: usize) -> usize {
-    let [_, mid, hi] = id.limbs();
-    // `hi` < 2³² (160-bit ids), so key96 < 2⁹⁶ and the product fits u128.
-    let key96 = ((hi as u128) << 64) | (mid as u128);
-    ((key96 * shards as u128) >> 96) as usize
-}
-
-/// One contiguous arc-range shard in struct-of-arrays layout.
-#[derive(Debug, Clone, Default)]
-struct Shard {
-    /// Ordered id → slot index (the shard's fragment of the ring order).
+/// The ring of virtual nodes in struct-of-arrays layout (see the module
+/// docs for the planned work phase).
+#[derive(Debug, Clone)]
+pub struct Ring {
+    /// Ordered id → slot index (the ring order).
     index: BTreeMap<Id, usize>,
     /// Slot → owning worker (`FREE_OWNER` when the slot is free).
     owners: Vec<WorkerId>,
@@ -155,118 +116,16 @@ struct Shard {
     /// uniformly spread over the arc — the property Sybil splits rely on.
     tasks: Vec<Vec<Id>>,
     /// Free slot list (slots keep their columns; vectors are recycled
-    /// through the ring-level pool instead).
+    /// through `pool` instead).
     free: Vec<usize>,
     /// `(slot, owner)` pairs for slots with a nonempty task queue — the
-    /// ring-side planner's working set. Valid only while the ring-level
-    /// `live_epoch` matches `muts` (rebuilt by `refresh_live`); pruned
-    /// in place as queues drain, so tail-of-run ticks touch only the
-    /// handful of still-loaded slots instead of every column.
+    /// ring-side planner's working set. Valid only while `live_epoch`
+    /// matches `muts` (rebuilt by `refresh_live`); pruned in place as
+    /// queues drain, so tail-of-run ticks touch only the handful of
+    /// still-loaded slots instead of every column.
     live: Vec<(u32, u32)>,
     /// This tick's planned vnodes (reused buffer; emptied by replay).
     plan: Vec<PlannedPops>,
-}
-
-impl Shard {
-    /// Files a vnode into a free (or fresh) slot and returns the slot.
-    fn insert(&mut self, id: Id, owner: WorkerId, tasks: Vec<Id>) -> Option<usize> {
-        let slot = match self.free.pop() {
-            Some(s) if s < self.owners.len() => s,
-            _ => {
-                self.owners.push(FREE_OWNER);
-                self.tasks.push(Vec::new());
-                self.owners.len() - 1
-            }
-        };
-        *self.owners.get_mut(slot)? = owner;
-        *self.tasks.get_mut(slot)? = tasks;
-        self.index.insert(id, slot);
-        Some(slot)
-    }
-
-    /// Unfiles a vnode, returning its slot, owner and task vector.
-    fn remove(&mut self, id: Id) -> Option<(usize, WorkerId, Vec<Id>)> {
-        let slot = self.index.remove(&id)?;
-        let owner = std::mem::replace(self.owners.get_mut(slot)?, FREE_OWNER);
-        let tasks = std::mem::take(self.tasks.get_mut(slot)?);
-        self.free.push(slot);
-        Some((slot, owner, tasks))
-    }
-
-    /// The task vector of the vnode at `id`, if present.
-    fn tasks_of(&self, id: Id) -> Option<&Vec<Id>> {
-        self.tasks.get(*self.index.get(&id)?)
-    }
-
-    fn tasks_of_mut(&mut self, id: Id) -> Option<&mut Vec<Id>> {
-        self.tasks.get_mut(*self.index.get(&id)?)
-    }
-
-    /// Replays this shard's planned slices of the tick's pop-state
-    /// stream: every planned slot pops its count using exactly the
-    /// states the sequential per-pop loop would have drawn for it.
-    /// Returns the number of tasks popped.
-    ///
-    /// Slots are visited in plan order, not ring order: each state in
-    /// the stream is pre-assigned to one vnode by the planning pass, so
-    /// replay order cannot change which state pops which queue.
-    fn replay(&mut self, stream: &[u64]) -> u64 {
-        let Shard { tasks, plan, .. } = self;
-        let mut done = 0u64;
-        for p in plan.iter() {
-            let start = p.offset as usize;
-            let (Some(tv), Some(states)) = (
-                tasks.get_mut(p.slot as usize),
-                stream.get(start..start + p.count as usize),
-            ) else {
-                continue;
-            };
-            for &st in states {
-                let len = tv.len();
-                if len == 0 {
-                    break;
-                }
-                tv.swap_remove(pop_index(st, len));
-                done += 1;
-            }
-        }
-        plan.clear();
-        done
-    }
-
-    /// Rebuilds the live `(slot, owner)` working set from the columns.
-    fn rebuild_live(&mut self) {
-        let Shard {
-            owners,
-            tasks,
-            live,
-            ..
-        } = self;
-        live.clear();
-        for (slot, (&owner, tv)) in owners.iter().zip(tasks.iter()).enumerate() {
-            if owner != FREE_OWNER && !tv.is_empty() {
-                live.push((slot as u32, owner as u32));
-            }
-        }
-    }
-
-    /// Mergeable load summary over this shard's vnodes.
-    fn summary(&self) -> DistSummary {
-        let mut s = DistSummary::default();
-        for &slot in self.index.values() {
-            s.observe(self.tasks.get(slot).map_or(0, |t| t.len() as u64));
-        }
-        s
-    }
-}
-
-/// The ring of virtual nodes: one struct-of-arrays engine at every
-/// shard count (see the module docs for the determinism contract).
-#[derive(Debug, Clone)]
-pub struct Ring {
-    shards: Vec<Shard>,
-    /// Total live vnodes across all shards.
-    len: usize,
     total_tasks: u64,
     /// xorshift state for uniform task consumption (deterministic).
     pop_rng: u64,
@@ -283,11 +142,11 @@ pub struct Ring {
     worker_pops: Vec<u32>,
     worker_offs: Vec<u64>,
     /// Structural mutation counter: every insert/remove/assign/single
-    /// pop bumps it, invalidating the shards' `live` working sets.
+    /// pop bumps it, invalidating the `live` working set.
     muts: u64,
-    /// Value of `muts` when the `live` sets were last rebuilt; planned
-    /// pops prune the sets in place without bumping `muts`, so between
-    /// structural mutations the rebuild is skipped entirely.
+    /// Value of `muts` when `live` was last rebuilt; planned pops prune
+    /// the set in place without bumping `muts`, so between structural
+    /// mutations the rebuild is skipped entirely.
     live_epoch: u64,
 }
 
@@ -298,20 +157,15 @@ impl Default for Ring {
 }
 
 impl Ring {
-    /// A new empty ring in one shard.
+    /// A new empty ring.
     pub fn new() -> Ring {
-        Ring::with_shards(1)
-    }
-
-    /// A new empty ring partitioned into `shards` arcs (clamped to
-    /// `1..=MAX_SHARDS`).
-    pub fn with_shards(shards: usize) -> Ring {
-        let shards = shards.clamp(1, MAX_SHARDS);
         Ring {
-            shards: std::iter::repeat_with(Shard::default)
-                .take(shards)
-                .collect(),
-            len: 0,
+            index: BTreeMap::new(),
+            owners: Vec::new(),
+            tasks: Vec::new(),
+            free: Vec::new(),
+            live: Vec::new(),
+            plan: Vec::new(),
             total_tasks: 0,
             pop_rng: POP_SEED,
             scratch: Vec::new(),
@@ -324,30 +178,34 @@ impl Ring {
         }
     }
 
-    /// Brings every shard's live working set up to date with the
-    /// columns; a no-op between structural mutations.
+    /// Brings the live working set up to date with the columns; a
+    /// no-op between structural mutations.
     fn refresh_live(&mut self) {
         if self.live_epoch == self.muts {
             return;
         }
-        for sh in self.shards.iter_mut() {
-            sh.rebuild_live();
+        let Ring {
+            owners,
+            tasks,
+            live,
+            ..
+        } = self;
+        live.clear();
+        for (slot, (&owner, tv)) in owners.iter().zip(tasks.iter()).enumerate() {
+            if owner != FREE_OWNER && !tv.is_empty() {
+                live.push((slot as u32, owner as u32));
+            }
         }
         self.live_epoch = self.muts;
     }
 
-    /// Number of arc-range shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// Number of virtual nodes.
     pub fn len(&self) -> usize {
-        self.len
+        self.index.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.index.is_empty()
     }
 
     /// Total remaining tasks across the ring.
@@ -355,23 +213,12 @@ impl Ring {
         self.total_tasks
     }
 
-    #[inline]
-    fn shard_idx(&self, id: Id) -> usize {
-        shard_of(id, self.shards.len())
-    }
-
-    fn shard_for(&self, id: Id) -> Option<&Shard> {
-        self.shards.get(self.shard_idx(id))
-    }
-
     fn tasks_of_mut(&mut self, id: Id) -> Option<&mut Vec<Id>> {
-        let s = self.shard_idx(id);
-        self.shards.get_mut(s)?.tasks_of_mut(id)
+        self.tasks.get_mut(*self.index.get(&id)?)
     }
 
     pub fn contains(&self, id: Id) -> bool {
-        self.shard_for(id)
-            .is_some_and(|sh| sh.index.contains_key(&id))
+        self.index.contains_key(&id)
     }
 
     /// Remaining tasks at one virtual node.
@@ -381,71 +228,44 @@ impl Ring {
 
     /// The worker controlling the vnode at `id`, if present.
     pub fn vnode_owner(&self, id: Id) -> Option<WorkerId> {
-        let sh = self.shard_for(id)?;
-        sh.owners.get(*sh.index.get(&id)?).copied()
+        self.owners.get(*self.index.get(&id)?).copied()
     }
 
     /// The virtual node whose arc contains `key` (first id ≥ key,
     /// wrapping to the smallest id).
     pub fn owner_of_key(&self, key: Id) -> Option<Id> {
-        self.next_entry(key, true).map(|e| e.id)
+        self.next_entry(key, true).map(|(id, _)| id)
     }
 
     /// Clockwise neighbor of `id` (excluding itself; `id` itself when it
     /// is the only node). `id` need not be present.
     pub fn successor_of(&self, id: Id) -> Option<Id> {
-        self.next_entry(id, false).map(|e| e.id)
+        self.next_entry(id, false).map(|(id, _)| id)
     }
 
     /// The first vnode clockwise from `id` (at `id` itself too when
-    /// `inclusive`): one ordered-index descent in `id`'s shard, falling
-    /// back to the first entry of the next non-empty shard.
-    fn next_entry(&self, id: Id, inclusive: bool) -> Option<Entry> {
-        let s = self.shard_idx(id);
+    /// `inclusive`) as `(id, slot)`: one ordered-index descent, wrapping
+    /// to the first entry when it runs off the end.
+    fn next_entry(&self, id: Id, inclusive: bool) -> Option<(Id, usize)> {
         let lo = if inclusive {
             Bound::Included(id)
         } else {
             Bound::Excluded(id)
         };
-        self.shards
-            .get(s)
-            .and_then(|sh| sh.index.range((lo, Bound::Unbounded)).next())
-            .map(|(&id, &slot)| Entry { shard: s, id, slot })
-            .or_else(|| self.first_nonempty_after(s))
+        self.index
+            .range((lo, Bound::Unbounded))
+            .next()
+            .or_else(|| self.index.first_key_value())
+            .map(|(&id, &slot)| (id, slot))
     }
 
     /// Counter-clockwise neighbor of `id` (excluding itself).
     pub fn predecessor_of(&self, id: Id) -> Option<Id> {
-        let s = self.shard_idx(id);
-        if let Some((&i, _)) = self
-            .shards
-            .get(s)
-            .and_then(|sh| sh.index.range(..id).next_back())
-        {
-            return Some(i);
-        }
-        // Walk counter-clockwise through shards s-1, …, 0, then wrap
-        // n-1, …, s: the first non-empty shard's largest id is the
-        // predecessor (or, wrapped, the global maximum).
-        let n = self.shards.len();
-        (1..=n).find_map(|d| {
-            let sh = self.shards.get((s + n - d) % n)?;
-            sh.index.keys().next_back().copied()
-        })
-    }
-
-    /// The smallest vnode in the first non-empty shard clockwise after
-    /// shard `s` (cyclically, ending at `s` itself). Ids in shards after
-    /// `s` all sort above shard `s`'s arc, so this is both "next id
-    /// after the arc" and, once wrapped past the top, the global
-    /// minimum.
-    fn first_nonempty_after(&self, s: usize) -> Option<Entry> {
-        let n = self.shards.len();
-        (1..=n).find_map(|d| {
-            let shard = (s + d) % n;
-            let (&id, &slot) = self.shards.get(shard)?.index.first_key_value()?;
-            Some(Entry { shard, id, slot })
-        })
+        self.index
+            .range(..id)
+            .next_back()
+            .or_else(|| self.index.last_key_value())
+            .map(|(&id, _)| id)
     }
 
     /// Up to `k` distinct clockwise successors of `id`, nearest first,
@@ -476,8 +296,7 @@ impl Ring {
 
     /// Inserts a virtual node at `id` for `owner`, splitting the
     /// successor's task set: keys in `(old predecessor, id]` move to the
-    /// newcomer — the successor may live in any shard. Returns how many
-    /// tasks were acquired.
+    /// newcomer. Returns how many tasks were acquired.
     pub fn insert_vnode(&mut self, id: Id, owner: WorkerId) -> Result<u64, RingError> {
         self.insert_slotted(id, owner)
             .map(|(_, acquired, _)| acquired)
@@ -496,21 +315,20 @@ impl Ring {
         self.muts = self.muts.wrapping_add(1);
         let mut tasks = Vec::new();
         let mut succ_owner = owner;
-        if let Some(succ) = self.next_entry(id, true) {
-            if succ.id == id {
+        if let Some((succ, succ_slot)) = self.next_entry(id, true) {
+            if succ == id {
                 return Err(RingError::Occupied(id));
             }
             let Ring {
-                shards,
+                owners,
+                tasks: columns,
                 scratch,
                 pool,
                 ..
             } = self;
-            let Some((tv, &victim)) = shards
-                .get_mut(succ.shard)
-                .and_then(|sh| sh.tasks.get_mut(succ.slot).zip(sh.owners.get(succ.slot)))
+            let (Some(tv), Some(&victim)) = (columns.get_mut(succ_slot), owners.get(succ_slot))
             else {
-                return Err(RingError::Unknown(succ.id));
+                return Err(RingError::Unknown(succ));
             };
             succ_owner = victim;
             // Keys keeping with the successor are those in (id, succ];
@@ -520,7 +338,7 @@ impl Ring {
             // newcomer's keys in their original order.
             scratch.clear();
             tv.retain(|&k| {
-                let keep = arc::in_arc(id, succ.id, k);
+                let keep = arc::in_arc(id, succ, k);
                 if !keep {
                     scratch.push(k);
                 }
@@ -530,25 +348,26 @@ impl Ring {
             tasks.extend_from_slice(scratch);
         }
         let acquired = tasks.len() as u64;
-        let s = self.shard_idx(id);
-        let Some(slot) = self
-            .shards
-            .get_mut(s)
-            .and_then(|sh| sh.insert(id, owner, tasks))
-        else {
+        // File the newcomer into a free (or fresh) slot.
+        let slot = match self.free.pop() {
+            Some(s) if s < self.owners.len() => s,
+            _ => {
+                self.owners.push(FREE_OWNER);
+                self.tasks.push(Vec::new());
+                self.owners.len() - 1
+            }
+        };
+        let (Some(o), Some(tv)) = (self.owners.get_mut(slot), self.tasks.get_mut(slot)) else {
             return Err(RingError::Unknown(id));
         };
-        self.len += 1;
-        let handle = Slot {
-            shard: s as u32,
-            slot: slot as u32,
-        };
-        Ok((handle, acquired, succ_owner))
+        *o = owner;
+        *tv = tasks;
+        self.index.insert(id, slot);
+        Ok((Slot(slot as u32), acquired, succ_owner))
     }
 
     /// Removes the virtual node at `id`, merging its remaining tasks
-    /// into its successor (which may live in any shard). Returns
-    /// `(owner, tasks_moved, successor)`.
+    /// into its successor. Returns `(owner, tasks_moved, successor)`.
     pub fn remove_vnode(&mut self, id: Id) -> Result<(WorkerId, u64, Id), RingError> {
         self.remove_slotted(id).map(|r| (r.owner, r.moved, r.succ))
     }
@@ -560,38 +379,37 @@ impl Ring {
         self.muts = self.muts.wrapping_add(1);
         // A lone vnode holds every task, so it may leave only once the
         // ring is drained.
-        if self.len == 1 && self.total_tasks > 0 {
+        if self.len() == 1 && self.total_tasks > 0 {
             return Err(if self.contains(id) {
                 RingError::LastVNode
             } else {
                 RingError::Unknown(id)
             });
         }
-        let s = self.shard_idx(id);
-        let Some((slot, owner, tasks)) = self.shards.get_mut(s).and_then(|sh| sh.remove(id)) else {
+        let Some(slot) = self.index.remove(&id) else {
             return Err(RingError::Unknown(id));
         };
-        self.len -= 1;
+        let (Some(o), Some(tv)) = (self.owners.get_mut(slot), self.tasks.get_mut(slot)) else {
+            return Err(RingError::Unknown(id));
+        };
+        let owner = std::mem::replace(o, FREE_OWNER);
+        let tasks = std::mem::take(tv);
+        self.free.push(slot);
         let moved = tasks.len() as u64;
         let (succ, succ_owner) = match self.next_entry(id, false) {
-            Some(e) => {
-                let Some(sh) = self.shards.get_mut(e.shard) else {
-                    return Err(RingError::Unknown(e.id));
-                };
-                if let Some(tv) = sh.tasks.get_mut(e.slot) {
+            Some((succ, succ_slot)) => {
+                if let Some(tv) = self.tasks.get_mut(succ_slot) {
                     tv.extend_from_slice(&tasks);
                 }
-                (e.id, sh.owners.get(e.slot).copied().unwrap_or(FREE_OWNER))
+                let succ_owner = self.owners.get(succ_slot).copied();
+                (succ, succ_owner.unwrap_or(FREE_OWNER))
             }
             // The last vnode left idle: it was its own successor.
             None => (id, owner),
         };
         self.recycle(tasks);
         Ok(Removal {
-            slot: Slot {
-                shard: s as u32,
-                slot: slot as u32,
-            },
+            slot: Slot(slot as u32),
             owner,
             moved,
             succ,
@@ -608,10 +426,10 @@ impl Ring {
     }
 
     /// Distributes a batch of task keys onto their owning virtual nodes
-    /// (initial placement). Keys may arrive in any order; the walk
-    /// simply crosses shard boundaries as it sweeps the global id order.
+    /// (initial placement). Keys may arrive in any order; one sweep over
+    /// the ring order hands each vnode its sorted chunk.
     pub fn assign_tasks(&mut self, mut keys: Vec<Id>) {
-        debug_assert!(self.len > 0, "assign_tasks on empty ring");
+        debug_assert!(!self.is_empty(), "assign_tasks on empty ring");
         self.muts = self.muts.wrapping_add(1);
         keys.sort_unstable();
         self.total_tasks += keys.len() as u64;
@@ -621,25 +439,23 @@ impl Ring {
         let mut start = 0usize;
         let mut first = None;
         let mut prev = None;
-        for sh in self.shards.iter_mut() {
-            let Shard { index, tasks, .. } = sh;
-            for (&b, &slot) in index.iter() {
-                let Some(a) = prev else {
-                    first = Some(b);
-                    prev = Some(b);
-                    continue;
-                };
-                // keys in (a, b]: advance start past ≤ a, then take ≤ b.
-                let tail = keys.get(start..).unwrap_or_default();
-                let lo = tail.partition_point(|&k| k <= a) + start;
-                let rest = keys.get(lo..).unwrap_or_default();
-                let hi = rest.partition_point(|&k| k <= b) + lo;
-                if let (Some(tv), Some(chunk)) = (tasks.get_mut(slot), keys.get(lo..hi)) {
-                    extend_sorted(tv, chunk);
-                }
-                start = hi;
+        let Ring { index, tasks, .. } = self;
+        for (&b, &slot) in index.iter() {
+            let Some(a) = prev else {
+                first = Some(b);
                 prev = Some(b);
+                continue;
+            };
+            // keys in (a, b]: advance start past ≤ a, then take ≤ b.
+            let tail = keys.get(start..).unwrap_or_default();
+            let lo = tail.partition_point(|&k| k <= a) + start;
+            let rest = keys.get(lo..).unwrap_or_default();
+            let hi = rest.partition_point(|&k| k <= b) + lo;
+            if let (Some(tv), Some(chunk)) = (tasks.get_mut(slot), keys.get(lo..hi)) {
+                extend_sorted(tv, chunk);
             }
+            start = hi;
+            prev = Some(b);
         }
         // Wrap chunk: keys ≤ first id and keys > last id go to first.
         let (Some(first), Some(last)) = (first, prev) else {
@@ -674,10 +490,7 @@ impl Ring {
     /// Remaining tasks at the vnode behind a handle.
     #[inline]
     pub(crate) fn queue_len(&self, h: Slot) -> u64 {
-        self.shards
-            .get(h.shard as usize)
-            .and_then(|sh| sh.tasks.get(h.slot as usize))
-            .map_or(0, |t| t.len() as u64)
+        self.tasks.get(h.0 as usize).map_or(0, |t| t.len() as u64)
     }
 
     /// Plans `count` pops from the vnode behind `h` this tick, drawing
@@ -687,21 +500,22 @@ impl Ring {
     /// on to reproduce it exactly.
     #[inline]
     pub(crate) fn plan_pops(&mut self, h: Slot, offset: u64, count: u32) {
-        if let Some(sh) = self.shards.get_mut(h.shard as usize) {
-            sh.plan.push(PlannedPops {
-                offset,
-                slot: h.slot,
-                count,
-            });
-        }
+        self.plan.push(PlannedPops {
+            offset,
+            slot: h.0,
+            count,
+        });
     }
 
     /// The work phase of one tick, after a planning pass has planned
     /// `total` pops. Generates the tick's pop-state stream once, then
-    /// replays each shard's planned slices — in parallel when there are
-    /// several shards and the ambient rayon pool has threads to spare,
-    /// sequentially otherwise; both produce identical state by
-    /// construction.
+    /// replays the planned slices: every planned slot pops its count
+    /// using exactly the states the sequential per-pop loop would have
+    /// drawn for it.
+    ///
+    /// Slots are visited in plan order, not ring order: each state in
+    /// the stream is pre-assigned to one vnode by the planning pass, so
+    /// replay order cannot change which state pops which queue.
     pub(crate) fn run_pops(&mut self, total: u64) {
         self.stream.clear();
         self.stream.reserve(total as usize);
@@ -711,15 +525,31 @@ impl Ring {
             self.stream.push(s);
         }
         self.pop_rng = s;
-        let Ring { shards, stream, .. } = self;
-        let stream: &[u64] = stream;
-        let done: u64 = if shards.len() > 1 && rayon::current_num_threads() > 1 {
-            let jobs: Vec<&mut Shard> = shards.iter_mut().collect();
-            let per_shard: Vec<u64> = jobs.into_par_iter().map(|sh| sh.replay(stream)).collect();
-            per_shard.iter().sum()
-        } else {
-            shards.iter_mut().map(|sh| sh.replay(stream)).sum()
-        };
+        let Ring {
+            tasks,
+            plan,
+            stream,
+            ..
+        } = self;
+        let mut done = 0u64;
+        for p in plan.iter() {
+            let start = p.offset as usize;
+            let (Some(tv), Some(states)) = (
+                tasks.get_mut(p.slot as usize),
+                stream.get(start..start + p.count as usize),
+            ) else {
+                continue;
+            };
+            for &st in states {
+                let len = tv.len();
+                if len == 0 {
+                    break;
+                }
+                tv.swap_remove(pop_index(st, len));
+                done += 1;
+            }
+        }
+        plan.clear();
         debug_assert_eq!(done, total, "replay popped a different count");
         self.total_tasks -= done;
     }
@@ -737,7 +567,9 @@ impl Ring {
     pub(crate) fn plan_pops_from_ring(&mut self, caps: &[u32]) -> u64 {
         self.refresh_live();
         let Ring {
-            shards,
+            tasks,
+            live,
+            plan,
             worker_pops,
             worker_offs,
             ..
@@ -745,41 +577,35 @@ impl Ring {
         worker_pops.clear();
         worker_pops.resize(caps.len(), 0);
         worker_offs.resize(caps.len(), 0);
-        for sh in shards.iter_mut() {
-            let Shard { tasks, live, .. } = sh;
-            // Drained slots leave the working set here.
-            live.retain(|&(slot, owner)| {
-                let len = tasks.get(slot as usize).map_or(0, Vec::len) as u64;
-                if let (Some(&cap), Some(p)) = (
-                    caps.get(owner as usize),
-                    worker_pops.get_mut(owner as usize),
-                ) {
-                    *p = (cap as u64).min(len) as u32;
-                }
-                len > 0
-            });
-        }
+        // Drained slots leave the working set here.
+        live.retain(|&(slot, owner)| {
+            let len = tasks.get(slot as usize).map_or(0, Vec::len) as u64;
+            if let (Some(&cap), Some(p)) = (
+                caps.get(owner as usize),
+                worker_pops.get_mut(owner as usize),
+            ) {
+                *p = (cap as u64).min(len) as u32;
+            }
+            len > 0
+        });
         let mut total = 0u64;
         for (&p, off) in worker_pops.iter().zip(worker_offs.iter_mut()) {
             *off = total;
             total += p as u64;
         }
-        for sh in shards.iter_mut() {
-            let Shard { live, plan, .. } = sh;
-            for &(slot, owner) in live.iter() {
-                let (Some(&count), Some(&offset)) = (
-                    worker_pops.get(owner as usize),
-                    worker_offs.get(owner as usize),
-                ) else {
-                    continue;
-                };
-                if count > 0 {
-                    plan.push(PlannedPops {
-                        offset,
-                        slot,
-                        count,
-                    });
-                }
+        for &(slot, owner) in live.iter() {
+            let (Some(&count), Some(&offset)) = (
+                worker_pops.get(owner as usize),
+                worker_offs.get(owner as usize),
+            ) else {
+                continue;
+            };
+            if count > 0 {
+                plan.push(PlannedPops {
+                    offset,
+                    slot,
+                    count,
+                });
             }
         }
         total
@@ -811,66 +637,40 @@ impl Ring {
 
     /// Remaining task keys at one virtual node, in internal queue order.
     pub fn tasks(&self, id: Id) -> Option<&[Id]> {
-        self.shard_for(id)?.tasks_of(id).map(Vec::as_slice)
+        self.tasks.get(*self.index.get(&id)?).map(Vec::as_slice)
     }
 
-    /// Every vnode as `(id, owner, tasks)` in global ring (ascending
-    /// id) order — shards concatenate to the global order because
-    /// [`shard_of`] is monotone in the id.
+    /// Every vnode as `(id, owner, tasks)` in ring (ascending id) order.
     fn vnodes_in_order(&self) -> impl Iterator<Item = (Id, WorkerId, &[Id])> + '_ {
-        self.shards.iter().flat_map(|sh| {
-            sh.index.iter().map(move |(&id, &slot)| {
-                let owner = sh.owners.get(slot).copied().unwrap_or(FREE_OWNER);
-                let tasks = sh.tasks.get(slot).map_or(Default::default(), Vec::as_slice);
-                (id, owner, tasks)
-            })
+        self.index.iter().map(|(&id, &slot)| {
+            let owner = self.owners.get(slot).copied().unwrap_or(FREE_OWNER);
+            let tasks = self
+                .tasks
+                .get(slot)
+                .map_or(Default::default(), Vec::as_slice);
+            (id, owner, tasks)
         })
     }
 
-    /// `(id, owner, tasks)` for every vnode in global ring order.
+    /// `(id, owner, tasks)` for every vnode in ring order.
     pub fn rows(&self) -> Vec<(Id, WorkerId, Vec<Id>)> {
         self.vnodes_in_order()
             .map(|(id, owner, tasks)| (id, owner, tasks.to_vec()))
             .collect()
     }
 
-    /// `(id, load)` for every vnode in global ring order.
+    /// `(id, load)` for every vnode in ring order.
     pub fn vnode_loads(&self) -> Vec<(Id, u64)> {
         self.vnodes_in_order()
             .map(|(id, _, tasks)| (id, tasks.len() as u64))
             .collect()
     }
 
-    /// Per-shard mergeable load summaries (the tick-barrier feed for
-    /// the metrics plane: each shard reports independently, the merge
-    /// is order-free and exact).
-    pub fn shard_summaries(&self) -> Vec<DistSummary> {
-        self.shards.iter().map(Shard::summary).collect()
-    }
-
-    /// The merged whole-ring summary; equals folding every vnode load
-    /// through one [`DistSummary`].
-    pub fn summary(&self) -> DistSummary {
-        let mut total = DistSummary::default();
-        for s in self.shards.iter().map(Shard::summary) {
-            total.merge(&s);
-        }
-        total
-    }
-
-    /// Verifies internal invariants (accurate totals, shard filing,
-    /// keys within their owner arcs). Test/debug helper; O(total tasks).
+    /// Verifies internal invariants (accurate totals, live slots, keys
+    /// within their owner arcs). Test/debug helper; O(total tasks).
     pub fn check_invariants(&self) -> Result<(), String> {
         let mut counted = 0u64;
-        let mut live = 0usize;
         for (id, owner, tv) in self.vnodes_in_order() {
-            live += 1;
-            if self
-                .shard_for(id)
-                .is_none_or(|sh| !sh.index.contains_key(&id))
-            {
-                return Err(format!("vnode {id} filed outside its shard"));
-            }
             if owner == FREE_OWNER {
                 return Err(format!("vnode {id} points at a freed slot"));
             }
@@ -883,8 +683,9 @@ impl Ring {
                 return Err(format!("key {k} at {id} outside arc ({pred}, {id}]"));
             }
         }
-        if live != self.len {
-            return Err(format!("len {} but counted {live} vnodes", self.len));
+        let owned = self.owners.iter().filter(|&&o| o != FREE_OWNER).count();
+        if owned != self.len() {
+            return Err(format!("{} vnodes but {owned} owned slots", self.len()));
         }
         if counted != self.total_tasks {
             return Err(format!(
@@ -899,7 +700,7 @@ impl Ring {
 /// One xorshift64 step of the pop generator. Split out from
 /// [`pop_index`] because the state evolution is independent of the
 /// vector lengths being popped — the planned tick exploits this to
-/// pre-generate a tick's whole state stream and pop in parallel.
+/// pre-generate a tick's whole state stream before any pop.
 #[inline]
 fn advance_pop_state(state: u64) -> u64 {
     let mut x = state;
@@ -965,7 +766,6 @@ mod tests {
         let r = Ring::default();
         assert!(r.is_empty());
         assert_eq!(r.total_tasks(), 0);
-        assert_eq!(r.shard_count(), 1);
         assert_eq!(r.owner_of_key(id(5)), None);
         assert_eq!(r.successor_of(id(5)), None);
         assert_eq!(r.predecessor_of(id(5)), None);
@@ -1073,18 +873,16 @@ mod tests {
 
     #[test]
     fn remove_unknown_and_last() {
-        for shards in [1, 4] {
-            let mut r = Ring::with_shards(shards);
-            let at = id(42);
-            r.insert_vnode(at, 0).unwrap();
-            r.assign_tasks(vec![id(7)]);
-            assert_eq!(r.remove_vnode(id(5)), Err(RingError::Unknown(id(5))));
-            assert_eq!(r.remove_vnode(at), Err(RingError::LastVNode));
-            assert!(r.pop_task(at));
-            assert_eq!(r.remove_vnode(at), Ok((0, 0, at)));
-            assert!(r.is_empty());
-            assert_eq!(r.remove_vnode(at), Err(RingError::Unknown(at)));
-        }
+        let mut r = Ring::new();
+        let at = id(42);
+        r.insert_vnode(at, 0).unwrap();
+        r.assign_tasks(vec![id(7)]);
+        assert_eq!(r.remove_vnode(id(5)), Err(RingError::Unknown(id(5))));
+        assert_eq!(r.remove_vnode(at), Err(RingError::LastVNode));
+        assert!(r.pop_task(at));
+        assert_eq!(r.remove_vnode(at), Ok((0, 0, at)));
+        assert!(r.is_empty());
+        assert_eq!(r.remove_vnode(at), Err(RingError::Unknown(at)));
     }
 
     #[test]
@@ -1204,69 +1002,21 @@ mod tests {
     }
 
     #[test]
-    fn shard_of_is_monotone_and_in_range() {
-        let mut rng = ChaCha8Rng::seed_from_u64(7);
-        for shards in [1usize, 2, 3, 8, 64] {
-            let mut pairs: Vec<(Id, usize)> = (0..500)
-                .map(|_| Id::random(&mut rng))
-                .map(|i| (i, shard_of(i, shards)))
-                .collect();
-            pairs.sort();
-            for w in pairs.windows(2) {
-                assert!(w[0].1 <= w[1].1, "shard_of must be monotone");
-            }
-            assert!(pairs.iter().all(|&(_, s)| s < shards));
-        }
-        assert_eq!(shard_of(Id::ZERO, 64), 0);
-        assert_eq!(shard_of(Id::MAX, 64), 63);
-    }
-
-    #[test]
-    fn summaries_merge_to_whole_ring() {
-        let mut rng = ChaCha8Rng::seed_from_u64(11);
-        let mut ring = Ring::with_shards(8);
-        for w in 0..50usize {
-            ring.insert_vnode(Id::random(&mut rng), w).unwrap();
-        }
-        ring.assign_tasks((0..2_000).map(|_| Id::random(&mut rng)).collect());
-        let merged = ring.summary();
-        assert_eq!(merged.n, 50);
-        assert_eq!(merged.total, 2_000);
-        let mut refold = DistSummary::default();
-        for s in ring.shard_summaries() {
-            refold.merge(&s);
-        }
-        assert_eq!(refold, merged);
-        let max = ring
-            .vnode_loads()
-            .into_iter()
-            .map(|(_, l)| l)
-            .max()
-            .unwrap();
-        assert_eq!(merged.max, max);
-    }
-
-    #[test]
     fn slots_are_stable_and_reused_after_removal() {
-        let mut r = Ring::with_shards(2);
+        let mut r = Ring::new();
         let (a, _, _) = r.insert_slotted(id(100), 0).unwrap();
         let (b, _, _) = r.insert_slotted(id(200), 1).unwrap();
         assert_ne!(a, b);
         r.assign_tasks(vec![id(150), id(160)]);
         assert_eq!(r.queue_len(b), 2);
-        // Removing a vnode frees its slot; the next insert into the
-        // same shard takes it over, the surviving handle is untouched.
+        // Removing a vnode frees its slot; the next insert takes it
+        // over, the surviving handle is untouched.
         let gone = r.remove_slotted(id(200)).unwrap();
         assert_eq!((gone.slot, gone.owner, gone.moved), (b, 1, 2));
         assert_eq!(r.queue_len(a), 2);
         let (c, _, _) = r.insert_slotted(id(210), 2).unwrap();
         assert_eq!(c, b);
         assert_eq!(r.queue_len(c), 2);
-    }
-
-    /// An id in shard `s` of an 8-shard ring.
-    fn in_shard8(s: u64, lo: u64) -> Id {
-        Id::from_limbs(lo, 0, s << 29)
     }
 
     /// Inserts through the one-search path and checks the owner it hands
@@ -1313,68 +1063,39 @@ mod tests {
     }
 
     #[test]
-    fn successor_is_found_across_empty_shards() {
-        // Two vnodes in shards 1 and 5 of 8: every other shard is empty,
-        // so each search below falls through to another shard.
-        let (a, b) = (in_shard8(1, 0), in_shard8(5, 0));
-        let mut r = Ring::with_shards(8);
-        assert_eq!(insert_checked(&mut r, a, 0), 0);
-        assert_eq!(insert_checked(&mut r, b, 1), 0);
-        r.assign_tasks((0..8).map(|s| in_shard8(s, 7)).collect());
-        // Shard 3 → b in shard 5; shard 7 → a in shard 1, wrapping.
-        assert_eq!(insert_checked(&mut r, in_shard8(3, 9), 2), 3);
-        assert_eq!(insert_checked(&mut r, in_shard8(7, 9), 3), 3);
-        let gone = remove_checked(&mut r, b);
-        assert_eq!(
-            (gone.succ, gone.succ_owner, gone.moved),
-            (in_shard8(7, 9), 3, 1)
-        );
-        let gone = remove_checked(&mut r, in_shard8(7, 9));
-        assert_eq!((gone.succ, gone.succ_owner, gone.moved), (a, 0, 4));
-        assert_eq!(r.load(a), 5);
-    }
-
-    #[test]
     fn removing_the_last_vnode_loaded_then_idle() {
-        for shards in [1, 8] {
-            let at = id(42);
-            let mut r = Ring::with_shards(shards);
-            assert_eq!(insert_checked(&mut r, at, 3), 0);
-            r.assign_tasks(vec![id(7)]);
-            let before = r.rows();
-            assert_eq!(r.remove_slotted(at), Err(RingError::LastVNode));
-            assert_eq!(r.rows(), before);
-            assert!(r.pop_task(at));
-            let gone = remove_checked(&mut r, at);
-            assert_eq!((gone.owner, gone.moved), (3, 0));
-            assert_eq!((gone.succ, gone.succ_owner), (at, 3));
-            assert!(r.is_empty());
-        }
+        let at = id(42);
+        let mut r = Ring::new();
+        assert_eq!(insert_checked(&mut r, at, 3), 0);
+        r.assign_tasks(vec![id(7)]);
+        let before = r.rows();
+        assert_eq!(r.remove_slotted(at), Err(RingError::LastVNode));
+        assert_eq!(r.rows(), before);
+        assert!(r.pop_task(at));
+        let gone = remove_checked(&mut r, at);
+        assert_eq!((gone.owner, gone.moved), (3, 0));
+        assert_eq!((gone.succ, gone.succ_owner), (at, 3));
+        assert!(r.is_empty());
     }
 
     #[test]
     fn occupied_insert_leaves_the_ring_unchanged() {
-        for shards in [1, 8] {
-            let mut r = Ring::with_shards(shards);
-            for (w, at) in [in_shard8(1, 5), in_shard8(5, 5), in_shard8(6, 5)]
-                .into_iter()
-                .enumerate()
-            {
-                r.insert_vnode(at, w).unwrap();
-            }
-            r.assign_tasks((0..8).map(|s| in_shard8(s, 9)).collect());
-            let before = r.rows();
-            for (w, at) in [in_shard8(1, 5), in_shard8(6, 5)].into_iter().enumerate() {
-                assert_eq!(r.insert_slotted(at, 9 + w), Err(RingError::Occupied(at)));
-            }
-            assert_eq!(r.rows(), before);
-            assert_eq!((r.len(), r.total_tasks()), (3, 8));
-            r.check_invariants().unwrap();
+        let mut r = ring_with(&[100, 500, 600]);
+        r.assign_tasks((0..8u128).map(|v| id(v * 90 + 9)).collect());
+        let before = r.rows();
+        for (w, at) in [100u128, 600].into_iter().enumerate() {
+            assert_eq!(
+                r.insert_slotted(id(at), 9 + w),
+                Err(RingError::Occupied(id(at)))
+            );
         }
+        assert_eq!(r.rows(), before);
+        assert_eq!((r.len(), r.total_tasks()), (3, 8));
+        r.check_invariants().unwrap();
     }
 
     /// A planned tick — per-vnode `(offset, count)` slices of one
-    /// stream, replayed by each shard — pops exactly what the same
+    /// stream, replayed in plan order — pops exactly what the same
     /// draws made one at a time would, with capacity spilling across
     /// each owner's vnodes.
     #[test]
@@ -1382,38 +1103,36 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(3);
         let ids: Vec<Id> = (0..30).map(|_| Id::random(&mut rng)).collect();
         let keys: Vec<Id> = (0..900).map(|_| Id::random(&mut rng)).collect();
-        for shards in [1, 4] {
-            let mut seq = Ring::with_shards(shards);
-            let mut planned = Ring::with_shards(shards);
-            let mut slots = Vec::new();
-            for (v, &at) in ids.iter().enumerate() {
-                seq.insert_vnode(at, v / 3).unwrap();
-                slots.push(planned.insert_slotted(at, v / 3).unwrap().0);
-            }
-            seq.assign_tasks(keys.clone());
-            planned.assign_tasks(keys.clone());
-            for _tick in 0..5 {
-                // Every owner's three vnodes share a capacity of 4.
-                let mut total = 0u64;
-                for (hs, at) in slots.chunks(3).zip(ids.chunks(3)) {
-                    let mut left = 4u64;
-                    for (&h, &v) in hs.iter().zip(at) {
-                        let p = left.min(planned.queue_len(h));
-                        if p > 0 {
-                            planned.plan_pops(h, total, p as u32);
-                        }
-                        total += p;
-                        left -= p;
-                        for _ in 0..p {
-                            assert!(seq.pop_task(v));
-                        }
+        let mut seq = Ring::new();
+        let mut planned = Ring::new();
+        let mut slots = Vec::new();
+        for (v, &at) in ids.iter().enumerate() {
+            seq.insert_vnode(at, v / 3).unwrap();
+            slots.push(planned.insert_slotted(at, v / 3).unwrap().0);
+        }
+        seq.assign_tasks(keys.clone());
+        planned.assign_tasks(keys);
+        for _tick in 0..5 {
+            // Every owner's three vnodes share a capacity of 4.
+            let mut total = 0u64;
+            for (hs, at) in slots.chunks(3).zip(ids.chunks(3)) {
+                let mut left = 4u64;
+                for (&h, &v) in hs.iter().zip(at) {
+                    let p = left.min(planned.queue_len(h));
+                    if p > 0 {
+                        planned.plan_pops(h, total, p as u32);
+                    }
+                    total += p;
+                    left -= p;
+                    for _ in 0..p {
+                        assert!(seq.pop_task(v));
                     }
                 }
-                planned.run_pops(total);
-                assert_eq!(seq.total_tasks(), planned.total_tasks());
-                assert_eq!(seq.rows(), planned.rows());
             }
-            planned.check_invariants().unwrap();
+            planned.run_pops(total);
+            assert_eq!(seq.total_tasks(), planned.total_tasks());
+            assert_eq!(seq.rows(), planned.rows());
         }
+        planned.check_invariants().unwrap();
     }
 }

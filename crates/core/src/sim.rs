@@ -104,7 +104,7 @@ impl Sim {
             }
         };
 
-        let mut ring = Ring::with_shards(cfg.resolved_shards());
+        let mut ring = Ring::new();
         let mut workers = Vec::with_capacity(cfg.nodes * 2);
         let mut handles = Vec::with_capacity(cfg.nodes * 2);
         for id in node_ids {
@@ -277,7 +277,7 @@ impl Sim {
 
         // 3. Every active worker consumes up to its capacity: plan each
         //    popping vnode's slice of the tick's pop stream, then let
-        //    the shards replay their plans.
+        //    the ring replay the plan.
         let consumed = if detached {
             self.ring.plan_pops_from_ring(&self.caps)
         } else {
@@ -428,13 +428,9 @@ impl Sim {
     pub(crate) fn worker_leave(&mut self, idx: WorkerId) {
         debug_assert!(self.workers[idx].is_active());
         let sybils = std::mem::take(&mut self.workers[idx].sybils);
-        for s in sybils {
-            let _ = self.remove_vnode_tracked(s);
-        }
+        self.workers[idx].sybils = self.remove_all(sybils);
         let statics = std::mem::take(&mut self.workers[idx].statics);
-        for s in statics {
-            let _ = self.remove_vnode_tracked(s);
-        }
+        self.workers[idx].statics = self.remove_all(statics);
         let primary = self.workers[idx].primary;
         let _ = self.remove_vnode_tracked(primary);
         self.workers[idx].state = WorkerState::Waiting;
@@ -523,6 +519,16 @@ impl Sim {
         Ok(r.moved)
     }
 
+    /// Removes every vnode in `list`, in order, and hands the list back
+    /// empty, so the owner's next join or Sybil reuses its capacity.
+    fn remove_all(&mut self, mut list: Vec<Id>) -> Vec<Id> {
+        for &pos in &list {
+            let _ = self.remove_vnode_tracked(pos);
+        }
+        list.clear();
+        list
+    }
+
     /// Creates a Sybil for `owner` at `pos`. Returns acquired task count,
     /// or `None` if the position is occupied.
     pub(crate) fn create_sybil(&mut self, owner: WorkerId, pos: Id) -> Option<u64> {
@@ -547,9 +553,7 @@ impl Sim {
     pub(crate) fn retire_sybils(&mut self, owner: WorkerId) {
         let sybils = std::mem::take(&mut self.workers[owner].sybils);
         let n = sybils.len() as u64;
-        for s in sybils {
-            let _ = self.remove_vnode_tracked(s);
-        }
+        self.workers[owner].sybils = self.remove_all(sybils);
         if n > 0 {
             let tick = self.tick;
             self.rec.emit(SimEvent::SybilsRetired {
@@ -1037,19 +1041,13 @@ mod tests {
         // A `None` run with nothing armed is eligible for ledger-
         // detached ticks; stepping it by hand must still keep the
         // public worker table truthful.
-        for shards in [1, 4] {
-            let cfg = SimConfig {
-                shards,
-                ..small_cfg(StrategyKind::None)
-            };
-            let mut sim = Sim::new(cfg, 12);
-            for _ in 0..7 {
-                sim.step();
-            }
-            let loads: Vec<u64> = sim.workers().iter().map(|w| w.load).collect();
-            assert_eq!(loads, sim.ring().loads_by_owner(sim.workers().len()));
-            sim.assert_load_caches();
+        let mut sim = Sim::new(small_cfg(StrategyKind::None), 12);
+        for _ in 0..7 {
+            sim.step();
         }
+        let loads: Vec<u64> = sim.workers().iter().map(|w| w.load).collect();
+        assert_eq!(loads, sim.ring().loads_by_owner(sim.workers().len()));
+        sim.assert_load_caches();
     }
 
     #[test]
@@ -1062,22 +1060,19 @@ mod tests {
             StrategyKind::NeighborInjection,
             StrategyKind::Invitation,
         ] {
-            for shards in [1, 2, 8] {
-                let cfg = SimConfig {
-                    shards,
-                    churn_rate: 0.05,
-                    virtual_nodes_per_worker: 3,
-                    ..small_cfg(strategy)
-                };
-                let mut sim = Sim::new(cfg, 13);
-                while sim.remaining_tasks() > 0 && sim.tick() < 200 {
-                    sim.step();
-                    sim.assert_load_caches();
-                }
-                let m = sim.messages();
-                assert!(m.sybils_created > 0, "{strategy:?} at {shards} shards");
-                assert!(m.churn_joins > 0, "{strategy:?} at {shards} shards");
+            let cfg = SimConfig {
+                churn_rate: 0.05,
+                virtual_nodes_per_worker: 3,
+                ..small_cfg(strategy)
+            };
+            let mut sim = Sim::new(cfg, 13);
+            while sim.remaining_tasks() > 0 && sim.tick() < 200 {
+                sim.step();
+                sim.assert_load_caches();
             }
+            let m = sim.messages();
+            assert!(m.sybils_created > 0, "{strategy:?}");
+            assert!(m.churn_joins > 0, "{strategy:?}");
         }
     }
 

@@ -15,15 +15,11 @@
 //! and reports the measured speedup — so the headline number is never a
 //! comparison across machines or commits.
 //!
-//! The `oracle_scaling` family sweeps worker count × shard count on the
-//! one ring engine (tasks proportional at 100 per worker, drain-phase
-//! timing over a shared pre-generated workload): the shard count only
-//! sets how many arc ranges the ring is partitioned into, so the cells
-//! compare partitionings (and the thread parallelism they allow), not
-//! engines. The reduced CI grid is 100k workers at shards {1, 4};
-//! `--full` runs n ∈ {6k, 50k, 100k, 500k, 1M} at shards {1, 2, 4, 8}.
-//! Every cell asserts tick-exact equality against its 1-shard sibling
-//! before any number is reported.
+//! The `oracle_scaling` family sweeps worker count on the ring engine
+//! (tasks proportional at 100 per worker, drain-phase timing over a
+//! shared pre-generated workload). The reduced CI grid is 100k
+//! workers; `--full` runs n ∈ {6k, 50k, 100k, 500k, 1M}. Row names keep
+//! their `_s1` suffix so committed baselines still gate them.
 //!
 //! Every row carries the host's `nproc` and the rayon thread count the
 //! run used, so a scaling row is never read without its core count.
@@ -96,8 +92,6 @@ struct Measurement {
     /// Scaling and Sybil rows: the worker count of the cell; Chord
     /// lookup and join rows: the ring's node count.
     workers: Option<u64>,
-    /// Scaling rows: the configured shard count of the cell.
-    shards: Option<u32>,
     /// What `work` counts: `"ticks"`, `"tasks"`, `"events"`,
     /// `"cycles"`, `"lookups"` or `"joins"`.
     units: &'static str,
@@ -127,19 +121,14 @@ fn opt_str(v: Option<&'static str>) -> String {
     v.map_or("null".to_string(), |s| format!("\"{s}\""))
 }
 
-fn opt_u32(v: Option<u32>) -> String {
-    v.map_or("null".to_string(), |n| n.to_string())
-}
-
 impl Measurement {
     fn to_json(&self, host: &HostStamp) -> String {
         format!(
-            "    {{\n      \"name\": \"{}\",\n      \"substrate\": \"{}\",\n      \"group\": {},\n      \"workers\": {},\n      \"shards\": {},\n      \"nproc\": {},\n      \"threads\": {},\n      \"units\": \"{}\",\n      \"work\": {},\n      \"wall_ms\": {:.2},\n      \"throughput\": {:.2},\n      \"allocations\": {},\n      \"peak_vnodes\": {},\n      \"naive_wall_ms\": {},\n      \"speedup_vs_naive\": {},\n      \"sybils_created\": {},\n      \"sybils_retired\": {}\n    }}",
+            "    {{\n      \"name\": \"{}\",\n      \"substrate\": \"{}\",\n      \"group\": {},\n      \"workers\": {},\n      \"nproc\": {},\n      \"threads\": {},\n      \"units\": \"{}\",\n      \"work\": {},\n      \"wall_ms\": {:.2},\n      \"throughput\": {:.2},\n      \"allocations\": {},\n      \"peak_vnodes\": {},\n      \"naive_wall_ms\": {},\n      \"speedup_vs_naive\": {},\n      \"sybils_created\": {},\n      \"sybils_retired\": {}\n    }}",
             self.name,
             self.substrate,
             opt_str(self.group),
             opt_u64(self.workers),
-            opt_u32(self.shards),
             host.nproc,
             host.threads,
             self.units,
@@ -235,7 +224,6 @@ fn oracle_ring_large(args: &Args) -> Measurement {
         name: "oracle_ring_large".to_string(),
         group: None,
         workers: None,
-        shards: None,
         substrate: "oracle-ring",
         units: "ticks",
         work: opt.ticks,
@@ -291,7 +279,6 @@ fn oracle_sybil(args: &Args) -> Measurement {
         substrate: "oracle-ring",
         group: None,
         workers: Some(workers),
-        shards: None,
         units: "ticks",
         work: run.ticks,
         wall_ms: best_ms,
@@ -326,7 +313,6 @@ fn chord_protocol(args: &Args) -> Measurement {
         name: "chord_protocol".to_string(),
         group: None,
         workers: None,
-        shards: None,
         substrate: "protocol",
         units: "ticks",
         work: run.ticks,
@@ -379,7 +365,6 @@ fn chord_maintenance(args: &Args) -> Measurement {
         name: "chord_maintenance".to_string(),
         group: None,
         workers: None,
-        shards: None,
         substrate: "protocol",
         units: "cycles",
         work: MAINTENANCE_CYCLES,
@@ -439,7 +424,6 @@ fn chord_lookup(args: &Args) -> Vec<Measurement> {
                 name: format!("chord_lookup_n{n}"),
                 group: Some("chord_lookup"),
                 workers: Some(n as u64),
-                shards: None,
                 substrate: "protocol",
                 units: "lookups",
                 work: LOOKUPS,
@@ -487,7 +471,6 @@ fn chord_join(args: &Args) -> Measurement {
         name: "chord_join".to_string(),
         group: None,
         workers: Some(256),
-        shards: None,
         substrate: "protocol",
         units: "joins",
         work: JOINS,
@@ -531,7 +514,6 @@ fn event_substrate(args: &Args) -> Measurement {
         name: "event_substrate".to_string(),
         group: None,
         workers: None,
-        shards: None,
         substrate: "event",
         units: "events",
         work: run.wire_events,
@@ -577,7 +559,6 @@ fn eventnet(args: &Args) -> Measurement {
         name: "eventnet".to_string(),
         group: None,
         workers: None,
-        shards: None,
         substrate: "eventnet",
         units: "events",
         work: events,
@@ -591,17 +572,14 @@ fn eventnet(args: &Args) -> Measurement {
     }
 }
 
-/// The scaling grid: `(workers, shard counts)` cells. Tasks are
-/// proportional (100 per worker) so every cell drains the same
-/// per-worker workload; the reduced grid is the CI smoke.
-fn scaling_grid(full: bool) -> Vec<(u64, Vec<u32>)> {
+/// The scaling grid: worker counts. Tasks are proportional (100 per
+/// worker) so every cell drains the same per-worker workload; the
+/// reduced grid is the CI smoke.
+fn scaling_grid(full: bool) -> Vec<u64> {
     if full {
-        [6_000u64, 50_000, 100_000, 500_000, 1_000_000]
-            .into_iter()
-            .map(|n| (n, vec![1u32, 2, 4, 8]))
-            .collect()
+        vec![6_000, 50_000, 100_000, 500_000, 1_000_000]
     } else {
-        vec![(100_000, vec![1, 4])]
+        vec![100_000]
     }
 }
 
@@ -613,14 +591,12 @@ const SCALING_TASKS_PER_WORKER: u64 = 100;
 /// for.
 const SCALING_REPS: usize = 2;
 
-/// The `oracle_scaling` family: worker count × shard count, timing the
+/// The `oracle_scaling` family: one cell per worker count, timing the
 /// drain phase only. The workload (node ids + pre-sorted task keys) is
-/// generated once per worker count and shared by every shard count and
-/// repetition, so cell times compare tick engines, not workload
-/// generation; `Sim::with_placement` construction (ring build + task
-/// assignment) also stays outside the clock. Before any cell is
-/// reported, its run is asserted tick-exact against the 1-shard cell
-/// of the same worker count — the cross-engine equality gate.
+/// generated once per worker count and shared by every repetition, so
+/// cell times measure the tick engine, not workload generation;
+/// `Sim::with_placement` construction (ring build + task assignment)
+/// also stays outside the clock.
 fn oracle_scaling(args: &Args) -> Vec<Measurement> {
     // Distinct node ids (160-bit collisions are astronomically rare,
     // but `Sim::with_placement` refuses duplicates, so dedup anyway).
@@ -637,7 +613,7 @@ fn oracle_scaling(args: &Args) -> Vec<Measurement> {
     }
 
     let mut out = Vec::new();
-    for (workers, shard_counts) in scaling_grid(args.full) {
+    for workers in scaling_grid(args.full) {
         let tasks = workers * SCALING_TASKS_PER_WORKER;
         let seed = args.seed ^ 0x5CA1;
         // One workload per worker count. Keys are pre-sorted once:
@@ -650,80 +626,45 @@ fn oracle_scaling(args: &Args) -> Vec<Measurement> {
             .collect();
         task_keys.sort_unstable();
 
-        let mut reference: Option<(u64, f64)> = None;
-        for &shards in &shard_counts {
-            let cfg = SimConfig {
-                nodes: workers as usize,
-                tasks,
-                strategy: StrategyKind::None,
-                churn_rate: 0.0,
-                shards,
-                ..SimConfig::default()
-            };
-            let mut best_ms = f64::INFINITY;
-            let mut allocs = None;
-            let mut ticks = 0u64;
-            let mut peak = 0u64;
-            for _ in 0..SCALING_REPS {
-                let sim =
-                    Sim::with_placement(cfg.clone(), seed, node_ids.clone(), task_keys.clone());
-                let (ms, (a, run)) = wall_ms(|| alloc_count(|| sim.run()));
-                assert!(run.completed, "scaling cell did not drain");
-                best_ms = best_ms.min(ms);
-                allocs = a;
-                ticks = run.ticks;
-                peak = run.peak_vnodes as u64;
-                // Tick-exact equality across shard counts: every cell
-                // must replay the 1-shard run's schedule.
-                if let Some((ref_ticks, ref_factor)) = reference {
-                    assert_eq!(
-                        (run.ticks, run.runtime_factor),
-                        (ref_ticks, ref_factor),
-                        "scaling n={workers} s={shards} diverged from 1-shard run"
-                    );
-                } else {
-                    reference = Some((run.ticks, run.runtime_factor));
-                }
-            }
-            let throughput = tasks as f64 / (best_ms / 1e3);
-            println!(
-                "  scaling n={workers} shards={shards}: {ticks} ticks | {best_ms:.0} ms | {throughput:.0} tasks/s"
-            );
-            out.push(Measurement {
-                name: format!("scaling_n{}k_s{}", workers / 1_000, shards),
-                substrate: "oracle-ring",
-                group: Some("oracle_scaling"),
-                workers: Some(workers),
-                shards: Some(shards),
-                units: "tasks",
-                work: tasks,
-                wall_ms: best_ms,
-                throughput,
-                allocations: allocs,
-                peak_vnodes: Some(peak),
-                naive_wall_ms: None,
-                speedup_vs_naive: None,
-                sybils: None,
-            });
+        let cfg = SimConfig {
+            nodes: workers as usize,
+            tasks,
+            strategy: StrategyKind::None,
+            churn_rate: 0.0,
+            ..SimConfig::default()
+        };
+        let mut best_ms = f64::INFINITY;
+        let mut allocs = None;
+        let mut ticks = 0u64;
+        let mut peak = 0u64;
+        for _ in 0..SCALING_REPS {
+            let sim = Sim::with_placement(cfg.clone(), seed, node_ids.clone(), task_keys.clone());
+            let (ms, (a, run)) = wall_ms(|| alloc_count(|| sim.run()));
+            assert!(run.completed, "scaling cell did not drain");
+            best_ms = best_ms.min(ms);
+            allocs = a;
+            ticks = run.ticks;
+            peak = run.peak_vnodes as u64;
         }
-        // Compare partition counts on the one engine: the best
-        // multi-shard cell against the 1-shard cell of this worker
-        // count. Any gain is parallel replay across shards, so it is
-        // bounded by the rayon thread count.
-        if let (Some(base), Some(best)) = (
-            out.iter()
-                .find(|m| m.workers == Some(workers) && m.shards == Some(1)),
-            out.iter()
-                .filter(|m| m.workers == Some(workers) && m.shards > Some(1))
-                .max_by(|a, b| a.throughput.total_cmp(&b.throughput)),
-        ) {
-            println!(
-                "  scaling n={workers}: best partition ({} shards) {:.2}x over 1 shard on {} rayon threads",
-                best.shards.unwrap_or(1),
-                best.throughput / base.throughput,
-                rayon::current_num_threads()
-            );
-        }
+        let throughput = tasks as f64 / (best_ms / 1e3);
+        println!(
+            "  scaling n={workers}: {ticks} ticks | {best_ms:.0} ms | {throughput:.0} tasks/s"
+        );
+        out.push(Measurement {
+            name: format!("scaling_n{}k_s1", workers / 1_000),
+            substrate: "oracle-ring",
+            group: Some("oracle_scaling"),
+            workers: Some(workers),
+            units: "tasks",
+            work: tasks,
+            wall_ms: best_ms,
+            throughput,
+            allocations: allocs,
+            peak_vnodes: Some(peak),
+            naive_wall_ms: None,
+            speedup_vs_naive: None,
+            sybils: None,
+        });
     }
     out
 }
@@ -836,7 +777,6 @@ mod tests {
             substrate: "oracle-ring",
             group: None,
             workers: None,
-            shards: None,
             units: "ticks",
             work: 100,
             wall_ms: 10.0,

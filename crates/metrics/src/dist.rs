@@ -1,51 +1,6 @@
-//! Load-distribution aggregates.
-//!
-//! [`DistSummary`] carries the mergeable aggregates of a load multiset
-//! (the oracle ring's per-shard summaries), and [`gini_ppm_from_sums`]
-//! turns the exact integer sums of a sorted sweep into the integer
-//! Gini the sample stream carries.
-
-/// Mergeable partial summary of a load multiset.
-///
-/// The oracle ring keeps one of these per arc-range shard and
-/// folds them together at the tick barrier. Only aggregates that are
-/// associative under disjoint union are carried — count, total, idle
-/// count, and max — because the rank-weighted sum `W` behind the exact
-/// Gini depends on the *global* ascending order and cannot be merged
-/// from partials; fairness gauges come from one sorted sweep at sample
-/// time ([`crate::MetricsHub::sample_batch`]). All fields are exact
-/// integers, so merging is order-independent and bit-stable.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct DistSummary {
-    /// Number of observed elements.
-    pub n: u64,
-    /// Exact total load `Σ x_i`.
-    pub total: u128,
-    /// Number of zero-load (idle) elements.
-    pub zeros: u64,
-    /// Largest observed load (0 when empty).
-    pub max: u64,
-}
-
-impl DistSummary {
-    /// Fold one load into the summary.
-    pub fn observe(&mut self, v: u64) {
-        self.n += 1;
-        self.total += v as u128;
-        if v == 0 {
-            self.zeros += 1;
-        }
-        self.max = self.max.max(v);
-    }
-
-    /// Fold another (disjoint) partial summary into this one.
-    pub fn merge(&mut self, other: &DistSummary) {
-        self.n += other.n;
-        self.total += other.total;
-        self.zeros += other.zeros;
-        self.max = self.max.max(other.max);
-    }
-}
+//! Load-distribution aggregates: [`gini_ppm_from_sums`] turns the
+//! exact integer sums of a sorted sweep into the integer Gini the
+//! sample stream carries.
 
 /// Integer Gini in parts-per-million from the exact aggregates of an
 /// ascending sample — count `n`, total `T = Σ x_i` and rank-weighted

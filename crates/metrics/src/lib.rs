@@ -33,6 +33,5 @@ pub mod profile;
 pub mod registry;
 pub mod sample;
 
-pub use dist::DistSummary;
 pub use hub::MetricsHub;
 pub use sample::{MetricsSample, RingSlot};

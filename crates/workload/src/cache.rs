@@ -1,9 +1,8 @@
 //! Shared, read-only workload generation.
 //!
 //! Every trial of every experiment cell used to regenerate its node
-//! placement and task key set from scratch — for SHA-1 workloads that
-//! means re-hashing millions of keys per trial even when two cells
-//! differ only in strategy. A [`WorkloadCache`] generates each distinct
+//! placement and task key set from scratch, even when two cells differ
+//! only in strategy. A [`WorkloadCache`] generates each distinct
 //! `(seed, trial, kind, n)` workload exactly once and hands out
 //! reference-counted slices (`Arc<[Id]>`), so concurrent rayon trials
 //! share one immutable copy.
@@ -13,11 +12,10 @@
 //! `repro`'s multi-trial cells generate uncached; the single-run figure
 //! drivers, which all share the master seed, keep one cache.
 //!
-//! Generation is **bit-identical** to the uncached paths: the same
+//! Generation is **bit-identical** to the uncached path: the same
 //! substream domains and the same generator bodies as
-//! `autobal_core::Sim::new` and [`crate::placement::initial_loads`]
-//! (pinned by the equivalence tests below), so caching can never change
-//! a result — only how often it is computed.
+//! `autobal_core::Sim::new` (pinned by the equivalence tests below), so
+//! caching can never change a result — only how often it is computed.
 
 use crate::gen;
 use autobal_core::{RunResult, Sim, SimConfig};
@@ -29,17 +27,13 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Which generator a cached entry came from. Part of the cache key so
-/// the four generator families can never alias.
+/// the node-id and task-key families can never alias.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum Kind {
     /// Distinct uniform node ids (`Sim::new`'s placement).
     RandomPlacement,
     /// Uniform task keys, duplicates allowed (`Sim::new`'s tasks).
     RandomTasks,
-    /// Distinct SHA-1 node ids (`initial_loads`' placement).
-    Sha1Placement,
-    /// SHA-1 task keys (`initial_loads`' tasks).
-    Sha1Tasks,
 }
 
 type CacheKey = (u64, u64, Kind, usize);
@@ -101,21 +95,6 @@ impl WorkloadCache {
         self.get_or_generate((seed, trial, Kind::RandomTasks, n), || {
             let mut rng = substream(seed, trial, domains::TASKS);
             (0..n).map(|_| Id::random(&mut rng)).collect()
-        })
-    }
-
-    /// The SHA-1 node placement [`crate::placement::initial_loads`]
-    /// builds.
-    pub fn sha1_node_ids(&self, seed: u64, trial: u64, n: usize) -> Arc<[Id]> {
-        self.get_or_generate((seed, trial, Kind::Sha1Placement, n), || {
-            gen::sha1_ids(n, &mut substream(seed, trial, domains::PLACEMENT))
-        })
-    }
-
-    /// The SHA-1 task keys [`crate::placement::initial_loads`] hashes.
-    pub fn sha1_task_keys(&self, seed: u64, trial: u64, n: usize) -> Arc<[Id]> {
-        self.get_or_generate((seed, trial, Kind::Sha1Tasks, n), || {
-            gen::sha1_keys(n, &mut substream(seed, trial, domains::TASKS))
         })
     }
 
@@ -194,21 +173,6 @@ mod tests {
         let _ = run_trials_cached(&cache, &cfg(StrategyKind::RandomInjection), 3, 7);
         assert_eq!(cache.misses(), misses_after_first);
         assert!(cache.hits() >= 6);
-    }
-
-    #[test]
-    fn sha1_entries_match_direct_generation() {
-        let cache = WorkloadCache::new();
-        let a = cache.sha1_task_keys(5, 2, 100);
-        let direct = gen::sha1_keys(100, &mut substream(5, 2, domains::TASKS));
-        assert_eq!(a.as_ref(), direct.as_slice());
-        let b = cache.sha1_node_ids(5, 2, 50);
-        let direct = gen::sha1_ids(50, &mut substream(5, 2, domains::PLACEMENT));
-        assert_eq!(b.as_ref(), direct.as_slice());
-        // Kind is part of the key: same (seed, trial, n) in different
-        // families must not alias.
-        let c = cache.random_task_keys(5, 2, 100);
-        assert_ne!(a.as_ref(), c.as_ref());
     }
 
     #[test]

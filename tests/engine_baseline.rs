@@ -12,8 +12,7 @@
 //! worker's vnodes), heterogeneous strength-based consumption, and the
 //! no-churn baseline that takes the ledger-detached tick.
 //!
-//! Every cell must reproduce the fixture at shard counts {1, 2, 8}.
-//! Regenerate deliberately with:
+//! Every cell must reproduce the fixture. Regenerate deliberately with:
 //!
 //! ```text
 //! UPDATE_GOLDEN=1 cargo test --test engine_baseline
@@ -22,9 +21,6 @@
 use autobal::sim::trace::event_log;
 use autobal::sim::{Heterogeneity, RunResult, Sim, SimConfig, StrategyKind, WorkMeasurement};
 use std::path::PathBuf;
-
-/// Shard counts every cell is replayed at.
-const SHARD_COUNTS: [u32; 3] = [1, 2, 8];
 
 /// FNV-1a over a byte stream: a stable, dependency-free digest.
 fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
@@ -129,10 +125,10 @@ fn fingerprint(name: &str, r: &RunResult) -> String {
     )
 }
 
-fn render(shards: u32) -> String {
+fn render() -> String {
     let mut out = String::new();
     for (name, cfg) in cells() {
-        let res = Sim::new(SimConfig { shards, ..cfg }, 0xBA5E).run();
+        let res = Sim::new(cfg, 0xBA5E).run();
         out.push_str(&fingerprint(&name, &res));
         out.push('\n');
     }
@@ -140,10 +136,10 @@ fn render(shards: u32) -> String {
 }
 
 #[test]
-fn every_cell_reproduces_the_recorded_baseline_at_every_shard_count() {
+fn every_cell_reproduces_the_recorded_baseline() {
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/data/engine_baseline.txt");
     if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        std::fs::write(&path, render(1)).expect("write golden");
+        std::fs::write(&path, render()).expect("write golden");
     }
     let committed = std::fs::read_to_string(&path).expect("baseline fixture committed");
     // Every Sybil strategy planted Sybils in its churn cell, so the
@@ -158,18 +154,13 @@ fn every_cell_reproduces_the_recorded_baseline_at_every_shard_count() {
             "{label} cell created no Sybils: {line}"
         );
     }
-    for shards in SHARD_COUNTS {
-        let fresh = render(shards);
-        for (want, got) in committed.lines().zip(fresh.lines()) {
-            assert_eq!(
-                got, want,
-                "engine drifted from the baseline at {shards} shards"
-            );
-        }
-        assert_eq!(
-            fresh.lines().count(),
-            committed.lines().count(),
-            "cell set changed; regenerate with UPDATE_GOLDEN=1 if intentional"
-        );
+    let fresh = render();
+    for (want, got) in committed.lines().zip(fresh.lines()) {
+        assert_eq!(got, want, "engine drifted from the baseline");
     }
+    assert_eq!(
+        fresh.lines().count(),
+        committed.lines().count(),
+        "cell set changed; regenerate with UPDATE_GOLDEN=1 if intentional"
+    );
 }

@@ -1,5 +1,5 @@
 //! Differential tests: the optimized hot-path `Ring` (struct-of-arrays
-//! shards, pooled task vectors, in-place arc splits) against the naive
+//! columns, pooled task vectors, in-place arc splits) against the naive
 //! reference implementation in [`autobal::reference`], which preserves
 //! the pre-optimization semantics verbatim.
 //!
@@ -242,5 +242,63 @@ fn naive_sim_matches_optimized_sim() {
                 "{strategy:?} seed {seed}"
             );
         }
+    }
+}
+
+/// The detached-ledger tick (nothing armed that could observe worker
+/// loads mid-run: no churn, no strategy, no sampling or snapshots)
+/// plans pops from the ring's dense columns instead of the worker
+/// table. It must stay bit-identical to the naive reference under both
+/// capacity models, since the planner reads capacities from a cached
+/// column, and a run stepped by hand must keep the worker ledger
+/// truthful and finish exactly like an unstepped one.
+#[test]
+fn detached_ledger_runs_match_naive_reference() {
+    use autobal::sim::{Heterogeneity, WorkMeasurement};
+    for (heterogeneity, work_measurement) in [
+        (Heterogeneity::Homogeneous, WorkMeasurement::OnePerTick),
+        (
+            Heterogeneity::Heterogeneous,
+            WorkMeasurement::StrengthPerTick,
+        ),
+    ] {
+        let cfg = SimConfig {
+            nodes: 70,
+            tasks: 7_000,
+            strategy: StrategyKind::None,
+            churn_rate: 0.0,
+            heterogeneity,
+            work_measurement,
+            ..SimConfig::default()
+        };
+        let whole = Sim::new(cfg.clone(), 99).run();
+        let naive = NaiveSim::new(cfg.clone(), 99).run();
+        assert_eq!(whole.ticks, naive.ticks, "{heterogeneity:?}");
+        assert_eq!(
+            whole.work_per_tick, naive.work_per_tick,
+            "{heterogeneity:?}"
+        );
+
+        let mut sim = Sim::new(cfg, 99);
+        let mut head_consumed = 0u64;
+        for _ in 0..3 {
+            head_consumed += sim.step();
+        }
+        let loads: u64 = sim.active_loads().iter().sum();
+        assert_eq!(
+            loads,
+            sim.remaining_tasks(),
+            "stale ledger leaked into active_loads"
+        );
+        assert_eq!(
+            head_consumed,
+            naive.work_per_tick.iter().take(3).sum::<u64>(),
+            "{heterogeneity:?} diverged in stepped head"
+        );
+        assert_eq!(
+            sim.run(),
+            whole,
+            "{heterogeneity:?} diverged after stepping"
+        );
     }
 }

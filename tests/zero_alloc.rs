@@ -81,44 +81,6 @@ fn metrics_recording_ticks_do_not_allocate() {
     );
 }
 
-/// Sharding keeps the promise: with the ring partitioned (`shards` ≥ 2)
-/// the planned pop path — per-vnode planning pass, state-stream
-/// generation, per-shard replay — reuses its buffers and allocates
-/// nothing per tick. Measured on a
-/// 1-thread pool because handing work to rayon's scoped threads boxes
-/// closures (a threading-infrastructure cost, not a tick-loop cost);
-/// the sequential dispatch path is the one the zero-alloc contract
-/// covers.
-#[test]
-fn sharded_steady_state_ticks_do_not_allocate() {
-    let mut cfg = steady_cfg();
-    cfg.shards = 4;
-    cfg.record_metrics = true;
-    cfg.metrics_interval = Some(1_000_000);
-    let mut sim = Sim::new(cfg, 0xA0B1_C2D3);
-    rayon::ThreadPoolBuilder::new()
-        .num_threads(1)
-        .build()
-        .unwrap()
-        .install(|| {
-            for _ in 0..32 {
-                sim.step();
-            }
-            let (allocs, consumed) = allocation_delta(|| {
-                let mut consumed = 0u64;
-                for _ in 0..1_000 {
-                    consumed += sim.step();
-                }
-                consumed
-            });
-            assert!(consumed > 0, "window must have done real work");
-            assert_eq!(
-                allocs, 0,
-                "sharded tick loop allocated {allocs} times over 1k ticks"
-            );
-        });
-}
-
 /// Rings that hold Sybils keep the promise too: the per-vnode plan
 /// (the walk over each worker's slot handles, the per-slot plan
 /// entries, the pop stream) reuses its buffers. Random injection spawns
