@@ -178,11 +178,11 @@ pub struct SimConfig {
     /// ([`crate::trace::event_log`]).
     #[cfg_attr(feature = "serde", serde(default))]
     pub record_trace: bool,
-    /// Record streaming metrics samples into `RunResult::metrics`, and
-    /// a [`crate::metrics::TickSeries`] row with each sample into
-    /// `RunResult::series` (off by default; see `autobal-metrics`).
-    /// Counters ride the same emit funnel as the trace plane; fairness
-    /// gauges come from one sorted sweep over the loads per sample.
+    /// Record streaming metrics samples into `RunResult::metrics` (off
+    /// by default; see `autobal-metrics`); they are the run's time
+    /// series. Counters ride the same emit funnel as the trace plane;
+    /// fairness gauges come from one sorted sweep over the loads per
+    /// sample.
     #[cfg_attr(feature = "serde", serde(default))]
     pub record_metrics: bool,
     /// Metrics sampling cadence in ticks (used when `record_metrics`;

@@ -41,7 +41,7 @@ pub mod trace;
 pub mod worker;
 
 pub use config::{ChurnModel, Heterogeneity, SimConfig, StrategyKind, WorkMeasurement};
-pub use metrics::{RunResult, SimMessageStats, Snapshot, TickSeries};
+pub use metrics::{RunResult, SimMessageStats, Snapshot};
 pub use record::Recorder;
 pub use ring::Ring;
 pub use sim::Sim;

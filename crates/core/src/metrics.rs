@@ -74,37 +74,6 @@ impl Snapshot {
     }
 }
 
-/// Optional per-tick time series (recorded with
-/// `SimConfig::record_metrics`, one row per metrics sample): the
-/// evolution of network shape and balance quality over the run.
-#[derive(Debug, Clone, Default, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-pub struct TickSeries {
-    /// Tick numbers at which samples were taken.
-    pub ticks: Vec<u64>,
-    /// Active physical workers at each sample.
-    pub active_workers: Vec<usize>,
-    /// Virtual nodes (primaries + Sybils) at each sample.
-    pub vnodes: Vec<usize>,
-    /// Remaining tasks at each sample.
-    pub remaining: Vec<u64>,
-    /// Gini coefficient of the active-worker loads at each sample.
-    pub gini: Vec<f64>,
-    /// Idle active workers at each sample.
-    pub idle: Vec<usize>,
-}
-
-impl TickSeries {
-    /// Number of samples recorded.
-    pub fn len(&self) -> usize {
-        self.ticks.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.ticks.is_empty()
-    }
-}
-
 /// The result of one simulation run.
 #[derive(Debug, Clone, PartialEq)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
@@ -127,10 +96,6 @@ pub struct RunResult {
     pub peak_vnodes: usize,
     /// Active workers at the end of the run.
     pub final_active_workers: usize,
-    /// Optional per-tick series, one row per metrics sample (when
-    /// `record_metrics` was set).
-    #[cfg_attr(feature = "serde", serde(default))]
-    pub series: TickSeries,
     /// Span-structured flight-recorder trace (when `record_trace` was
     /// set); empty and allocation-free otherwise. Its `Decision`
     /// records are the event log ([`crate::trace::event_log`]).
@@ -199,7 +164,6 @@ mod tests {
             messages: SimMessageStats::default(),
             peak_vnodes: 3,
             final_active_workers: 1,
-            series: TickSeries::default(),
             trace: autobal_telemetry::Trace::default(),
             metrics: Vec::new(),
         };
@@ -220,7 +184,6 @@ mod tests {
             messages: SimMessageStats::default(),
             peak_vnodes: 0,
             final_active_workers: 0,
-            series: TickSeries::default(),
             trace: autobal_telemetry::Trace::default(),
             metrics: Vec::new(),
         };

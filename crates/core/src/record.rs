@@ -4,12 +4,11 @@
 //! metrics samples (`autobal-metrics`); the rest is derived from what
 //! passes through here. The [`SimMessageStats`] tally is counted off
 //! the emitted events, the event log is decoded back out of the trace
-//! ([`crate::trace::event_log`]), and the oracle ring's [`TickSeries`]
-//! row is written by the same call as its metrics sample. With both
-//! planes off, [`Recorder::emit`] costs one `match` and never
-//! allocates.
+//! ([`crate::trace::event_log`]), and a run's time series is its
+//! metrics samples. With both planes off, [`Recorder::emit`] costs one
+//! `match` and never allocates.
 
-use crate::metrics::{SimMessageStats, TickSeries};
+use crate::metrics::SimMessageStats;
 use crate::trace::SimEvent;
 use autobal_metrics::{names, MetricsHub, MetricsSample, RingSlot};
 use autobal_telemetry::{MessageStatus, SpanId, Trace};
@@ -31,7 +30,6 @@ pub struct Recorder {
     ring: bool,
     tally: SimMessageStats,
     workers_crashed: u64,
-    series: TickSeries,
 }
 
 /// What a finished run recorded.
@@ -39,9 +37,6 @@ pub struct Recorder {
 pub struct Records {
     pub trace: Trace,
     pub metrics: Vec<MetricsSample>,
-    /// One row per metrics sample; only the oracle ring's result
-    /// carries it.
-    pub series: TickSeries,
     pub tally: SimMessageStats,
     pub workers_crashed: u64,
 }
@@ -150,9 +145,8 @@ impl Recorder {
     }
 
     /// The one sampling method of every substrate: sorts the active
-    /// workers' `loads` once, writes the metrics sample stamped `time`
-    /// from that sweep, and fills the [`TickSeries`] row from the same
-    /// sorted slice (only the oracle ring hands its series on).
+    /// workers' `loads` once and writes the metrics sample stamped
+    /// `time` from that sweep.
     pub fn sample(
         &mut self,
         time: u64,
@@ -162,13 +156,6 @@ impl Recorder {
         ring: Vec<RingSlot>,
     ) {
         loads.sort_unstable();
-        let s = &mut self.series;
-        s.ticks.push(time);
-        s.active_workers.push(loads.len());
-        s.vnodes.push(vnodes);
-        s.remaining.push(remaining);
-        s.gini.push(autobal_stats::fairness::gini_sorted(loads));
-        s.idle.push(loads.partition_point(|&v| v == 0));
         self.hub.set_gauge(names::VNODES, vnodes as u64);
         self.hub.set_gauge(names::TASKS_REMAINING, remaining);
         self.hub.sample_batch(time, loads, ring);
@@ -185,7 +172,6 @@ impl Recorder {
         Records {
             trace: self.trace,
             metrics: self.hub.into_samples(),
-            series: self.series,
             tally: self.tally,
             workers_crashed: self.workers_crashed,
         }

@@ -340,10 +340,9 @@ impl Sim {
         consumed
     }
 
-    /// Records the sample due at the current tick, if any: one series
-    /// row and one metrics sample, both from one sweep of the active
-    /// workers' cached loads, plus a per-worker ring snapshot when
-    /// configured.
+    /// Records the metrics sample due at the current tick, if any, from
+    /// one sweep of the active workers' cached loads, plus a per-worker
+    /// ring snapshot when configured.
     fn sample(&mut self) {
         if !self.rec.due(self.tick, || self.ring.total_tasks() == 0) {
             return;
@@ -414,7 +413,6 @@ impl Sim {
             messages: rec.tally,
             peak_vnodes: self.peak_vnodes,
             final_active_workers: self.active_count,
-            series: rec.series,
             trace: rec.trace,
             metrics: rec.metrics,
         }
@@ -1089,7 +1087,15 @@ mod tests {
 mod series_tests {
     use super::*;
     use crate::config::StrategyKind;
-    use autobal_metrics::names as metric_names;
+    use autobal_metrics::{names as metric_names, MetricsSample};
+
+    /// One gauge across a run's metrics samples, its time series.
+    fn gauge(samples: &[MetricsSample], name: &str) -> Vec<u64> {
+        samples
+            .iter()
+            .map(|m| m.gauge(name).expect("gauge sampled"))
+            .collect()
+    }
 
     #[test]
     fn series_disabled_by_default() {
@@ -1099,7 +1105,7 @@ mod series_tests {
             ..SimConfig::default()
         };
         let res = Sim::new(cfg, 1).run();
-        assert!(res.series.is_empty());
+        assert!(res.metrics.is_empty());
     }
 
     #[test]
@@ -1112,53 +1118,19 @@ mod series_tests {
             ..SimConfig::default()
         };
         let res = Sim::new(cfg, 2).run();
-        let s = &res.series;
-        assert!(!s.is_empty());
-        assert_eq!(s.ticks[0], 0);
-        assert_eq!(*s.ticks.last().unwrap(), res.ticks);
-        // All columns aligned.
-        assert_eq!(s.ticks.len(), s.gini.len());
-        assert_eq!(s.ticks.len(), s.vnodes.len());
-        assert_eq!(s.ticks.len(), s.remaining.len());
-        assert_eq!(s.ticks.len(), s.active_workers.len());
-        assert_eq!(s.ticks.len(), s.idle.len());
-        // Remaining tasks are non-increasing and end at zero.
-        assert!(s.remaining.windows(2).all(|w| w[1] <= w[0]));
-        assert_eq!(*s.remaining.last().unwrap(), 0);
-    }
-
-    #[test]
-    fn series_and_metrics_are_one_sample() {
-        let cfg = SimConfig {
-            nodes: 30,
-            tasks: 900,
-            strategy: StrategyKind::RandomInjection,
-            churn_rate: 0.01,
-            record_metrics: true,
-            metrics_interval: Some(3),
-            ..SimConfig::default()
-        };
-        let res = Sim::new(cfg, 8).run();
-        let s = &res.series;
         let times: Vec<u64> = res.metrics.iter().map(|m| m.time).collect();
-        assert_eq!(s.ticks, times);
-        assert_eq!(times.first(), Some(&0));
-        assert_eq!(times.last(), Some(&res.ticks));
-        let gauge = |name: &str| -> Vec<u64> {
-            res.metrics
-                .iter()
-                .map(|m| m.gauge(name).expect("gauge sampled"))
-                .collect()
-        };
-        let wide = |xs: &[usize]| -> Vec<u64> { xs.iter().map(|&x| x as u64).collect() };
-        assert_eq!(wide(&s.active_workers), gauge(metric_names::WORKERS_ACTIVE));
-        assert_eq!(wide(&s.vnodes), gauge(metric_names::VNODES));
-        assert_eq!(s.remaining, gauge(metric_names::TASKS_REMAINING));
-        assert_eq!(wide(&s.idle), gauge(metric_names::WORKERS_IDLE));
+        // Tick 0, every 10th tick, and the final tick.
+        let mut expected: Vec<u64> = (0..res.ticks).step_by(10).collect();
+        expected.push(res.ticks);
+        assert_eq!(times, expected);
+        // Remaining tasks are non-increasing and end at zero.
+        let remaining = gauge(&res.metrics, metric_names::TASKS_REMAINING);
+        assert!(remaining.windows(2).all(|w| w[1] <= w[0]));
+        assert_eq!(remaining.last(), Some(&0));
     }
 
     #[test]
-    fn series_gini_lower_with_random_injection_than_none() {
+    fn sampled_gini_lower_with_random_injection_than_none() {
         let mk = |strategy| SimConfig {
             nodes: 100,
             tasks: 10_000,
@@ -1173,18 +1145,19 @@ mod series_tests {
         // Compare at sample index 8 (tick 40), well into the run but
         // long before either finishes.
         let idx = 8;
-        assert!(none.series.len() > idx && random.series.len() > idx);
-        assert_eq!(none.series.ticks[idx], random.series.ticks[idx]);
+        assert!(none.metrics.len() > idx && random.metrics.len() > idx);
+        assert_eq!(none.metrics[idx].time, 40);
+        assert_eq!(random.metrics[idx].time, 40);
+        let none_gini = gauge(&none.metrics, metric_names::GINI_PPM);
+        let random_gini = gauge(&random.metrics, metric_names::GINI_PPM);
         assert!(
-            random.series.gini[idx] < none.series.gini[idx],
-            "random gini {} vs none {}",
-            random.series.gini[idx],
-            none.series.gini[idx]
+            random_gini[idx] < none_gini[idx],
+            "random gini {} ppm vs none {} ppm",
+            random_gini[idx],
+            none_gini[idx]
         );
         // Sanity: gini always within [0, 1).
-        for &g in none.series.gini.iter().chain(random.series.gini.iter()) {
-            assert!((0.0..1.0).contains(&g));
-        }
+        assert!(none_gini.iter().chain(&random_gini).all(|&g| g < 1_000_000));
     }
 }
 

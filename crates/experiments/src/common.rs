@@ -1,6 +1,7 @@
 //! Shared plumbing for the experiment drivers.
 
 use autobal_core::{RunResult, SimConfig};
+use autobal_metrics::{names, MetricsSample};
 use autobal_stats::Histogram;
 use autobal_telemetry::{to_jsonl, TraceRecord};
 use autobal_workload::{trials::run_and_summarize, TrialStats, WorkloadCache};
@@ -176,6 +177,20 @@ pub fn run_with_snapshots(args: &Args, tag: &str, mut cfg: SimConfig, ticks: &[u
     let res = args.cache.sim(cfg, args.seed).run();
     args.write_trace(tag, res.trace.records());
     res
+}
+
+/// One gauge across a run's metrics samples, in sample order (0 where
+/// a sample lacks it).
+pub fn gauge_series(samples: &[MetricsSample], name: &str) -> Vec<u64> {
+    samples.iter().map(|m| m.gauge(name).unwrap_or(0)).collect()
+}
+
+/// The Gini coefficient at each metrics sample, `gini_ppm / 10⁶`.
+pub fn gini_series(samples: &[MetricsSample]) -> Vec<f64> {
+    gauge_series(samples, names::GINI_PPM)
+        .into_iter()
+        .map(|ppm| ppm as f64 / 1e6)
+        .collect()
 }
 
 #[cfg(test)]

@@ -37,7 +37,7 @@
 use crate::common::{write_out, Args};
 use autobal::event_sim::{run_event_sim, EventSimConfig};
 use autobal::protocol_sim::{run_protocol_sim, ProtocolSimConfig};
-use autobal::reference::NaiveSim;
+use autobal::reference::{NaiveSample, NaiveSim};
 use autobal_chord::{EventConfig, EventNet, NetConfig, Network};
 use autobal_core::{RunResult, Sim, SimConfig, StrategyKind};
 use autobal_stats::rng::{domains, substream};
@@ -149,7 +149,7 @@ impl Measurement {
 /// through 1.2 million tasks in steady state. This keeps the clock on
 /// the paths the overhaul rewrote — the per-tick work loop and the pop
 /// stream — rather than on churn bookkeeping both engines share. The
-/// churn and series paths are pinned bit-for-bit by the differential
+/// churn and sampling paths are pinned bit-for-bit by the differential
 /// test suite (`tests/ring_reference.rs`) instead.
 fn oracle_cfg() -> SimConfig {
     SimConfig {
@@ -177,8 +177,8 @@ fn assert_same_outcome(opt: &RunResult, naive: &autobal::reference::NaiveRunResu
         "churn joins diverged"
     );
     assert_eq!(opt.peak_vnodes, naive.peak_vnodes, "peak vnodes diverged");
-    assert_eq!(opt.series.gini, naive.series_gini, "gini series diverged");
-    assert_eq!(opt.series.idle, naive.series_idle, "idle series diverged");
+    let samples: Vec<NaiveSample> = opt.metrics.iter().map(NaiveSample::of).collect();
+    assert_eq!(samples, naive.samples, "metrics samples diverged");
 }
 
 /// Repetitions per engine; the minimum wall time is kept. One-shot

@@ -2,8 +2,9 @@
 //! injection, neighbor injection, invitation), plus the message-count
 //! comparison the paper argues qualitatively.
 
-use crate::common::{write_out, Args};
+use crate::common::{gauge_series, gini_series, write_out, Args};
 use autobal_core::{Heterogeneity, SimConfig, StrategyKind, WorkMeasurement};
+use autobal_metrics::names;
 use autobal_workload::tables::{f3, Table};
 
 fn base(nodes: usize, tasks: u64, strategy: StrategyKind) -> SimConfig {
@@ -350,28 +351,32 @@ pub fn timeseries(args: &Args) {
             &format!("timeseries_{}", strat.label()),
             res.trace.records(),
         );
-        let s = &res.series;
-        for i in 0..s.len() {
+        let gini = gini_series(&res.metrics);
+        let vnodes = gauge_series(&res.metrics, names::VNODES);
+        let active = gauge_series(&res.metrics, names::WORKERS_ACTIVE);
+        let idle = gauge_series(&res.metrics, names::WORKERS_IDLE);
+        let remaining = gauge_series(&res.metrics, names::TASKS_REMAINING);
+        for (i, m) in res.metrics.iter().enumerate() {
             csv.push_str(&format!(
                 "{},{},{:.4},{},{},{},{}\n",
                 strat.label(),
-                s.ticks[i],
-                s.gini[i],
-                s.vnodes[i],
-                s.active_workers[i],
-                s.idle[i],
-                s.remaining[i]
+                m.time,
+                gini[i],
+                vnodes[i],
+                active[i],
+                idle[i],
+                remaining[i]
             ));
         }
-        gini_chart.push_series(strat.label(), s.gini.clone());
-        vnode_chart.push_series(strat.label(), s.vnodes.iter().map(|&v| v as f64).collect());
         println!(
             "  {:<11} samples {:>4}, final gini {:.3}, peak vnodes {}",
             strat.label(),
-            s.len(),
-            s.gini.last().copied().unwrap_or(0.0),
+            res.metrics.len(),
+            gini.last().copied().unwrap_or(0.0),
             res.peak_vnodes
         );
+        gini_chart.push_series(strat.label(), gini);
+        vnode_chart.push_series(strat.label(), vnodes.iter().map(|&v| v as f64).collect());
     }
     write_out(&args.out, "timeseries.csv", &csv);
     write_out(&args.out, "timeseries_gini.svg", &gini_chart.to_svg());

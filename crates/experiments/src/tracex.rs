@@ -5,7 +5,7 @@
 //! first causal divergence. A lossy event-driven run feeds the same
 //! plane to produce retry/latency histograms.
 
-use crate::common::{write_out, Args};
+use crate::common::{gini_series, write_out, Args};
 use autobal::protocol_sim::{run_protocol_sim_with_placement, ProtocolSimConfig};
 use autobal_chord::{EventConfig, EventNet, FaultPlan};
 use autobal_core::{Sim, SimConfig, StrategyKind};
@@ -139,7 +139,7 @@ pub fn trace(args: &Args) {
     let mut gini_chart =
         autobal_viz::LineChart::new("Gini over time of the traced run (oracle substrate)");
     gini_chart.y_label = "gini".into();
-    gini_chart.push_series("random", oracle.series.gini.clone());
+    gini_chart.push_series("random", gini_series(&oracle.metrics));
     write_out(&args.out, "trace_gini.svg", &gini_chart.to_svg());
 
     // Divergence diagnosis across the substrates.

@@ -12,40 +12,23 @@
 pub fn gini(values: &[u64]) -> f64 {
     let mut sorted = values.to_vec();
     sorted.sort_unstable();
-    gini_sorted(&sorted)
-}
-
-/// [`gini`] over an already-ascending sample, skipping the copy and
-/// sort. Callers that reuse a scratch buffer (the simulator's per-tick
-/// series sampling) sort in place and come here.
-pub fn gini_sorted(sorted: &[u64]) -> f64 {
-    debug_assert!(sorted.windows(2).all(|w| w[0] <= w[1]));
+    let n = sorted.len();
     let total: u128 = sorted.iter().map(|&v| v as u128).sum();
+    if n == 0 || total == 0 {
+        return 0.0;
+    }
     let weighted: u128 = sorted
         .iter()
         .enumerate()
         .map(|(i, &v)| (i as u128 + 1) * v as u128)
         .sum();
-    gini_from_sums(sorted.len(), total, weighted)
-}
-
-/// The Gini float expression over the exact integer aggregates of a
-/// sorted sample: `n`, `total = Σ x_i`, and the rank-weighted sum
-/// `weighted = Σ (i+1)·x_i`. This is the *single* place the formula is
-/// evaluated — both the batch recompute above and the incremental
-/// structure in `autobal-metrics` feed their (identical) integer sums
-/// through here, which is what makes the two paths bit-equal.
-pub fn gini_from_sums(n: usize, total: u128, weighted: u128) -> f64 {
-    if n == 0 || total == 0 {
-        return 0.0;
-    }
     (2.0 * weighted as f64) / (n as f64 * total as f64) - (n as f64 + 1.0) / n as f64
 }
 
 /// Nearest-rank percentile of a sorted sample: the k-th smallest value
 /// with `k = max(1, ceil(p·n/100))`, clamped to `p ∈ [0, 100]`.
-/// Returns 0 for an empty sample. The batch oracle the incremental
-/// percentile tracker is pinned against.
+/// Returns 0 for an empty sample. The metrics plane's load percentile
+/// gauges read it.
 pub fn percentile_sorted(sorted: &[u64], p: u64) -> u64 {
     debug_assert!(sorted.windows(2).all(|w| w[0] <= w[1]));
     let n = sorted.len() as u64;
@@ -55,25 +38,6 @@ pub fn percentile_sorted(sorted: &[u64], p: u64) -> u64 {
     let p = p.min(100);
     let k = (p * n).div_ceil(100).max(1);
     sorted[(k - 1) as usize]
-}
-
-/// Imbalance factor max/mean of a sorted sample (1.0 = perfectly
-/// level). Returns 0.0 for an empty or all-zero sample. Computed as
-/// `max·n / total` over the exact integer sums, so the incremental
-/// recompute can reproduce it bit-for-bit.
-pub fn imbalance_sorted(sorted: &[u64]) -> f64 {
-    debug_assert!(sorted.windows(2).all(|w| w[0] <= w[1]));
-    let total: u128 = sorted.iter().map(|&v| v as u128).sum();
-    imbalance_from_sums(sorted.last().copied().unwrap_or(0), sorted.len(), total)
-}
-
-/// The imbalance float expression over exact integer aggregates; the
-/// shared evaluation point for batch and incremental paths.
-pub fn imbalance_from_sums(max: u64, n: usize, total: u128) -> f64 {
-    if n == 0 || total == 0 {
-        return 0.0;
-    }
-    (max as f64 * n as f64) / total as f64
 }
 
 /// Jain's fairness index, in `(0, 1]`: `(Σx)² / (n·Σx²)`.
@@ -144,16 +108,6 @@ mod tests {
     fn gini_known_half() {
         // [0, x]: G = 1/2.
         assert!((gini(&[0, 10]) - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn gini_sorted_matches_gini() {
-        let samples: [&[u64]; 5] = [&[], &[0, 0], &[42], &[3, 1, 4, 1, 5, 9, 2, 6], &[0, 10]];
-        for s in samples {
-            let mut sorted = s.to_vec();
-            sorted.sort_unstable();
-            assert_eq!(gini(s), gini_sorted(&sorted), "sample {s:?}");
-        }
     }
 
     #[test]

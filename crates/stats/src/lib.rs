@@ -12,8 +12,6 @@
 //!   what the workload distribution *should* look like when `n` node IDs
 //!   are placed uniformly at random, which the paper's Table I samples
 //!   empirically.
-//! * [`zipf`] — Zipf sampling and a log–log tail diagnostic (§III argues
-//!   DHT workloads are "better represented by a Zipfian distribution").
 //! * [`rng`] — deterministic, splittable random number generators so every
 //!   experiment is reproducible from a single seed.
 
@@ -23,10 +21,9 @@ pub mod histogram;
 pub mod rng;
 pub mod spacings;
 pub mod summary;
-pub mod zipf;
 
 pub use ci::{bootstrap_mean_ci, ConfidenceInterval};
-pub use fairness::{coefficient_of_variation, gini, gini_sorted, jain_index};
+pub use fairness::{coefficient_of_variation, gini, jain_index};
 pub use histogram::{Histogram, LogHistogram};
 pub use rng::{seeded_rng, DetRng};
 pub use summary::Summary;

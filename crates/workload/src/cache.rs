@@ -4,7 +4,7 @@
 //! placement and task key set from scratch, even when two cells differ
 //! only in strategy. A [`WorkloadCache`] generates each distinct
 //! `(seed, trial, kind, n)` workload exactly once and hands out
-//! reference-counted slices (`Arc<[Id]>`), so concurrent rayon trials
+//! reference-counted slices (`Arc<[Id]>`), so concurrent runs
 //! share one immutable copy.
 //!
 //! Entries live as long as the cache. A caller whose every run draws a
@@ -18,10 +18,9 @@
 //! caching can never change a result — only how often it is computed.
 
 use crate::gen;
-use autobal_core::{RunResult, Sim, SimConfig};
+use autobal_core::{Sim, SimConfig};
 use autobal_id::Id;
 use autobal_stats::rng::{domains, substream};
-use rayon::prelude::*;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -108,27 +107,9 @@ impl WorkloadCache {
     }
 }
 
-/// [`crate::trials::run_trials`] with workloads served from `cache` —
-/// same per-trial seeds, same results, shared generation.
-pub fn run_trials_cached(
-    cache: &WorkloadCache,
-    cfg: &SimConfig,
-    trials: u64,
-    seed: u64,
-) -> Vec<RunResult> {
-    (0..trials)
-        .into_par_iter()
-        .map(|t| {
-            let trial_seed = seed ^ (t.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1);
-            cache.sim(cfg.clone(), trial_seed).run()
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trials::run_trials;
     use autobal_core::StrategyKind;
 
     fn cfg(strategy: StrategyKind) -> SimConfig {
@@ -150,29 +131,6 @@ mod tests {
             assert_eq!(a.work_per_tick, b.work_per_tick, "seed {seed}");
             assert_eq!(a.messages, b.messages, "seed {seed}");
         }
-    }
-
-    #[test]
-    fn cached_trials_match_uncached() {
-        let cache = WorkloadCache::new();
-        let a = run_trials(&cfg(StrategyKind::None), 4, 99);
-        let b = run_trials_cached(&cache, &cfg(StrategyKind::None), 4, 99);
-        assert_eq!(
-            a.iter().map(|r| r.ticks).collect::<Vec<_>>(),
-            b.iter().map(|r| r.ticks).collect::<Vec<_>>()
-        );
-        assert_eq!(cache.misses(), 8, "4 trials × (placement + tasks)");
-    }
-
-    #[test]
-    fn second_config_on_same_seed_hits_the_cache() {
-        let cache = WorkloadCache::new();
-        let _ = run_trials_cached(&cache, &cfg(StrategyKind::None), 3, 7);
-        let misses_after_first = cache.misses();
-        // A different strategy over the same seed reuses every workload.
-        let _ = run_trials_cached(&cache, &cfg(StrategyKind::RandomInjection), 3, 7);
-        assert_eq!(cache.misses(), misses_after_first);
-        assert!(cache.hits() >= 6);
     }
 
     #[test]

@@ -11,13 +11,11 @@ pub mod cache;
 pub mod gen;
 pub mod placement;
 pub mod spec;
-pub mod sweep;
 pub mod tables;
 pub mod trials;
 
-pub use cache::{run_trials_cached, WorkloadCache};
+pub use cache::WorkloadCache;
 pub use gen::{evenly_spaced_ids, random_ids, sha1_keys};
 pub use placement::initial_load_summary;
 pub use spec::ExperimentSpec;
-pub use sweep::{sweep, SweepPoint};
 pub use trials::{run_trials, summarize, TrialStats};

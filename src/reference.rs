@@ -19,6 +19,7 @@
 
 use autobal_core::{Heterogeneity, SimConfig, StrategyKind, WorkMeasurement, Worker, WorkerId};
 use autobal_id::{ring as arc, Id};
+use autobal_metrics::{names, MetricsSample};
 use autobal_stats::rng::{domains, substream, DetRng};
 use rand::Rng;
 use std::collections::{BTreeMap, BTreeSet};
@@ -228,8 +229,39 @@ pub struct NaiveRunResult {
     pub churn_leaves: u64,
     pub churn_joins: u64,
     pub peak_vnodes: usize,
-    pub series_gini: Vec<f64>,
-    pub series_idle: Vec<usize>,
+    /// One row per metrics sample the optimized run records.
+    pub samples: Vec<NaiveSample>,
+}
+
+/// One sample's tick and the gauges derived from the active workers'
+/// loads, as the reference computes them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct NaiveSample {
+    pub tick: u64,
+    pub workers_active: u64,
+    pub workers_idle: u64,
+    pub load_total: u64,
+    pub load_max: u64,
+    pub gini_ppm: u64,
+}
+
+impl NaiveSample {
+    /// The same columns read off an optimized run's metrics sample.
+    pub fn of(sample: &MetricsSample) -> NaiveSample {
+        let gauge = |name| {
+            sample
+                .gauge(name)
+                .unwrap_or_else(|| panic!("{name} not sampled"))
+        };
+        NaiveSample {
+            tick: sample.time,
+            workers_active: gauge(names::WORKERS_ACTIVE),
+            workers_idle: gauge(names::WORKERS_IDLE),
+            load_total: gauge(names::LOAD_TOTAL),
+            load_max: gauge(names::LOAD_MAX),
+            gini_ppm: gauge(names::GINI_PPM),
+        }
+    }
 }
 
 /// The pre-optimization tick engine, restricted to the strategies the
@@ -249,8 +281,7 @@ pub struct NaiveSim {
     churn_joins: u64,
     work_history: Vec<u64>,
     peak_vnodes: usize,
-    series_gini: Vec<f64>,
-    series_idle: Vec<usize>,
+    samples: Vec<NaiveSample>,
 }
 
 impl NaiveSim {
@@ -339,8 +370,7 @@ impl NaiveSim {
             churn_joins: 0,
             work_history: Vec::new(),
             peak_vnodes: peak,
-            series_gini: Vec::new(),
-            series_idle: Vec::new(),
+            samples: Vec::new(),
         }
     }
 
@@ -471,36 +501,56 @@ impl NaiveSim {
         consumed
     }
 
-    /// The original series sample: collect the active loads into a
-    /// fresh vector, then compute Gini over the unsorted copy.
-    fn sample_series(&mut self) {
-        let loads: Vec<u64> = self
+    /// The reference sample: collect the active loads into a fresh
+    /// vector and derive each gauge from it separately. The Gini is the
+    /// mean absolute difference `Σ_{i,j} |x_i − x_j| / (2·n·T)`, which
+    /// over ascending loads is `Σ_{i<j} (x_j − x_i) / (n·T)`.
+    fn sample(&mut self) {
+        let mut loads: Vec<u64> = self
             .workers
             .iter()
             .filter(|w| w.is_active())
             .map(|w| w.load)
             .collect();
-        self.series_gini.push(autobal_stats::gini(&loads));
-        self.series_idle
-            .push(loads.iter().filter(|&&l| l == 0).count());
+        loads.sort_unstable();
+        let n = loads.len() as u128;
+        let total: u128 = loads.iter().map(|&l| l as u128).sum();
+        let (mut below, mut diffs) = (0u128, 0u128);
+        for (j, &x) in loads.iter().enumerate() {
+            diffs += j as u128 * x as u128 - below;
+            below += x as u128;
+        }
+        let gini_ppm = if total == 0 {
+            0
+        } else {
+            (diffs * 1_000_000 / (n * total)) as u64
+        };
+        self.samples.push(NaiveSample {
+            tick: self.tick,
+            workers_active: n as u64,
+            workers_idle: loads.iter().filter(|&&l| l == 0).count() as u64,
+            load_total: total as u64,
+            load_max: loads.iter().copied().max().unwrap_or(0),
+            gini_ppm,
+        });
     }
 
     /// Runs to completion (or the tick cap), mirroring `Sim::run`'s
     /// sampling schedule.
     pub fn run(mut self) -> NaiveRunResult {
-        let series_every = self
+        let sample_every = self
             .cfg
             .record_metrics
             .then(|| self.cfg.metrics_interval.unwrap_or(1).max(1));
-        if series_every.is_some() {
-            self.sample_series();
+        if sample_every.is_some() {
+            self.sample();
         }
         let cap = self.cfg.effective_max_ticks();
         while self.ring.total_tasks() > 0 && self.tick < cap {
             self.step();
-            if let Some(k) = series_every {
+            if let Some(k) = sample_every {
                 if self.tick.is_multiple_of(k) || self.ring.total_tasks() == 0 {
-                    self.sample_series();
+                    self.sample();
                 }
             }
         }
@@ -512,8 +562,7 @@ impl NaiveSim {
             churn_leaves: self.churn_leaves,
             churn_joins: self.churn_joins,
             peak_vnodes: self.peak_vnodes,
-            series_gini: self.series_gini,
-            series_idle: self.series_idle,
+            samples: self.samples,
         }
     }
 }

@@ -7,7 +7,7 @@
 //! but the same element order inside every vnode's task vector, so the
 //! shared xorshift pop stream consumes identical indices on both sides.
 
-use autobal::reference::{NaiveRing, NaiveSim};
+use autobal::reference::{NaiveRing, NaiveSample, NaiveSim};
 use autobal::sim::{Ring, Sim, SimConfig, StrategyKind};
 use autobal::Id;
 use proptest::prelude::*;
@@ -233,14 +233,9 @@ fn naive_sim_matches_optimized_sim() {
                 opt.peak_vnodes, naive.peak_vnodes,
                 "{strategy:?} seed {seed}"
             );
-            assert_eq!(
-                opt.series.gini, naive.series_gini,
-                "{strategy:?} seed {seed}"
-            );
-            assert_eq!(
-                opt.series.idle, naive.series_idle,
-                "{strategy:?} seed {seed}"
-            );
+            let samples: Vec<NaiveSample> = opt.metrics.iter().map(NaiveSample::of).collect();
+            assert!(!samples.is_empty());
+            assert_eq!(samples, naive.samples, "{strategy:?} seed {seed}");
         }
     }
 }
