@@ -292,6 +292,13 @@ impl SimConfig {
         if self.nodes == 0 {
             return Err("network must start with at least one node".into());
         }
+        if self.tasks > crate::ring::MAX_TASKS {
+            return Err(format!(
+                "tasks {} exceeds the oracle ring's limit of {} task keys (u32 key positions)",
+                self.tasks,
+                crate::ring::MAX_TASKS
+            ));
+        }
         if !(0.0..=1.0).contains(&self.churn_rate) {
             return Err(format!("churn_rate {} outside [0, 1]", self.churn_rate));
         }
@@ -478,6 +485,24 @@ mod churn_model_tests {
             ..SimConfig::default()
         };
         assert!(c.validate().is_err());
+    }
+
+    #[test]
+    fn task_count_bounded_by_u32_positions() {
+        let at_limit = SimConfig {
+            tasks: u32::MAX as u64,
+            ..SimConfig::default()
+        };
+        assert!(at_limit.validate().is_ok());
+        let past = SimConfig {
+            tasks: u32::MAX as u64 + 1,
+            ..SimConfig::default()
+        };
+        let err = past.validate().unwrap_err();
+        assert!(
+            err.contains("4294967296") && err.contains("4294967295"),
+            "{err}"
+        );
     }
 
     #[test]

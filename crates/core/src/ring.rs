@@ -9,7 +9,7 @@
 //!
 //! Every virtual node owns the clockwise arc `(predecessor, self]` and
 //! holds the keys of the *remaining* tasks in that arc. Joins split the
-//! successor's task vector; departures merge into the successor.
+//! successor's task queue; departures merge into the successor.
 //!
 //! [`Ring`] holds its virtual nodes as one ordered id→slot index next
 //! to parallel `owners`/`tasks` columns, so the hot tick loop walks
@@ -17,6 +17,28 @@
 //! its slot for its whole lifetime, so `Slot` is a stable handle the
 //! simulator uses to reach a vnode's queue without any ordered-map
 //! lookup.
+//!
+//! ## The key arena
+//!
+//! Task keys never change; only the vnode holding them does. So
+//! [`Ring::assign_tasks`] sorts the keys once into an arena, and every
+//! queue holds `u32` arena positions instead of 24-byte ids. Arena
+//! order is key order, so with `pos(x)` the count of arena keys `≤ x`
+//! (exact with duplicate keys), the arc `(a, b]` is the position range
+//! `pos(a) <= i < pos(b)`, or `i >= pos(a) || i < pos(b)` when it wraps.
+//! A split compares `u32`s, never ids.
+//!
+//! Each slot caches its vnode's `pos(id)` (filled by `assign_tasks`,
+//! or by the split that created the vnode; a sentinel marks one not yet
+//! computed). An insert whose split victim is idle — most Sybils — never
+//! touches the arena. Otherwise the newcomer's position is galloped down
+//! from the victim's cached one (from the arena's end when the arc
+//! wraps), so a split reads only the arena near the victim's arc.
+//!
+//! A queue's element order is all the pop stream sees, and positions
+//! sort like their keys, so every pop, split and merge keeps exactly
+//! the order an id-keyed queue would: `src/reference.rs` keeps the
+//! id-keyed ring as the differential anchor.
 //!
 //! Structural operations search the ordered index once: an insert does
 //! one successor search (an exact hit is [`RingError::Occupied`]) plus
@@ -34,7 +56,7 @@
 //! (a) plans every popping vnode's `(offset, count)` slice of the
 //! tick's pop stream, in worker order and then in each worker's vnode
 //! order, (b) materializes the whole state stream once, and (c) replays
-//! the planned slices against the task vectors, reproducing the
+//! the planned slices against the task queues, reproducing the
 //! sequential per-pop loop exactly.
 
 use crate::worker::WorkerId;
@@ -45,7 +67,15 @@ use std::ops::Bound;
 /// Owner sentinel marking a freed slot in the struct-of-arrays columns.
 const FREE_OWNER: WorkerId = usize::MAX;
 
-/// How many retired task vectors the ring keeps around for reuse.
+/// Cached-position sentinel: this slot's `pos(id)` is not computed yet.
+/// An arena of exactly `u32::MAX` keys can hold a true `u32::MAX`; it
+/// reads as "not computed" and is searched again, never misused.
+const NO_POS: u32 = u32::MAX;
+
+/// Most task keys one ring holds: queues store `u32` arena positions.
+pub(crate) const MAX_TASKS: u64 = u32::MAX as u64;
+
+/// How many retired task queues the ring keeps around for reuse.
 /// Splits and merges alternate under churn, so a handful of warm
 /// buffers absorbs the steady state without hoarding memory.
 const POOL_CAP: usize = 32;
@@ -62,6 +92,8 @@ pub enum RingError {
     Unknown(Id),
     /// Removing the last virtual node would strand its tasks.
     LastVNode,
+    /// Assigning would leave the ring more than `u32::MAX` task keys.
+    TooManyTasks(u64),
 }
 
 impl std::fmt::Display for RingError {
@@ -70,6 +102,10 @@ impl std::fmt::Display for RingError {
             RingError::Occupied(id) => write!(f, "position {id} already occupied"),
             RingError::Unknown(id) => write!(f, "no virtual node at {id}"),
             RingError::LastVNode => write!(f, "cannot remove the last virtual node"),
+            RingError::TooManyTasks(n) => write!(
+                f,
+                "{n} task keys exceed the ring's limit of {MAX_TASKS} (u32 key positions)"
+            ),
         }
     }
 }
@@ -104,18 +140,24 @@ struct PlannedPops {
 }
 
 /// The ring of virtual nodes in struct-of-arrays layout (see the module
-/// docs for the planned work phase).
+/// docs for the key arena and the planned work phase).
 #[derive(Debug, Clone)]
 pub struct Ring {
     /// Ordered id → slot index (the ring order).
     index: BTreeMap<Id, usize>,
     /// Slot → owning worker (`FREE_OWNER` when the slot is free).
     owners: Vec<WorkerId>,
-    /// Slot → remaining task keys, in no particular order. Consumption
-    /// removes a uniformly random element, so the remaining keys stay
-    /// uniformly spread over the arc — the property Sybil splits rely on.
-    tasks: Vec<Vec<Id>>,
-    /// Free slot list (slots keep their columns; vectors are recycled
+    /// Slot → remaining tasks as positions into `keys`, in no
+    /// particular order. Consumption removes a uniformly random
+    /// element, so the remaining keys stay uniformly spread over the
+    /// arc — the property Sybil splits rely on.
+    tasks: Vec<Vec<u32>>,
+    /// Slot → cached `pos(id)` of its vnode, or `NO_POS`.
+    ends: Vec<u32>,
+    /// Every key of the last `assign_tasks`, sorted. Consumed keys stay
+    /// (no queue holds their positions), so positions never move.
+    keys: Vec<Id>,
+    /// Free slot list (slots keep their columns; queues are recycled
     /// through `pool` instead).
     free: Vec<usize>,
     /// `(slot, owner)` pairs for slots with a nonempty task queue — the
@@ -129,12 +171,12 @@ pub struct Ring {
     total_tasks: u64,
     /// xorshift state for uniform task consumption (deterministic).
     pop_rng: u64,
-    /// Reusable split buffer: holds the newcomer's keys during
+    /// Reusable split buffer: holds the newcomer's positions during
     /// `insert_vnode` so steady-state splits never allocate.
-    scratch: Vec<Id>,
-    /// Retired task vectors, recycled as newcomer vectors on the next
+    scratch: Vec<u32>,
+    /// Retired task queues, recycled as newcomer queues on the next
     /// split.
-    pool: Vec<Vec<Id>>,
+    pool: Vec<Vec<u32>>,
     /// The tick's pre-generated pop-state stream (reused buffer).
     stream: Vec<u64>,
     /// Ring-side planner scratch: per-worker pop counts and stream
@@ -163,6 +205,8 @@ impl Ring {
             index: BTreeMap::new(),
             owners: Vec::new(),
             tasks: Vec::new(),
+            ends: Vec::new(),
+            keys: Vec::new(),
             free: Vec::new(),
             live: Vec::new(),
             plan: Vec::new(),
@@ -213,7 +257,11 @@ impl Ring {
         self.total_tasks
     }
 
-    fn tasks_of_mut(&mut self, id: Id) -> Option<&mut Vec<Id>> {
+    fn queue(&self, id: Id) -> Option<&Vec<u32>> {
+        self.tasks.get(*self.index.get(&id)?)
+    }
+
+    fn queue_mut(&mut self, id: Id) -> Option<&mut Vec<u32>> {
         self.tasks.get_mut(*self.index.get(&id)?)
     }
 
@@ -223,7 +271,7 @@ impl Ring {
 
     /// Remaining tasks at one virtual node.
     pub fn load(&self, id: Id) -> u64 {
-        self.tasks(id).map_or(0, |t| t.len() as u64)
+        self.queue(id).map_or(0, |q| q.len() as u64)
     }
 
     /// The worker controlling the vnode at `id`, if present.
@@ -314,6 +362,7 @@ impl Ring {
     ) -> Result<(Slot, u64, WorkerId), RingError> {
         self.muts = self.muts.wrapping_add(1);
         let mut tasks = Vec::new();
+        let mut end = NO_POS;
         let mut succ_owner = owner;
         if let Some((succ, succ_slot)) = self.next_entry(id, true) {
             if succ == id {
@@ -322,28 +371,56 @@ impl Ring {
             let Ring {
                 owners,
                 tasks: columns,
+                ends,
+                keys,
                 scratch,
                 pool,
                 ..
             } = self;
-            let (Some(tv), Some(&victim)) = (columns.get_mut(succ_slot), owners.get(succ_slot))
-            else {
+            let (Some(tv), Some(&victim), Some(succ_end)) = (
+                columns.get_mut(succ_slot),
+                owners.get(succ_slot),
+                ends.get_mut(succ_slot),
+            ) else {
                 return Err(RingError::Unknown(succ));
             };
             succ_owner = victim;
-            // Keys keeping with the successor are those in (id, succ];
-            // everything else in its vector belongs to the newcomer.
-            // `retain` is a stable in-place partition: keepers compact
-            // down in order while the scratch buffer collects the
-            // newcomer's keys in their original order.
             scratch.clear();
-            tv.retain(|&k| {
-                let keep = arc::in_arc(id, succ, k);
-                if !keep {
-                    scratch.push(k);
+            // An idle victim has nothing to split, so the arena stays
+            // untouched and the newcomer's position stays uncomputed.
+            if !tv.is_empty() {
+                if *succ_end == NO_POS {
+                    *succ_end = keys.partition_point(|&k| k <= succ) as u32;
                 }
-                keep
-            });
+                let pb = *succ_end;
+                // Below the victim, the newcomer's position is at most
+                // the victim's; above it (the wrap arc), at most the
+                // arena's end.
+                let pa = if id < succ {
+                    pos_below(keys, pb as usize, id)
+                } else {
+                    pos_below(keys, keys.len(), id)
+                } as u32;
+                end = pa;
+                // The victim keeps its keys in (id, succ]: positions
+                // [pa, pb), wrapping through the arena's end when the
+                // arc does. As an offset from pa that is one compare;
+                // the one arc it cannot express, a wrap with pa == pb,
+                // holds every key, so nothing moves. `retain` is a
+                // stable in-place partition: keepers compact down in
+                // order while the scratch buffer collects the
+                // newcomer's positions in their original order.
+                if id < succ || pa != pb {
+                    let width = pb.wrapping_sub(pa);
+                    tv.retain(|&i| {
+                        let keep = i.wrapping_sub(pa) < width;
+                        if !keep {
+                            scratch.push(i);
+                        }
+                        keep
+                    });
+                }
+            }
             tasks = pool.pop().unwrap_or_default();
             tasks.extend_from_slice(scratch);
         }
@@ -354,14 +431,20 @@ impl Ring {
             _ => {
                 self.owners.push(FREE_OWNER);
                 self.tasks.push(Vec::new());
+                self.ends.push(NO_POS);
                 self.owners.len() - 1
             }
         };
-        let (Some(o), Some(tv)) = (self.owners.get_mut(slot), self.tasks.get_mut(slot)) else {
+        let (Some(o), Some(tv), Some(e)) = (
+            self.owners.get_mut(slot),
+            self.tasks.get_mut(slot),
+            self.ends.get_mut(slot),
+        ) else {
             return Err(RingError::Unknown(id));
         };
         *o = owner;
         *tv = tasks;
+        *e = end;
         self.index.insert(id, slot);
         Ok((Slot(slot as u32), acquired, succ_owner))
     }
@@ -389,11 +472,16 @@ impl Ring {
         let Some(slot) = self.index.remove(&id) else {
             return Err(RingError::Unknown(id));
         };
-        let (Some(o), Some(tv)) = (self.owners.get_mut(slot), self.tasks.get_mut(slot)) else {
+        let (Some(o), Some(tv), Some(e)) = (
+            self.owners.get_mut(slot),
+            self.tasks.get_mut(slot),
+            self.ends.get_mut(slot),
+        ) else {
             return Err(RingError::Unknown(id));
         };
         let owner = std::mem::replace(o, FREE_OWNER);
         let tasks = std::mem::take(tv);
+        *e = NO_POS;
         self.free.push(slot);
         let moved = tasks.len() as u64;
         let (succ, succ_owner) = match self.next_entry(id, false) {
@@ -417,59 +505,76 @@ impl Ring {
         })
     }
 
-    /// Parks a retired task vector for reuse by a later split.
-    fn recycle(&mut self, mut tasks: Vec<Id>) {
+    /// Parks a retired task queue for reuse by a later split.
+    fn recycle(&mut self, mut tasks: Vec<u32>) {
         if self.pool.len() < POOL_CAP && tasks.capacity() > 0 {
             tasks.clear();
             self.pool.push(tasks);
         }
     }
 
-    /// Distributes a batch of task keys onto their owning virtual nodes
-    /// (initial placement). Keys may arrive in any order; one sweep over
-    /// the ring order hands each vnode its sorted chunk.
-    pub fn assign_tasks(&mut self, mut keys: Vec<Id>) {
+    /// Distributes a batch of task keys onto their owning virtual nodes.
+    /// Keys may arrive in any order. They are sorted in place and the
+    /// vector becomes the key arena, so placement allocates only the
+    /// queues; one sweep over the ring order hands each vnode its
+    /// position range. A ring that still holds tasks folds its
+    /// remaining keys into the new arena first, so after any assign
+    /// every queue is in key order.
+    ///
+    /// Refuses, leaving the ring unchanged, when the ring would hold
+    /// more than `u32::MAX` keys.
+    pub fn assign_tasks(&mut self, mut keys: Vec<Id>) -> Result<(), RingError> {
         debug_assert!(!self.is_empty(), "assign_tasks on empty ring");
+        let total = arena_len(self.total_tasks, keys.len())?;
         self.muts = self.muts.wrapping_add(1);
+        let Ring {
+            index,
+            tasks,
+            ends,
+            keys: arena,
+            total_tasks,
+            ..
+        } = self;
+        if *total_tasks > 0 {
+            keys.reserve(*total_tasks as usize);
+            for q in tasks.iter_mut() {
+                keys.extend(q.drain(..).filter_map(|i| arena.get(i as usize).copied()));
+            }
+        }
         keys.sort_unstable();
-        self.total_tasks += keys.len() as u64;
-        // For consecutive vnode ids a < b, b owns integer range (a, b].
-        // The smallest vnode also picks up the wrap: keys > last ∪ keys
-        // ≤ first. `prev` carries the window's left edge.
+        *arena = keys;
+        *total_tasks = total;
+        ends.fill(NO_POS);
+        // For consecutive vnode ids a < b, b owns positions
+        // [pos(a), pos(b)). The smallest vnode also picks up the wrap:
+        // keys > last ∪ keys ≤ first. `start` carries pos(a).
         let mut start = 0usize;
         let mut first = None;
-        let mut prev = None;
-        let Ring { index, tasks, .. } = self;
         for (&b, &slot) in index.iter() {
-            let Some(a) = prev else {
-                first = Some(b);
-                prev = Some(b);
-                continue;
-            };
-            // keys in (a, b]: advance start past ≤ a, then take ≤ b.
-            let tail = keys.get(start..).unwrap_or_default();
-            let lo = tail.partition_point(|&k| k <= a) + start;
-            let rest = keys.get(lo..).unwrap_or_default();
-            let hi = rest.partition_point(|&k| k <= b) + lo;
-            if let (Some(tv), Some(chunk)) = (tasks.get_mut(slot), keys.get(lo..hi)) {
-                extend_sorted(tv, chunk);
+            let end = start
+                + arena
+                    .get(start..)
+                    .map_or(0, |tail| tail.partition_point(|&k| k <= b));
+            if let Some(e) = ends.get_mut(slot) {
+                *e = end as u32;
             }
-            start = hi;
-            prev = Some(b);
+            if first.is_none() {
+                first = Some(slot);
+            } else if let Some(q) = tasks.get_mut(slot) {
+                q.extend(start as u32..end as u32);
+            }
+            start = end;
         }
-        // Wrap chunk: keys ≤ first id and keys > last id go to first.
-        let (Some(first), Some(last)) = (first, prev) else {
-            return;
-        };
-        let head_end = keys.partition_point(|&k| k <= first);
-        let tail_start = keys.partition_point(|&k| k <= last);
-        let Some(tv) = self.tasks_of_mut(first) else {
-            return;
-        };
-        // Tail (big keys) sort before head in ring order but after in
-        // integer order; keep the vector integer-sorted.
-        extend_sorted(tv, keys.get(..head_end).unwrap_or_default());
-        extend_sorted(tv, keys.get(tail_start..).unwrap_or_default());
+        // Wrap chunk: keys ≤ first id, then keys > last id — the first
+        // vnode's queue stays in key order.
+        if let (Some(q), Some(&head_end)) = (
+            first.and_then(|slot| tasks.get_mut(slot)),
+            first.and_then(|slot| ends.get(slot)),
+        ) {
+            q.extend(0..head_end);
+            q.extend(start as u32..arena.len() as u32);
+        }
+        Ok(())
     }
 
     /// Consumes one uniformly random task from the virtual node,
@@ -477,7 +582,7 @@ impl Ring {
     /// if the node is absent or idle.
     pub fn pop_task(&mut self, id: Id) -> bool {
         let state = advance_pop_state(self.pop_rng);
-        let Some(tv) = self.tasks_of_mut(id).filter(|tv| !tv.is_empty()) else {
+        let Some(tv) = self.queue_mut(id).filter(|tv| !tv.is_empty()) else {
             return false;
         };
         tv.swap_remove(pop_index(state, tv.len()));
@@ -486,7 +591,6 @@ impl Ring {
         self.muts = self.muts.wrapping_add(1);
         true
     }
-
     /// Remaining tasks at the vnode behind a handle.
     #[inline]
     pub(crate) fn queue_len(&self, h: Slot) -> u64 {
@@ -617,7 +721,8 @@ impl Ring {
     /// absent or idle. A Sybil planted *at* this key acquires half the
     /// victim's remaining work exactly — the §VII chosen-ID extension.
     pub fn median_task_key(&self, id: Id) -> Option<Id> {
-        let mut keys = self.tasks(id).filter(|t| !t.is_empty())?.to_vec();
+        let q = self.queue(id).filter(|q| !q.is_empty())?;
+        let mut keys: Vec<Id> = self.keys_of(q).collect();
         let pred = self.predecessor_of(id).unwrap_or(id);
         let mid = keys.len() / 2;
         keys.select_nth_unstable_by_key(mid, |k| k.wrapping_sub(pred));
@@ -627,60 +732,92 @@ impl Ring {
     /// Per-owner total loads, for snapshot assertions.
     pub fn loads_by_owner(&self, workers: usize) -> Vec<u64> {
         let mut out = vec![0u64; workers];
-        for (_, owner, tv) in self.vnodes_in_order() {
+        for (_, owner, q) in self.vnodes_in_order() {
             if let Some(o) = out.get_mut(owner) {
-                *o += tv.len() as u64;
+                *o += q.len() as u64;
             }
         }
         out
     }
 
     /// Remaining task keys at one virtual node, in internal queue order.
-    pub fn tasks(&self, id: Id) -> Option<&[Id]> {
-        self.tasks.get(*self.index.get(&id)?).map(Vec::as_slice)
+    pub fn tasks(&self, id: Id) -> Option<impl Iterator<Item = Id> + '_> {
+        Some(self.keys_of(self.queue(id)?))
     }
 
-    /// Every vnode as `(id, owner, tasks)` in ring (ascending id) order.
-    fn vnodes_in_order(&self) -> impl Iterator<Item = (Id, WorkerId, &[Id])> + '_ {
+    /// A queue's positions mapped back to their keys.
+    fn keys_of<'a>(&'a self, q: &'a [u32]) -> impl Iterator<Item = Id> + 'a {
+        q.iter().filter_map(|&i| self.keys.get(i as usize).copied())
+    }
+
+    /// Every vnode as `(id, owner, queue)` in ring (ascending id) order.
+    fn vnodes_in_order(&self) -> impl Iterator<Item = (Id, WorkerId, &[u32])> + '_ {
         self.index.iter().map(|(&id, &slot)| {
             let owner = self.owners.get(slot).copied().unwrap_or(FREE_OWNER);
-            let tasks = self
+            let queue = self
                 .tasks
                 .get(slot)
                 .map_or(Default::default(), Vec::as_slice);
-            (id, owner, tasks)
+            (id, owner, queue)
         })
     }
 
     /// `(id, owner, tasks)` for every vnode in ring order.
     pub fn rows(&self) -> Vec<(Id, WorkerId, Vec<Id>)> {
         self.vnodes_in_order()
-            .map(|(id, owner, tasks)| (id, owner, tasks.to_vec()))
+            .map(|(id, owner, q)| (id, owner, self.keys_of(q).collect()))
             .collect()
     }
 
     /// `(id, load)` for every vnode in ring order.
     pub fn vnode_loads(&self) -> Vec<(Id, u64)> {
         self.vnodes_in_order()
-            .map(|(id, _, tasks)| (id, tasks.len() as u64))
+            .map(|(id, _, q)| (id, q.len() as u64))
             .collect()
     }
 
-    /// Verifies internal invariants (accurate totals, live slots, keys
-    /// within their owner arcs). Test/debug helper; O(total tasks).
+    /// Verifies internal invariants: a sorted arena, every queued
+    /// position in bounds and held by exactly one queue, keys within
+    /// their owner arcs, cached positions that match a fresh search,
+    /// live slots and an accurate total. Test/debug helper; O(arena).
     pub fn check_invariants(&self) -> Result<(), String> {
+        let keys = &self.keys;
+        if let Some(at) = keys
+            .iter()
+            .zip(keys.iter().skip(1))
+            .position(|(a, b)| a > b)
+        {
+            return Err(format!("key arena unsorted at position {at}"));
+        }
+        let mut held = vec![false; keys.len()];
         let mut counted = 0u64;
-        for (id, owner, tv) in self.vnodes_in_order() {
+        for (&id, &slot) in self.index.iter() {
+            let (Some(&owner), Some(q), Some(&end)) = (
+                self.owners.get(slot),
+                self.tasks.get(slot),
+                self.ends.get(slot),
+            ) else {
+                return Err(format!("vnode {id} points past the columns (slot {slot})"));
+            };
             if owner == FREE_OWNER {
                 return Err(format!("vnode {id} points at a freed slot"));
             }
-            counted += tv.len() as u64;
+            let fresh = keys.partition_point(|&k| k <= id);
+            if end != NO_POS && end as usize != fresh {
+                return Err(format!("vnode {id} caches position {end}, not {fresh}"));
+            }
+            counted += q.len() as u64;
             let pred = self.predecessor_of(id).unwrap_or(id);
-            if let Some(k) = tv
-                .iter()
-                .find(|&&k| pred != id && !arc::in_arc(pred, id, k))
-            {
-                return Err(format!("key {k} at {id} outside arc ({pred}, {id}]"));
+            for &i in q {
+                let (Some(&k), Some(h)) = (keys.get(i as usize), held.get_mut(i as usize)) else {
+                    return Err(format!("vnode {id} holds position {i} past the arena"));
+                };
+                if std::mem::replace(h, true) {
+                    return Err(format!("position {i} held twice (again at {id})"));
+                }
+                if pred != id && !arc::in_arc(pred, id, k) {
+                    return Err(format!("key {k} at {id} outside arc ({pred}, {id}]"));
+                }
             }
         }
         let owned = self.owners.iter().filter(|&&o| o != FREE_OWNER).count();
@@ -695,6 +832,40 @@ impl Ring {
         }
         Ok(())
     }
+}
+
+/// The arena length after assigning `new` keys to a ring holding
+/// `held`, refused past [`MAX_TASKS`] so positions never wrap.
+fn arena_len(held: u64, new: usize) -> Result<u64, RingError> {
+    let total = held.saturating_add(new as u64);
+    if total > MAX_TASKS {
+        return Err(RingError::TooManyTasks(total));
+    }
+    Ok(total)
+}
+
+/// `pos(x)`, the count of keys `≤ x`, given that every key at or past
+/// `hi` exceeds `x`. Gallops down from `hi` — 1, 2, 4, … keys back —
+/// and finishes with a binary search, so a position near `hi` costs a
+/// few reads of the arena near `hi` instead of a search from its top.
+fn pos_below(keys: &[Id], hi: usize, x: Id) -> usize {
+    let mut hi = hi.min(keys.len());
+    let mut step = 1;
+    while hi > 0 {
+        let lo = hi.saturating_sub(step);
+        match keys.get(lo) {
+            Some(&k) if k > x => {
+                hi = lo;
+                step *= 2;
+            }
+            // keys[lo] ≤ x < keys[hi]: the answer is in (lo, hi].
+            _ => {
+                let gap = keys.get(lo + 1..hi).unwrap_or_default();
+                return lo + 1 + gap.partition_point(|&k| k <= x);
+            }
+        }
+    }
+    0
 }
 
 /// One xorshift64 step of the pop generator. Split out from
@@ -716,31 +887,6 @@ fn advance_pop_state(state: u64) -> u64 {
 fn pop_index(state: u64, len: usize) -> usize {
     debug_assert!(len > 0);
     (state.wrapping_mul(0x2545_F491_4F6C_DD1D) % len as u64) as usize
-}
-
-/// Appends a sorted chunk to a sorted vector, merging when necessary.
-fn extend_sorted(dst: &mut Vec<Id>, chunk: &[Id]) {
-    let Some(&head) = chunk.first() else {
-        return;
-    };
-    if dst.last().is_none_or(|&l| l <= head) {
-        dst.extend_from_slice(chunk);
-        return;
-    }
-    let mut out = Vec::with_capacity(dst.len() + chunk.len());
-    let (mut a, mut b) = (dst.iter().peekable(), chunk.iter().peekable());
-    while let (Some(&&x), Some(&&y)) = (a.peek(), b.peek()) {
-        if x <= y {
-            out.push(x);
-            a.next();
-        } else {
-            out.push(y);
-            b.next();
-        }
-    }
-    out.extend(a);
-    out.extend(b);
-    *dst = out;
 }
 
 #[cfg(test)]
@@ -800,7 +946,8 @@ mod tests {
     #[test]
     fn assign_tasks_places_keys_in_arcs() {
         let mut r = ring_with(&[100, 200, 300]);
-        r.assign_tasks(vec![id(150), id(250), id(50), id(350), id(200)]);
+        r.assign_tasks(vec![id(150), id(250), id(50), id(350), id(200)])
+            .unwrap();
         // (100,200] -> 150, 200 ; (200,300] -> 250 ; wrap (300,100] -> 50, 350.
         assert_eq!(r.load(id(200)), 2);
         assert_eq!(r.load(id(300)), 1);
@@ -812,7 +959,7 @@ mod tests {
     #[test]
     fn insert_vnode_splits_successor() {
         let mut r = ring_with(&[100, 300]);
-        r.assign_tasks(vec![id(150), id(250), id(280)]);
+        r.assign_tasks(vec![id(150), id(250), id(280)]).unwrap();
         assert_eq!(r.load(id(300)), 3);
         // New vnode at 260 takes keys in (100, 260] = {150, 250}.
         let got = r.insert_vnode(id(260), 9).unwrap();
@@ -827,7 +974,7 @@ mod tests {
     fn insert_vnode_in_wrap_arc() {
         let mut r = ring_with(&[100, 300]);
         // Wrap arc (300, 100] holds 350 and 50.
-        r.assign_tasks(vec![id(350), id(50)]);
+        r.assign_tasks(vec![id(350), id(50)]).unwrap();
         assert_eq!(r.load(id(100)), 2);
         // Split at 400: takes (300, 400] = {350}.
         let got = r.insert_vnode(id(400), 7).unwrap();
@@ -849,7 +996,7 @@ mod tests {
     #[test]
     fn remove_vnode_merges_into_successor() {
         let mut r = ring_with(&[100, 200, 300]);
-        r.assign_tasks(vec![id(150), id(160), id(250)]);
+        r.assign_tasks(vec![id(150), id(160), id(250)]).unwrap();
         let (owner, moved, succ) = r.remove_vnode(id(200)).unwrap();
         assert_eq!(owner, 1);
         assert_eq!(moved, 2);
@@ -862,7 +1009,7 @@ mod tests {
     #[test]
     fn remove_vnode_merge_across_wrap() {
         let mut r = ring_with(&[100, 300]);
-        r.assign_tasks(vec![id(350), id(50), id(250)]);
+        r.assign_tasks(vec![id(350), id(50), id(250)]).unwrap();
         // Remove 300 (holds 250): merges into 100 across the wrap.
         let (_, moved, succ) = r.remove_vnode(id(300)).unwrap();
         assert_eq!(moved, 1);
@@ -876,7 +1023,7 @@ mod tests {
         let mut r = Ring::new();
         let at = id(42);
         r.insert_vnode(at, 0).unwrap();
-        r.assign_tasks(vec![id(7)]);
+        r.assign_tasks(vec![id(7)]).unwrap();
         assert_eq!(r.remove_vnode(id(5)), Err(RingError::Unknown(id(5))));
         assert_eq!(r.remove_vnode(at), Err(RingError::LastVNode));
         assert!(r.pop_task(at));
@@ -888,7 +1035,7 @@ mod tests {
     #[test]
     fn pop_task_consumes() {
         let mut r = ring_with(&[100]);
-        r.assign_tasks(vec![id(1), id(2)]);
+        r.assign_tasks(vec![id(1), id(2)]).unwrap();
         assert!(r.pop_task(id(100)));
         assert_eq!(r.total_tasks(), 1);
         assert!(r.pop_task(id(100)));
@@ -903,7 +1050,8 @@ mod tests {
         r.insert_vnode(id(100), 0).unwrap();
         r.insert_vnode(id(200), 1).unwrap();
         r.insert_vnode(id(300), 0).unwrap(); // second vnode for worker 0
-        r.assign_tasks(vec![id(150), id(250), id(260), id(50)]);
+        r.assign_tasks(vec![id(150), id(250), id(260), id(50)])
+            .unwrap();
         let loads = r.loads_by_owner(2);
         // worker0: vnode100 (wrap: 50) + vnode300 (250, 260) = 3.
         assert_eq!(loads, vec![3, 1]);
@@ -912,7 +1060,8 @@ mod tests {
     #[test]
     fn median_task_key_bisects_remaining_work() {
         let mut r = ring_with(&[1000]);
-        r.assign_tasks((1..=9u128).map(|v| id(v * 100)).collect());
+        r.assign_tasks((1..=9u128).map(|v| id(v * 100)).collect())
+            .unwrap();
         let m = r.median_task_key(id(1000)).unwrap();
         // 9 keys 100..900; ring order from pred (=self, full ring) wraps,
         // but all keys < 1000 so ring order = integer order: median 500.
@@ -926,7 +1075,7 @@ mod tests {
     fn median_task_key_respects_ring_order_across_wrap() {
         let mut r = ring_with(&[100, 300]);
         // Wrap arc (300, 100]: keys 400, 500, 50 in ring order.
-        r.assign_tasks(vec![id(400), id(500), id(50)]);
+        r.assign_tasks(vec![id(400), id(500), id(50)]).unwrap();
         let m = r.median_task_key(id(100)).unwrap();
         assert_eq!(m, id(500), "ring-order median, not integer median");
     }
@@ -936,21 +1085,85 @@ mod tests {
         let mut r = ring_with(&[100]);
         assert_eq!(r.median_task_key(id(100)), None, "idle node");
         assert_eq!(r.median_task_key(id(999)), None, "absent node");
-        r.assign_tasks(vec![id(42)]);
+        r.assign_tasks(vec![id(42)]).unwrap();
         assert_eq!(r.median_task_key(id(100)), Some(id(42)));
     }
 
     #[test]
-    fn extend_sorted_merges_out_of_order_chunks() {
-        let mut v = vec![id(1), id(5), id(9)];
-        extend_sorted(&mut v, &[id(2), id(5), id(10)]);
-        assert_eq!(v, vec![id(1), id(2), id(5), id(5), id(9), id(10)]);
-        extend_sorted(&mut v, &[id(11)]);
-        assert_eq!(v.last(), Some(&id(11)));
-        let mut e = Vec::new();
-        extend_sorted(&mut e, &[id(3)]);
-        extend_sorted(&mut e, &[]);
-        assert_eq!(e, vec![id(3)]);
+    fn pos_below_matches_a_full_search() {
+        let keys: Vec<Id> = [1u128, 3, 3, 3, 5, 8, 8, 13, 21, 21]
+            .into_iter()
+            .map(id)
+            .collect();
+        for x in 0..25u128 {
+            let full = keys.partition_point(|&k| k <= id(x));
+            // Every start at or past the answer satisfies the contract.
+            for hi in full..=keys.len() {
+                assert_eq!(pos_below(&keys, hi, id(x)), full, "x {x} hi {hi}");
+            }
+        }
+        assert_eq!(pos_below(&[], 0, id(4)), 0);
+    }
+
+    #[test]
+    fn assign_refuses_more_keys_than_u32_positions() {
+        assert_eq!(arena_len(0, u32::MAX as usize), Ok(MAX_TASKS));
+        assert_eq!(
+            arena_len(1, u32::MAX as usize),
+            Err(RingError::TooManyTasks(MAX_TASKS + 1))
+        );
+        let mut r = ring_with(&[100, 200]);
+        r.assign_tasks(vec![id(150)]).unwrap();
+        // A ring already at the limit refuses one more key and stays
+        // as it was.
+        r.total_tasks = MAX_TASKS;
+        let before = r.rows();
+        assert_eq!(
+            r.assign_tasks(vec![id(50)]),
+            Err(RingError::TooManyTasks(MAX_TASKS + 1))
+        );
+        assert_eq!(r.rows(), before);
+        assert!(RingError::TooManyTasks(MAX_TASKS + 1)
+            .to_string()
+            .contains("4294967295"));
+    }
+
+    #[test]
+    fn idle_victims_leave_positions_uncached_until_loaded() {
+        let mut r = ring_with(&[0x400, 0x800, 0xC00]);
+        r.assign_tasks((0x410..0x7F0u128).step_by(0x20).map(id).collect())
+            .unwrap();
+        // 0xC00 is idle: the newcomer at 0xA00 splits nothing and its
+        // position stays uncomputed; so does 0x900's, split off it.
+        insert_checked(&mut r, id(0xA00), 3);
+        insert_checked(&mut r, id(0x900), 4);
+        let slot = |r: &Ring, v: u128| *r.index.get(&id(v)).unwrap();
+        assert_eq!(r.ends.get(slot(&r, 0x900)), Some(&NO_POS));
+        // 0x800 leaves: its keys merge into 0x900, which a later split
+        // then fills lazily and gallops from.
+        remove_checked(&mut r, id(0x800));
+        assert_eq!(r.load(id(0x900)), 31);
+        assert_eq!(insert_checked(&mut r, id(0x600), 5), 16);
+        assert_eq!(r.ends.get(slot(&r, 0x900)), Some(&31));
+        assert_eq!(insert_checked(&mut r, id(0x700), 6), 8);
+        // Above the largest id, the wrap arc's victim 0x400 is idle.
+        assert_eq!(insert_checked(&mut r, id(0xF00), 7), 0);
+    }
+
+    #[test]
+    fn reassigning_a_loaded_ring_keeps_queues_in_key_order() {
+        let mut r = ring_with(&[100, 300]);
+        r.assign_tasks(vec![id(350), id(50), id(250), id(150), id(260)])
+            .unwrap();
+        assert!(r.pop_task(id(300)));
+        r.assign_tasks(vec![id(250), id(20), id(290)]).unwrap();
+        assert_eq!(r.total_tasks(), 7);
+        for (_, _, keys) in r.rows() {
+            assert!(keys.windows(2).all(|w| w[0] <= w[1]), "{keys:?}");
+        }
+        // The arena now holds the live keys only.
+        assert_eq!(r.keys.len(), 7);
+        r.check_invariants().unwrap();
     }
 
     #[test]
@@ -958,16 +1171,12 @@ mod tests {
         // After consumption removes random keys, a later split still
         // moves exactly the remaining keys of the new arc.
         let mut r = ring_with(&[1000]);
-        r.assign_tasks((1..=10u128).map(|v| id(v * 10)).collect());
+        r.assign_tasks((1..=10u128).map(|v| id(v * 10)).collect())
+            .unwrap();
         for _ in 0..3 {
             assert!(r.pop_task(id(1000)));
         }
-        let remaining_low = r
-            .tasks(id(1000))
-            .unwrap()
-            .iter()
-            .filter(|&&k| k <= id(45))
-            .count() as u64;
+        let remaining_low = r.tasks(id(1000)).unwrap().filter(|&k| k <= id(45)).count() as u64;
         let got = r.insert_vnode(id(45), 5).unwrap();
         assert_eq!(got, remaining_low);
         assert_eq!(r.load(id(45)) + r.load(id(1000)), 7);
@@ -979,12 +1188,13 @@ mod tests {
         // Consume half the tasks of one big arc; the survivors should
         // not be concentrated at either end.
         let mut r = ring_with(&[1_000_000]);
-        r.assign_tasks((1..=1000u128).map(|v| id(v * 100)).collect());
+        r.assign_tasks((1..=1000u128).map(|v| id(v * 100)).collect())
+            .unwrap();
         for _ in 0..500 {
             assert!(r.pop_task(id(1_000_000)));
         }
         let survivors = r.tasks(id(1_000_000)).unwrap();
-        let low = survivors.iter().filter(|&&k| k <= id(50_000)).count();
+        let low = survivors.filter(|&k| k <= id(50_000)).count();
         // Expect ≈ 250 below the midpoint; fail only on gross bias.
         assert!((150..=350).contains(&low), "low-half survivors: {low}");
     }
@@ -1007,7 +1217,7 @@ mod tests {
         let (a, _, _) = r.insert_slotted(id(100), 0).unwrap();
         let (b, _, _) = r.insert_slotted(id(200), 1).unwrap();
         assert_ne!(a, b);
-        r.assign_tasks(vec![id(150), id(160)]);
+        r.assign_tasks(vec![id(150), id(160)]).unwrap();
         assert_eq!(r.queue_len(b), 2);
         // Removing a vnode frees its slot; the next insert takes it
         // over, the surviving handle is untouched.
@@ -1047,7 +1257,7 @@ mod tests {
     #[test]
     fn insert_into_wrap_arc_hands_back_the_smallest_vnode() {
         let mut r = ring_with(&[100, 300]);
-        r.assign_tasks(vec![id(350), id(50), id(250)]);
+        r.assign_tasks(vec![id(350), id(50), id(250)]).unwrap();
         // Above the largest id: the split victim is vnode 100 (owner 0).
         assert_eq!(insert_checked(&mut r, id(400), 9), 1);
     }
@@ -1055,7 +1265,7 @@ mod tests {
     #[test]
     fn removing_the_largest_id_wraps_to_the_smallest() {
         let mut r = ring_with(&[100, 200, 300]);
-        r.assign_tasks(vec![id(250), id(260), id(50)]);
+        r.assign_tasks(vec![id(250), id(260), id(50)]).unwrap();
         let gone = remove_checked(&mut r, id(300));
         assert_eq!((gone.owner, gone.moved), (2, 2));
         assert_eq!((gone.succ, gone.succ_owner), (id(100), 0));
@@ -1067,7 +1277,7 @@ mod tests {
         let at = id(42);
         let mut r = Ring::new();
         assert_eq!(insert_checked(&mut r, at, 3), 0);
-        r.assign_tasks(vec![id(7)]);
+        r.assign_tasks(vec![id(7)]).unwrap();
         let before = r.rows();
         assert_eq!(r.remove_slotted(at), Err(RingError::LastVNode));
         assert_eq!(r.rows(), before);
@@ -1081,7 +1291,8 @@ mod tests {
     #[test]
     fn occupied_insert_leaves_the_ring_unchanged() {
         let mut r = ring_with(&[100, 500, 600]);
-        r.assign_tasks((0..8u128).map(|v| id(v * 90 + 9)).collect());
+        r.assign_tasks((0..8u128).map(|v| id(v * 90 + 9)).collect())
+            .unwrap();
         let before = r.rows();
         for (w, at) in [100u128, 600].into_iter().enumerate() {
             assert_eq!(
@@ -1110,8 +1321,8 @@ mod tests {
             seq.insert_vnode(at, v / 3).unwrap();
             slots.push(planned.insert_slotted(at, v / 3).unwrap().0);
         }
-        seq.assign_tasks(keys.clone());
-        planned.assign_tasks(keys);
+        seq.assign_tasks(keys.clone()).unwrap();
+        planned.assign_tasks(keys).unwrap();
         for _tick in 0..5 {
             // Every owner's three vnodes share a capacity of 4.
             let mut total = 0u64;

@@ -135,7 +135,8 @@ impl Sim {
                 }
             }
         }
-        ring.assign_tasks(task_keys);
+        ring.assign_tasks(task_keys)
+            .expect("SimConfig::validate bounds the task count");
         let loads = ring.loads_by_owner(workers.len());
         for (w, &l) in workers.iter_mut().zip(&loads) {
             w.load = l;

@@ -368,11 +368,20 @@ pub fn timeseries(args: &Args) {
                 remaining[i]
             ));
         }
+        // The run's last sample is taken at completion, when every load
+        // is 0; the last one with work still left says how balanced the
+        // run ended up.
+        let final_gini = gini
+            .iter()
+            .zip(&remaining)
+            .rev()
+            .find(|&(_, &left)| left > 0)
+            .map_or(0.0, |(&g, _)| g);
         println!(
             "  {:<11} samples {:>4}, final gini {:.3}, peak vnodes {}",
             strat.label(),
             res.metrics.len(),
-            gini.last().copied().unwrap_or(0.0),
+            final_gini,
             res.peak_vnodes
         );
         gini_chart.push_series(strat.label(), gini);

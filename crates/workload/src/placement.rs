@@ -28,7 +28,8 @@ pub fn loads_for_placement(node_ids: &[Id], keys: Vec<Id>) -> Vec<u64> {
         ring.insert_vnode(id, i)
             .expect("duplicate node id in placement");
     }
-    ring.assign_tasks(keys);
+    ring.assign_tasks(keys)
+        .expect("more task keys than one ring holds");
     ring.loads_by_owner(node_ids.len())
 }
 

@@ -144,7 +144,7 @@ proptest! {
         prop_assume!(inserted >= 2);
         let keys: Vec<Id> = task_seeds.iter().map(|&s| sha1::sha1_id_of_u64(s ^ 0xdead)).collect();
         let total = keys.len() as u64;
-        ring.assign_tasks(keys);
+        ring.assign_tasks(keys).unwrap();
         prop_assert_eq!(ring.total_tasks(), total);
         ring.check_invariants().unwrap();
 

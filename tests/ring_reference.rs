@@ -1,10 +1,11 @@
 //! Differential tests: the optimized hot-path `Ring` (struct-of-arrays
-//! columns, pooled task vectors, in-place arc splits) against the naive
-//! reference implementation in [`autobal::reference`], which preserves
-//! the pre-optimization semantics verbatim.
+//! columns, task queues of `u32` positions into one sorted key arena,
+//! pooled buffers, in-place arc splits) against the naive reference
+//! implementation in [`autobal::reference`], which keeps task keys as
+//! ids and preserves the pre-optimization semantics verbatim.
 //!
 //! Equality here is **bit-for-bit**: not just the same task multisets
-//! but the same element order inside every vnode's task vector, so the
+//! but the same element order inside every vnode's task queue, so the
 //! shared xorshift pop stream consumes identical indices on both sides.
 
 use autobal::reference::{NaiveRing, NaiveSample, NaiveSim};
@@ -27,75 +28,123 @@ fn key_id(v: u16) -> Id {
     Id::from_limbs(1, 0x9E37_79B9, (v as u64) << 16)
 }
 
-/// Post-setup operations. `assign_tasks` is deliberately absent: every
-/// production caller assigns exactly once at setup (see
-/// `Sim::with_placement` and `placement::initial_loads`), so the
-/// differential run mirrors that contract — setup inserts, one assign,
-/// then arbitrary churn and consumption.
+/// A vnode id: mostly one of the 256 spread positions, sometimes above
+/// every position and key (its split victim is the smallest vnode,
+/// across the wrap) or below every one (it splits the wrap arc of the
+/// largest vnode).
+fn vnode_id(kind: u8, v: u8) -> Id {
+    match kind % 8 {
+        6 => Id::from_limbs(u64::MAX - v as u64, u64::MAX, 0xFFFF_FFFF),
+        7 => Id::from_limbs(v as u64, 0, 0),
+        _ => pos_id(v),
+    }
+}
+
+/// A task key: mostly fine-grained, sometimes one of 16 coarse values
+/// (so keys repeat) or exactly a vnode position.
+fn task_key(kind: u8, v: u16) -> Id {
+    match kind % 8 {
+        5 | 6 => key_id(v & 0xF000),
+        7 => pos_id((v >> 8) as u8),
+        _ => key_id(v),
+    }
+}
+
+fn task_keys(raw: Vec<(u8, u16)>) -> Vec<Id> {
+    raw.into_iter().map(|(kind, v)| task_key(kind, v)).collect()
+}
+
+/// Post-setup operations: inserts, removals and pops at any id, pops at
+/// the `rank`-th vnode present, and further task assignments onto the
+/// loaded ring.
 #[derive(Debug, Clone)]
 enum Op {
-    Insert { pos: u8, owner: u8 },
-    Remove { pos: u8 },
-    Pop { pos: u8 },
+    Insert { at: Id, owner: u8 },
+    Remove { at: Id },
+    Pop { at: Id },
+    PopNth { rank: u8 },
+    Assign { keys: Vec<Id> },
 }
 
 fn arb_op() -> impl Strategy<Value = Op> {
-    (0u8..8, any::<u8>(), any::<u8>()).prop_map(|(tag, pos, owner)| match tag {
-        0..=2 => Op::Insert { pos, owner },
-        3 | 4 => Op::Remove { pos },
-        _ => Op::Pop { pos },
-    })
+    (
+        0u8..10,
+        any::<u8>(),
+        any::<u8>(),
+        any::<u8>(),
+        proptest::collection::vec((any::<u8>(), any::<u16>()), 0..12),
+    )
+        .prop_map(|(tag, kind, v, owner, keys)| {
+            let at = vnode_id(kind, v);
+            match tag {
+                0..=2 => Op::Insert { at, owner },
+                3 | 4 => Op::Remove { at },
+                5 => Op::Pop { at },
+                6..=8 => Op::PopNth { rank: v },
+                _ => Op::Assign {
+                    keys: task_keys(keys),
+                },
+            }
+        })
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Production-shaped run: setup inserts, one task assignment, then
-    /// a random soup of inserts, removals, and pops. Full state
-    /// (including task element order) must agree after every single
-    /// operation.
+    /// Setup inserts, one task assignment, then a random soup of
+    /// inserts (wrap-arc ones included), removals, pops and further
+    /// assignments, over keys that repeat and keys that sit exactly at
+    /// vnode ids. Full state (including task element order) must agree
+    /// after every single operation, and the ring's own invariants —
+    /// the key arena and its cached positions — must hold throughout.
     #[test]
     fn ring_matches_naive_reference(
-        positions in proptest::collection::vec(any::<u8>(), 1..10),
-        keys in proptest::collection::vec(any::<u16>(), 0..60),
+        positions in proptest::collection::vec((any::<u8>(), any::<u8>()), 1..10),
+        keys in proptest::collection::vec((any::<u8>(), any::<u16>()), 0..60),
         ops in proptest::collection::vec(arb_op(), 1..80),
     ) {
         let mut ring = Ring::new();
         let mut naive = NaiveRing::new();
-        for (i, &p) in positions.iter().enumerate() {
-            let id = pos_id(p);
+        for (i, &(kind, v)) in positions.iter().enumerate() {
+            let id = vnode_id(kind, v);
             prop_assert_eq!(ring.insert_vnode(id, i).ok(), naive.insert_vnode(id, i).ok());
         }
-        let keys: Vec<Id> = keys.into_iter().map(key_id).collect();
-        ring.assign_tasks(keys.clone());
+        let keys = task_keys(keys);
+        ring.assign_tasks(keys.clone()).unwrap();
         naive.assign_tasks(keys);
         prop_assert_eq!(ring.rows(), naive.rows());
 
         for op in ops {
             match op {
-                Op::Insert { pos, owner } => {
-                    let id = pos_id(pos);
+                Op::Insert { at, owner } => {
                     prop_assert_eq!(
-                        ring.insert_vnode(id, owner as usize).ok(),
-                        naive.insert_vnode(id, owner as usize).ok()
+                        ring.insert_vnode(at, owner as usize).ok(),
+                        naive.insert_vnode(at, owner as usize).ok()
                     );
                 }
-                Op::Remove { pos } => {
-                    let id = pos_id(pos);
-                    prop_assert_eq!(
-                        ring.remove_vnode(id).ok(),
-                        naive.remove_vnode(id).ok()
-                    );
+                Op::Remove { at } => {
+                    prop_assert_eq!(ring.remove_vnode(at).ok(), naive.remove_vnode(at).ok());
                 }
-                Op::Pop { pos } => {
-                    let id = pos_id(pos);
-                    prop_assert_eq!(ring.pop_task(id), naive.pop_task(id));
+                Op::Pop { at } => {
+                    prop_assert_eq!(ring.pop_task(at), naive.pop_task(at));
+                }
+                Op::PopNth { rank } => {
+                    let rows = naive.rows();
+                    if let Some((at, _, _)) = rows.get(rank as usize % rows.len().max(1)) {
+                        prop_assert_eq!(ring.pop_task(*at), naive.pop_task(*at));
+                    }
+                }
+                Op::Assign { keys } => {
+                    if !naive.is_empty() {
+                        ring.assign_tasks(keys.clone()).unwrap();
+                        naive.assign_tasks(keys);
+                    }
                 }
             }
             prop_assert_eq!(ring.len(), naive.len());
             prop_assert_eq!(ring.total_tasks(), naive.total_tasks());
             prop_assert_eq!(ring.rows(), naive.rows());
-            prop_assert!(ring.check_invariants().is_ok());
+            prop_assert_eq!(ring.check_invariants(), Ok(()));
         }
     }
 
@@ -138,7 +187,7 @@ fn wrap_arc_split_matches_reference() {
         .into_iter()
         .map(key_id)
         .collect();
-    ring.assign_tasks(keys.clone());
+    ring.assign_tasks(keys.clone()).unwrap();
     naive.assign_tasks(keys);
     assert_eq!(ring.load(pos_id(0x40)), 5, "wrap arc holds 5 keys");
 
@@ -175,7 +224,7 @@ fn pooled_buffers_carry_no_stale_tasks() {
         let keys: Vec<Id> = (0..40u16)
             .map(|k| key_id(k.wrapping_mul(1621) ^ round as u16))
             .collect();
-        ring.assign_tasks(keys.clone());
+        ring.assign_tasks(keys.clone()).unwrap();
         naive.assign_tasks(keys);
         // Drain every node so the final removal is legal (removing the
         // last vnode with tasks still aboard is refused by both).
