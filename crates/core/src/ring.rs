@@ -13,10 +13,45 @@
 //!
 //! [`Ring`] holds its virtual nodes as one ordered id→slot index next
 //! to parallel `owners`/`tasks` columns, so the hot tick loop walks
-//! dense vectors instead of chasing ordered map nodes. A vnode keeps
-//! its slot for its whole lifetime, so `Slot` is a stable handle the
-//! simulator uses to reach a vnode's queue without any ordered-map
-//! lookup.
+//! dense vectors. A vnode keeps its slot for its whole lifetime, so
+//! `Slot` is a stable handle the simulator uses to reach a vnode's
+//! queue without searching the index at all.
+//!
+//! ## The vnode index
+//!
+//! Vnode ids are uniform hashes, so an id's top bits predict its rank
+//! in the ring. The index is an ordered linear-probing table: one array
+//! of `(id, slot)` entries (`EMPTY` marks a free one) with `2^b ≥
+//! 2·len` homes, where `home(id)` is the top `b` bits of the id's
+//! 64-bit prefix `(hi << 32) | (mid >> 32)`. Three invariants hold:
+//! occupied entries ascend along the array, each sits at or after its
+//! home, and no empty entry lies between an entry's home and the entry.
+//!
+//! So one scan from `home(id)` past the occupied entries `< id` stops
+//! at the boundary of the ring order: every entry before the stop is
+//! `< id` and every entry from it on is `≥ id`. The successor is the
+//! first occupied entry from the stop on (wrapping to the table's first
+//! entry) and the predecessor the last one before it (wrapping to the
+//! last); the table keeps the positions of both, so a wrap never walks
+//! the empty entries at the array's ends. An insert shifts the run from
+//! the stop to the next empty entry right by one; a remove shifts each
+//! following entry that sits past its home left by one. When an insert
+//! would pass load ½ the table doubles, rebuilt in one ordered pass; it
+//! never shrinks.
+//!
+//! Ids that share their top bits share a home and form one long run.
+//! Ids packed just below `Id::MAX` all crowd the last home, and doubling
+//! would never give their run room, so a run that reaches the array's
+//! end extends the tail past `2^b` instead; only the load factor grows
+//! the table. Such rings stay correct, only slower: a probe walks the
+//! run.
+//!
+//! Structural operations probe the index once: an insert's stop is both
+//! its split victim (the successor; an exact hit is
+//! [`RingError::Occupied`]) and its insert position, and a remove's stop
+//! is both the entry it unfiles and, after the shift, its successor.
+//! Both hand the successor's owner back to the caller, so `Sim` settles
+//! its load caches without another lookup.
 //!
 //! ## The key arena
 //!
@@ -40,13 +75,6 @@
 //! the order an id-keyed queue would: `src/reference.rs` keeps the
 //! id-keyed ring as the differential anchor.
 //!
-//! Structural operations search the ordered index once: an insert does
-//! one successor search (an exact hit is [`RingError::Occupied`]) plus
-//! the index insert, and a remove does the index remove plus one
-//! successor search. A search that runs off the end of the index wraps
-//! to its first entry. Both hand the successor's owner back to the
-//! caller, so `Sim` settles its load caches without another lookup.
-//!
 //! ## The planned work phase
 //!
 //! The work phase exploits one algebraic fact: the xorshift64* pop
@@ -61,8 +89,6 @@
 
 use crate::worker::WorkerId;
 use autobal_id::{ring as arc, Id};
-use std::collections::BTreeMap;
-use std::ops::Bound;
 
 /// Owner sentinel marking a freed slot in the struct-of-arrays columns.
 const FREE_OWNER: WorkerId = usize::MAX;
@@ -79,6 +105,15 @@ pub(crate) const MAX_TASKS: u64 = u32::MAX as u64;
 /// Splits and merges alternate under churn, so a handful of warm
 /// buffers absorbs the steady state without hoarding memory.
 const POOL_CAP: usize = 32;
+
+/// Slot sentinel marking a free entry of the vnode index.
+const EMPTY: u32 = u32::MAX;
+
+/// A free entry of the vnode index.
+const FREE_ENTRY: (Id, u32) = (Id::ZERO, EMPTY);
+
+/// The vnode index's smallest table: `2^MIN_BITS` homes.
+const MIN_BITS: u32 = 3;
 
 /// Initial xorshift state for the pop generator.
 const POP_SEED: u64 = 0x9E37_79B9_7F4A_7C15;
@@ -139,12 +174,254 @@ struct PlannedPops {
     count: u32,
 }
 
+/// The ring order: every vnode's `(id, slot)` in an ordered
+/// linear-probing table keyed on the id's top bits (see the module
+/// docs for the layout and its invariants).
+#[derive(Debug, Clone, Default)]
+struct VnodeIndex {
+    /// Entries in ascending id order with `EMPTY` ones between: `2^bits`
+    /// homes, plus any tail a run pushed past the last home.
+    entries: Vec<(Id, u32)>,
+    bits: u32,
+    len: usize,
+    /// Positions of the first and last occupied entries (stale while
+    /// the table is empty), so a search that wraps skips the empty
+    /// entries at either end of the array — all of them past the
+    /// largest id while a ring is built in ascending id order.
+    first: usize,
+    last: usize,
+}
+
+impl VnodeIndex {
+    /// The entry an id's probe starts at: the top `bits` bits of its
+    /// 64-bit prefix, monotone in the id.
+    #[inline]
+    fn home(&self, id: Id) -> usize {
+        let [_, mid, hi] = id.limbs();
+        ((hi << 32) | (mid >> 32))
+            .checked_shr(64 - self.bits)
+            .unwrap_or(0) as usize
+    }
+
+    /// Where the ring order splits at `id`: every entry before the
+    /// returned position is `< id`, every occupied one from it on `≥ id`.
+    #[inline]
+    fn stop(&self, id: Id) -> usize {
+        let mut at = self.home(id);
+        while let Some(&(e, slot)) = self.entries.get(at) {
+            if slot == EMPTY || e >= id {
+                break;
+            }
+            at += 1;
+        }
+        at
+    }
+
+    /// The slot filed at `at`, when that entry holds `id`.
+    #[inline]
+    fn hit(&self, at: usize, id: Id) -> Option<usize> {
+        match self.entries.get(at) {
+            Some(&(e, slot)) if slot != EMPTY && e == id => Some(slot as usize),
+            _ => None,
+        }
+    }
+
+    /// The slot of the vnode at `id`, if present.
+    fn find(&self, id: Id) -> Option<usize> {
+        self.hit(self.stop(id), id)
+    }
+
+    /// The first occupied entry at or after `at`, wrapping to the
+    /// table's first entry.
+    #[inline]
+    fn first_from(&self, at: usize) -> Option<(Id, usize)> {
+        if self.len == 0 {
+            return None;
+        }
+        let at = if at > self.last { self.first } else { at };
+        self.entries
+            .get(at..)?
+            .iter()
+            .find(|e| e.1 != EMPTY)
+            .map(|&(id, slot)| (id, slot as usize))
+    }
+
+    /// The last occupied entry before `at`, wrapping to the table's
+    /// last entry.
+    fn last_before(&self, at: usize) -> Option<Id> {
+        if self.len == 0 {
+            return None;
+        }
+        let at = if at <= self.first { self.last + 1 } else { at };
+        self.entries
+            .get(..at)?
+            .iter()
+            .rev()
+            .find(|e| e.1 != EMPTY)
+            .map(|&(id, _)| id)
+    }
+
+    /// Files `id` → `slot` at `at`, the stop of an `id` absent from the
+    /// table. The run from `at` up to the next empty entry shifts right
+    /// by one; a run that reaches the array's end extends the tail.
+    fn insert(&mut self, at: usize, id: Id, slot: u32) {
+        let at = if (self.len + 1) * 2 > 1usize << self.bits {
+            self.grow();
+            self.stop(id)
+        } else {
+            at
+        };
+        let gap = self.entries.get(at..).unwrap_or_default();
+        let end = match gap.iter().position(|e| e.1 == EMPTY) {
+            Some(off) => at + off,
+            None => {
+                self.entries.push(FREE_ENTRY);
+                self.entries.len() - 1
+            }
+        };
+        if let Some(run) = self.entries.get_mut(at..=end) {
+            run.rotate_right(1);
+            if let Some(e) = run.first_mut() {
+                *e = (id, slot);
+            }
+        }
+        // The shift fills exactly one entry more: `end`.
+        if self.len == 0 {
+            (self.first, self.last) = (end, end);
+        } else {
+            self.first = self.first.min(end);
+            self.last = self.last.max(end);
+        }
+        self.len += 1;
+    }
+
+    /// Unfiles `id`, handing back its slot and its stop, which then
+    /// holds (or precedes) its successor. Backward-shift deletion: each
+    /// following entry that sits past its home moves left by one.
+    fn remove(&mut self, id: Id) -> Option<(usize, usize)> {
+        let at = self.stop(id);
+        let slot = self.hit(at, id)?;
+        let mut end = at + 1;
+        while let Some(&(e, s)) = self.entries.get(end) {
+            if s == EMPTY || self.home(e) >= end {
+                break;
+            }
+            end += 1;
+        }
+        if let Some(run) = self.entries.get_mut(at..end) {
+            run.rotate_left(1);
+            if let Some(e) = run.last_mut() {
+                *e = FREE_ENTRY;
+            }
+        }
+        self.len -= 1;
+        // The shift frees exactly one entry: `end - 1`.
+        let occupied = |e: &(Id, u32)| e.1 != EMPTY;
+        if self.len > 0 && end - 1 == self.first {
+            let after = self.entries.get(end..).unwrap_or_default();
+            self.first = end + after.iter().position(occupied).unwrap_or(0);
+        }
+        if self.len > 0 && end - 1 == self.last {
+            let before = self.entries.get(..end - 1).unwrap_or_default();
+            self.last = before.iter().rposition(occupied).unwrap_or(0);
+        }
+        Some((slot, at))
+    }
+
+    /// Doubles the table (at least to `2^MIN_BITS` homes) and refiles
+    /// every entry in one ordered pass: each at its new home, or right
+    /// after the previous entry when that one sits at or past it.
+    fn grow(&mut self) {
+        let mut bits = self.bits.max(MIN_BITS - 1) + 1;
+        while (self.len + 1) * 2 > 1usize << bits {
+            bits += 1;
+        }
+        let old = std::mem::replace(&mut self.entries, vec![FREE_ENTRY; 1usize << bits]);
+        self.bits = bits;
+        let mut next = 0;
+        for (id, slot) in old.into_iter().filter(|e| e.1 != EMPTY) {
+            let at = self.home(id).max(next);
+            match self.entries.get_mut(at) {
+                Some(e) => *e = (id, slot),
+                None => self.entries.push((id, slot)),
+            }
+            if next == 0 {
+                self.first = at;
+            }
+            self.last = at;
+            next = at + 1;
+        }
+    }
+
+    /// Every `(id, slot)` in ring (ascending id) order.
+    fn iter(&self) -> impl Iterator<Item = (Id, usize)> + '_ {
+        self.entries
+            .iter()
+            .filter(|e| e.1 != EMPTY)
+            .map(|&(id, slot)| (id, slot as usize))
+    }
+
+    /// Verifies the table's own invariants: entries ascend, each sits
+    /// at or after its home with no empty entry in between, the stored
+    /// length and ends match, and the load stays at most ½.
+    fn check(&self) -> Result<(), String> {
+        let homes = 1usize << self.bits;
+        if self.len > 0 && (self.entries.len() < homes || self.len * 2 > homes) {
+            return Err(format!(
+                "index holds {} ids in {} entries for {homes} homes",
+                self.len,
+                self.entries.len()
+            ));
+        }
+        let mut prev: Option<Id> = None;
+        let mut last_empty: Option<usize> = None;
+        let mut counted = 0usize;
+        for (at, &(id, slot)) in self.entries.iter().enumerate() {
+            if slot == EMPTY {
+                last_empty = Some(at);
+                continue;
+            }
+            counted += 1;
+            if prev.is_some_and(|p| p >= id) {
+                return Err(format!("index entry {at} ({id}) out of order"));
+            }
+            prev = Some(id);
+            let home = self.home(id);
+            if home > at {
+                return Err(format!("index entry {at} ({id}) before its home {home}"));
+            }
+            if last_empty.is_some_and(|e| e >= home) {
+                return Err(format!(
+                    "index entry {at} ({id}) past an empty entry after its home {home}"
+                ));
+            }
+        }
+        if counted != self.len {
+            return Err(format!("index stores len {} but holds {counted}", self.len));
+        }
+        let occupied = |e: &(Id, u32)| e.1 != EMPTY;
+        let ends = (
+            self.entries.iter().position(occupied),
+            self.entries.iter().rposition(occupied),
+        );
+        if self.len > 0 && ends != (Some(self.first), Some(self.last)) {
+            return Err(format!(
+                "index marks entries {}..={} as its ends, not {ends:?}",
+                self.first, self.last
+            ));
+        }
+        Ok(())
+    }
+}
+
 /// The ring of virtual nodes in struct-of-arrays layout (see the module
 /// docs for the key arena and the planned work phase).
 #[derive(Debug, Clone)]
 pub struct Ring {
-    /// Ordered id → slot index (the ring order).
-    index: BTreeMap<Id, usize>,
+    /// Id → slot index in ring order: an ordered linear-probing table
+    /// homed on the id's top bits, so a search is one array probe plus
+    /// a short scan (see the module docs).
+    index: VnodeIndex,
     /// Slot → owning worker (`FREE_OWNER` when the slot is free).
     owners: Vec<WorkerId>,
     /// Slot → remaining tasks as positions into `keys`, in no
@@ -202,7 +479,7 @@ impl Ring {
     /// A new empty ring.
     pub fn new() -> Ring {
         Ring {
-            index: BTreeMap::new(),
+            index: VnodeIndex::default(),
             owners: Vec::new(),
             tasks: Vec::new(),
             ends: Vec::new(),
@@ -245,11 +522,11 @@ impl Ring {
 
     /// Number of virtual nodes.
     pub fn len(&self) -> usize {
-        self.index.len()
+        self.index.len
     }
 
     pub fn is_empty(&self) -> bool {
-        self.index.is_empty()
+        self.index.len == 0
     }
 
     /// Total remaining tasks across the ring.
@@ -258,15 +535,15 @@ impl Ring {
     }
 
     fn queue(&self, id: Id) -> Option<&Vec<u32>> {
-        self.tasks.get(*self.index.get(&id)?)
+        self.tasks.get(self.index.find(id)?)
     }
 
     fn queue_mut(&mut self, id: Id) -> Option<&mut Vec<u32>> {
-        self.tasks.get_mut(*self.index.get(&id)?)
+        self.tasks.get_mut(self.index.find(id)?)
     }
 
     pub fn contains(&self, id: Id) -> bool {
-        self.index.contains_key(&id)
+        self.index.find(id).is_some()
     }
 
     /// Remaining tasks at one virtual node.
@@ -276,7 +553,7 @@ impl Ring {
 
     /// The worker controlling the vnode at `id`, if present.
     pub fn vnode_owner(&self, id: Id) -> Option<WorkerId> {
-        self.owners.get(*self.index.get(&id)?).copied()
+        self.owners.get(self.index.find(id)?).copied()
     }
 
     /// The virtual node whose arc contains `key` (first id ≥ key,
@@ -292,28 +569,19 @@ impl Ring {
     }
 
     /// The first vnode clockwise from `id` (at `id` itself too when
-    /// `inclusive`) as `(id, slot)`: one ordered-index descent, wrapping
-    /// to the first entry when it runs off the end.
+    /// `inclusive`) as `(id, slot)`: one index probe, wrapping to the
+    /// first entry when it runs off the end.
     fn next_entry(&self, id: Id, inclusive: bool) -> Option<(Id, usize)> {
-        let lo = if inclusive {
-            Bound::Included(id)
-        } else {
-            Bound::Excluded(id)
-        };
-        self.index
-            .range((lo, Bound::Unbounded))
-            .next()
-            .or_else(|| self.index.first_key_value())
-            .map(|(&id, &slot)| (id, slot))
+        let mut at = self.index.stop(id);
+        if !inclusive && self.index.hit(at, id).is_some() {
+            at += 1;
+        }
+        self.index.first_from(at)
     }
 
     /// Counter-clockwise neighbor of `id` (excluding itself).
     pub fn predecessor_of(&self, id: Id) -> Option<Id> {
-        self.index
-            .range(..id)
-            .next_back()
-            .or_else(|| self.index.last_key_value())
-            .map(|(&id, _)| id)
+        self.index.last_before(self.index.stop(id))
     }
 
     /// Up to `k` distinct clockwise successors of `id`, nearest first,
@@ -352,9 +620,9 @@ impl Ring {
 
     /// [`Ring::insert_vnode`], also handing back the newcomer's stable
     /// [`Slot`] handle and the owner of the successor it split (its own
-    /// `owner` when the ring was empty). One successor search finds the
-    /// split victim — an exact hit is the `Occupied` case — and one
-    /// index insert files the newcomer.
+    /// `owner` when the ring was empty). One index probe finds both the
+    /// split victim — an exact hit is the `Occupied` case — and the
+    /// entry the newcomer is filed at.
     pub(crate) fn insert_slotted(
         &mut self,
         id: Id,
@@ -364,7 +632,8 @@ impl Ring {
         let mut tasks = Vec::new();
         let mut end = NO_POS;
         let mut succ_owner = owner;
-        if let Some((succ, succ_slot)) = self.next_entry(id, true) {
+        let at = self.index.stop(id);
+        if let Some((succ, succ_slot)) = self.index.first_from(at) {
             if succ == id {
                 return Err(RingError::Occupied(id));
             }
@@ -445,7 +714,7 @@ impl Ring {
         *o = owner;
         *tv = tasks;
         *e = end;
-        self.index.insert(id, slot);
+        self.index.insert(at, id, slot as u32);
         Ok((Slot(slot as u32), acquired, succ_owner))
     }
 
@@ -456,8 +725,8 @@ impl Ring {
     }
 
     /// [`Ring::remove_vnode`], handing back the whole [`Removal`]: one
-    /// index remove unfiles the vnode and one successor search finds
-    /// where its tasks go.
+    /// index probe unfiles the vnode, and the probe's stop then leads to
+    /// the successor its tasks go to.
     pub(crate) fn remove_slotted(&mut self, id: Id) -> Result<Removal, RingError> {
         self.muts = self.muts.wrapping_add(1);
         // A lone vnode holds every task, so it may leave only once the
@@ -469,7 +738,7 @@ impl Ring {
                 RingError::Unknown(id)
             });
         }
-        let Some(slot) = self.index.remove(&id) else {
+        let Some((slot, at)) = self.index.remove(id) else {
             return Err(RingError::Unknown(id));
         };
         let (Some(o), Some(tv), Some(e)) = (
@@ -484,7 +753,7 @@ impl Ring {
         *e = NO_POS;
         self.free.push(slot);
         let moved = tasks.len() as u64;
-        let (succ, succ_owner) = match self.next_entry(id, false) {
+        let (succ, succ_owner) = match self.index.first_from(at) {
             Some((succ, succ_slot)) => {
                 if let Some(tv) = self.tasks.get_mut(succ_slot) {
                     tv.extend_from_slice(&tasks);
@@ -550,7 +819,7 @@ impl Ring {
         // keys > last ∪ keys ≤ first. `start` carries pos(a).
         let mut start = 0usize;
         let mut first = None;
-        for (&b, &slot) in index.iter() {
+        for (b, slot) in index.iter() {
             let end = start
                 + arena
                     .get(start..)
@@ -752,7 +1021,7 @@ impl Ring {
 
     /// Every vnode as `(id, owner, queue)` in ring (ascending id) order.
     fn vnodes_in_order(&self) -> impl Iterator<Item = (Id, WorkerId, &[u32])> + '_ {
-        self.index.iter().map(|(&id, &slot)| {
+        self.index.iter().map(|(id, slot)| {
             let owner = self.owners.get(slot).copied().unwrap_or(FREE_OWNER);
             let queue = self
                 .tasks
@@ -776,7 +1045,8 @@ impl Ring {
             .collect()
     }
 
-    /// Verifies internal invariants: a sorted arena, every queued
+    /// Verifies internal invariants: a well-formed vnode index whose
+    /// slots are exactly the owned ones, a sorted arena, every queued
     /// position in bounds and held by exactly one queue, keys within
     /// their owner arcs, cached positions that match a fresh search,
     /// live slots and an accurate total. Test/debug helper; O(arena).
@@ -789,25 +1059,33 @@ impl Ring {
         {
             return Err(format!("key arena unsorted at position {at}"));
         }
+        self.index.check()?;
         let mut held = vec![false; keys.len()];
+        let mut indexed = vec![false; self.owners.len()];
         let mut counted = 0u64;
-        for (&id, &slot) in self.index.iter() {
-            let (Some(&owner), Some(q), Some(&end)) = (
+        // Each vnode's predecessor is the one before it in ring order;
+        // the first one's is the last.
+        let mut pred = self.index.iter().last().map_or(Id::ZERO, |(id, _)| id);
+        for (id, slot) in self.index.iter() {
+            let (Some(&owner), Some(q), Some(&end), Some(seen)) = (
                 self.owners.get(slot),
                 self.tasks.get(slot),
                 self.ends.get(slot),
+                indexed.get_mut(slot),
             ) else {
                 return Err(format!("vnode {id} points past the columns (slot {slot})"));
             };
             if owner == FREE_OWNER {
                 return Err(format!("vnode {id} points at a freed slot"));
             }
+            if std::mem::replace(seen, true) {
+                return Err(format!("slot {slot} indexed twice (again at {id})"));
+            }
             let fresh = keys.partition_point(|&k| k <= id);
             if end != NO_POS && end as usize != fresh {
                 return Err(format!("vnode {id} caches position {end}, not {fresh}"));
             }
             counted += q.len() as u64;
-            let pred = self.predecessor_of(id).unwrap_or(id);
             for &i in q {
                 let (Some(&k), Some(h)) = (keys.get(i as usize), held.get_mut(i as usize)) else {
                     return Err(format!("vnode {id} holds position {i} past the arena"));
@@ -819,6 +1097,7 @@ impl Ring {
                     return Err(format!("key {k} at {id} outside arc ({pred}, {id}]"));
                 }
             }
+            pred = id;
         }
         let owned = self.owners.iter().filter(|&&o| o != FREE_OWNER).count();
         if owned != self.len() {
@@ -1137,7 +1416,7 @@ mod tests {
         // position stays uncomputed; so does 0x900's, split off it.
         insert_checked(&mut r, id(0xA00), 3);
         insert_checked(&mut r, id(0x900), 4);
-        let slot = |r: &Ring, v: u128| *r.index.get(&id(v)).unwrap();
+        let slot = |r: &Ring, v: u128| r.index.find(id(v)).unwrap();
         assert_eq!(r.ends.get(slot(&r, 0x900)), Some(&NO_POS));
         // 0x800 leaves: its keys merge into 0x900, which a later split
         // then fills lazily and gallops from.
@@ -1303,6 +1582,88 @@ mod tests {
         assert_eq!(r.rows(), before);
         assert_eq!((r.len(), r.total_tasks()), (3, 8));
         r.check_invariants().unwrap();
+    }
+
+    /// Ids packed just below `Id::MAX` all share the last home, so
+    /// their run extends the array's tail; only the load factor grows
+    /// the table, which stays below 4× their count.
+    #[test]
+    fn ids_packed_at_the_top_extend_the_tail_not_the_table() {
+        let n = 10_000u64;
+        let mut r = Ring::new();
+        for v in 0..n {
+            r.insert_vnode(Id::MAX.wrapping_sub(Id::from(v * 3)), v as usize)
+                .unwrap();
+        }
+        let homes = 1u64 << r.index.bits;
+        assert!(homes < 4 * n, "{homes} homes for {n} ids");
+        assert!(r.index.entries.len() as u64 <= homes + n);
+        r.check_invariants().unwrap();
+        assert_eq!(r.successor_of(Id::MAX), r.successor_of(Id::ZERO));
+        assert_eq!(
+            r.predecessor_of(Id::ZERO),
+            Some(Id::MAX),
+            "the wrap from the first home reaches the tail"
+        );
+        for v in (0..n).step_by(2) {
+            r.remove_vnode(Id::MAX.wrapping_sub(Id::from(v * 3)))
+                .unwrap();
+        }
+        assert_eq!(r.len(), n as usize / 2);
+        assert_eq!(
+            r.predecessor_of(Id::ZERO),
+            Some(Id::MAX.wrapping_sub(Id::from(3u64)))
+        );
+        r.check_invariants().unwrap();
+    }
+
+    /// `check_invariants` catches an index broken in each way its
+    /// invariants forbid.
+    #[test]
+    fn check_invariants_catches_a_broken_index() {
+        let spread = |v: u64| Id::from_limbs(0, 0, v << 28);
+        let mut r = Ring::new();
+        for v in [1, 2, 9] {
+            r.insert_vnode(spread(v), v as usize).unwrap();
+        }
+        r.check_invariants().unwrap();
+        let broken = |f: fn(&mut VnodeIndex)| {
+            let mut b = r.clone();
+            f(&mut b.index);
+            b.check_invariants().unwrap_err()
+        };
+        // Two neighbours swapped: out of order.
+        let err = broken(|ix| {
+            let at = ix.stop(Id::from_limbs(0, 0, 1 << 28));
+            ix.entries.swap(at, at + 1);
+        });
+        assert!(
+            err.contains("before its home") || err.contains("out of order"),
+            "{err}"
+        );
+        // An entry moved one left of its home.
+        let err = broken(|ix| {
+            let at = ix.stop(Id::from_limbs(0, 0, 9 << 28));
+            ix.entries.swap(at - 1, at);
+        });
+        assert!(err.contains("before its home"), "{err}");
+        // An entry moved past an empty entry after its home.
+        let err = broken(|ix| {
+            let at = ix.stop(Id::from_limbs(0, 0, 9 << 28));
+            ix.entries.swap(at, at + 2);
+        });
+        assert!(err.contains("past an empty entry"), "{err}");
+        // A stale length.
+        let err = broken(|ix| ix.len += 1);
+        assert!(err.contains("stores len"), "{err}");
+        // One slot filed twice, another not at all.
+        let err = broken(|ix| {
+            let at = ix.stop(Id::from_limbs(0, 0, 2 << 28));
+            if let Some(e) = ix.entries.get_mut(at) {
+                e.1 = 0;
+            }
+        });
+        assert!(err.contains("indexed twice"), "{err}");
     }
 
     /// A planned tick — per-vnode `(offset, count)` slices of one

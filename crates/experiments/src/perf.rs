@@ -1,9 +1,10 @@
 //! `repro perf` — the benchmark/regression plane.
 //!
 //! Runs pinned end-to-end scenarios on every substrate — the oracle
-//! ring (a plain drain, and `RandomInjection` Sybil churn in the
-//! `oracle_sybil` row, which also records the Sybils created and
-//! retired), the synchronous protocol loop, its maintenance cycle, lookups
+//! ring (a plain drain, and Sybil churn under `RandomInjection` and
+//! `Invitation` in the `oracle_sybil` and `oracle_invitation` rows,
+//! which also record the Sybils created and retired), the synchronous
+//! protocol loop, its maintenance cycle, lookups
 //! and joins, the event-time strategy loop, and the raw eventnet lookup
 //! plane — and
 //! emits `BENCH_10.json`
@@ -237,32 +238,46 @@ fn oracle_ring_large(args: &Args) -> Measurement {
     }
 }
 
-/// Repetitions of the Sybil row (best-of).
+/// Repetitions of the Sybil rows (best-of).
 const SYBIL_REPS: usize = 3;
 
-/// The Sybil row: the paper's headline strategy, `RandomInjection`
-/// under 0.001 background churn, at 100 tasks per worker — 20k workers
-/// (perfbench `sybil`'s size) by default, 100k under `--full`. Idle
-/// workers retire and replant Sybils on every check, so the clock is
-/// dominated by vnode inserts and removes splitting and merging task
-/// sets. Placement happens outside the clock.
-fn oracle_sybil(args: &Args) -> Measurement {
+/// The Sybil rows: a Sybil strategy under 0.001 background churn, at
+/// 100 tasks per worker — 20k workers (perfbench `sybil`'s size) by
+/// default, 100k under `--full`. Placement happens outside the clock.
+///
+/// - `oracle_sybil`: the paper's headline strategy, `RandomInjection`.
+///   Idle workers retire and replant Sybils on every check, so the
+///   clock is dominated by vnode inserts and removes splitting and
+///   merging task sets.
+/// - `oracle_invitation`: `Invitation`. Overloaded workers walk their
+///   `predecessors(k)` for idle helpers to invite, so the clock adds
+///   those neighbour walks to the Sybil churn.
+fn oracle_sybil_rows(args: &Args) -> Vec<Measurement> {
     let workers: u64 = if args.full { 100_000 } else { 20_000 };
+    [
+        ("oracle_sybil", StrategyKind::RandomInjection, 0x5B),
+        ("oracle_invitation", StrategyKind::Invitation, 0x5D),
+    ]
+    .into_iter()
+    .map(|(name, strategy, salt)| sybil_row(name, strategy, workers, args.seed ^ salt))
+    .collect()
+}
+
+fn sybil_row(name: &str, strategy: StrategyKind, workers: u64, seed: u64) -> Measurement {
     let cfg = SimConfig {
         nodes: workers as usize,
         tasks: workers * 100,
-        strategy: StrategyKind::RandomInjection,
+        strategy,
         churn_rate: 0.001,
         ..SimConfig::default()
     };
-    let seed = args.seed ^ 0x5B;
     let mut best_ms = f64::INFINITY;
     let mut allocs = None;
     let mut last = None;
     for _ in 0..SYBIL_REPS {
         let sim = Sim::new(cfg.clone(), seed);
         let (ms, (a, run)) = wall_ms(|| alloc_count(|| sim.run()));
-        assert!(run.completed, "Sybil row did not drain");
+        assert!(run.completed, "{name} did not drain");
         best_ms = best_ms.min(ms);
         allocs = a;
         last = Some(run);
@@ -270,12 +285,12 @@ fn oracle_sybil(args: &Args) -> Measurement {
     let run = last.expect("at least one repetition");
     let (created, retired) = (run.messages.sybils_created, run.messages.sybils_retired);
     println!(
-        "  oracle_sybil: n={workers} {} ticks | {created} Sybils created, {retired} retired | {best_ms:.0} ms ({:.0} ticks/s)",
+        "  {name}: n={workers} {} ticks | {created} Sybils created, {retired} retired | {best_ms:.0} ms ({:.0} ticks/s)",
         run.ticks,
         run.ticks as f64 / (best_ms / 1e3)
     );
     Measurement {
-        name: "oracle_sybil".to_string(),
+        name: name.to_string(),
         substrate: "oracle-ring",
         group: None,
         workers: Some(workers),
@@ -727,12 +742,9 @@ fn compare_baseline(baseline_raw: &str, current: &[Measurement]) -> Result<Basel
 
 pub fn perf(args: &Args) {
     println!("perf: pinned benchmark scenarios (BENCH_10.json)");
-    let mut measurements = vec![
-        oracle_ring_large(args),
-        oracle_sybil(args),
-        chord_protocol(args),
-        chord_maintenance(args),
-    ];
+    let mut measurements = vec![oracle_ring_large(args)];
+    measurements.extend(oracle_sybil_rows(args));
+    measurements.extend([chord_protocol(args), chord_maintenance(args)]);
     measurements.extend(chord_lookup(args));
     measurements.extend([chord_join(args), event_substrate(args), eventnet(args)]);
     measurements.extend(oracle_scaling(args));

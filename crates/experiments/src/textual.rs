@@ -346,6 +346,7 @@ pub fn timeseries(args: &Args) {
             ..base(1000, 100_000, strat)
         };
         args.instrument(&mut cfg);
+        let ideal = cfg.ideal_ticks();
         let res = Sim::new(cfg, args.seed).run();
         args.write_trace(
             &format!("timeseries_{}", strat.label()),
@@ -368,20 +369,22 @@ pub fn timeseries(args: &Args) {
                 remaining[i]
             ));
         }
-        // The run's last sample is taken at completion, when every load
-        // is 0; the last one with work still left says how balanced the
-        // run ended up.
-        let final_gini = gini
+        // Near completion a handful of stragglers hold every remaining
+        // task, so late samples read ≈1 whatever the strategy. The last
+        // sample at or before the ideal runtime shows how balanced each
+        // strategy kept the network while it was still working.
+        let ideal_gini = res
+            .metrics
             .iter()
-            .zip(&remaining)
+            .zip(&gini)
             .rev()
-            .find(|&(_, &left)| left > 0)
-            .map_or(0.0, |(&g, _)| g);
+            .find(|(m, _)| m.time <= ideal)
+            .map_or(0.0, |(_, &g)| g);
         println!(
-            "  {:<11} samples {:>4}, final gini {:.3}, peak vnodes {}",
+            "  {:<11} samples {:>4}, gini at ideal tick {ideal} {:.3}, peak vnodes {}",
             strat.label(),
             res.metrics.len(),
-            final_gini,
+            ideal_gini,
             res.peak_vnodes
         );
         gini_chart.push_series(strat.label(), gini);

@@ -126,6 +126,14 @@ impl NaiveRing {
             .or_else(|| self.map.keys().next().copied())
     }
 
+    pub fn predecessor_of(&self, id: Id) -> Option<Id> {
+        self.map
+            .range(..id)
+            .next_back()
+            .or_else(|| self.map.iter().next_back())
+            .map(|(i, _)| *i)
+    }
+
     /// The transcription of the pre-optimization `Ring::insert_vnode`:
     /// `partition` the successor's tasks into two fresh vectors.
     ///

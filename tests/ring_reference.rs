@@ -168,6 +168,175 @@ proptest! {
     }
 }
 
+/// An id from one of the families that stress the vnode index, which
+/// homes each id on its top bits: ids that share their top 64 bits (one
+/// home, one long run), ids packed just below `Id::MAX` (runs past the
+/// array's end) and just above `Id::ZERO`, and ids spread over the whole
+/// ring.
+fn adversarial_id(family: u8, v: u16) -> Id {
+    let x = (v as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    match family % 4 {
+        0 => Id::from_limbs(x, 0xC0FF_EE00_0000_0000 | v as u64, 0x8000_0000),
+        1 => Id::MAX.wrapping_sub(Id::from(v as u64)),
+        2 => Id::from(v as u64),
+        _ => Id::from_limbs(x, x.rotate_left(17), ((v as u64) << 16) | (x >> 48)),
+    }
+}
+
+/// Index-level operations: single inserts and removes, a bulk insert
+/// of `count` ids of one family (crossing several growth thresholds),
+/// a drain back down to `keep` vnodes in ring order from `rank`, and
+/// further task assignments.
+#[derive(Debug, Clone)]
+enum IndexOp {
+    Insert {
+        at: Id,
+        owner: u8,
+    },
+    Remove {
+        at: Id,
+    },
+    Bulk {
+        family: u8,
+        start: u16,
+        stride: u16,
+        count: u16,
+    },
+    Drain {
+        rank: u8,
+        keep: u8,
+    },
+    Assign {
+        keys: Vec<Id>,
+    },
+}
+
+fn arb_index_op() -> impl Strategy<Value = IndexOp> {
+    (
+        0u8..12,
+        (any::<u8>(), any::<u16>(), any::<u8>()),
+        (any::<u16>(), 0u16..300),
+        proptest::collection::vec((any::<u8>(), any::<u16>()), 0..12),
+    )
+        .prop_map(|(tag, (family, v, owner), (stride, count), keys)| {
+            let at = adversarial_id(family, v);
+            match tag {
+                0..=3 => IndexOp::Insert { at, owner },
+                4..=6 => IndexOp::Remove { at },
+                7 | 8 => IndexOp::Bulk {
+                    family,
+                    start: v,
+                    stride: stride | 1,
+                    count,
+                },
+                9 | 10 => IndexOp::Drain {
+                    rank: owner,
+                    keep: (v % 8) as u8,
+                },
+                _ => IndexOp::Assign {
+                    keys: keys
+                        .into_iter()
+                        .map(|(f, v)| adversarial_id(f, v))
+                        .collect(),
+                },
+            }
+        })
+}
+
+/// Neighbour queries at and next to `at` and at both ends of the ring
+/// agree with the reference, and so does the whole ring.
+fn assert_same_ring(ring: &Ring, naive: &NaiveRing, at: Id) -> Result<(), TestCaseError> {
+    prop_assert_eq!(ring.len(), naive.len());
+    prop_assert_eq!(ring.total_tasks(), naive.total_tasks());
+    for probe in [
+        at,
+        at.wrapping_add(Id::ONE),
+        at.wrapping_sub(Id::ONE),
+        Id::ZERO,
+        Id::MAX,
+    ] {
+        prop_assert_eq!(ring.successor_of(probe), naive.successor_of(probe));
+        prop_assert_eq!(ring.predecessor_of(probe), naive.predecessor_of(probe));
+        prop_assert_eq!(ring.owner_of_key(probe), naive.owner_of_key(probe));
+    }
+    prop_assert_eq!(ring.rows(), naive.rows());
+    prop_assert_eq!(ring.check_invariants(), Ok(()));
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The vnode index under ids it cannot spread by their top bits:
+    /// shared top 64 bits, runs packed against either end of the ring,
+    /// bulk inserts across several growth thresholds and drains back
+    /// down. Every op is compared against the reference.
+    #[test]
+    fn index_matches_naive_reference_on_adversarial_ids(
+        seeds in proptest::collection::vec((any::<u8>(), any::<u16>()), 1..6),
+        keys in proptest::collection::vec((any::<u8>(), any::<u16>()), 0..40),
+        ops in proptest::collection::vec(arb_index_op(), 1..24),
+    ) {
+        let mut ring = Ring::new();
+        let mut naive = NaiveRing::new();
+        for (i, &(family, v)) in seeds.iter().enumerate() {
+            let id = adversarial_id(family, v);
+            prop_assert_eq!(ring.insert_vnode(id, i).ok(), naive.insert_vnode(id, i).ok());
+        }
+        let keys: Vec<Id> = keys.into_iter().map(|(f, v)| adversarial_id(f, v)).collect();
+        ring.assign_tasks(keys.clone()).unwrap();
+        naive.assign_tasks(keys);
+        assert_same_ring(&ring, &naive, Id::ZERO)?;
+
+        for op in ops {
+            match op {
+                IndexOp::Insert { at, owner } => {
+                    prop_assert_eq!(
+                        ring.insert_vnode(at, owner as usize).ok(),
+                        naive.insert_vnode(at, owner as usize).ok()
+                    );
+                    assert_same_ring(&ring, &naive, at)?;
+                }
+                IndexOp::Remove { at } => {
+                    prop_assert_eq!(ring.remove_vnode(at).ok(), naive.remove_vnode(at).ok());
+                    assert_same_ring(&ring, &naive, at)?;
+                }
+                IndexOp::Bulk { family, start, stride, count } => {
+                    for i in 0..count {
+                        let at = adversarial_id(family, start.wrapping_add(i.wrapping_mul(stride)));
+                        prop_assert_eq!(
+                            ring.insert_vnode(at, i as usize).ok(),
+                            naive.insert_vnode(at, i as usize).ok()
+                        );
+                        assert_same_ring(&ring, &naive, at)?;
+                    }
+                }
+                IndexOp::Drain { rank, keep } => {
+                    while naive.len() > keep as usize {
+                        let rows = naive.rows();
+                        let Some(&(at, _, _)) = rows.get(rank as usize % rows.len()) else {
+                            break;
+                        };
+                        let removed = naive.remove_vnode(at).ok();
+                        prop_assert_eq!(ring.remove_vnode(at).ok(), removed);
+                        assert_same_ring(&ring, &naive, at)?;
+                        if removed.is_none() {
+                            break;
+                        }
+                    }
+                }
+                IndexOp::Assign { keys } => {
+                    if !naive.is_empty() {
+                        ring.assign_tasks(keys.clone()).unwrap();
+                        naive.assign_tasks(keys);
+                        assert_same_ring(&ring, &naive, Id::ZERO)?;
+                    }
+                }
+            }
+        }
+    }
+}
+
 /// A scripted wrap-arc scenario: the highest vnode owns the arc that
 /// wraps through zero, and a later insert inside that wrap arc splits
 /// it. Pinned explicitly because it is the branchiest path of
