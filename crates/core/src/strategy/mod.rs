@@ -50,6 +50,7 @@ pub mod random;
 use crate::config::{SimConfig, StrategyKind};
 use crate::worker::WorkerId;
 use autobal_id::Id;
+use autobal_stats::rng::DetRng;
 
 /// The strategy-relevant configuration every node knows (§V: nodes are
 /// told the job parameters at start-up).
@@ -182,24 +183,35 @@ pub enum InviteOutcome {
 pub trait NodeContext: LocalView + Actions {}
 impl<T: LocalView + Actions + ?Sized> NodeContext for T {}
 
-/// Population-churn surface (§IV-A), exercised once per tick by
-/// [`churn::BackgroundChurn`]. Methods mirror the simulator's original
-/// churn loop exactly, RNG draw for RNG draw.
+/// Population-churn surface (§IV-A), driven once per tick by
+/// [`churn::BackgroundChurn`]. A substrate implements the primitives;
+/// the pass itself is the provided [`ChurnOps::churn_pass`], so a tick
+/// makes one virtual call and every per-candidate call inside it is
+/// static.
 pub trait ChurnOps {
-    /// Active workers eligible to leave this tick, in decision order.
-    fn leave_candidates(&self) -> Vec<WorkerId>;
+    /// Size of the worker table; workers are `0..worker_slots()`, and
+    /// the active ones in that order are the leave candidates.
+    fn worker_slots(&self) -> usize;
+    /// Whether `w` is active (a leave candidate).
+    fn is_active(&self, w: WorkerId) -> bool;
     /// Current active population.
     fn active_count(&self) -> usize;
-    /// One Bernoulli trial against the churn RNG stream.
-    fn flip(&mut self, p: f64) -> bool;
-    /// `w` departs: its vnodes dissolve and it enters the waiting pool.
+    /// The churn random stream.
+    fn churn_rng(&mut self) -> &mut DetRng;
+    /// `w` departs: its vnodes dissolve and it joins the end of the
+    /// waiting pool.
     fn depart(&mut self, w: WorkerId);
-    /// Drains the waiting pool for this tick's join trials.
-    fn take_waiting(&mut self) -> Vec<WorkerId>;
-    /// Returns a non-joiner to the waiting pool.
-    fn requeue_waiting(&mut self, w: WorkerId);
-    /// `w` rejoins at a fresh random position, acquiring its arc's work.
-    fn rejoin(&mut self, w: WorkerId);
+    /// The waiting pool, in join-trial order.
+    fn waiting(&mut self) -> &mut Vec<WorkerId>;
+    /// `w`, still listed in the waiting pool, rejoins at a fresh random
+    /// position and acquires its arc's work. Returns `false` when the
+    /// join failed and `w` stays waiting; the pass keeps its entry.
+    fn rejoin(&mut self, w: WorkerId) -> bool;
+    /// One tick of churn: a leave trial at `leave_p` for each active
+    /// worker, then a join trial at `join_p` for each waiting one.
+    fn churn_pass(&mut self, leave_p: f64, join_p: f64) {
+        churn::churn_pass(self, leave_p, join_p);
+    }
 }
 
 /// The global view only a centralized coordinator has. Deliberately
@@ -258,9 +270,10 @@ pub trait Strategy: Send + Sync {
 /// internally and passes it to the strategy, so implementations need no
 /// associated types.
 pub trait Substrate {
-    /// Active workers in decision order (the order the original
-    /// simulator iterated them: worker-table order, inactive skipped).
-    fn decision_order(&self) -> Vec<WorkerId>;
+    /// Writes the active workers in decision order (the order the
+    /// original simulator iterated them: worker-table order, inactive
+    /// skipped) into `out`, replacing its contents.
+    fn decision_order(&self, out: &mut Vec<WorkerId>);
     /// Runs `strategy.check_node` with `w`'s local context.
     fn check_worker(&mut self, w: WorkerId, strategy: &dyn Strategy);
     /// Runs `strategy.check_global` with the omniscient view, if this
@@ -275,6 +288,8 @@ pub trait Substrate {
 #[derive(Default)]
 pub struct StrategyStack {
     layers: Vec<Box<dyn Strategy>>,
+    /// The check tick's decision order, reused from tick to tick.
+    order: Vec<WorkerId>,
 }
 
 impl StrategyStack {
@@ -333,12 +348,13 @@ impl StrategyStack {
     }
 
     /// Runs the check-cadence phase (Sybil layers).
-    pub fn on_check(&self, sub: &mut dyn Substrate) {
+    pub fn on_check(&mut self, sub: &mut dyn Substrate) {
         for layer in &self.layers {
             match layer.scope() {
                 StrategyScope::TickOnly => {}
                 StrategyScope::PerNode => {
-                    for w in sub.decision_order() {
+                    sub.decision_order(&mut self.order);
+                    for &w in &self.order {
                         sub.check_worker(w, layer.as_ref());
                     }
                 }

@@ -418,7 +418,7 @@ impl<T: Transport> Driver<T> {
 
     /// A whole check sweep: every per-node layer over every active
     /// worker, in decision order.
-    pub(crate) fn check_all(&mut self, stack: &StrategyStack) {
+    pub(crate) fn check_all(&mut self, stack: &mut StrategyStack) {
         let _p = profile::span("checks");
         stack.on_check(self);
     }
@@ -614,14 +614,16 @@ impl<T: Transport> Driver<T> {
 }
 
 impl<T: Transport> Substrate for Driver<T> {
-    fn decision_order(&self) -> Vec<usize> {
-        self.core
-            .workers
-            .iter()
-            .enumerate()
-            .filter(|(_, p)| p.active)
-            .map(|(i, _)| i)
-            .collect()
+    fn decision_order(&self, out: &mut Vec<usize>) {
+        out.clear();
+        out.extend(
+            self.core
+                .workers
+                .iter()
+                .enumerate()
+                .filter(|(_, p)| p.active)
+                .map(|(i, _)| i),
+        );
     }
 
     fn check_worker(&mut self, w: usize, strategy: &dyn Strategy) {
@@ -646,16 +648,20 @@ impl<T: Transport> Substrate for Driver<T> {
 }
 
 impl<T: Transport> ChurnOps for Driver<T> {
-    fn leave_candidates(&self) -> Vec<usize> {
-        self.decision_order()
+    fn worker_slots(&self) -> usize {
+        self.core.workers.len()
+    }
+
+    fn is_active(&self, w: usize) -> bool {
+        self.core.workers.get(w).is_some_and(|p| p.active)
     }
 
     fn active_count(&self) -> usize {
         self.core.active_count
     }
 
-    fn flip(&mut self, p: f64) -> bool {
-        self.core.rng_churn.gen::<f64>() <= p
+    fn churn_rng(&mut self) -> &mut DetRng {
+        &mut self.core.rng_churn
     }
 
     fn depart(&mut self, w: usize) {
@@ -678,15 +684,11 @@ impl<T: Transport> ChurnOps for Driver<T> {
         core.rec.emit(SimEvent::WorkerLeft { tick, worker: w });
     }
 
-    fn take_waiting(&mut self) -> Vec<usize> {
-        std::mem::take(&mut self.core.waiting)
+    fn waiting(&mut self) -> &mut Vec<usize> {
+        &mut self.core.waiting
     }
 
-    fn requeue_waiting(&mut self, w: usize) {
-        self.core.waiting.push(w);
-    }
-
-    fn rejoin(&mut self, w: usize) {
+    fn rejoin(&mut self, w: usize) -> bool {
         let Some(contact) = self
             .core
             .workers
@@ -694,8 +696,7 @@ impl<T: Transport> ChurnOps for Driver<T> {
             .find(|p| p.active)
             .map(|p| p.primary)
         else {
-            self.core.waiting.push(w);
-            return;
+            return false;
         };
         let pos = loop {
             let p = Id::random(&mut self.core.rng_churn);
@@ -707,8 +708,7 @@ impl<T: Transport> ChurnOps for Driver<T> {
         // whose join still fails stays in the waiting pool and tries
         // again next tick.
         if self.join(pos, contact).is_err() {
-            self.core.waiting.push(w);
-            return;
+            return false;
         }
         let core = &mut self.core;
         if let Some(slot) = core.workers.get_mut(w) {
@@ -728,6 +728,7 @@ impl<T: Transport> ChurnOps for Driver<T> {
             pos,
             acquired,
         });
+        true
     }
 }
 

@@ -483,6 +483,7 @@ fn run_event_inner(
     // the queue, so the wire is never idle.
     let tick_len = cfg.tick_len.max(1);
     d.link.wire.schedule_app_timer(tick_len, token(TAG_TICK, 0));
+    let mut order = Vec::new();
 
     loop {
         // Deferred timers — check sweeps and tick boundaries that fired
@@ -511,7 +512,8 @@ fn run_event_inner(
                         // synchronous decision order, but any event
                         // already on the wire interleaves with it.
                         let now = d.link.wire.now();
-                        for w in d.decision_order() {
+                        d.decision_order(&mut order);
+                        for &w in &order {
                             d.link
                                 .wire
                                 .schedule_app_timer(now, token(TAG_CHECK, w as u64));

@@ -256,7 +256,7 @@ fn run_inner(
     node_ids: Vec<Id>,
     task_keys: Vec<Id>,
 ) -> ProtocolRun {
-    let (core, stack) = Core::setup(cfg, seed, net, &node_ids, task_keys, "chord");
+    let (core, mut stack) = Core::setup(cfg, seed, net, &node_ids, task_keys, "chord");
     let mut d = Driver::new(core, SyncShim);
     // Adversity begins only after the initial stabilization — the paper
     // assumes "the network starts our experiments stable".
@@ -268,7 +268,7 @@ fn run_inner(
         // same dispatch the oracle-ring simulator runs.
         d.churn(&stack);
         if d.core.tick.is_multiple_of(cfg.check_interval) {
-            d.check_all(&stack);
+            d.check_all(&mut stack);
         }
         d.end_tick();
     }
