@@ -114,6 +114,51 @@ fn sybil_ring_work_ticks_do_not_allocate() {
     );
 }
 
+/// The ring's own growth over the churn window below, and the only
+/// allocations those 1k ticks make: 528 task queues outgrowing their
+/// capacity (a join splits its share into a recycled queue that is too
+/// small, or a departure merges its queue into a successor's that is
+/// full), 2 free-slot list and 1 queue-pool pushes past capacity, and 1
+/// work-plan buffer growing with the vnode count. Counted at this seed
+/// by instrumenting each growth site.
+const CHURN_WINDOW_RING_GROWTH: u64 = 532;
+
+/// Churn ticks allocate only what the ring's growth makes: at rate
+/// 0.01, 200 active and 200 waiting workers (about 2k leaves and 2k
+/// joins in the window), a tick draws per event, walks the worker table
+/// and compacts the presized waiting pool in place, and a first join
+/// files its slot handle in a list sized at setup.
+#[test]
+fn churn_ticks_do_not_allocate() {
+    let cfg = SimConfig {
+        strategy: StrategyKind::Churn,
+        churn_rate: 0.01,
+        ..steady_cfg()
+    };
+    let mut sim = Sim::new(cfg, 0xA0B1_C2D3);
+    for _ in 0..32 {
+        sim.step();
+    }
+    let before = sim.messages();
+    let (allocs, consumed) = allocation_delta(|| {
+        let mut consumed = 0u64;
+        for _ in 0..1_000 {
+            consumed += sim.step();
+        }
+        consumed
+    });
+    let after = sim.messages();
+    assert!(consumed > 0, "window must have done real work");
+    assert!(
+        after.churn_leaves > before.churn_leaves && after.churn_joins > before.churn_joins,
+        "window must churn"
+    );
+    assert_eq!(
+        allocs, CHURN_WINDOW_RING_GROWTH,
+        "churn ticks allocated {allocs} times over 1k ticks"
+    );
+}
+
 /// The same property seen end-to-end: a full run's allocation count is
 /// dominated by setup, not by ticks — running 4x more ticks over the
 /// same setup must not add more than a sliver of allocations.
