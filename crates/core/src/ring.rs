@@ -587,19 +587,10 @@ impl Ring {
     /// Up to `k` distinct clockwise successors of `id`, nearest first,
     /// stopping early if the walk wraps back to `id`.
     pub fn successors(&self, id: Id, k: usize) -> Vec<Id> {
-        self.walk(id, k, Ring::successor_of)
-    }
-
-    /// Up to `k` distinct counter-clockwise predecessors, nearest first.
-    pub fn predecessors(&self, id: Id, k: usize) -> Vec<Id> {
-        self.walk(id, k, Ring::predecessor_of)
-    }
-
-    fn walk(&self, id: Id, k: usize, step: fn(&Ring, Id) -> Option<Id>) -> Vec<Id> {
         let mut out = Vec::with_capacity(k);
         let mut cur = id;
         for _ in 0..k {
-            match step(self, cur) {
+            match self.successor_of(cur) {
                 Some(next) if next != id => {
                     out.push(next);
                     cur = next;
@@ -1218,7 +1209,6 @@ mod tests {
     fn successors_list_stops_at_wrap() {
         let r = ring_with(&[100, 200, 300]);
         assert_eq!(r.successors(id(100), 5), vec![id(200), id(300)]);
-        assert_eq!(r.predecessors(id(100), 5), vec![id(300), id(200)]);
         assert_eq!(r.successors(id(100), 1), vec![id(200)]);
     }
 
