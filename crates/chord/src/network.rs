@@ -337,58 +337,66 @@ impl Network {
         &mut self,
         from: Id,
         key: Id,
+        path: Option<&mut Vec<Id>>,
+    ) -> Result<Id, NetworkError> {
+        let Some(at) = self.nodes.position(&from) else {
+            return Err(NetworkError::UnknownNode(from));
+        };
+        self.route_at(at, key, path)
+    }
+
+    /// [`Network::route`] from the node at position `at` of the node
+    /// table.
+    pub(crate) fn route_at(
+        &mut self,
+        mut at: usize,
+        key: Id,
         mut path: Option<&mut Vec<Id>>,
     ) -> Result<Id, NetworkError> {
-        if !self.nodes.contains_key(&from) {
-            return Err(NetworkError::UnknownNode(from));
-        }
-        let mut cur = from;
+        let mut cur = self.nodes.id_at(at);
         let mut hops = 0u32;
         if let Some(p) = path.as_deref_mut() {
             p.push(cur);
         }
+        // Membership is fixed while a lookup routes, so `at`, the
+        // position of `cur` in the node table, stays valid throughout.
         loop {
             if hops as usize > self.cfg.max_lookup_hops {
                 return Err(NetworkError::LookupFailed { hops });
             }
-            let Some(node) = self.nodes.get(&cur) else {
-                return Err(NetworkError::UnknownNode(cur));
-            };
+            let node = self.nodes.at(at);
             // Does the current node already own the key?
             if node.owns(key) && self.nodes.contains_key(&node.predecessor()) {
                 return Ok(cur);
             }
             let succ = node.successor();
             // Key between cur and its live successor → successor owns it.
-            let (next, found) = if self.nodes.contains_key(&succ) && ring::in_arc(cur, succ, key) {
-                (succ, true)
-            } else {
-                // Otherwise route through the closest preceding live entry.
-                let mut candidate = node.closest_preceding(key);
-                // Skip dead candidates, forgetting them as we go.
-                let preceding = loop {
-                    match candidate {
-                        Some(c) if self.nodes.contains_key(&c) => break Some(c),
-                        Some(c) => {
-                            self.stats.record(MessageKind::Ping);
-                            let Some(n) = self.nodes.get_mut(&cur) else {
-                                break None;
-                            };
-                            n.forget(c);
-                            candidate = n.closest_preceding(key);
+            let (next, next_at, found) = match self.nodes.position(&succ) {
+                Some(s) if ring::in_arc(cur, succ, key) => (succ, s, true),
+                _ => {
+                    // Otherwise route through the closest preceding live entry.
+                    let mut candidate = node.closest_preceding(key);
+                    // Skip dead candidates, forgetting them as we go.
+                    let preceding = loop {
+                        let Some(c) = candidate else { break None };
+                        if let Some(p) = self.nodes.position(&c) {
+                            break Some((c, p));
                         }
-                        None => break None,
+                        self.stats.record(MessageKind::Ping);
+                        let n = self.nodes.at_mut(at);
+                        n.forget(c);
+                        candidate = n.closest_preceding(key);
+                    };
+                    match preceding {
+                        Some((n, p)) if n != cur => (n, p, false),
+                        // No better candidate: fall to the live successor.
+                        _ => match self.first_live_successor_at(at) {
+                            Some((s, p)) if s != cur => (s, p, false),
+                            // Alone in the ring (or fully partitioned):
+                            // current node is the owner by default.
+                            _ => return Ok(cur),
+                        },
                     }
-                };
-                match preceding {
-                    Some(n) if n != cur => (n, false),
-                    // No better candidate: fall to the live successor.
-                    _ => match self.first_live_successor(cur) {
-                        Some(s) if s != cur => (s, false),
-                        // Alone in the ring (or fully partitioned):
-                        // current node is the owner by default.
-                        _ => return Ok(cur),
-                    },
                 }
             };
             self.deliver(MessageKind::FindSuccessorHop, cur, next)?;
@@ -399,26 +407,27 @@ impl Network {
             if found {
                 return Ok(next);
             }
-            cur = next;
+            (cur, at) = (next, next_at);
         }
     }
 
-    /// First entry of `id`'s successor list that is still alive, pruning
-    /// dead ones (each probe counts as a ping).
-    pub(crate) fn first_live_successor(&mut self, id: Id) -> Option<Id> {
+    /// First entry of the successor list of the node at position `at`
+    /// that is still alive, with its position, pruning dead ones (each
+    /// probe counts as a ping). A node that lists itself gets itself.
+    pub(crate) fn first_live_successor_at(&mut self, at: usize) -> Option<(Id, usize)> {
+        let id = self.nodes.id_at(at);
         loop {
-            let cand = self.nodes.get(&id)?.successors.first().copied()?;
+            let cand = self.nodes.at(at).successors.first().copied()?;
             if cand == id {
-                return Some(id);
+                return Some((id, at));
             }
-            if self.nodes.contains_key(&cand) {
-                return Some(cand);
+            if let Some(p) = self.nodes.position(&cand) {
+                return Some((cand, p));
             }
             self.stats.record(MessageKind::Ping);
-            if let Some(n) = self.nodes.get_mut(&id) {
-                n.forget(cand);
-            }
-            if self.nodes.get(&id)?.successors.is_empty() {
+            let n = self.nodes.at_mut(at);
+            n.forget(cand);
+            if n.successors.is_empty() {
                 return None;
             }
         }

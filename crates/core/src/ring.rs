@@ -585,9 +585,10 @@ impl Ring {
     }
 
     /// Up to `k` distinct clockwise successors of `id`, nearest first,
-    /// stopping early if the walk wraps back to `id`.
-    pub fn successors(&self, id: Id, k: usize) -> Vec<Id> {
-        let mut out = Vec::with_capacity(k);
+    /// stopping early if the walk wraps back to `id`, written over the
+    /// contents of `out`.
+    pub fn successors(&self, id: Id, k: usize, out: &mut Vec<Id>) {
+        out.clear();
         let mut cur = id;
         for _ in 0..k {
             match self.successor_of(cur) {
@@ -598,7 +599,6 @@ impl Ring {
                 _ => break,
             }
         }
-        out
     }
 
     /// Inserts a virtual node at `id` for `owner`, splitting the
@@ -1208,8 +1208,11 @@ mod tests {
     #[test]
     fn successors_list_stops_at_wrap() {
         let r = ring_with(&[100, 200, 300]);
-        assert_eq!(r.successors(id(100), 5), vec![id(200), id(300)]);
-        assert_eq!(r.successors(id(100), 1), vec![id(200)]);
+        let mut out = vec![id(999)];
+        r.successors(id(100), 5, &mut out);
+        assert_eq!(out, vec![id(200), id(300)]);
+        r.successors(id(100), 1, &mut out);
+        assert_eq!(out, vec![id(200)]);
     }
 
     #[test]

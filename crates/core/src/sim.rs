@@ -62,6 +62,10 @@ pub struct Sim {
     /// An invitation's eligible helpers, reused from one invitation to
     /// the next.
     helpers: Vec<HelperCandidate>,
+    /// The [`LocalView`] lists a check reads, reused from one call to
+    /// the next: a worker's own vnode loads and its successor list.
+    own_loads: Vec<(Id, u64)>,
+    neighbors: Vec<Id>,
 }
 
 impl Sim {
@@ -206,6 +210,8 @@ impl Sim {
             rec,
             strategies,
             helpers: Vec::new(),
+            own_loads: Vec::new(),
+            neighbors: Vec::new(),
         }
     }
 
@@ -749,18 +755,21 @@ impl LocalView for SimNodeCtx<'_> {
         self.sim.workers[self.worker].primary
     }
 
-    fn own_vnode_loads(&self) -> Vec<(Id, u64)> {
-        self.sim.workers[self.worker]
-            .vnodes()
-            .map(|v| (v, self.sim.ring.load(v)))
-            .collect()
+    fn own_vnode_loads(&mut self) -> &[(Id, u64)] {
+        let sim = &mut *self.sim;
+        let ring = &sim.ring;
+        sim.own_loads.clear();
+        sim.own_loads
+            .extend(sim.workers[self.worker].vnodes().map(|v| (v, ring.load(v))));
+        &sim.own_loads
     }
 
-    fn successor_list(&self) -> Vec<Id> {
-        let primary = self.sim.workers[self.worker].primary;
-        self.sim
-            .ring
-            .successors(primary, self.sim.cfg.num_successors)
+    fn successor_list(&mut self) -> &[Id] {
+        let sim = &mut *self.sim;
+        let primary = sim.workers[self.worker].primary;
+        sim.ring
+            .successors(primary, sim.cfg.num_successors, &mut sim.neighbors);
+        &sim.neighbors
     }
 }
 

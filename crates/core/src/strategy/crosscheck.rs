@@ -204,10 +204,10 @@ impl LocalView for CheckedCtx<'_> {
     fn primary(&self) -> Id {
         self.inner.primary()
     }
-    fn own_vnode_loads(&self) -> Vec<(Id, u64)> {
+    fn own_vnode_loads(&mut self) -> &[(Id, u64)] {
         self.inner.own_vnode_loads()
     }
-    fn successor_list(&self) -> Vec<Id> {
+    fn successor_list(&mut self) -> &[Id] {
         self.inner.successor_list()
     }
 }
@@ -226,7 +226,8 @@ impl Actions for CheckedCtx<'_> {
         let relays: Vec<Id> = self
             .inner
             .successor_list()
-            .into_iter()
+            .iter()
+            .copied()
             .filter(|r| *r != neighbor && !self.state.quarantined.contains(r))
             .take(self.cfg.k)
             .collect();
@@ -343,11 +344,11 @@ mod tests {
         fn primary(&self) -> Id {
             Id::from(0u64)
         }
-        fn own_vnode_loads(&self) -> Vec<(Id, u64)> {
-            vec![(Id::from(0u64), 0)]
+        fn own_vnode_loads(&mut self) -> &[(Id, u64)] {
+            &[(Id::ZERO, 0)]
         }
-        fn successor_list(&self) -> Vec<Id> {
-            self.succs.clone()
+        fn successor_list(&mut self) -> &[Id] {
+            &self.succs
         }
     }
 

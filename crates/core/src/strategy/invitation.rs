@@ -37,7 +37,7 @@ impl Strategy for Invitation {
         // The inviter's hottest virtual node is where help is needed.
         // Ties go to the later vnode (matching `Iterator::max_by_key`).
         let mut hot: Option<(autobal_id::Id, u64)> = None;
-        for (v, l) in ctx.own_vnode_loads() {
+        for &(v, l) in ctx.own_vnode_loads() {
             if hot.is_none_or(|(_, bl)| l >= bl) {
                 hot = Some((v, l));
             }

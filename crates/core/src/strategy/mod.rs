@@ -82,10 +82,12 @@ pub trait LocalView {
     /// Ring position of the worker's primary virtual node.
     fn primary(&self) -> Id;
     /// The worker's own vnode positions with their (self-known) loads:
-    /// primary first, then static virtual servers, then Sybils.
-    fn own_vnode_loads(&self) -> Vec<(Id, u64)>;
-    /// The primary's successor list, nearest first (free: Chord state).
-    fn successor_list(&self) -> Vec<Id>;
+    /// primary first, then static virtual servers, then Sybils. The
+    /// slice is a buffer the context refills on each call.
+    fn own_vnode_loads(&mut self) -> &[(Id, u64)];
+    /// The primary's successor list, nearest first (free: Chord state),
+    /// in a buffer the context refills on each call.
+    fn successor_list(&mut self) -> &[Id];
 }
 
 /// Why a strategy action failed. The oracle-ring substrate only ever

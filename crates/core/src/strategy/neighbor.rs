@@ -47,11 +47,13 @@ impl Strategy for NeighborInjection {
         if !super::eligible_to_spawn(ctx) {
             return;
         }
-        let succs = ctx.successor_list();
-        if succs.is_empty() {
-            return;
-        }
         let pos = if self.smart {
+            // The probes act through `ctx`, so the measurement walks a
+            // copy of the list.
+            let succs = ctx.successor_list().to_vec();
+            if succs.is_empty() {
+                return;
+            }
             match most_loaded_target(ctx, &succs) {
                 Probe::Target(p) => p,
                 Probe::Idle => return, // no successor has any work
@@ -64,7 +66,12 @@ impl Strategy for NeighborInjection {
                 }
             }
         } else {
-            let pos = widest_gap_target(ctx.primary(), &succs);
+            let primary = ctx.primary();
+            let succs = ctx.successor_list();
+            if succs.is_empty() {
+                return;
+            }
+            let pos = widest_gap_target(primary, succs);
             ctx.note_gap_split(pos);
             pos
         };

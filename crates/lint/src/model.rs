@@ -66,7 +66,10 @@ pub const LAYERS: &[(&str, &[&str])] = &[
     ("autobal-telemetry", &["autobal-metrics"]),
     ("autobal-meminstr", &[]),
     ("autobal-lint", &[]),
-    ("autobal-chord", &["autobal-id", "autobal-telemetry"]),
+    (
+        "autobal-chord",
+        &["autobal-id", "autobal-telemetry", "autobal-metrics"],
+    ),
     ("autobal-viz", &["autobal-id", "autobal-stats"]),
     (
         "autobal-core",

@@ -167,6 +167,10 @@ pub(crate) struct Core {
     /// Cumulative quarantine decisions against each worker, for the
     /// ring snapshot's quarantine markers.
     quarantined_marks: Vec<u64>,
+    /// The [`LocalView`] lists a check reads, reused from one call to
+    /// the next: a worker's own node loads and its successor list.
+    own_loads: Vec<(Id, u64)>,
+    neighbors: Vec<Id>,
 }
 
 impl Core {
@@ -287,6 +291,8 @@ impl Core {
             tasks_done: vec![0; slots],
             rec,
             quarantined_marks: vec![0; slots],
+            own_loads: Vec::new(),
+            neighbors: Vec::new(),
         };
         (core, stack)
     }
@@ -770,31 +776,35 @@ impl<T: Transport> LocalView for NodeCtx<'_, T> {
         self.me().map(|p| p.primary).unwrap_or(Id::ZERO)
     }
 
-    fn own_vnode_loads(&self) -> Vec<(Id, u64)> {
-        let net = &self.d.core.net;
-        self.me()
-            .into_iter()
-            .flat_map(|p| p.vnodes())
-            .map(|v| (v, net.node(v).map(|n| n.keys.len() as u64).unwrap_or(0)))
-            .collect()
+    fn own_vnode_loads(&mut self) -> &[(Id, u64)] {
+        let core = &mut self.d.core;
+        let net = &core.net;
+        core.own_loads.clear();
+        core.own_loads.extend(
+            core.workers
+                .get(self.worker)
+                .into_iter()
+                .flat_map(|p| p.vnodes())
+                .map(|v| (v, net.node(v).map(|n| n.keys.len() as u64).unwrap_or(0))),
+        );
+        &core.own_loads
     }
 
-    fn successor_list(&self) -> Vec<Id> {
+    fn successor_list(&mut self) -> &[Id] {
         let primary = self.primary();
-        let k = self.d.core.params.num_neighbors;
-        self.d
-            .core
-            .net
-            .node(primary)
-            .map(|n| {
+        let core = &mut self.d.core;
+        let k = core.params.num_neighbors;
+        core.neighbors.clear();
+        if let Some(n) = core.net.node(primary) {
+            core.neighbors.extend(
                 n.successors
                     .iter()
                     .copied()
                     .filter(|&s| s != primary)
-                    .take(k)
-                    .collect()
-            })
-            .unwrap_or_default()
+                    .take(k),
+            );
+        }
+        &core.neighbors
     }
 }
 
@@ -971,10 +981,23 @@ mod tests {
     use autobal_core::StrategyKind;
     use autobal_metrics::profile;
 
-    /// Asserts the rendered report lists every per-tick phase with at
-    /// least one entry.
+    /// Asserts the rendered report lists every per-tick phase, and
+    /// every sub-step of the maintenance cycle, with at least one entry.
     fn assert_phases(substrate: &str, report: &str) {
-        for phase in ["crash", "churn", "checks", "work", "maintenance", "sample"] {
+        for phase in [
+            "crash",
+            "churn",
+            "checks",
+            "work",
+            "maintenance",
+            "prune",
+            "stabilize",
+            "lists",
+            "fingers",
+            "promote",
+            "push",
+            "sample",
+        ] {
             let entries: Option<u64> = report.lines().find_map(|line| {
                 let mut cols = line.split_whitespace();
                 (cols.next() == Some(phase))
