@@ -18,9 +18,10 @@
 
 use crate::messages::MessageKind;
 use crate::network::Network;
+use crate::node::Replica;
 use autobal_id::{ring, Id};
 use autobal_metrics::profile;
-use std::collections::BTreeMap;
+use std::collections::btree_map::Entry;
 use std::sync::Arc;
 
 impl Network {
@@ -245,28 +246,28 @@ impl Network {
 
     /// Pushes a full replica of the keys of the node at position `i` to
     /// its first `replication_factor` live successors (active backup).
-    /// Every target receives the same snapshot. While the owner's keys
-    /// and values are unchanged, that is the snapshot its first target
-    /// already holds, so the trees are copied only after they change,
-    /// and a target that already holds the snapshot is not written.
-    /// Each push is still billed as its own message.
+    /// Every target receives a clone that shares the owner's own
+    /// [`KeySet`] run ([`KeySet::share`]), so no key is copied; a target
+    /// that already reads that very snapshot is not written. The values
+    /// snapshot is shared too, and copied only after the owner's values
+    /// change. Each push is still billed as its own message.
+    ///
+    /// [`KeySet`]: crate::KeySet
     fn push_replicas(&mut self, i: usize) {
         let id = self.nodes.id_at(i);
         // Lend the successor list out for the pushes; nothing below
         // reads or changes it.
-        let targets = std::mem::take(&mut self.nodes.at_mut(i).successors);
+        let node = self.nodes.at_mut(i);
+        let targets = std::mem::take(&mut node.successors);
+        let keys = node.keys.share();
         let first = targets
             .iter()
             .filter(|&&t| t != id)
             .find_map(|t| self.nodes.get(t));
         if let Some(first) = first {
             let node = self.nodes.at(i);
-            let keys = match first.replicas.get(&id) {
-                Some(held) if **held == node.keys => Arc::clone(held),
-                _ => Arc::new(node.keys.clone()),
-            };
-            let store = match first.replica_store.get(&id) {
-                Some(held) if **held == node.store => Arc::clone(held),
+            let values = match first.replicas.get(&id) {
+                Some(held) if *held.values == node.store => Arc::clone(&held.values),
                 _ => Arc::new(node.store.clone()),
             };
             let mut pushed = 0;
@@ -287,9 +288,23 @@ impl Network {
                 if self.deliver(MessageKind::ReplicaPush, id, t).is_err() {
                     continue;
                 }
-                let tgt = self.nodes.at_mut(ti);
-                hold(&mut tgt.replicas, id, &keys);
-                hold(&mut tgt.replica_store, id, &store);
+                match self.nodes.at_mut(ti).replicas.entry(id) {
+                    Entry::Occupied(mut held) => {
+                        let held = held.get_mut();
+                        if !held.keys.same_as(&keys) {
+                            held.keys = keys.clone();
+                        }
+                        if !Arc::ptr_eq(&held.values, &values) {
+                            held.values = Arc::clone(&values);
+                        }
+                    }
+                    Entry::Vacant(slot) => {
+                        slot.insert(Replica {
+                            keys: keys.clone(),
+                            values: Arc::clone(&values),
+                        });
+                    }
+                }
             }
         }
         self.nodes.at_mut(i).successors = targets;
@@ -315,50 +330,30 @@ impl Network {
         let pred = self.nodes.at(i).predecessor();
         for owner in dead_owners {
             let node = self.nodes.at_mut(i);
-            let keys = node.replicas.remove(&owner).unwrap();
-            let mut values =
-                Arc::unwrap_or_clone(node.replica_store.remove(&owner).unwrap_or_default());
-            let mut promoted = 0u64;
-            let mut forwarded = Vec::new();
-            for &k in keys.iter() {
-                if ring::in_arc(pred, id, k) {
-                    let node = self.nodes.at_mut(i);
-                    node.keys.insert(k);
-                    if let Some(v) = values.remove(&k) {
-                        node.store.insert(k, v);
-                    }
-                    promoted += 1;
-                } else {
-                    // A node joined inside the dead owner's old arc and
-                    // now owns this key; forward it there (an ordinary
-                    // routed store — duplicates are idempotent since
-                    // other replica holders may forward the same key).
-                    forwarded.push((k, values.remove(&k)));
+            let Replica { keys, values } = node.replicas.remove(&owner).unwrap_or_default();
+            let mut values = Arc::unwrap_or_clone(values);
+            let (promoted, forwarded): (Vec<Id>, Vec<Id>) =
+                keys.iter().partition(|&&k| ring::in_arc(pred, id, k));
+            for k in &promoted {
+                if let Some(v) = values.remove(k) {
+                    node.store.insert(*k, v);
                 }
             }
-            let nforwarded = forwarded.len() as u64;
-            for (k, v) in forwarded {
+            node.keys.extend(promoted.iter().copied());
+            // A node joined inside the dead owner's old arc and now owns
+            // the forwarded keys; each goes there as an ordinary routed
+            // store (duplicates are idempotent since other replica
+            // holders may forward the same key).
+            for &k in &forwarded {
                 let target = self.insert_key(k);
-                if let Some(v) = v {
+                if let Some(v) = values.remove(&k) {
                     self.nodes.get_mut(&target).unwrap().store.insert(k, v);
                 }
             }
-            if promoted + nforwarded > 0 {
-                self.stats
-                    .record_n(MessageKind::KeyTransfer, promoted + nforwarded);
+            let moved = (promoted.len() + forwarded.len()) as u64;
+            if moved > 0 {
+                self.stats.record_n(MessageKind::KeyTransfer, moved);
             }
-        }
-    }
-}
-
-/// Stores `snapshot` as `owner`'s replica in `held`, unless `held`
-/// already shares that very snapshot.
-fn hold<T>(held: &mut BTreeMap<Id, Arc<T>>, owner: Id, snapshot: &Arc<T>) {
-    match held.get_mut(&owner) {
-        Some(h) if Arc::ptr_eq(h, snapshot) => {}
-        Some(h) => *h = Arc::clone(snapshot),
-        None => {
-            held.insert(owner, Arc::clone(snapshot));
         }
     }
 }
@@ -428,15 +423,17 @@ mod tests {
             net.insert_key(sha1_id_of_u64(k));
         }
         net.maintenance_cycle();
-        // Every node with keys must be replicated on its successor.
+        // Every node with keys must be replicated on its successor, as
+        // the owner's own snapshot.
         for id in net.node_ids() {
-            let keys = net.node(id).unwrap().keys.clone();
+            let keys = &net.node(id).unwrap().keys;
             if keys.is_empty() {
                 continue;
             }
             let succ = net.node(id).unwrap().successor();
-            let rep = net.node(succ).unwrap().replicas.get(&id).cloned();
-            assert_eq!(rep.as_deref(), Some(&keys), "replica of {id} on {succ}");
+            let rep = net.node(succ).unwrap().replicas.get(&id).map(|r| &r.keys);
+            assert_eq!(rep, Some(keys), "replica of {id} on {succ}");
+            assert!(rep.is_some_and(|r| r.same_as(keys)), "{id} copied");
         }
     }
 

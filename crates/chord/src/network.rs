@@ -2,8 +2,9 @@
 //! placement, and iterative lookups with message accounting.
 
 use crate::fault::{FaultPlan, FaultState};
+use crate::keyset::KeySet;
 use crate::messages::{MessageKind, MessageStats};
-use crate::node::Node;
+use crate::node::{Node, Replica};
 use crate::table::{distinct_random_ids, IdTable};
 use autobal_id::{ring, Id, ID_BITS};
 
@@ -466,15 +467,11 @@ impl Network {
         let Some(succ) = self.nodes.get_mut(&succ_id) else {
             return Err(NetworkError::UnknownNode(succ_id));
         };
-        let moved: Vec<Id> = succ
-            .keys
-            .iter()
-            .copied()
-            .filter(|&k| !ring::in_arc(new_id, succ_id, k))
-            .collect();
+        let stays = |k: &Id| ring::in_arc(new_id, succ_id, *k);
+        let moved: KeySet = succ.keys.iter().copied().filter(|k| !stays(k)).collect();
+        succ.keys.retain(stays);
         let mut moved_values = std::collections::BTreeMap::new();
         for k in &moved {
-            succ.keys.remove(k);
             if let Some(v) = succ.store.remove(k) {
                 moved_values.insert(*k, v);
             }
@@ -500,7 +497,7 @@ impl Network {
             list.truncate(self.cfg.predecessor_list_len);
             list
         };
-        node.keys = moved.into_iter().collect();
+        node.keys = moved;
         node.store = moved_values;
         self.nodes.insert(new_id, node);
 
@@ -565,7 +562,7 @@ impl Network {
         let Some(succ) = self.nodes.get_mut(&succ_id) else {
             return Err(NetworkError::UnknownNode(succ_id));
         };
-        succ.keys.extend(keys);
+        succ.keys.extend(keys.iter().copied());
         succ.store.extend(store);
         succ.forget(id);
         succ.predecessors.retain(|&p| p != pred_id);
@@ -597,7 +594,7 @@ impl Network {
         let mut covered: std::collections::BTreeSet<Id> = std::collections::BTreeSet::new();
         for n in self.nodes.values() {
             if let Some(rep) = n.replicas.get(&id) {
-                covered.extend(rep.iter().copied());
+                covered.extend(rep.keys.iter().copied());
             }
         }
         let keys_lost = node.keys.iter().filter(|k| !covered.contains(k)).count() as u64;
@@ -686,10 +683,8 @@ impl Network {
                 let Some(node) = self.nodes.get_mut(&h) else {
                     continue;
                 };
-                let keys = node.replicas.remove(&owner).unwrap_or_default();
-                let mut values = std::sync::Arc::unwrap_or_clone(
-                    node.replica_store.remove(&owner).unwrap_or_default(),
-                );
+                let Replica { keys, values } = node.replicas.remove(&owner).unwrap_or_default();
+                let mut values = std::sync::Arc::unwrap_or_clone(values);
                 report.stale_replicas_purged += 1;
                 for &k in keys.iter() {
                     if !live_primaries.contains(&k) {

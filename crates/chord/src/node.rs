@@ -1,8 +1,9 @@
 //! Per-node Chord state.
 
+use crate::keyset::KeySet;
 use autobal_id::{ring, Id, ID_BITS};
 use bytes::Bytes;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// The local state of one Chord participant.
@@ -22,20 +23,31 @@ pub struct Node {
     /// Finger table: `fingers[k]` routes toward `id + 2^k`. Entries are
     /// `None` until `fix_fingers` resolves them.
     pub fingers: Vec<Option<Id>>,
-    /// Keys this node is primary owner of.
-    pub keys: BTreeSet<Id>,
+    /// Keys this node is primary owner of, as one sorted run that its
+    /// replica targets share ([`KeySet::share`]): a push copies no key,
+    /// and consuming the smallest key ([`KeySet::pop_first`]) leaves
+    /// the targets' snapshots untouched.
+    pub keys: KeySet,
     /// Values for keys that carry data (the key-value API); keys used
     /// purely as task markers have no entry here.
     pub store: BTreeMap<Id, Bytes>,
-    /// Active backups: owner id → that owner's key set as of the last
-    /// replica push received. One push shares a single snapshot among
-    /// all of the owner's targets, and the snapshot is reused from cycle
-    /// to cycle while the owner's keys are unchanged.
-    pub replicas: BTreeMap<Id, Arc<BTreeSet<Id>>>,
-    /// Value backups mirroring [`Node::replicas`].
-    pub replica_store: BTreeMap<Id, Arc<BTreeMap<Id, Bytes>>>,
+    /// Active backups: owner id → that owner's keys and values as of the
+    /// last replica push received. The keys share the owner's own
+    /// [`KeySet`] run; the values are one snapshot shared by all of the
+    /// owner's targets and reused from cycle to cycle while the owner's
+    /// values are unchanged.
+    pub replicas: BTreeMap<Id, Replica>,
     /// Next finger index to fix (incremental `fix_fingers` cursor).
     pub next_finger: usize,
+}
+
+/// One owner's backup on a replica holder.
+#[derive(Debug, Clone, Default)]
+pub struct Replica {
+    /// The owner's keys as last pushed.
+    pub keys: KeySet,
+    /// The owner's values as last pushed.
+    pub values: Arc<BTreeMap<Id, Bytes>>,
 }
 
 impl Node {
@@ -46,10 +58,9 @@ impl Node {
             successors: vec![id],
             predecessors: vec![id],
             fingers: vec![None; ID_BITS as usize],
-            keys: BTreeSet::new(),
+            keys: KeySet::new(),
             store: BTreeMap::new(),
             replicas: BTreeMap::new(),
-            replica_store: BTreeMap::new(),
             next_finger: 0,
         }
     }

@@ -1,11 +1,12 @@
-//! Active-backup replicas under membership op soups on a fault-free
-//! [`Network`].
+//! Active-backup replicas under op soups of membership changes, key
+//! inserts, puts and work-phase pops on a fault-free [`Network`].
 //!
 //! After every `maintenance_cycle`, each owner's first
 //! `replication_factor` live successors hold exactly the owner's `keys`
-//! and `store`, and all of them share one snapshot allocation. A crash
-//! followed by a cycle promotes the victim's keys back without losing
-//! any of them.
+//! and `store`: the keys as the owner's own snapshot (its run, read from
+//! its cursor), the values as one snapshot allocation shared by all
+//! targets. A crash followed by a cycle promotes the victim's keys back
+//! without losing any of them.
 
 use autobal_chord::{NetConfig, Network, NetworkError};
 use autobal_id::sha1::sha1_id_of_u64;
@@ -22,15 +23,18 @@ enum Op {
     Fail(u8),
     Insert(u16),
     Put(u16),
+    /// The node consumes its smallest key, as the work phase does.
+    Pop(u8),
 }
 
 fn arb_op() -> impl Strategy<Value = Op> {
-    (0u8..10, any::<u16>()).prop_map(|(tag, v)| match tag {
+    (0u8..12, any::<u16>()).prop_map(|(tag, v)| match tag {
         0 | 1 => Op::Join(v),
         2 => Op::Leave(v as u8),
         3 | 4 => Op::Fail(v as u8),
         5..=7 => Op::Insert(v),
-        _ => Op::Put(v),
+        8 | 9 => Op::Put(v),
+        _ => Op::Pop(v as u8),
     })
 }
 
@@ -46,13 +50,15 @@ fn key_id(v: u16) -> Id {
 fn all_keys(net: &Network) -> BTreeSet<Id> {
     net.node_ids()
         .into_iter()
-        .flat_map(|id| net.node(id).map(|n| n.keys.clone()).unwrap_or_default())
+        .filter_map(|id| net.node(id))
+        .flat_map(|n| n.keys.iter().copied())
         .collect()
 }
 
 /// Each owner's replica targets (the first `replication_factor` live
-/// successors) hold exactly its keys and values, through one shared
-/// snapshot per owner.
+/// successors) hold exactly its keys and values: the keys as the
+/// owner's own snapshot (its run, read from its cursor), the values
+/// through one snapshot shared by all of its targets.
 fn check_replicas(net: &Network) -> Result<(), TestCaseError> {
     let rf = net.config().replication_factor;
     for owner in net.node_ids() {
@@ -64,21 +70,26 @@ fn check_replicas(net: &Network) -> Result<(), TestCaseError> {
             .filter(|&s| s != owner && net.node(s).is_some())
             .take(rf)
             .collect();
-        let mut shared = None;
+        let mut shared: Option<&Arc<_>> = None;
         for t in targets {
             let tgt = net.node(t).expect("target is live");
-            let keys = tgt.replicas.get(&owner);
-            let store = tgt.replica_store.get(&owner);
-            prop_assert_eq!(keys.map(|k| &**k), Some(&node.keys));
-            prop_assert_eq!(store.map(|s| &**s), Some(&node.store));
-            let (Some(keys), Some(store)) = (keys, store) else {
+            let Some(rep) = tgt.replicas.get(&owner) else {
+                prop_assert!(false, "no replica of {owner} on {t}");
                 continue;
             };
-            match &shared {
-                None => shared = Some((Arc::clone(keys), Arc::clone(store))),
-                Some((k0, s0)) => {
-                    prop_assert!(Arc::ptr_eq(k0, keys), "key snapshot of {owner} copied");
-                    prop_assert!(Arc::ptr_eq(s0, store), "value snapshot of {owner} copied");
+            prop_assert_eq!(&rep.keys, &node.keys);
+            prop_assert_eq!(&*rep.values, &node.store);
+            prop_assert!(
+                rep.keys.same_as(&node.keys),
+                "key snapshot of {owner} copied"
+            );
+            match shared {
+                None => shared = Some(&rep.values),
+                Some(v0) => {
+                    prop_assert!(
+                        Arc::ptr_eq(v0, &rep.values),
+                        "value snapshot of {owner} copied"
+                    );
                 }
             }
         }
@@ -98,6 +109,10 @@ proptest! {
         let ids: Vec<Id> = ids.into_iter().collect();
         let mut net = Network::from_ids(NetConfig::default(), &ids).expect("nonempty");
         let mut expected: BTreeSet<Id> = BTreeSet::new();
+        // Consumed keys: a stale replica on a node that is no longer
+        // among the owner's targets may still hold one, and promote it
+        // when the owner crashes (a redone task).
+        let mut popped: BTreeSet<Id> = BTreeSet::new();
         net.maintenance_cycle();
         check_replicas(&net)?;
         for op in ops {
@@ -127,10 +142,21 @@ proptest! {
                     net.put(live[0], key_id(v), value).expect("fault-free put");
                     expected.insert(key_id(v));
                 }
+                Op::Pop(i) => {
+                    let node = net.node_mut(pick(i)).expect("live node");
+                    if let Some(key) = node.keys.pop_first() {
+                        expected.remove(&key);
+                        popped.insert(key);
+                    }
+                }
             }
             net.maintenance_cycle();
             check_replicas(&net)?;
-            prop_assert_eq!(all_keys(&net), expected.clone());
+            // Nothing is lost, and only a consumed key comes back.
+            let keys = all_keys(&net);
+            prop_assert!(expected.is_subset(&keys), "a key was lost");
+            prop_assert!(keys.difference(&expected).all(|k| popped.contains(k)));
+            expected = keys;
         }
     }
 }

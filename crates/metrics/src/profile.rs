@@ -32,16 +32,32 @@ mod imp {
     }
 
     struct ProfileState {
+        /// One row per phase name, in first-entry order. Rows are
+        /// never removed, so a slot stays valid while its span is open.
         phases: Vec<(&'static str, PhaseTotals)>,
-        /// Open-span stack: (phase name, start, child time to subtract).
-        stack: Vec<(&'static str, Instant, u128)>,
+        /// Open-span stack: (phase's slot in `phases`, start, child
+        /// time to subtract).
+        stack: Vec<(usize, Instant, u128)>,
+    }
+
+    impl ProfileState {
+        /// The slot of `phase`, adding a row on its first entry.
+        fn slot(&mut self, phase: &'static str) -> usize {
+            let found = self.phases.iter().position(|(n, _)| *n == phase);
+            found.unwrap_or_else(|| {
+                self.phases.push((phase, PhaseTotals::default()));
+                self.phases.len() - 1
+            })
+        }
     }
 
     thread_local! {
-        static STATE: RefCell<ProfileState> = RefCell::new(ProfileState {
-            phases: Vec::new(),
-            stack: Vec::new(),
-        });
+        static STATE: RefCell<ProfileState> = const {
+            RefCell::new(ProfileState {
+                phases: Vec::new(),
+                stack: Vec::new(),
+            })
+        };
     }
 
     /// RAII guard for one phase entry.
@@ -51,7 +67,9 @@ mod imp {
 
     pub fn span(phase: &'static str) -> SpanGuard {
         STATE.with(|s| {
-            s.borrow_mut().stack.push((phase, Instant::now(), 0));
+            let mut st = s.borrow_mut();
+            let slot = st.slot(phase);
+            st.stack.push((slot, Instant::now(), 0));
         });
         SpanGuard { _private: () }
     }
@@ -60,27 +78,16 @@ mod imp {
         fn drop(&mut self) {
             STATE.with(|s| {
                 let mut st = s.borrow_mut();
-                let Some((phase, start, child_ns)) = st.stack.pop() else {
+                let Some((slot, start, child_ns)) = st.stack.pop() else {
                     return;
                 };
                 let elapsed = start.elapsed().as_nanos();
-                let self_ns = elapsed.saturating_sub(child_ns);
-                if let Some((_, parent_start, parent_child)) = st.stack.last_mut() {
-                    let _ = parent_start;
+                if let Some((_, _, parent_child)) = st.stack.last_mut() {
                     *parent_child += elapsed;
                 }
-                match st.phases.iter_mut().find(|(n, _)| *n == phase) {
-                    Some((_, t)) => {
-                        t.self_ns += self_ns;
-                        t.entries += 1;
-                    }
-                    None => st.phases.push((
-                        phase,
-                        PhaseTotals {
-                            self_ns,
-                            entries: 1,
-                        },
-                    )),
+                if let Some((_, t)) = st.phases.get_mut(slot) {
+                    t.self_ns += elapsed.saturating_sub(child_ns);
+                    t.entries += 1;
                 }
             });
         }
@@ -91,7 +98,14 @@ mod imp {
     pub fn take_report() -> String {
         STATE.with(|s| {
             let mut st = s.borrow_mut();
-            let mut rows: Vec<_> = std::mem::take(&mut st.phases);
+            // Zero the rows in place rather than dropping them: spans
+            // still open hold their slots.
+            let mut rows: Vec<_> = st
+                .phases
+                .iter_mut()
+                .filter(|(_, t)| t.entries > 0)
+                .map(|(n, t)| (*n, std::mem::take(t)))
+                .collect();
             rows.sort_by(|a, b| b.1.self_ns.cmp(&a.1.self_ns).then(a.0.cmp(b.0)));
             let total: u128 = rows.iter().map(|(_, t)| t.self_ns).sum();
             let mut out = String::from("phase profile (self time)\n");
@@ -156,5 +170,23 @@ mod tests {
             // Accumulators were drained.
             assert!(take_report().contains("no spans recorded"));
         }
+    }
+
+    /// A span still open when the report is taken keeps its own row: its
+    /// slot survives the drain, and phases first entered afterwards get
+    /// rows of their own.
+    #[cfg(feature = "profile")]
+    #[test]
+    fn span_open_across_a_report_lands_on_its_phase() {
+        let held = span("held");
+        take_report();
+        {
+            let _fresh = span("fresh");
+        }
+        drop(held);
+        let report = take_report();
+        let row = |name: &str| report.lines().find(|l| l.trim_start().starts_with(name));
+        assert!(row("held").is_some_and(|l| l.ends_with("x1")), "{report}");
+        assert!(row("fresh").is_some_and(|l| l.ends_with("x1")), "{report}");
     }
 }

@@ -193,14 +193,10 @@ fn allocations_scale_with_setup_not_ticks() {
     );
 }
 
-/// A quiet sync Chord maintenance cycle (no membership change, no key
-/// change since the last one) does not allocate. It walks the node
-/// table by position, pruning probes without collecting, the neighbour
-/// lists refill their own buffers, finger fixes route without a path,
-/// and every replica push hands out the snapshot the owner's first
-/// target already holds.
-#[test]
-fn quiet_maintenance_cycle_does_not_allocate() {
+/// The network the maintenance-cycle tests measure: 149 nodes holding
+/// 12 800 keys, past three warm cycles (the first pushes fresh
+/// snapshots, and list buffers reach their working capacity).
+fn warm_chord_network() -> autobal::chord::Network {
     use autobal::chord::{NetConfig, Network};
     use autobal::id::sha1::sha1_id_of_u64;
     let ids: Vec<autobal::Id> = (0..149u64).map(sha1_id_of_u64).collect();
@@ -208,21 +204,60 @@ fn quiet_maintenance_cycle_does_not_allocate() {
     for k in 0..12_800u64 {
         net.insert_key(sha1_id_of_u64(1_000_000 + k));
     }
-    // Warm cycles: the first pushes fresh snapshots, and list buffers
-    // reach their working capacity.
     for _ in 0..3 {
         net.maintenance_cycle();
     }
+    net
+}
+
+/// Runs one maintenance cycle and returns its allocation count, after
+/// checking that every owner pushed to every target.
+fn measured_cycle(net: &mut autobal::chord::Network) -> u64 {
     let pushes = net.stats.replica_push;
     let (allocs, ()) = allocation_delta(|| net.maintenance_cycle());
-    let rf = NetConfig::default().replication_factor as u64;
+    let rf = autobal::chord::NetConfig::default().replication_factor as u64;
     assert_eq!(
         net.stats.replica_push - pushes,
         149 * rf,
         "every owner pushed to every target"
     );
+    allocs
+}
+
+/// A quiet sync Chord maintenance cycle (no membership change, no key
+/// change since the last one) does not allocate. It walks the node
+/// table by position, pruning probes without collecting, the neighbour
+/// lists refill their own buffers, finger fixes route without a path,
+/// and every replica push hands out a clone of the owner's key run.
+#[test]
+fn quiet_maintenance_cycle_does_not_allocate() {
+    let mut net = warm_chord_network();
+    let allocs = measured_cycle(&mut net);
     assert_eq!(
         allocs, 0,
         "a quiet maintenance cycle allocated {allocs} times"
+    );
+}
+
+/// A busy cycle, where every owner consumed a key since the last one
+/// (as the work phase does each tick), does not allocate either: the
+/// pop only moves the owner's cursor, so each push still hands its
+/// targets the owner's run, and no key set is copied.
+#[test]
+fn busy_maintenance_cycle_does_not_allocate() {
+    let mut net = warm_chord_network();
+    let ids = net.node_ids();
+    let popped = ids
+        .iter()
+        .filter(|&&id| net.node_mut(id).unwrap().keys.pop_first().is_some())
+        .count();
+    assert!(
+        popped > ids.len() * 9 / 10,
+        "only {popped} owners held keys"
+    );
+    let allocs = measured_cycle(&mut net);
+    assert_eq!(
+        allocs, 0,
+        "a busy maintenance cycle allocated {allocs} times"
     );
 }
