@@ -24,7 +24,8 @@
 
 use crate::fault::{FaultPlan, FaultState};
 use crate::messages::MessageStats;
-use crate::table::{distinct_random_ids, IdTable};
+use crate::node::closest_preceding;
+use crate::table::IdTable;
 use autobal_id::{ring, Id, ID_BITS};
 use autobal_telemetry::{MessageStatus, Trace};
 use rand::Rng;
@@ -166,20 +167,6 @@ impl ENode {
 
     fn successor(&self) -> Id {
         self.successors.first().copied().unwrap_or(self.id)
-    }
-
-    fn closest_preceding(&self, key: Id) -> Option<Id> {
-        for f in self.fingers.iter().rev().flatten() {
-            if ring::in_open_arc(self.id, key, *f) {
-                return Some(*f);
-            }
-        }
-        for s in self.successors.iter().rev() {
-            if ring::in_open_arc(self.id, key, *s) {
-                return Some(*s);
-            }
-        }
-        None
     }
 }
 
@@ -327,7 +314,7 @@ impl EventNet {
 
     /// A fully stabilized ring of `n` random nodes with timers armed.
     pub fn bootstrap<R: rand::Rng + ?Sized>(cfg: EventConfig, n: usize, rng: &mut R) -> EventNet {
-        EventNet::from_ids(cfg, &distinct_random_ids(n, rng))
+        EventNet::from_ids(cfg, &Id::distinct_random(n, rng))
     }
 
     /// A fully stabilized ring over the given node ids (duplicates
@@ -344,12 +331,11 @@ impl EventNet {
         // Ground-truth wiring (paper: the network starts stable).
         self.rewire_ground_truth();
         // Stagger stabilize timers so the network does not thunder.
-        let ids: Vec<Id> = self.nodes.keys().copied().collect();
         let every = self.cfg.stabilize_every.max(1);
-        for (i, &id) in ids.iter().enumerate() {
+        for i in 0..self.nodes.len() {
             let jitter = (i as u64 * 7) % every;
             let at = self.time + jitter + 1;
-            self.send_at(at, id, Msg::StabilizeTimer);
+            self.send_at(at, self.nodes.id_at(i), Msg::StabilizeTimer);
         }
     }
 
@@ -360,39 +346,14 @@ impl EventNet {
     /// ("stabilize-before-check" ordering), which is what makes its
     /// decision trace bit-comparable to the synchronous substrate's.
     pub fn rewire_ground_truth(&mut self) {
-        let ids: Vec<Id> = self.nodes.keys().copied().collect();
-        let count = ids.len();
-        if count == 0 {
-            return;
-        }
-        for (i, &id) in ids.iter().enumerate() {
-            let mut succ = Vec::new();
-            for k in 1..=self
-                .cfg
-                .successor_list_len
-                .min(count.saturating_sub(1).max(1))
-            {
-                // autobal-lint: allow(panic-safety, "index is taken modulo ids.len(), always in bounds")
-                succ.push(ids[(i + k) % count]);
-            }
-            if succ.is_empty() {
-                succ.push(id);
-            }
-            // autobal-lint: allow(panic-safety, "index is taken modulo ids.len(), always in bounds")
-            let pred = ids[(i + count - 1) % count];
-            let mut fingers = vec![None; ID_BITS as usize];
-            for (k, f) in fingers.iter_mut().enumerate() {
-                let target = id.wrapping_add(Id::pow2(k as u32));
-                let idx = ids.partition_point(|&x| x < target) % count;
-                *f = ids.get(idx).copied();
-            }
-            let Some(node) = self.nodes.get_mut(&id) else {
-                continue;
-            };
-            node.successors = succ;
-            node.predecessor = Some(pred);
-            node.fingers = fingers;
-        }
+        let slen = self.cfg.successor_list_len;
+        self.nodes.wire(slen, 1, |node, succ, pred, fingers| {
+            node.successors.clear();
+            node.successors.extend_from_slice(succ);
+            node.predecessor = pred.first().copied();
+            node.fingers.clear();
+            node.fingers.extend_from_slice(fingers);
+        });
     }
 
     /// Arms a fault plan for the rest of the run. Scheduled crash times
@@ -442,9 +403,7 @@ impl EventNet {
 
     /// Ground-truth owner (oracle; used by tests).
     pub fn owner_of(&self, key: Id) -> Option<Id> {
-        self.nodes
-            .at_or_after(&key)
-            .or_else(|| self.nodes.keys().next().copied())
+        self.nodes.owner(&key)
     }
 
     /// Kills a node instantly; in-flight messages to it are dropped at
@@ -795,7 +754,7 @@ impl EventNet {
                     let next = self
                         .nodes
                         .get(&dst)
-                        .and_then(|n| n.closest_preceding(key))
+                        .and_then(|n| closest_preceding(n.id, &n.fingers, &n.successors, key))
                         .filter(|n| self.nodes.contains_key(n))
                         .unwrap_or(succ);
                     if next == dst {
@@ -1023,14 +982,7 @@ impl EventNet {
             return true;
         }
         for (&id, node) in &self.nodes {
-            let Some(truth) = self
-                .nodes
-                .after(&id)
-                .or_else(|| self.nodes.keys().next().copied())
-            else {
-                return false;
-            };
-            if node.successor() != truth {
+            if Some(node.successor()) != self.nodes.successor(&id) {
                 return false;
             }
         }
@@ -1042,6 +994,7 @@ impl EventNet {
 mod tests {
     use super::*;
     use autobal_id::sha1::sha1_id_of_u64;
+    use proptest::prelude::*;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
@@ -1348,5 +1301,103 @@ mod tests {
         assert_eq!(mine.len(), 1);
         assert_eq!(mine[0].owner, Some(id));
         assert!(net.is_ring_consistent());
+    }
+
+    /// Ground-truth owner over a sorted id list, by linear scan.
+    fn brute_owner(sorted: &[Id], key: Id) -> Option<Id> {
+        sorted
+            .iter()
+            .find(|&&x| x >= key)
+            .or(sorted.first())
+            .copied()
+    }
+
+    /// `len` neighbours of `sorted[i]`, nearest first, one way round
+    /// the ring (`step` 1 clockwise, `n - 1` counter-clockwise): at most
+    /// one per other id, and at least one.
+    fn brute_list(sorted: &[Id], i: usize, len: usize, step: usize) -> Vec<Id> {
+        let n = sorted.len();
+        let len = len.min(n.saturating_sub(1).max(1));
+        let list: Vec<Id> = (1..=len).map(|k| sorted[(i + k * step) % n]).collect();
+        if list.is_empty() {
+            vec![sorted[i]]
+        } else {
+            list
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        /// Both overlays come up wired exactly as a brute force over a
+        /// sorted `Vec<Id>` wires them (successor list, predecessor list
+        /// or the event wire's single predecessor, every finger), and
+        /// their `owner_of` agrees with it, on rings of 1 to 64 ids that
+        /// are uniform, packed just below `Id::MAX`, packed just above
+        /// `Id::ZERO`, or packed at both ends.
+        #[test]
+        fn ground_truth_wiring_matches_brute_force(
+            seed in any::<u64>(),
+            lens in (0usize..8, 0usize..8),
+        ) {
+            use crate::table::tests::pooled_id;
+            use crate::{NetConfig, Network};
+            let mut rng = rng(seed);
+            let placements: [&[u8]; 4] = [&[], &[4], &[5], &[4, 5]];
+            for n in [1usize, 2, 3, 5, 6, 64] {
+                for pools in placements {
+                    let ids: Vec<Id> = if pools.is_empty() {
+                        Id::distinct_random(n, &mut rng)
+                    } else {
+                        let x: u64 = rng.gen();
+                        let mut ids = BTreeSet::new();
+                        for j in 0..4096 {
+                            if ids.len() == n {
+                                break;
+                            }
+                            let pool = pools[j % pools.len()];
+                            ids.insert(pooled_id(pool, x.wrapping_add(j as u64)));
+                        }
+                        ids.into_iter().collect()
+                    };
+                    let mut sorted = ids.clone();
+                    sorted.sort_unstable();
+                    prop_assert_eq!(sorted.len(), n);
+                    let fingers = |i: usize| -> Vec<Option<Id>> {
+                        (0..ID_BITS)
+                            .map(|k| brute_owner(&sorted, sorted[i].wrapping_add(Id::pow2(k))))
+                            .collect()
+                    };
+                    let cfg = NetConfig {
+                        successor_list_len: lens.0,
+                        predecessor_list_len: lens.1,
+                        ..NetConfig::default()
+                    };
+                    let sync = Network::from_ids(cfg, &ids).unwrap();
+                    let ecfg = EventConfig { successor_list_len: lens.0, ..EventConfig::default() };
+                    let wire = EventNet::from_ids(ecfg, &ids);
+                    for (i, id) in sorted.iter().enumerate() {
+                        let node = sync.node(*id).unwrap();
+                        prop_assert_eq!(&node.successors, &brute_list(&sorted, i, lens.0, 1));
+                        prop_assert_eq!(
+                            &node.predecessors,
+                            &brute_list(&sorted, i, lens.1, n - 1)
+                        );
+                        prop_assert_eq!(&node.fingers, &fingers(i));
+                        let enode = wire.nodes.get(id).unwrap();
+                        prop_assert_eq!(&enode.successors, &brute_list(&sorted, i, lens.0, 1));
+                        prop_assert_eq!(enode.predecessor, Some(sorted[(i + n - 1) % n]));
+                        prop_assert_eq!(&enode.fingers, &fingers(i));
+                    }
+                    let probes = sorted.iter().flat_map(|&id| {
+                        [id, id.wrapping_sub(Id::ONE), id.wrapping_add(Id::ONE)]
+                    });
+                    for key in probes.chain([Id::ZERO, Id::MAX, Id::random(&mut rng)]) {
+                        prop_assert_eq!(sync.owner_of(key), brute_owner(&sorted, key));
+                        prop_assert_eq!(wire.owner_of(key), brute_owner(&sorted, key));
+                    }
+                }
+            }
+        }
     }
 }

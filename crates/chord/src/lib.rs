@@ -59,5 +59,5 @@ pub use eventnet::{AppEvent, AppMsg, AsyncLookup, EventConfig, EventNet};
 pub use fault::{CrashEvent, FaultPlan, FaultState, Partition};
 pub use keyset::KeySet;
 pub use messages::{MessageKind, MessageStats};
-pub use network::{FailReport, LookupResult, NetConfig, Network, NetworkError, RewireReport};
+pub use network::{FailReport, LookupResult, NetConfig, Network, NetworkError};
 pub use node::{Node, Replica};

@@ -4,9 +4,9 @@
 use crate::fault::{FaultPlan, FaultState};
 use crate::keyset::KeySet;
 use crate::messages::{MessageKind, MessageStats};
-use crate::node::{Node, Replica};
-use crate::table::{distinct_random_ids, IdTable};
-use autobal_id::{ring, Id, ID_BITS};
+use crate::node::Node;
+use crate::table::IdTable;
+use autobal_id::{ring, Id};
 
 /// Configuration knobs for the overlay.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -79,16 +79,6 @@ pub struct LookupResult {
     pub hops: u32,
     /// The nodes visited, starting node first.
     pub path: Vec<Id>,
-}
-
-/// What a ground-truth rewire found and repaired.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RewireReport {
-    /// Keys that only survived inside replicas of dead owners and were
-    /// re-inserted at their rightful owners.
-    pub keys_rescued: u64,
-    /// Dead-owner replica entries dropped after rescue.
-    pub stale_replicas_purged: u64,
 }
 
 /// What an abrupt [`Network::fail`] took with it.
@@ -213,7 +203,7 @@ impl Network {
     /// network starts our experiments stable".
     pub fn bootstrap<R: rand::Rng + ?Sized>(cfg: NetConfig, n: usize, rng: &mut R) -> Network {
         let mut net = Network::new(cfg);
-        net.nodes = IdTable::from_ids(&distinct_random_ids(n, rng), Node::solo);
+        net.nodes = IdTable::from_ids(&Id::distinct_random(n, rng), Node::solo);
         net.rewire_ground_truth();
         net
     }
@@ -268,29 +258,19 @@ impl Network {
     /// the key (an ordered search of the node table, *not* a protocol
     /// message).
     pub fn owner_of(&self, key: Id) -> Option<Id> {
-        self.nodes
-            .at_or_after(&key)
-            .or_else(|| self.nodes.keys().next().copied())
+        self.nodes.owner(&key)
     }
 
-    /// Ground-truth successor of an id, excluding the id itself.
+    /// Ground-truth successor of an id, excluding the id itself unless
+    /// it is the only node.
     pub(crate) fn truth_successor(&self, id: Id) -> Option<Id> {
-        if self.nodes.len() < 2 && self.nodes.contains_key(&id) {
-            return Some(id);
-        }
-        self.nodes
-            .after(&id)
-            .or_else(|| self.nodes.keys().next().copied())
+        self.nodes.successor(&id)
     }
 
-    /// Ground-truth predecessor of an id, excluding the id itself.
+    /// Ground-truth predecessor of an id, excluding the id itself unless
+    /// it is the only node.
     pub(crate) fn truth_predecessor(&self, id: Id) -> Option<Id> {
-        if self.nodes.len() < 2 && self.nodes.contains_key(&id) {
-            return Some(id);
-        }
-        self.nodes
-            .before(&id)
-            .or_else(|| self.nodes.keys().next_back().copied())
+        self.nodes.predecessor(&id)
     }
 
     /// Stores a key on its ground-truth owner. Returns the owner.
@@ -591,13 +571,16 @@ impl Network {
             .nodes
             .remove(&id)
             .ok_or(NetworkError::UnknownNode(id))?;
-        let mut covered: std::collections::BTreeSet<Id> = std::collections::BTreeSet::new();
-        for n in self.nodes.values() {
-            if let Some(rep) = n.replicas.get(&id) {
-                covered.extend(rep.keys.iter().copied());
-            }
-        }
-        let keys_lost = node.keys.iter().filter(|k| !covered.contains(k)).count() as u64;
+        let held: Vec<&KeySet> = self
+            .nodes
+            .values()
+            .filter_map(|n| n.replicas.get(&id).map(|rep| &rep.keys))
+            .collect();
+        let keys_lost = node
+            .keys
+            .iter()
+            .filter(|k| !held.iter().any(|keys| keys.contains(k)))
+            .count() as u64;
         self.stats.keys_lost += keys_lost;
         Ok(FailReport {
             keys_lost,
@@ -605,121 +588,25 @@ impl Network {
         })
     }
 
-    /// Rebuilds every node's successor/predecessor lists and finger
-    /// tables from ground truth — the "perfectly stabilized" state.
-    ///
-    /// Replica entries of dead owners are not silently discarded: any
-    /// key they hold that no live node owns is rescued onto its rightful
-    /// owner first (billed as key transfers), then the stale entries are
-    /// dropped. The report makes both counts explicit.
-    pub fn rewire_ground_truth(&mut self) -> RewireReport {
-        let report = self.reconcile_stale_replicas();
-        let ids: Vec<Id> = self.nodes.keys().copied().collect();
-        let n = ids.len();
-        if n == 0 {
-            return report;
-        }
-        for (i, &id) in ids.iter().enumerate() {
-            let mut successors = Vec::with_capacity(self.cfg.successor_list_len);
-            for k in 1..=self.cfg.successor_list_len.min(n.saturating_sub(1).max(1)) {
-                // autobal-lint: allow(panic-safety, "index is taken modulo ids.len(), always in bounds")
-                successors.push(ids[(i + k) % n]);
-            }
-            if successors.is_empty() {
-                successors.push(id);
-            }
-            let mut predecessors = Vec::with_capacity(self.cfg.predecessor_list_len);
-            for k in 1..=self
-                .cfg
-                .predecessor_list_len
-                .min(n.saturating_sub(1).max(1))
-            {
-                // autobal-lint: allow(panic-safety, "index is taken modulo ids.len(), always in bounds")
-                predecessors.push(ids[(i + n - k % n) % n]);
-            }
-            if predecessors.is_empty() {
-                predecessors.push(id);
-            }
-            let mut fingers = vec![None; ID_BITS as usize];
-            for (k, f) in fingers.iter_mut().enumerate() {
-                let target = id.wrapping_add(Id::pow2(k as u32));
-                *f = self.owner_of_in(&ids, target);
-            }
-            let Some(node) = self.nodes.get_mut(&id) else {
-                continue;
-            };
-            node.successors = successors;
-            node.predecessors = predecessors;
-            node.fingers = fingers;
-        }
-        report
-    }
-
-    /// Rescues keys stranded in replicas of dead owners, then purges
-    /// those entries (helper for [`Network::rewire_ground_truth`]).
-    fn reconcile_stale_replicas(&mut self) -> RewireReport {
-        let mut report = RewireReport::default();
-        if self.nodes.is_empty() {
-            return report;
-        }
-        let live_primaries: std::collections::BTreeSet<Id> = self
-            .nodes
-            .values()
-            .flat_map(|n| n.keys.iter().copied())
-            .collect();
-        let holders: Vec<Id> = self.nodes.keys().copied().collect();
-        let mut stranded: Vec<(Id, Option<bytes::Bytes>)> = Vec::new();
-        for h in holders {
-            let Some(holder) = self.nodes.get(&h) else {
-                continue;
-            };
-            let dead: Vec<Id> = holder
-                .replicas
-                .keys()
-                .copied()
-                .filter(|o| !self.nodes.contains_key(o))
-                .collect();
-            for owner in dead {
-                let Some(node) = self.nodes.get_mut(&h) else {
-                    continue;
-                };
-                let Replica { keys, values } = node.replicas.remove(&owner).unwrap_or_default();
-                let mut values = std::sync::Arc::unwrap_or_clone(values);
-                report.stale_replicas_purged += 1;
-                for &k in keys.iter() {
-                    if !live_primaries.contains(&k) {
-                        stranded.push((k, values.remove(&k)));
-                    }
-                }
-            }
-        }
-        stranded.sort_by_key(|(k, _)| *k);
-        stranded.dedup_by_key(|(k, _)| *k);
-        report.keys_rescued = stranded.len() as u64;
-        if !stranded.is_empty() {
-            self.stats
-                .record_n(MessageKind::KeyTransfer, report.keys_rescued);
-        }
-        for (k, v) in stranded {
-            let owner = self.insert_key(k);
-            if let Some(v) = v {
-                if let Some(n) = self.nodes.get_mut(&owner) {
-                    n.store.insert(k, v);
-                }
-            }
-        }
-        report
-    }
-
-    /// Owner lookup against a sorted id slice (helper for rewiring).
-    fn owner_of_in(&self, sorted: &[Id], key: Id) -> Option<Id> {
-        if sorted.is_empty() {
-            return None;
-        }
-        match sorted.binary_search(&key) {
-            Ok(i) => sorted.get(i).copied(),
-            Err(i) => sorted.get(i).copied().or_else(|| sorted.first().copied()),
-        }
+    /// Wires every node's successor list, predecessor list and finger
+    /// table from ground truth: the "perfectly stabilized" state a new
+    /// network starts in. Runs only while the network is being built,
+    /// before any node holds a replica.
+    fn rewire_ground_truth(&mut self) {
+        debug_assert!(
+            self.nodes.values().all(|n| n.replicas.is_empty()),
+            "ground-truth wiring runs before any replica exists"
+        );
+        let cfg = self.cfg;
+        let (slen, plen) = (cfg.successor_list_len, cfg.predecessor_list_len);
+        self.nodes.wire(slen, plen, |node, succ, pred, fingers| {
+            node.successors.clear();
+            node.successors.extend_from_slice(succ);
+            node.predecessors.clear();
+            node.predecessors.extend_from_slice(pred);
+            node.fingers.clear();
+            node.fingers.extend_from_slice(fingers);
+        });
     }
 
     /// Checks that every node's immediate successor and predecessor agree
@@ -1133,29 +1020,6 @@ mod fault_tests {
             net.maintenance_cycle();
         }
         assert_eq!(net.total_keys() as u64, 120 - held);
-    }
-
-    #[test]
-    fn rewire_rescues_keys_stranded_in_stale_replicas() {
-        let mut net = Network::bootstrap(NetConfig::default(), 12, &mut rng(54));
-        for k in 0..80u64 {
-            net.insert_key(sha1_id_of_u64(k));
-        }
-        net.maintenance_cycle(); // seed replicas
-        let victim = net.node_ids()[4];
-        let held = net.node(victim).unwrap().keys.len() as u64;
-        let rep = net.fail(victim).unwrap();
-        assert_eq!(rep.keys_recoverable, held);
-        // Ground-truth rewire instead of maintenance: the rescue must be
-        // explicit, not an accident of promotion ordering.
-        let rewire = net.rewire_ground_truth();
-        assert_eq!(rewire.keys_rescued, held);
-        assert!(rewire.stale_replicas_purged >= 1);
-        assert_eq!(net.total_keys(), 80);
-        assert!(net.is_consistent());
-        // A second rewire finds nothing left to do.
-        let again = net.rewire_ground_truth();
-        assert_eq!(again, RewireReport::default());
     }
 
     #[test]

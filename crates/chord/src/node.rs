@@ -95,17 +95,7 @@ impl Node {
     /// `key`: scans fingers (longest first) then the successor list.
     /// Returns `None` when no local entry improves on the successor.
     pub fn closest_preceding(&self, key: Id) -> Option<Id> {
-        for f in self.fingers.iter().rev().flatten() {
-            if ring::in_open_arc(self.id, key, *f) {
-                return Some(*f);
-            }
-        }
-        for s in self.successors.iter().rev() {
-            if ring::in_open_arc(self.id, key, *s) {
-                return Some(*s);
-            }
-        }
-        None
+        closest_preceding(self.id, &self.fingers, &self.successors, key)
     }
 
     /// Removes every reference to `dead` from routing state (lazy failure
@@ -153,6 +143,23 @@ impl Node {
         }
         best
     }
+}
+
+/// The best routing candidate strictly between `id` and `key` among a
+/// node's `fingers` (longest first), then its `successors`; `None` when
+/// no entry improves on the successor. Both Chord overlays route by it.
+pub(crate) fn closest_preceding(
+    id: Id,
+    fingers: &[Option<Id>],
+    successors: &[Id],
+    key: Id,
+) -> Option<Id> {
+    let entries = fingers
+        .iter()
+        .rev()
+        .flatten()
+        .chain(successors.iter().rev());
+    entries.copied().find(|&e| ring::in_open_arc(id, key, e))
 }
 
 #[cfg(test)]

@@ -1,5 +1,7 @@
 //! The node table both Chord substrates keep: every live node's state
-//! in ascending id order, found by id or by position.
+//! in ascending id order, found by id or by position. It is also their
+//! only source of ground truth: the wrapping owner, successor and
+//! predecessor reads, and the wiring of a fully stabilized ring.
 //!
 //! A maintenance cycle finds nodes by id about a hundred times per node,
 //! so the table is laid out for that probe. It holds three parallel
@@ -19,7 +21,7 @@
 //! the index is rebuilt only when `len` leaves that range, which takes
 //! a power-of-two crossing. Joins and leaves are rare next to probes.
 
-use autobal_id::Id;
+use autobal_id::{Id, ID_BITS};
 
 /// Ids in ascending order, each with a value; see the module docs.
 #[derive(Debug, Clone)]
@@ -238,22 +240,64 @@ impl<V> IdTable<V> {
         Some(value)
     }
 
-    /// The first id at or after `id`, without wrapping.
-    pub(crate) fn at_or_after(&self, id: &Id) -> Option<Id> {
-        self.ids.get(self.lower_bound(id)).copied()
+    /// The first id at or after `id`, wrapping past the top of the
+    /// ring: the ground-truth owner of key `id`.
+    pub(crate) fn owner(&self, id: &Id) -> Option<Id> {
+        self.ids
+            .get(self.lower_bound(id))
+            .or(self.ids.first())
+            .copied()
     }
 
-    /// The first id strictly after `id`, without wrapping.
-    pub(crate) fn after(&self, id: &Id) -> Option<Id> {
+    /// The first id strictly after `id`, wrapping: the ground-truth
+    /// successor of `id` (itself when it is the only id).
+    pub(crate) fn successor(&self, id: &Id) -> Option<Id> {
         let i = self.lower_bound(id);
         let i = i + usize::from(self.ids.get(i) == Some(id));
-        self.ids.get(i).copied()
+        self.ids.get(i).or(self.ids.first()).copied()
     }
 
-    /// The last id strictly before `id`, without wrapping.
-    pub(crate) fn before(&self, id: &Id) -> Option<Id> {
-        let i = self.lower_bound(id).checked_sub(1)?;
-        self.ids.get(i).copied()
+    /// The last id strictly before `id`, wrapping: the ground-truth
+    /// predecessor of `id` (itself when it is the only id).
+    pub(crate) fn predecessor(&self, id: &Id) -> Option<Id> {
+        let i = self.lower_bound(id).checked_sub(1);
+        i.and_then(|i| self.ids.get(i)).or(self.ids.last()).copied()
+    }
+
+    /// Rewires every entry from ground truth, the state a fully
+    /// stabilized ring converges to. For the id at each position, `set`
+    /// gets its value; its `succ_len` successors and `pred_len`
+    /// predecessors, nearest first and capped at the number of other
+    /// ids (a list that comes out empty holds the id itself); and its
+    /// finger table, whose entry `k` is the owner of `id + 2^k`.
+    pub(crate) fn wire(
+        &mut self,
+        succ_len: usize,
+        pred_len: usize,
+        mut set: impl FnMut(&mut V, &[Id], &[Id], &[Option<Id>]),
+    ) {
+        fn refill<'a>(list: &mut Vec<Id>, ring: impl Iterator<Item = &'a Id>, len: usize, id: Id) {
+            list.clear();
+            list.extend(ring.take(len));
+            if list.is_empty() {
+                list.push(id);
+            }
+        }
+        let others = self.len().saturating_sub(1).max(1);
+        let (mut succ, mut pred) = (Vec::new(), Vec::new());
+        let mut fingers = vec![None; ID_BITS as usize];
+        for i in 0..self.len() {
+            let id = self.ids[i];
+            let (before, after) = self.ids.split_at(i);
+            let clockwise = after[1..].iter().chain(&self.ids);
+            refill(&mut succ, clockwise, succ_len.min(others), id);
+            let counter = before.iter().rev().chain(self.ids.iter().rev());
+            refill(&mut pred, counter, pred_len.min(others), id);
+            for (k, f) in fingers.iter_mut().enumerate() {
+                *f = self.owner(&id.wrapping_add(Id::pow2(k as u32)));
+            }
+            set(&mut self.values[i], &succ, &pred, &fingers);
+        }
     }
 
     /// The ids in ascending order.
@@ -281,24 +325,8 @@ impl<'a, V> IntoIterator for &'a IdTable<V> {
     }
 }
 
-/// `n` distinct uniformly random ids, in ascending order. The draws are
-/// exactly those of a loop that draws until it holds `n` distinct ids:
-/// `n` draws, then one more per collision.
-pub(crate) fn distinct_random_ids<R: rand::Rng + ?Sized>(n: usize, rng: &mut R) -> Vec<Id> {
-    let mut ids: Vec<Id> = (0..n).map(|_| Id::random(rng)).collect();
-    ids.sort_unstable();
-    ids.dedup();
-    while ids.len() < n {
-        let id = Id::random(rng);
-        if let Err(i) = ids.binary_search(&id) {
-            ids.insert(i, id);
-        }
-    }
-    ids
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use proptest::prelude::*;
     use std::collections::BTreeMap;
@@ -318,7 +346,7 @@ mod tests {
     /// and `mid` or a small integer's zero prefix (the equal-key path),
     /// the two ends of the ring, and ids packed just below `Id::MAX` or
     /// just above `Id::ZERO` (a crowded first or last bucket).
-    fn pooled_id(pool: u8, x: u64) -> Id {
+    pub(crate) fn pooled_id(pool: u8, x: u64) -> Id {
         match pool % 6 {
             0 => {
                 let s = x % 24;
@@ -382,9 +410,10 @@ mod tests {
             t.position(probe).map(|i| (t.id_at(i), *t.at(i))),
             m.get_key_value(probe).map(|(i, v)| (*i, *v))
         );
+        let (first, last) = (m.keys().next().copied(), m.keys().next_back().copied());
         prop_assert_eq!(
-            t.at_or_after(probe),
-            m.range(*probe..).next().map(|(i, _)| *i)
+            t.owner(probe),
+            m.range(*probe..).next().map(|(i, _)| *i).or(first)
         );
         let after = m
             .range((
@@ -393,10 +422,10 @@ mod tests {
             ))
             .next()
             .map(|(i, _)| *i);
-        prop_assert_eq!(t.after(probe), after);
+        prop_assert_eq!(t.successor(probe), after.or(first));
         prop_assert_eq!(
-            t.before(probe),
-            m.range(..*probe).next_back().map(|(i, _)| *i)
+            t.predecessor(probe),
+            m.range(..*probe).next_back().map(|(i, _)| *i).or(last)
         );
         Ok(())
     }
@@ -490,26 +519,6 @@ mod tests {
                 reads_agree(&t, &m, &spread_id(order as u8, key_of(&id)))?;
             }
             prop_assert!(t.is_empty());
-        }
-    }
-
-    #[test]
-    fn distinct_random_ids_draws_like_an_insert_loop() {
-        use rand::SeedableRng;
-        for n in [0, 1, 7, 64] {
-            let mut a = rand_chacha::ChaCha8Rng::seed_from_u64(n as u64);
-            let mut b = a.clone();
-            let mut looped = BTreeMap::new();
-            while looped.len() < n {
-                looped.insert(Id::random(&mut b), ());
-            }
-            let drawn = distinct_random_ids(n, &mut a);
-            assert!(drawn.iter().eq(looped.keys()));
-            assert_eq!(
-                Id::random(&mut a),
-                Id::random(&mut b),
-                "same number of draws"
-            );
         }
     }
 }

@@ -78,7 +78,7 @@ impl Sim {
     pub fn new(cfg: SimConfig, seed: u64) -> Sim {
         let mut placement = substream(seed, 0, domains::PLACEMENT);
         let mut tasks_rng = substream(seed, 0, domains::TASKS);
-        let node_ids = unique_random_ids(cfg.nodes, &mut placement);
+        let node_ids = Id::distinct_random(cfg.nodes, &mut placement);
         let task_keys: Vec<Id> = (0..cfg.tasks).map(|_| Id::random(&mut tasks_rng)).collect();
         Sim::with_placement(cfg, seed, node_ids, task_keys)
     }
@@ -897,19 +897,6 @@ impl Actions for SimNodeCtx<'_> {
             }
         }
     }
-}
-
-/// Draws `n` distinct random ids.
-fn unique_random_ids(n: usize, rng: &mut DetRng) -> Vec<Id> {
-    let mut seen = std::collections::BTreeSet::new();
-    let mut out = Vec::with_capacity(n);
-    while out.len() < n {
-        let id = Id::random(rng);
-        if seen.insert(id) {
-            out.push(id);
-        }
-    }
-    out
 }
 
 #[cfg(test)]

@@ -691,20 +691,6 @@ const SCALING_REPS: usize = 2;
 /// `Sim::with_placement` construction (ring build + task assignment)
 /// also stays outside the clock.
 fn oracle_scaling(args: &Args) -> Vec<Measurement> {
-    // Distinct node ids (160-bit collisions are astronomically rare,
-    // but `Sim::with_placement` refuses duplicates, so dedup anyway).
-    fn unique_ids(n: usize, rng: &mut impl Rng) -> Vec<autobal_id::Id> {
-        let mut ids: Vec<autobal_id::Id> = (0..n).map(|_| autobal_id::Id::random(rng)).collect();
-        ids.sort_unstable();
-        ids.dedup();
-        while ids.len() < n {
-            ids.push(autobal_id::Id::random(rng));
-            ids.sort_unstable();
-            ids.dedup();
-        }
-        ids
-    }
-
     let mut out = Vec::new();
     for workers in scaling_grid(args.full) {
         let tasks = workers * SCALING_TASKS_PER_WORKER;
@@ -713,7 +699,9 @@ fn oracle_scaling(args: &Args) -> Vec<Measurement> {
         // `assign_tasks` sorts its input, and a sorted master vector
         // makes that re-sort a cheap linear pass in every repetition.
         let mut placement = substream(seed, 0, domains::PLACEMENT);
-        let node_ids = unique_ids(workers as usize, &mut placement);
+        // Distinct (`Sim::with_placement` refuses duplicates), sorted.
+        let mut node_ids = autobal_id::Id::distinct_random(workers as usize, &mut placement);
+        node_ids.sort_unstable();
         let mut task_keys: Vec<autobal_id::Id> = (0..tasks)
             .map(|_| autobal_id::Id::random(&mut placement))
             .collect();

@@ -223,6 +223,20 @@ impl Id {
             limbs: [rng.gen(), rng.gen(), rng.gen::<u64>() & TOP_MASK],
         }
     }
+
+    /// `n` distinct uniformly random identifiers in draw order: every
+    /// draw that repeats an earlier one is dropped and drawn again.
+    pub fn distinct_random<R: rand::Rng + ?Sized>(n: usize, rng: &mut R) -> Vec<Id> {
+        let mut seen = std::collections::BTreeSet::new();
+        let mut ids = Vec::with_capacity(n);
+        while ids.len() < n {
+            let id = Id::random(rng);
+            if seen.insert(id) {
+                ids.push(id);
+            }
+        }
+        ids
+    }
 }
 
 impl From<u64> for Id {
@@ -290,6 +304,71 @@ impl core::ops::Sub for Id {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A generator over a three-word alphabet, so an id (three words)
+    /// takes one of 27 values and draws collide often.
+    #[derive(Clone)]
+    struct TinyRng(u64);
+
+    impl rand::RngCore for TinyRng {
+        fn next_u32(&mut self) -> u32 {
+            self.next_u64() as u32
+        }
+        fn next_u64(&mut self) -> u64 {
+            self.0 = self
+                .0
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1);
+            (self.0 >> 33) % 3
+        }
+        fn fill_bytes(&mut self, dest: &mut [u8]) {
+            dest.iter_mut().for_each(|b| *b = self.next_u64() as u8);
+        }
+    }
+
+    /// `distinct_random` keeps the first `n` distinct ids of the raw
+    /// draw stream in draw order, consumes the stream exactly up to the
+    /// last of them (`n` draws plus one per collision), and is
+    /// reproducible: on a 160-bit stream, where draws never collide, and
+    /// on a 27-id alphabet, where they often do.
+    #[test]
+    fn distinct_random_draws_like_an_insert_loop() {
+        use rand::SeedableRng;
+        fn check<R: rand::Rng + Clone>(n: usize, rng: R) {
+            let mut b = rng.clone();
+            let raw: Vec<Id> = (0..400).map(|_| Id::random(&mut b)).collect();
+            let mut seen = Vec::new();
+            let mut used = 0;
+            for id in &raw {
+                if seen.len() == n {
+                    break;
+                }
+                used += 1;
+                if !seen.contains(id) {
+                    seen.push(*id);
+                }
+            }
+            let mut a = rng.clone();
+            let drawn = Id::distinct_random(n, &mut a);
+            assert_eq!(drawn, seen);
+            assert_eq!(
+                Id::random(&mut a),
+                raw[used],
+                "n draws plus one per collision"
+            );
+            assert_eq!(
+                Id::distinct_random(n, &mut rng.clone()),
+                drawn,
+                "reproducible"
+            );
+        }
+        for n in [0, 1, 7, 64, 100] {
+            check(n, rand_chacha::ChaCha8Rng::seed_from_u64(n as u64));
+        }
+        for (seed, n) in [(1, 5), (2, 12), (3, 20)] {
+            check(n, TinyRng(seed));
+        }
+    }
 
     #[test]
     fn zero_and_max_roundtrip_bytes() {

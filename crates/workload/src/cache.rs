@@ -17,7 +17,6 @@
 //! `autobal_core::Sim::new` (pinned by the equivalence tests below), so
 //! caching can never change a result — only how often it is computed.
 
-use crate::gen;
 use autobal_core::{Sim, SimConfig};
 use autobal_id::Id;
 use autobal_stats::rng::{domains, substream};
@@ -84,7 +83,7 @@ impl WorkloadCache {
     /// uniform ids from the `PLACEMENT` substream.
     pub fn random_node_ids(&self, seed: u64, trial: u64, n: usize) -> Arc<[Id]> {
         self.get_or_generate((seed, trial, Kind::RandomPlacement, n), || {
-            gen::random_ids(n, &mut substream(seed, trial, domains::PLACEMENT))
+            Id::distinct_random(n, &mut substream(seed, trial, domains::PLACEMENT))
         })
     }
 

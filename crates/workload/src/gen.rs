@@ -5,23 +5,8 @@ use autobal_stats::rng::DetRng;
 use rand::Rng;
 use std::collections::BTreeSet;
 
-/// `n` distinct node ids drawn uniformly at random (the fast generator
-/// the simulator uses by default — statistically identical to hashing
-/// random numbers with SHA-1).
-pub fn random_ids(n: usize, rng: &mut DetRng) -> Vec<Id> {
-    let mut seen = BTreeSet::new();
-    let mut out = Vec::with_capacity(n);
-    while out.len() < n {
-        let id = Id::random(rng);
-        if seen.insert(id) {
-            out.push(id);
-        }
-    }
-    out
-}
-
 /// `n` task keys produced the paper's way: "feeding random numbers into
-/// the SHA1 hash function". Slower than [`random_ids`] but bit-faithful
+/// the SHA1 hash function". Slower than [`Id::distinct_random`] but bit-faithful
 /// to the described methodology; the `table1` experiment uses it.
 pub fn sha1_keys(n: usize, rng: &mut DetRng) -> Vec<Id> {
     (0..n).map(|_| sha1_id_of_u64(rng.gen())).collect()
@@ -56,15 +41,6 @@ mod tests {
     use super::*;
     use autobal_stats::rng::seeded_rng;
     use std::collections::HashSet;
-
-    #[test]
-    fn random_ids_are_distinct_and_reproducible() {
-        let a = random_ids(100, &mut seeded_rng(1));
-        let b = random_ids(100, &mut seeded_rng(1));
-        assert_eq!(a, b);
-        let set: HashSet<_> = a.iter().collect();
-        assert_eq!(set.len(), 100);
-    }
 
     #[test]
     fn sha1_keys_reproducible_and_spread() {

@@ -15,7 +15,7 @@ pub mod tables;
 pub mod trials;
 
 pub use cache::WorkloadCache;
-pub use gen::{evenly_spaced_ids, random_ids, sha1_keys};
+pub use gen::{evenly_spaced_ids, sha1_keys};
 pub use placement::initial_load_summary;
 pub use spec::ExperimentSpec;
 pub use trials::{run_trials, summarize, TrialStats};
