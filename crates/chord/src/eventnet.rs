@@ -23,10 +23,10 @@
 //! [`EventNet::lookup`]) ride the queue.
 
 use crate::fault::{FaultPlan, FaultState};
+use crate::fingers::Fingers;
 use crate::messages::MessageStats;
-use crate::node::closest_preceding;
 use crate::table::IdTable;
-use autobal_id::{ring, Id, ID_BITS};
+use autobal_id::{ring, Id};
 use autobal_telemetry::{MessageStatus, Trace};
 use rand::Rng;
 use std::cmp::Ordering;
@@ -152,7 +152,7 @@ struct ENode {
     predecessor: Option<Id>,
     /// Set only by [`EventNet::rewire_ground_truth`]; an entry clears
     /// when its node is found dead as this node's successor.
-    fingers: Vec<Option<Id>>,
+    fingers: Fingers,
 }
 
 impl ENode {
@@ -161,7 +161,7 @@ impl ENode {
             id,
             successors: vec![id],
             predecessor: None,
-            fingers: vec![None; ID_BITS as usize],
+            fingers: Fingers::new(),
         }
     }
 
@@ -351,8 +351,7 @@ impl EventNet {
             node.successors.clear();
             node.successors.extend_from_slice(succ);
             node.predecessor = pred.first().copied();
-            node.fingers.clear();
-            node.fingers.extend_from_slice(fingers);
+            node.fingers.clone_from(fingers);
         });
     }
 
@@ -754,7 +753,7 @@ impl EventNet {
                     let next = self
                         .nodes
                         .get(&dst)
-                        .and_then(|n| closest_preceding(n.id, &n.fingers, &n.successors, key))
+                        .and_then(|n| n.fingers.closest_preceding(n.id, &n.successors, key))
                         .filter(|n| self.nodes.contains_key(n))
                         .unwrap_or(succ);
                     if next == dst {
@@ -890,11 +889,7 @@ impl EventNet {
                     // Successor dead: fall to the next list entry.
                     if let Some(node) = self.nodes.get_mut(&dst) {
                         node.successors.retain(|&s| s != succ);
-                        for f in node.fingers.iter_mut() {
-                            if *f == Some(succ) {
-                                *f = None;
-                            }
-                        }
+                        node.fingers.forget(succ);
                         if node.successors.is_empty() {
                             node.successors.push(dst);
                         }
@@ -1364,7 +1359,7 @@ mod tests {
                     sorted.sort_unstable();
                     prop_assert_eq!(sorted.len(), n);
                     let fingers = |i: usize| -> Vec<Option<Id>> {
-                        (0..ID_BITS)
+                        (0..autobal_id::ID_BITS)
                             .map(|k| brute_owner(&sorted, sorted[i].wrapping_add(Id::pow2(k))))
                             .collect()
                     };
@@ -1383,11 +1378,11 @@ mod tests {
                             &node.predecessors,
                             &brute_list(&sorted, i, lens.1, n - 1)
                         );
-                        prop_assert_eq!(&node.fingers, &fingers(i));
+                        prop_assert_eq!(node.fingers.iter().collect::<Vec<_>>(), fingers(i));
                         let enode = wire.nodes.get(id).unwrap();
                         prop_assert_eq!(&enode.successors, &brute_list(&sorted, i, lens.0, 1));
                         prop_assert_eq!(enode.predecessor, Some(sorted[(i + n - 1) % n]));
-                        prop_assert_eq!(&enode.fingers, &fingers(i));
+                        prop_assert_eq!(enode.fingers.iter().collect::<Vec<_>>(), fingers(i));
                     }
                     let probes = sorted.iter().flat_map(|&id| {
                         [id, id.wrapping_sub(Id::ONE), id.wrapping_add(Id::ONE)]

@@ -45,6 +45,7 @@
 pub mod adversary;
 pub mod eventnet;
 pub mod fault;
+pub mod fingers;
 pub mod keyset;
 pub mod kv;
 pub mod maintenance;
@@ -57,6 +58,7 @@ mod table;
 pub use adversary::{AdversaryPlan, AdversaryState, LiePolicy};
 pub use eventnet::{AppEvent, AppMsg, AsyncLookup, EventConfig, EventNet};
 pub use fault::{CrashEvent, FaultPlan, FaultState, Partition};
+pub use fingers::Fingers;
 pub use keyset::KeySet;
 pub use messages::{MessageKind, MessageStats};
 pub use network::{FailReport, LookupResult, NetConfig, Network, NetworkError};

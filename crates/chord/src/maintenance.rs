@@ -7,7 +7,10 @@
 //! fix-fingers trio, extended with the ChordReduce *active backup*
 //! behavior (each node aggressively re-pushes its keys to its successor
 //! list every cycle, and replica holders promote a dead owner's keys the
-//! moment they become responsible for them).
+//! moment they become responsible for them). Promotion is driven by
+//! departures: [`Network::leave`] and [`Network::fail`] record the ids
+//! they remove, and only a cycle that follows one looks at the
+//! holders' replicas.
 //!
 //! A cycle never changes membership: every sub-step rewrites neighbor
 //! state, fingers, keys or replicas, and promotion's forwarded keys go
@@ -16,6 +19,7 @@
 //! node by that position; only the other nodes it talks to are found by
 //! id.
 
+use crate::fingers;
 use crate::messages::MessageKind;
 use crate::network::Network;
 use crate::node::Replica;
@@ -28,8 +32,9 @@ impl Network {
     /// Runs one full maintenance cycle on every live node (in ring
     /// order): prune dead neighbors, stabilize successor/predecessor
     /// pointers, refresh the successor and predecessor lists, and fix a
-    /// batch of fingers; then promote replicas of dead owners; then push
-    /// replicas (promotion goes first, for the reason given below).
+    /// batch of fingers; then promote replicas of owners that departed
+    /// since the last cycle; then push replicas (promotion goes first,
+    /// for the reason given below).
     pub fn maintenance_cycle(&mut self) {
         let n = self.nodes.len();
         // The per-node sub-steps open their own profile spans; promotion
@@ -46,12 +51,7 @@ impl Network {
         // would lose them (their original replicas are consumed by the
         // promotion). Pushing afterwards also guarantees pushes land on
         // current successors.
-        {
-            let _p = profile::span("promote");
-            for i in 0..n {
-                self.promote_replicas(i);
-            }
-        }
+        self.promote_departed();
         let _p = profile::span("push");
         for i in 0..n {
             self.push_replicas(i);
@@ -68,38 +68,52 @@ impl Network {
         self.nodes.contains_key(&id)
     }
 
-    /// Drops dead entries from the neighbor lists of the node at
-    /// position `i` (each stale entry costs a ping, duplicates
-    /// included). A run of equal ids, such as the fingers that all point
-    /// at the successor, is probed once. Falls back to the ground-truth
-    /// successor when the entire successor list has died — standing in
-    /// for the out-of-band re-bootstrap a real deployment would perform.
+    /// Drops dead entries from the neighbor lists and fingers of the
+    /// node at position `i` (each stale entry costs a ping, duplicates
+    /// included). Equal neighbouring ids are probed once, and so is each
+    /// run of the finger table, which is billed one ping per entry it
+    /// covers. Falls back to the ground-truth successor when the entire
+    /// successor list has died — standing in for the out-of-band
+    /// re-bootstrap a real deployment would perform.
     fn prune_dead_neighbors(&mut self, i: usize) {
         let _p = profile::span("prune");
+        let mut stale = std::mem::take(&mut self.scratch);
         let node = self.nodes.at(i);
         let nodes = &self.nodes;
         let mut last: Option<(Id, bool)> = None;
-        let mut stale = Vec::new();
-        let mut probe = |n: Id| {
+        let mut pings = 0;
+        let mut probe = |n: Id, entries: usize| {
             let dead = match last {
                 Some((prev, dead)) if prev == n => dead,
-                _ => !nodes.contains_key(&n),
+                _ => {
+                    let dead = !nodes.contains_key(&n);
+                    if dead {
+                        stale.push(n);
+                    }
+                    dead
+                }
             };
             last = Some((n, dead));
             if dead {
-                stale.push(n);
+                pings += entries as u64;
             }
         };
-        node.successors.iter().for_each(|&n| probe(n));
-        node.predecessors.iter().for_each(|&n| probe(n));
-        node.fingers.iter().flatten().for_each(|&n| probe(n));
-        if !stale.is_empty() {
-            self.stats.record_n(MessageKind::Ping, stale.len() as u64);
+        node.successors.iter().for_each(|&n| probe(n, 1));
+        node.predecessors.iter().for_each(|&n| probe(n, 1));
+        for (entries, finger) in node.fingers.runs() {
+            if let Some(n) = finger {
+                probe(n, entries);
+            }
+        }
+        if pings > 0 {
+            self.stats.record_n(MessageKind::Ping, pings);
             let node = self.nodes.at_mut(i);
-            for d in stale {
+            for &d in &stale {
                 node.forget(d);
             }
         }
+        stale.clear();
+        self.scratch = stale;
         let id = self.nodes.id_at(i);
         let node = self.nodes.at(i);
         let (no_successor, no_predecessor) =
@@ -227,7 +241,7 @@ impl Network {
         for _ in 0..self.cfg.fingers_per_cycle {
             let (k, target) = {
                 let node = self.nodes.at(i);
-                let k = node.next_finger % node.fingers.len();
+                let k = node.next_finger % fingers::LEN;
                 (k, node.finger_target(k))
             };
             self.stats.record(MessageKind::FixFinger);
@@ -235,12 +249,14 @@ impl Network {
                 Ok(owner) => Some(owner),
                 // A fault-plane timeout says nothing about the old
                 // entry; keep it rather than tearing a working finger.
-                Err(crate::network::NetworkError::TimedOut { .. }) => self.nodes.at(i).fingers[k],
+                Err(crate::network::NetworkError::TimedOut { .. }) => {
+                    self.nodes.at(i).fingers.get(k)
+                }
                 Err(_) => None,
             };
             let node = self.nodes.at_mut(i);
-            node.fingers[k] = resolved;
-            node.next_finger = (k + 1) % node.fingers.len();
+            node.fingers.set(k, resolved);
+            node.next_finger = (k + 1) % fingers::LEN;
         }
     }
 
@@ -310,49 +326,66 @@ impl Network {
         self.nodes.at_mut(i).successors = targets;
     }
 
-    /// Promotes keys from replicas held by the node at position `i`
-    /// whose owner has died and whose keys now fall into this node's
-    /// responsibility; drops replica entries that can never be promoted
-    /// here.
-    fn promote_replicas(&mut self, i: usize) {
-        let dead_owners: Vec<Id> = self
-            .nodes
-            .at(i)
-            .replicas
-            .keys()
-            .copied()
-            .filter(|o| !self.nodes.contains_key(o))
-            .collect();
-        if dead_owners.is_empty() {
-            return;
+    /// Promotes the replicas of the owners that departed since the last
+    /// cycle and are still gone (a departed id may have rejoined), on
+    /// every node in ring order. A cycle with no such owner skips the
+    /// pass. Every other owner is alive: the last cycle's pass removed
+    /// each entry of a dead owner, and only live owners push.
+    fn promote_departed(&mut self) {
+        let _p = profile::span("promote");
+        let mut dead = std::mem::take(&mut self.scratch);
+        dead.append(&mut self.departed);
+        dead.retain(|id| !self.nodes.contains_key(id));
+        dead.sort_unstable();
+        dead.dedup();
+        if !dead.is_empty() {
+            for i in 0..self.nodes.len() {
+                self.promote_replicas(i, &dead);
+            }
         }
+        dead.clear();
+        self.scratch = dead;
+        debug_assert!(
+            self.nodes
+                .values()
+                .all(|n| n.replicas.keys().all(|o| self.nodes.contains_key(o))),
+            "a live node holds a replica of a dead owner"
+        );
+    }
+
+    /// Promotes keys from the replicas held by the node at position `i`
+    /// of the `dead` owners (ascending, as the holder's replica map
+    /// orders them) that now fall into this node's responsibility, and
+    /// forwards the rest to their owners; drops those replica entries.
+    fn promote_replicas(&mut self, i: usize, dead: &[Id]) {
         let id = self.nodes.id_at(i);
         let pred = self.nodes.at(i).predecessor();
-        for owner in dead_owners {
+        for owner in dead {
             let node = self.nodes.at_mut(i);
-            let Replica { keys, values } = node.replicas.remove(&owner).unwrap_or_default();
+            let Some(Replica { keys, values }) = node.replicas.remove(owner) else {
+                continue;
+            };
             let mut values = Arc::unwrap_or_clone(values);
-            let (promoted, forwarded): (Vec<Id>, Vec<Id>) =
-                keys.iter().partition(|&&k| ring::in_arc(pred, id, k));
-            for k in &promoted {
+            let mine = |k: &Id| ring::in_arc(pred, id, *k);
+            for k in keys.iter().filter(|k| mine(k)) {
                 if let Some(v) = values.remove(k) {
                     node.store.insert(*k, v);
                 }
             }
-            node.keys.extend(promoted.iter().copied());
+            node.keys.extend(keys.iter().copied().filter(mine));
             // A node joined inside the dead owner's old arc and now owns
             // the forwarded keys; each goes there as an ordinary routed
             // store (duplicates are idempotent since other replica
             // holders may forward the same key).
-            for &k in &forwarded {
+            for &k in keys.iter().filter(|k| !mine(k)) {
                 let target = self.insert_key(k);
                 if let Some(v) = values.remove(&k) {
                     self.nodes.get_mut(&target).unwrap().store.insert(k, v);
                 }
             }
-            let moved = (promoted.len() + forwarded.len()) as u64;
-            if moved > 0 {
-                self.stats.record_n(MessageKind::KeyTransfer, moved);
+            if !keys.is_empty() {
+                self.stats
+                    .record_n(MessageKind::KeyTransfer, keys.len() as u64);
             }
         }
     }
@@ -399,12 +432,13 @@ mod tests {
             n.successors
                 .iter()
                 .chain(&n.predecessors)
+                .copied()
                 .chain(n.fingers.iter().flatten())
                 .filter(|x| dead.contains(x))
                 .count() as u64
         };
         let stale = refs(&net);
-        let run = node.fingers.iter().filter(|f| **f == Some(dead[0])).count();
+        let run = node.fingers.iter().filter(|&f| f == Some(dead[0])).count();
         assert!(run > 1, "the successor fills a run of fingers");
         for d in dead {
             net.fail(d).unwrap();
@@ -476,6 +510,79 @@ mod tests {
         assert!(net.is_consistent());
     }
 
+    /// Ids of the owners whose replicas some live node holds.
+    fn replica_owners(net: &Network) -> std::collections::BTreeSet<autobal_id::Id> {
+        net.nodes
+            .values()
+            .flat_map(|n| n.replicas.keys().copied())
+            .collect()
+    }
+
+    /// A node that leaves and a node that crashes between two cycles
+    /// both have their replicas promoted by the next one: no holder
+    /// keeps an entry of either, and every key is on its owner.
+    #[test]
+    fn departures_between_cycles_are_promoted_next_cycle() {
+        let mut net = Network::bootstrap(NetConfig::default(), 24, &mut rng(10));
+        for k in 0..240u64 {
+            net.insert_key(sha1_id_of_u64(k));
+        }
+        net.maintenance_cycle();
+        let ids = net.node_ids();
+        let (gone, crashed) = (ids[3], ids[12]);
+        assert!(
+            !net.node(crashed).unwrap().keys.is_empty(),
+            "the victim holds keys"
+        );
+        let owners = replica_owners(&net);
+        assert!(owners.contains(&gone) && owners.contains(&crashed));
+        net.leave(gone).unwrap();
+        net.fail(crashed).unwrap();
+        assert!(
+            net.total_keys() < 240,
+            "the crashed node's keys are only replicas now"
+        );
+        let moved = net.stats.key_transfer;
+        net.maintenance_cycle();
+        assert!(net.stats.key_transfer > moved, "promotion moved keys");
+        let owners = replica_owners(&net);
+        assert!(!owners.contains(&gone) && !owners.contains(&crashed));
+        assert!(net.departed.is_empty() && net.scratch.is_empty());
+        assert_eq!(net.total_keys(), 240, "every key is back on an owner");
+        assert!(net.is_consistent());
+    }
+
+    /// A node that crashes and rejoins with its old id before the next
+    /// cycle is alive at that cycle: its holders keep their entries and
+    /// nothing is promoted, exactly as when no departure is recorded.
+    #[test]
+    fn an_owner_that_rejoins_before_the_cycle_keeps_its_holders_entries() {
+        let mut net = Network::bootstrap(NetConfig::default(), 24, &mut rng(11));
+        for k in 0..240u64 {
+            net.insert_key(sha1_id_of_u64(k));
+        }
+        net.maintenance_cycle();
+        let ids = net.node_ids();
+        let x = ids[7];
+        let held = |net: &Network| -> Vec<autobal_id::Id> {
+            let holders = net
+                .nodes
+                .iter()
+                .filter(|(_, n)| n.replicas.contains_key(&x));
+            holders.map(|(&h, _)| h).collect()
+        };
+        let holders = held(&net);
+        assert_eq!(holders.len(), NetConfig::default().replication_factor);
+        net.fail(x).unwrap();
+        net.join(x, ids[0]).unwrap();
+        assert_eq!(net.departed, vec![x]);
+        let moved = net.stats.key_transfer;
+        net.maintenance_cycle();
+        assert_eq!(net.stats.key_transfer, moved, "nothing was promoted");
+        assert_eq!(held(&net), holders, "the holders kept their entries of {x}");
+        assert!(net.departed.is_empty());
+    }
+
     #[test]
     fn join_then_cycles_rebuild_fingers() {
         let mut net = Network::bootstrap(NetConfig::default(), 16, &mut rng(5));
@@ -493,7 +600,7 @@ mod tests {
         for id in net.node_ids() {
             let node = net.node(id).unwrap();
             for f in node.fingers.iter().flatten() {
-                assert!(net.contains(*f));
+                assert!(net.contains(f));
             }
         }
     }

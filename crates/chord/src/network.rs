@@ -109,6 +109,13 @@ pub struct Network {
     /// Harness-driven clock used only to evaluate partition windows;
     /// the synchronous substrate otherwise has no notion of time.
     pub(crate) clock: u64,
+    /// Ids removed by [`Network::leave`] and [`Network::fail`] since the
+    /// last maintenance cycle, whose replicas that cycle promotes.
+    pub(crate) departed: Vec<Id>,
+    /// A buffer the maintenance sub-steps reuse: a node's stale
+    /// neighbours while it prunes, the dead owners while replicas are
+    /// promoted. Empty between uses.
+    pub(crate) scratch: Vec<Id>,
 }
 
 impl Network {
@@ -120,6 +127,8 @@ impl Network {
             stats: MessageStats::new(),
             faults: FaultState::inert(),
             clock: 0,
+            departed: Vec::new(),
+            scratch: Vec::new(),
         }
     }
 
@@ -525,6 +534,7 @@ impl Network {
         }
         if self.nodes.len() == 1 {
             self.nodes.remove(&id);
+            self.departed.push(id);
             return Ok(());
         }
         let (Some(succ_id), Some(pred_id)) = (self.truth_successor(id), self.truth_predecessor(id))
@@ -535,6 +545,7 @@ impl Network {
         let Some(node) = self.nodes.remove(&id) else {
             return Err(NetworkError::UnknownNode(id));
         };
+        self.departed.push(id);
         let keys = node.keys;
         let store = node.store;
         self.stats
@@ -571,6 +582,7 @@ impl Network {
             .nodes
             .remove(&id)
             .ok_or(NetworkError::UnknownNode(id))?;
+        self.departed.push(id);
         let held: Vec<&KeySet> = self
             .nodes
             .values()
@@ -604,8 +616,7 @@ impl Network {
             node.successors.extend_from_slice(succ);
             node.predecessors.clear();
             node.predecessors.extend_from_slice(pred);
-            node.fingers.clear();
-            node.fingers.extend_from_slice(fingers);
+            node.fingers.clone_from(fingers);
         });
     }
 
@@ -1092,7 +1103,7 @@ mod route_tests {
                     n.id,
                     n.successors.clone(),
                     n.predecessors.clone(),
-                    n.fingers.clone(),
+                    n.fingers.iter().collect(),
                 )
             })
             .collect()

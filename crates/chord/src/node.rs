@@ -1,7 +1,8 @@
 //! Per-node Chord state.
 
+use crate::fingers::Fingers;
 use crate::keyset::KeySet;
-use autobal_id::{ring, Id, ID_BITS};
+use autobal_id::{ring, Id};
 use bytes::Bytes;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -20,9 +21,9 @@ pub struct Node {
     pub successors: Vec<Id>,
     /// Predecessor list, nearest (counter-clockwise) first.
     pub predecessors: Vec<Id>,
-    /// Finger table: `fingers[k]` routes toward `id + 2^k`. Entries are
-    /// `None` until `fix_fingers` resolves them.
-    pub fingers: Vec<Option<Id>>,
+    /// Finger table: entry `k` routes toward `id + 2^k`. Entries are
+    /// `None` until wiring or `fix_fingers` resolves them.
+    pub fingers: Fingers,
     /// Keys this node is primary owner of, as one sorted run that its
     /// replica targets share ([`KeySet::share`]): a push copies no key,
     /// and consuming the smallest key ([`KeySet::pop_first`]) leaves
@@ -57,7 +58,7 @@ impl Node {
             id,
             successors: vec![id],
             predecessors: vec![id],
-            fingers: vec![None; ID_BITS as usize],
+            fingers: Fingers::new(),
             keys: KeySet::new(),
             store: BTreeMap::new(),
             replicas: BTreeMap::new(),
@@ -95,7 +96,8 @@ impl Node {
     /// `key`: scans fingers (longest first) then the successor list.
     /// Returns `None` when no local entry improves on the successor.
     pub fn closest_preceding(&self, key: Id) -> Option<Id> {
-        closest_preceding(self.id, &self.fingers, &self.successors, key)
+        self.fingers
+            .closest_preceding(self.id, &self.successors, key)
     }
 
     /// Removes every reference to `dead` from routing state (lazy failure
@@ -108,12 +110,7 @@ impl Node {
         let before = self.predecessors.len();
         self.predecessors.retain(|&p| p != dead);
         changed |= self.predecessors.len() != before;
-        for f in self.fingers.iter_mut() {
-            if *f == Some(dead) {
-                *f = None;
-                changed = true;
-            }
-        }
+        changed |= self.fingers.forget(dead) > 0;
         changed
     }
 
@@ -143,23 +140,6 @@ impl Node {
         }
         best
     }
-}
-
-/// The best routing candidate strictly between `id` and `key` among a
-/// node's `fingers` (longest first), then its `successors`; `None` when
-/// no entry improves on the successor. Both Chord overlays route by it.
-pub(crate) fn closest_preceding(
-    id: Id,
-    fingers: &[Option<Id>],
-    successors: &[Id],
-    key: Id,
-) -> Option<Id> {
-    let entries = fingers
-        .iter()
-        .rev()
-        .flatten()
-        .chain(successors.iter().rev());
-    entries.copied().find(|&e| ring::in_open_arc(id, key, e))
 }
 
 #[cfg(test)]
@@ -201,9 +181,9 @@ mod tests {
     fn closest_preceding_prefers_far_fingers() {
         let mut n = Node::solo(id(0));
         n.successors = vec![id(10)];
-        n.fingers[3] = Some(id(8)); // id+8
-        n.fingers[6] = Some(id(64)); // id+64
-                                     // Routing toward 100: the 64-finger precedes it and beats 8.
+        n.fingers.set(3, Some(id(8))); // id+8
+        n.fingers.set(6, Some(id(64))); // id+64
+                                        // Routing toward 100: the 64-finger precedes it and beats 8.
         assert_eq!(n.closest_preceding(id(100)), Some(id(64)));
         // Routing toward 50: 64 is past it, so the 8-finger wins.
         assert_eq!(n.closest_preceding(id(50)), Some(id(8)));
@@ -224,10 +204,10 @@ mod tests {
         let mut n = Node::solo(id(0));
         n.successors = vec![id(5), id(9)];
         n.predecessors = vec![id(200), id(150)];
-        n.fingers[2] = Some(id(5));
+        n.fingers.set(2, Some(id(5)));
         assert!(n.forget(id(5)));
         assert_eq!(n.successors, vec![id(9)]);
-        assert_eq!(n.fingers[2], None);
+        assert_eq!(n.fingers.get(2), None);
         assert!(n.forget(id(200)));
         assert_eq!(n.predecessors, vec![id(150)]);
         assert!(!n.forget(id(5)));

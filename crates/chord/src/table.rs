@@ -21,7 +21,8 @@
 //! the index is rebuilt only when `len` leaves that range, which takes
 //! a power-of-two crossing. Joins and leaves are rare next to probes.
 
-use autobal_id::{Id, ID_BITS};
+use crate::fingers::Fingers;
+use autobal_id::Id;
 
 /// Ids in ascending order, each with a value; see the module docs.
 #[derive(Debug, Clone)]
@@ -274,7 +275,7 @@ impl<V> IdTable<V> {
         &mut self,
         succ_len: usize,
         pred_len: usize,
-        mut set: impl FnMut(&mut V, &[Id], &[Id], &[Option<Id>]),
+        mut set: impl FnMut(&mut V, &[Id], &[Id], &Fingers),
     ) {
         fn refill<'a>(list: &mut Vec<Id>, ring: impl Iterator<Item = &'a Id>, len: usize, id: Id) {
             list.clear();
@@ -285,7 +286,7 @@ impl<V> IdTable<V> {
         }
         let others = self.len().saturating_sub(1).max(1);
         let (mut succ, mut pred) = (Vec::new(), Vec::new());
-        let mut fingers = vec![None; ID_BITS as usize];
+        let mut fingers = Fingers::new();
         for i in 0..self.len() {
             let id = self.ids[i];
             let (before, after) = self.ids.split_at(i);
@@ -293,9 +294,7 @@ impl<V> IdTable<V> {
             refill(&mut succ, clockwise, succ_len.min(others), id);
             let counter = before.iter().rev().chain(self.ids.iter().rev());
             refill(&mut pred, counter, pred_len.min(others), id);
-            for (k, f) in fingers.iter_mut().enumerate() {
-                *f = self.owner(&id.wrapping_add(Id::pow2(k as u32)));
-            }
+            fingers.wire(id, |target| self.owner(&target));
             set(&mut self.values[i], &succ, &pred, &fingers);
         }
     }

@@ -6,7 +6,9 @@
 //! and `store`: the keys as the owner's own snapshot (its run, read from
 //! its cursor), the values as one snapshot allocation shared by all
 //! targets. A crash followed by a cycle promotes the victim's keys back
-//! without losing any of them.
+//! without losing any of them. A node that crashes and rejoins with its
+//! old id before the next cycle is alive at that cycle, so nothing of
+//! its is promoted: the keys it held are gone.
 
 use autobal_chord::{NetConfig, Network, NetworkError};
 use autobal_id::sha1::sha1_id_of_u64;
@@ -25,16 +27,20 @@ enum Op {
     Put(u16),
     /// The node consumes its smallest key, as the work phase does.
     Pop(u8),
+    /// The node leaves (even pick) or crashes (odd pick) and rejoins
+    /// with its old id before the next cycle.
+    Rejoin(u8),
 }
 
 fn arb_op() -> impl Strategy<Value = Op> {
-    (0u8..12, any::<u16>()).prop_map(|(tag, v)| match tag {
+    (0u8..14, any::<u16>()).prop_map(|(tag, v)| match tag {
         0 | 1 => Op::Join(v),
         2 => Op::Leave(v as u8),
         3 | 4 => Op::Fail(v as u8),
         5..=7 => Op::Insert(v),
         8 | 9 => Op::Put(v),
-        _ => Op::Pop(v as u8),
+        10 | 11 => Op::Pop(v as u8),
+        _ => Op::Rejoin(v as u8),
     })
 }
 
@@ -109,7 +115,8 @@ proptest! {
         let ids: Vec<Id> = ids.into_iter().collect();
         let mut net = Network::from_ids(NetConfig::default(), &ids).expect("nonempty");
         let mut expected: BTreeSet<Id> = BTreeSet::new();
-        // Consumed keys: a stale replica on a node that is no longer
+        // Consumed keys, and keys lost with a crashed node that rejoined
+        // before a cycle: a stale replica on a node that is no longer
         // among the owner's targets may still hold one, and promote it
         // when the owner crashes (a redone task).
         let mut popped: BTreeSet<Id> = BTreeSet::new();
@@ -132,7 +139,22 @@ proptest! {
                     let report = net.fail(pick(i)).expect("live node fails");
                     prop_assert_eq!(report.keys_lost, 0);
                 }
-                Op::Leave(_) | Op::Fail(_) => {}
+                Op::Rejoin(i) if live.len() > 1 => {
+                    let id = pick(i);
+                    if i % 2 == 0 {
+                        net.leave(id).expect("live node leaves");
+                    } else {
+                        let held: Vec<Id> = net.node(id).expect("live").keys.iter().copied().collect();
+                        net.fail(id).expect("live node fails");
+                        for key in held {
+                            expected.remove(&key);
+                            popped.insert(key);
+                        }
+                    }
+                    let contact = net.node_ids()[0];
+                    net.join(id, contact).expect("the old id is free again");
+                }
+                Op::Leave(_) | Op::Fail(_) | Op::Rejoin(_) => {}
                 Op::Insert(v) => {
                     expected.insert(key_id(v));
                     net.insert_key(key_id(v));

@@ -6,7 +6,7 @@
 //! which also record the Sybils created and retired, and plain churn at
 //! Table II's 1000n/1e6t cell in the `oracle_churn` row, which records
 //! the leaves and joins), the synchronous
-//! protocol loop, its maintenance cycle, lookups
+//! protocol loop, its maintenance cycle (busy, and under churn), lookups
 //! and joins, the event-time strategy loop, and the raw eventnet lookup
 //! plane — and
 //! emits `BENCH_10.json`
@@ -43,7 +43,7 @@ use autobal::protocol_sim::{run_protocol_sim, ProtocolSimConfig};
 use autobal::reference::{NaiveSample, NaiveSim};
 use autobal_chord::{EventConfig, EventNet, NetConfig, Network};
 use autobal_core::{RunResult, Sim, SimConfig, StrategyKind};
-use autobal_stats::rng::{domains, substream};
+use autobal_stats::rng::{domains, substream, DetRng};
 use rand::Rng;
 use std::fs;
 
@@ -397,8 +397,8 @@ fn chord_protocol(args: &Args) -> Measurement {
     }
 }
 
-/// Cycles per timed batch of `chord_maintenance`; the fastest of
-/// `MAINTENANCE_BATCHES` batches is kept.
+/// Cycles per timed batch of the `chord_maintenance` rows; the fastest
+/// of `MAINTENANCE_BATCHES` batches is kept.
 const MAINTENANCE_CYCLES: u64 = 100;
 const MAINTENANCE_BATCHES: usize = 3;
 
@@ -410,6 +410,39 @@ const MAINTENANCE_BATCHES: usize = 3;
 /// batch starts from the same warm network. `work` counts cycles, and
 /// `allocations` is the count of one such cycle, not of the whole batch.
 fn chord_maintenance(args: &Args) -> Measurement {
+    maintenance_row(args, "chord_maintenance", |net, _| {
+        for id in net.node_ids() {
+            if let Some(node) = net.node_mut(id) {
+                node.keys.pop_first();
+            }
+        }
+    })
+}
+
+/// The `chord_maintenance` ring under churn: between two cycles one
+/// random node crashes and a node with a fresh random id joins
+/// (untimed), so every timed cycle prunes the references to the dead
+/// node and promotes its replicas, the path the quiet and busy cycles
+/// never take.
+fn chord_maintenance_churn(args: &Args) -> Measurement {
+    maintenance_row(args, "chord_maintenance_churn", |net, rng| {
+        let ids = net.node_ids();
+        let victim = ids[rng.gen_range(0..ids.len())];
+        let contact = *ids.iter().find(|&&id| id != victim).expect("two nodes");
+        net.fail(victim).expect("a listed node fails");
+        net.join(autobal_id::Id::random(rng), contact)
+            .expect("a fresh random id joins through a live contact");
+    })
+}
+
+/// Times `MAINTENANCE_CYCLES` cycles of a warm 128-node ring, running
+/// `between` untimed before each; keeps the fastest batch, and counts
+/// the allocations of one cycle after one `between`.
+fn maintenance_row(
+    args: &Args,
+    name: &str,
+    mut between: impl FnMut(&mut Network, &mut DetRng),
+) -> Measurement {
     let warm = || {
         let mut rng = substream(args.seed ^ 0x63, 0, domains::PLACEMENT);
         let mut net = Network::bootstrap(NetConfig::default(), 128, &mut rng);
@@ -423,34 +456,28 @@ fn chord_maintenance(args: &Args) -> Measurement {
         }
         net
     };
-    let consume = |net: &mut Network| {
-        for id in net.node_ids() {
-            if let Some(node) = net.node_mut(id) {
-                node.keys.pop_first();
-            }
-        }
-    };
+    let mut rng = substream(args.seed ^ 0x63, 0, domains::CHURN);
     let mut net = warm();
-    consume(&mut net);
+    between(&mut net, &mut rng);
     let (allocs, ()) = alloc_count(|| net.maintenance_cycle());
     let mut ms = f64::INFINITY;
     for _ in 0..MAINTENANCE_BATCHES {
         let mut net = warm();
         let mut batch_ms = 0.0;
         for _ in 0..MAINTENANCE_CYCLES {
-            consume(&mut net);
+            between(&mut net, &mut rng);
             batch_ms += wall_ms(|| net.maintenance_cycle()).0;
         }
         ms = ms.min(batch_ms);
     }
     let per_s = MAINTENANCE_CYCLES as f64 / (ms / 1e3);
     println!(
-        "  chord_maintenance: {:.3} ms/cycle ({per_s:.0} cycles/s) | {} allocations/cycle",
+        "  {name}: {:.3} ms/cycle ({per_s:.0} cycles/s) | {} allocations/cycle",
         ms / MAINTENANCE_CYCLES as f64,
         opt_u64(allocs)
     );
     Measurement {
-        name: "chord_maintenance".to_string(),
+        name: name.to_string(),
         group: None,
         workers: None,
         substrate: "protocol",
@@ -812,7 +839,11 @@ pub fn perf(args: &Args) {
     let mut measurements = vec![oracle_ring_large(args)];
     measurements.extend(oracle_sybil_rows(args));
     measurements.push(oracle_churn(args));
-    measurements.extend([chord_protocol(args), chord_maintenance(args)]);
+    measurements.extend([
+        chord_protocol(args),
+        chord_maintenance(args),
+        chord_maintenance_churn(args),
+    ]);
     measurements.extend(chord_lookup(args));
     measurements.extend([chord_join(args), event_substrate(args), eventnet(args)]);
     measurements.extend(oracle_scaling(args));

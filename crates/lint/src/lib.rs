@@ -19,7 +19,8 @@
 //! * **P — panic-safety** (`panic-safety`): no `unwrap()` / `expect()` /
 //!   `panic!` / slice-indexing in the `autobal-chord` message-delivery
 //!   and retry paths (`network.rs`, `eventnet.rs`, `fault.rs`,
-//!   `adversary.rs`) and the Chord substrates (the shared driver
+//!   `adversary.rs`), the finger tables both overlays route by
+//!   (`fingers.rs`), and the Chord substrates (the shared driver
 //!   `src/chord_driver.rs` and its two transports, `src/protocol_sim.rs`
 //!   and `src/event_sim.rs`).
 //! * **S — strategy locality** (`strategy-locality`): strategy modules

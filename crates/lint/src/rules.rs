@@ -52,6 +52,7 @@ pub fn rules_for(rel: &str) -> Vec<Rule> {
         rel,
         "crates/chord/src/network.rs"
             | "crates/chord/src/eventnet.rs"
+            | "crates/chord/src/fingers.rs"
             | "crates/chord/src/fault.rs"
             | "crates/chord/src/adversary.rs"
             | "crates/core/src/ring.rs"

@@ -261,3 +261,36 @@ fn busy_maintenance_cycle_does_not_allocate() {
         "a busy maintenance cycle allocated {allocs} times"
     );
 }
+
+/// What the churned cycle below allocates, counted at this seed: the
+/// same cycle made 57 allocations while promotion scanned every replica
+/// owner each cycle and finger tables were dense, so the count may fall
+/// but must not rise.
+const CHURNED_CYCLE_ALLOCS: u64 = 16;
+
+/// A cycle after one crash and one join prunes the references to the
+/// dead node and promotes its replicas; its allocation count is pinned.
+#[test]
+fn churned_maintenance_cycle_allocations() {
+    let mut net = warm_chord_network();
+    let ids = net.node_ids();
+    let victim = ids
+        .iter()
+        .copied()
+        .find(|&id| net.node(id).is_some_and(|n| n.keys.len() > 50))
+        .unwrap();
+    net.fail(victim).unwrap();
+    let newcomer = autobal::id::sha1::sha1_id_of_u64(7_000_000);
+    net.join(newcomer, net.node_ids()[0]).unwrap();
+    let (pings, moved) = (net.stats.ping, net.stats.key_transfer);
+    let (allocs, ()) = allocation_delta(|| net.maintenance_cycle());
+    assert!(net.stats.ping > pings, "the cycle pruned the dead node");
+    assert!(
+        net.stats.key_transfer > moved,
+        "the cycle promoted the dead node's keys"
+    );
+    assert_eq!(
+        allocs, CHURNED_CYCLE_ALLOCS,
+        "a churned maintenance cycle allocated {allocs} times"
+    );
+}
