@@ -21,16 +21,24 @@
 //! per-message latency and no bandwidth model, a background lookup can
 //! delay no other message, so only the lookups a caller issues (joins,
 //! [`EventNet::lookup`]) ride the queue.
+//!
+//! Deliveries wait in one `EventQueue` (`queue.rs`), a timing wheel
+//! over a payload slab: almost every delay here is short (latency,
+//! stabilize period, substrate tick), so almost every event lands in a
+//! per-time FIFO bucket instead of being sifted through a heap.
+//! First-attempt lookup deadlines wait in a sorted FIFO beside it, and
+//! each step takes the earlier of the two by `(at, seq)`, the order one
+//! heap over every event would give.
 
 use crate::fault::{FaultPlan, FaultState};
 use crate::fingers::Fingers;
 use crate::messages::MessageStats;
+use crate::queue::EventQueue;
 use crate::table::IdTable;
 use autobal_id::{ring, Id};
 use autobal_telemetry::{MessageStatus, Trace};
 use rand::Rng;
-use std::cmp::Ordering;
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// Tunables for the event-driven overlay.
 #[derive(Debug, Clone, Copy)]
@@ -192,34 +200,12 @@ struct PendingLookup {
     attempts: u32,
 }
 
-/// A queued delivery: `msg` for `dst` at time `at`. Ordered on
-/// `(at, seq)` alone, reversed so the max-heap pops the earliest first;
-/// `seq` is unique, so the payload never takes part in a comparison.
+/// A queued delivery: `msg` for `dst`. Its `(at, seq)` key lives in
+/// the [`EventQueue`] slot that holds it, so the payload takes part in
+/// no comparison and moves only on push and pop.
 struct Scheduled {
-    at: u64,
-    seq: u64,
     dst: Id,
     msg: Msg,
-}
-
-impl PartialEq for Scheduled {
-    fn eq(&self, other: &Scheduled) -> bool {
-        (self.at, self.seq) == (other.at, other.seq)
-    }
-}
-
-impl Eq for Scheduled {}
-
-impl PartialOrd for Scheduled {
-    fn partial_cmp(&self, other: &Scheduled) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for Scheduled {
-    fn cmp(&self, other: &Scheduled) -> Ordering {
-        (other.at, other.seq).cmp(&(self.at, self.seq))
-    }
 }
 
 /// The event-driven overlay.
@@ -227,7 +213,8 @@ pub struct EventNet {
     cfg: EventConfig,
     time: u64,
     seq: u64,
-    queue: BinaryHeap<Scheduled>,
+    /// Every scheduled delivery but first-attempt lookup deadlines.
+    queue: EventQueue<Scheduled>,
     /// First-attempt lookup deadlines as `(at, seq, req)`. Each is armed
     /// at `time + lookup_timeout` with a fresh `seq`, and time never runs
     /// backwards, so pushes arrive sorted and need no heap. A lookup
@@ -256,6 +243,10 @@ pub struct EventNet {
     /// the per-message hot path — swapped with the node's previous
     /// vector so steady-state stabilization never allocates.
     succ_scratch: Vec<Id>,
+    /// Cleared buffers for `PredecessorIs` successor lists: a reply
+    /// takes one and its receiver hands it back once merged, so steady
+    /// stabilization allocates no payload.
+    succ_lists: Vec<Vec<Id>>,
     /// Application events (messages, timers, watched-lookup results)
     /// ready for the embedding substrate to consume.
     app_events: VecDeque<AppEvent>,
@@ -294,7 +285,7 @@ impl EventNet {
             cfg,
             time: 0,
             seq: 0,
-            queue: BinaryHeap::new(),
+            queue: EventQueue::new(),
             timeouts: VecDeque::new(),
             nodes: IdTable::default(),
             pending: BTreeMap::new(),
@@ -306,6 +297,7 @@ impl EventNet {
             crash_clock: 0,
             trace: Trace::default(),
             succ_scratch: Vec::new(),
+            succ_lists: Vec::new(),
             app_events: VecDeque::new(),
             watched: BTreeSet::new(),
             wire_events: 0,
@@ -435,7 +427,7 @@ impl EventNet {
     }
 
     /// Issues an asynchronous lookup from `origin`; returns the request
-    /// id. Results arrive in [`EventNet::take_completed`] once the run
+    /// id. Results arrive in [`EventNet::drain_completed`] once the run
     /// advances far enough.
     pub fn lookup(&mut self, origin: Id, key: Id) -> Option<u64> {
         if !self.nodes.contains_key(&origin) {
@@ -478,9 +470,10 @@ impl EventNet {
         req
     }
 
-    /// Drains finished lookups.
-    pub fn take_completed(&mut self) -> Vec<AsyncLookup> {
-        std::mem::take(&mut self.completed)
+    /// Drains finished lookups in completion order. The buffer stays
+    /// with the wire for the next ones.
+    pub fn drain_completed(&mut self) -> std::vec::Drain<'_, AsyncLookup> {
+        self.completed.drain(..)
     }
 
     /// Registers interest in a pending lookup: when it completes (or
@@ -562,16 +555,16 @@ impl EventNet {
     // ---- internals --------------------------------------------------
 
     /// The one "next event" step both loops share: takes the earlier of
-    /// the heap top and the timeout FIFO front by `(at, seq)`, if it is
-    /// due by `deadline`, and delivers it to [`EventNet::handle`] — or
-    /// skips it undelivered when it is a finished lookup's timeout.
+    /// the queue's head and the timeout FIFO front by `(at, seq)`, if it
+    /// is due by `deadline`, and delivers it to [`EventNet::handle`] —
+    /// or skips it undelivered when it is a finished lookup's timeout.
     /// Returns `false` when nothing is due.
     fn step(&mut self, deadline: u64) -> bool {
-        let heap = self.queue.peek().map(|e| (e.at, e.seq));
+        let head = self.queue.peek(self.time);
         let fifo = self.timeouts.front().map(|&(at, seq, _)| (at, seq));
-        let (at, from_fifo) = match (heap, fifo) {
-            (Some(h), Some(f)) if f < h => (f.0, true),
-            (Some(h), _) => (h.0, false),
+        let (at, from_fifo) = match (head, fifo) {
+            (Some(h), Some(f)) if f < (h.at, h.seq) => (f.0, true),
+            (Some(h), _) => (h.at, false),
             (None, Some(f)) => (f.0, true),
             (None, None) => return false,
         };
@@ -588,7 +581,7 @@ impl EventNet {
             };
             (p.origin, Msg::LookupTimeout { req })
         } else {
-            let Some(e) = self.queue.pop() else {
+            let Some(e) = head.and_then(|h| self.queue.pop(h)) else {
                 return false;
             };
             (e.dst, e.msg)
@@ -629,7 +622,7 @@ impl EventNet {
 
     fn send_at(&mut self, at: u64, dst: Id, msg: Msg) {
         let seq = self.next_seq();
-        self.queue.push(Scheduled { at, seq, dst, msg });
+        self.queue.push(self.time, at, seq, Scheduled { dst, msg });
     }
 
     /// A real wire message from `from` to `dst`: subject to loss,
@@ -903,17 +896,19 @@ impl EventNet {
                 let Some(node) = self.nodes.get(&dst) else {
                     return;
                 };
+                let mut succ_list = self.succ_lists.pop().unwrap_or_default();
+                succ_list.extend_from_slice(&node.successors);
                 let reply = Msg::PredecessorIs {
                     of: dst,
                     pred: node.predecessor,
-                    succ_list: node.successors.clone(),
+                    succ_list,
                 };
                 self.send(dst, from, reply);
             }
             Msg::PredecessorIs {
                 of,
                 pred,
-                succ_list,
+                mut succ_list,
             } => {
                 let cap = self.cfg.successor_list_len;
                 // stabilize: adopt x = succ.pred if it lies between
@@ -932,7 +927,9 @@ impl EventNet {
                         list.push(x);
                     }
                     list.push(of);
-                    list.extend(succ_list.into_iter().filter(|&s| s != dst));
+                    list.extend(succ_list.iter().filter(|&&s| s != dst));
+                    succ_list.clear();
+                    self.succ_lists.push(succ_list);
                     list.dedup();
                     list.truncate(cap);
                     let Some(node) = self.nodes.get_mut(&dst) else {
@@ -998,8 +995,7 @@ mod tests {
     }
 
     fn drain_app_lookups(net: &mut EventNet, reqs: &[u64]) -> Vec<AsyncLookup> {
-        net.take_completed()
-            .into_iter()
+        net.drain_completed()
             .filter(|l| reqs.contains(&l.req))
             .collect()
     }
@@ -1273,7 +1269,7 @@ mod tests {
                 net.lookup(origin, sha1_id_of_u64(i));
             }
             net.run_until(15_000);
-            let mut done = net.take_completed();
+            let mut done: Vec<_> = net.drain_completed().collect();
             done.sort_by_key(|l| l.req);
             (done, net.node_ids(), net.stats.clone())
         };
@@ -1291,7 +1287,7 @@ mod tests {
         let id = net.node_ids()[0];
         let req = net.lookup(id, Id::from(5u64)).unwrap();
         net.run_until(3_000);
-        let done = net.take_completed();
+        let done: Vec<_> = net.drain_completed().collect();
         let mine: Vec<_> = done.iter().filter(|l| l.req == req).collect();
         assert_eq!(mine.len(), 1);
         assert_eq!(mine[0].owner, Some(id));

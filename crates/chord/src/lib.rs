@@ -52,6 +52,7 @@ pub mod maintenance;
 pub mod messages;
 pub mod network;
 pub mod node;
+mod queue;
 pub mod routing;
 mod table;
 

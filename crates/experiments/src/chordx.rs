@@ -160,8 +160,7 @@ pub fn async_latency(args: &Args) {
         }
         net.run_until(20_000);
         let done: Vec<_> = net
-            .take_completed()
-            .into_iter()
+            .drain_completed()
             .filter(|l| reqs.contains(&l.req))
             .collect();
         let ok: Vec<_> = done.iter().filter(|l| l.owner.is_some()).collect();

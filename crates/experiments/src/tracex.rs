@@ -164,8 +164,7 @@ pub fn trace(args: &Args) {
     }
     net.run_until(30_000);
     let done: Vec<_> = net
-        .take_completed()
-        .into_iter()
+        .drain_completed()
         .filter(|l| reqs.contains(&l.req))
         .collect();
     let latencies: Vec<u64> = done

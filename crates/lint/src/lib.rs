@@ -20,7 +20,8 @@
 //!   `panic!` / slice-indexing in the `autobal-chord` message-delivery
 //!   and retry paths (`network.rs`, `eventnet.rs`, `fault.rs`,
 //!   `adversary.rs`), the finger tables both overlays route by
-//!   (`fingers.rs`), and the Chord substrates (the shared driver
+//!   (`fingers.rs`), the event wire's scheduler (`queue.rs`), and the
+//!   Chord substrates (the shared driver
 //!   `src/chord_driver.rs` and its two transports, `src/protocol_sim.rs`
 //!   and `src/event_sim.rs`).
 //! * **S — strategy locality** (`strategy-locality`): strategy modules

@@ -53,6 +53,7 @@ pub fn rules_for(rel: &str) -> Vec<Rule> {
         "crates/chord/src/network.rs"
             | "crates/chord/src/eventnet.rs"
             | "crates/chord/src/fingers.rs"
+            | "crates/chord/src/queue.rs"
             | "crates/chord/src/fault.rs"
             | "crates/chord/src/adversary.rs"
             | "crates/core/src/ring.rs"

@@ -252,6 +252,7 @@ fn scopes_are_pinned() {
     assert!(rules_for("src/chord_driver.rs").contains(&Rule::ErrorPath));
     assert!(rules_for("src/chord_driver.rs").contains(&Rule::PanicSafety));
     assert!(rules_for("crates/chord/src/fingers.rs").contains(&Rule::PanicSafety));
+    assert!(rules_for("crates/chord/src/queue.rs").contains(&Rule::PanicSafety));
     assert!(!rules_for("crates/stats/src/ci.rs").contains(&Rule::ErrorPath));
     assert!(rules_for("crates/stats/src/ci.rs").contains(&Rule::FloatOrder));
     assert!(rules_for("crates/core/src/strategy/smart.rs").contains(&Rule::StrategyLocality));

@@ -52,7 +52,7 @@ use autobal_core::strategy::{invitation::HelperCandidate, ActionError, Substrate
 use autobal_id::Id;
 use autobal_metrics::MetricsSample;
 use autobal_telemetry::Trace;
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::VecDeque;
 
 use crate::chord_driver::{action_error, bootstrap, fate, Core, Driver, Transport};
 pub use crate::protocol_sim::ProtocolSimConfig;
@@ -177,6 +177,9 @@ struct EventWire {
     /// wire, replayed FIFO by the driver. At zero latency this FIFO
     /// replay *is* the synchronous dispatch order.
     deferred: VecDeque<u64>,
+    /// Request ids of an invitation round's unsettled announcements,
+    /// ascending; kept between rounds so a round allocates nothing.
+    outstanding: Vec<u64>,
     lookup_latencies: Vec<u64>,
     lookup_timeouts: u64,
 }
@@ -248,7 +251,7 @@ impl EventWire {
 
     /// Harvests completed wire lookups into the latency tail.
     fn drain_lookups(&mut self) {
-        for l in self.wire.take_completed() {
+        for l in self.wire.drain_completed() {
             if l.owner.is_some() {
                 self.lookup_latencies.push(l.latency);
             } else {
@@ -326,19 +329,29 @@ impl Transport for EventWire {
         hot: Id,
         preds: &[Id],
     ) -> Option<Vec<HelperCandidate>> {
-        let mut outstanding: BTreeSet<u64> = BTreeSet::new();
+        self.outstanding.clear();
         for &p in preds {
             let invitation = AppMsg::Invitation {
                 inviter: inviter as u64,
             };
-            outstanding.insert(self.wire.send_app(hot, p, invitation));
+            self.outstanding
+                .push(self.wire.send_app(hot, p, invitation));
         }
-        let wait_tok = token(TAG_PROBE, *outstanding.first()?);
+        let wait_tok = token(TAG_PROBE, *self.outstanding.first()?);
         let at = self.wire.now() + self.probe_timeout;
         self.wire.schedule_app_timer(at, wait_tok);
         let mut candidates: Vec<HelperCandidate> = Vec::new();
         let mut delivered = false;
-        while !outstanding.is_empty() {
+        // Settles announcement `r` if it is still outstanding (request
+        // ids grow, so the list is sorted).
+        let settle = |outstanding: &mut Vec<u64>, r: u64| match outstanding.binary_search(&r) {
+            Ok(i) => {
+                outstanding.remove(i);
+                true
+            }
+            Err(_) => false,
+        };
+        while !self.outstanding.is_empty() {
             let Some(ev) = self.wire.run_until_app(u64::MAX) else {
                 break;
             };
@@ -357,7 +370,7 @@ impl Transport for EventWire {
                     AppMsg::LoadQuery | AppMsg::Invitation { .. } => {
                         self.serve_if_request(core, at, from, r, msg)
                     }
-                    AppMsg::InviteReply { can, load } if outstanding.remove(&r) => {
+                    AppMsg::InviteReply { can, load } if settle(&mut self.outstanding, r) => {
                         delivered = true;
                         if can {
                             if let Some(&o) = core.owner_of.get(&from) {
@@ -369,7 +382,7 @@ impl Transport for EventWire {
                             }
                         }
                     }
-                    AppMsg::Nack if outstanding.remove(&r) => {
+                    AppMsg::Nack if settle(&mut self.outstanding, r) => {
                         delivered = true;
                     }
                     _ => {}
@@ -473,6 +486,7 @@ fn run_event_inner(
         probe_timeout: cfg.probe_timeout.max(1),
         degenerate: cfg.event.latency == 0 && !cfg.proto.fault.is_active(),
         deferred: VecDeque::new(),
+        outstanding: Vec::new(),
         lookup_latencies: Vec::new(),
         lookup_timeouts: 0,
     };

@@ -130,13 +130,13 @@ fn faulty() -> String {
                 watched.push(l);
             }
         }
-        done.extend(net.take_completed());
+        done.extend(net.drain_completed());
     }
     // Let every retry budget run out: three attempts back off over
     // 2000 + 4000 + 8000 time units.
     let t = net.now();
     net.run_until(t + 16_000);
-    done.extend(net.take_completed());
+    done.extend(net.drain_completed());
     let trace_digest = fnv1a(autobal_telemetry::to_jsonl(net.trace().records()).into_bytes());
     format!(
         "faulty nodes={} time={} {} watched={} watched_digest={:016x} \
@@ -190,11 +190,11 @@ fn crashing() -> String {
         }
         let t = net.now();
         net.run_until(t + 700);
-        done.extend(net.take_completed());
+        done.extend(net.drain_completed());
     }
     let t = net.now();
     net.run_until(t + 5_000);
-    done.extend(net.take_completed());
+    done.extend(net.drain_completed());
     format!(
         "crashing nodes={} time={} {} stats={:?} {}",
         net.len(),

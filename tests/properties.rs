@@ -253,7 +253,7 @@ proptest! {
             expect.push((req, truth));
         }
         net.run_until(30_000);
-        let done = net.take_completed();
+        let done: Vec<_> = net.drain_completed().collect();
         for (req, truth) in expect {
             let hit = done.iter().find(|l| l.req == req);
             prop_assert!(hit.is_some(), "lookup {req} never completed");

@@ -294,3 +294,65 @@ fn churned_maintenance_cycle_allocations() {
         "a churned maintenance cycle allocated {allocs} times"
     );
 }
+
+/// The wire the event-wire windows measure: 64 sha1 ids, wired from
+/// ground truth, run to time 1 000 so stabilization's buffers (queue
+/// slots, pooled successor lists) reach their working size.
+fn warm_event_wire() -> autobal::chord::EventNet {
+    use autobal::chord::{EventConfig, EventNet};
+    use autobal::id::sha1::sha1_id_of_u64;
+    let ids: Vec<autobal::Id> = (0..64u64).map(sha1_id_of_u64).collect();
+    let mut net = EventNet::from_ids(EventConfig::default(), &ids);
+    net.run_until(1_000);
+    net
+}
+
+/// A quiet event wire (stabilize timers, their probes and replies, and
+/// notifies) does not allocate: queued deliveries reuse the scheduler's
+/// slots, and every successor-list reply takes a pooled buffer that its
+/// receiver returns once merged.
+#[test]
+fn quiet_event_wire_does_not_allocate() {
+    let mut net = warm_event_wire();
+    let (stabilize, now) = (net.stats.stabilize, net.now());
+    let (allocs, events) = allocation_delta(|| net.run_until(now + 2_000));
+    assert_eq!(
+        net.stats.stabilize - stabilize,
+        64 * 20,
+        "every timer fired"
+    );
+    assert!(events >= 4 * 64 * 20, "only {events} events");
+    assert_eq!(allocs, 0, "a quiet event wire allocated {allocs} times");
+}
+
+/// What the busy window below allocates, counted at this seed: the
+/// nodes of the pending-lookup map, and the deadline FIFO and the
+/// completed-lookup buffer growing to 200 entries. The same window made
+/// 1 969 allocations while the scheduler was a binary heap and every
+/// successor-list reply cloned its list, so the count may fall but must
+/// not rise.
+const BUSY_WIRE_ALLOCS: u64 = 49;
+
+/// 200 lookups from every node over a warm wire, run past their
+/// first-attempt deadlines; the allocation count is pinned.
+#[test]
+fn busy_event_wire_allocations() {
+    use autobal::id::sha1::sha1_id_of_u64;
+    let mut net = warm_event_wire();
+    let ids = net.node_ids();
+    let now = net.now();
+    let (allocs, events) = allocation_delta(|| {
+        for (i, origin) in (0..200u64).zip(ids.iter().cycle()) {
+            net.lookup(*origin, sha1_id_of_u64(5_000_000 + i));
+        }
+        net.run_until(now + 3_000)
+    });
+    let done: Vec<_> = net.drain_completed().collect();
+    assert_eq!(done.len(), 200, "every lookup finished");
+    assert!(done.iter().all(|l| l.owner.is_some()), "none timed out");
+    assert!(events > 4 * 64 * 30, "only {events} events");
+    assert_eq!(
+        allocs, BUSY_WIRE_ALLOCS,
+        "a busy event wire allocated {allocs} times over {events} events"
+    );
+}
