@@ -29,6 +29,14 @@
 //! First-attempt lookup deadlines wait in a sorted FIFO beside it, and
 //! each step takes the earlier of the two by `(at, seq)`, the order one
 //! heap over every event would give.
+//!
+//! A delivery finds its recipient in the node table once, by id, and the
+//! handler reaches the node by that position: no handler changes
+//! membership, so the position holds until it returns. The recipient's
+//! successor and predecessor are looked for next to it first
+//! (`IdTable::position_near`); only a miss, or a finger, costs a
+//! search. In-flight lookups sit in one buffer indexed by request id,
+//! oldest first, and carry their own `watched` flag.
 
 use crate::fault::{FaultPlan, FaultState};
 use crate::fingers::Fingers;
@@ -38,7 +46,7 @@ use crate::table::IdTable;
 use autobal_id::{ring, Id};
 use autobal_telemetry::{MessageStatus, Trace};
 use rand::Rng;
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::VecDeque;
 
 /// Tunables for the event-driven overlay.
 #[derive(Debug, Clone, Copy)]
@@ -190,14 +198,16 @@ pub struct AsyncLookup {
     pub hops: u32,
 }
 
-/// An in-flight lookup: what was asked, when, by whom, and how many
-/// times it has been (re)issued.
+/// An in-flight lookup: what was asked, when, by whom, how many times
+/// it has been (re)issued, and whether its completion surfaces as an
+/// [`AppEvent::LookupDone`].
 #[derive(Debug, Clone, Copy)]
 struct PendingLookup {
     key: Id,
     sent_at: u64,
     origin: Id,
     attempts: u32,
+    watched: bool,
 }
 
 /// A queued delivery: `msg` for `dst`. Its `(at, seq)` key lives in
@@ -223,7 +233,15 @@ pub struct EventNet {
     timeouts: VecDeque<(u64, u64, u64)>,
     /// Every live node, in ascending id order.
     nodes: IdTable<ENode>,
-    pending: BTreeMap<u64, PendingLookup>,
+    /// In-flight lookups by request id: slot `req - oldest` holds
+    /// lookup `req`, or `None` once it finished or when `req` named an
+    /// application request. Request ids are handed out in order, so a
+    /// lookup appends its slot and finished slots leave from the front.
+    /// A lookup whose origin dies before it finishes keeps its slot,
+    /// since a reply may still reach the origin if that id rejoins.
+    pending: VecDeque<Option<PendingLookup>>,
+    /// The request id of `pending`'s front slot.
+    oldest: u64,
     completed: Vec<AsyncLookup>,
     next_req: u64,
     /// Messages that died with their recipient. A first-attempt lookup
@@ -250,9 +268,6 @@ pub struct EventNet {
     /// Application events (messages, timers, watched-lookup results)
     /// ready for the embedding substrate to consume.
     app_events: VecDeque<AppEvent>,
-    /// Lookup request ids whose completion should surface as an
-    /// [`AppEvent::LookupDone`].
-    watched: BTreeSet<u64>,
     /// Events delivered to a handler (for events/s accounting). A
     /// first-attempt lookup timeout whose lookup already finished is
     /// skipped, not delivered, and is not counted.
@@ -288,7 +303,8 @@ impl EventNet {
             queue: EventQueue::new(),
             timeouts: VecDeque::new(),
             nodes: IdTable::default(),
-            pending: BTreeMap::new(),
+            pending: VecDeque::new(),
+            oldest: 0,
             completed: Vec::new(),
             next_req: 0,
             dropped: 0,
@@ -299,7 +315,6 @@ impl EventNet {
             succ_scratch: Vec::new(),
             succ_lists: Vec::new(),
             app_events: VecDeque::new(),
-            watched: BTreeSet::new(),
             wire_events: 0,
         }
     }
@@ -420,7 +435,7 @@ impl EventNet {
         node.successors = vec![contact];
         self.nodes.insert(id, node);
         let req = self.start_lookup_from(id, id);
-        self.watched.insert(req);
+        self.watch_lookup(req);
         let t = self.time + 1;
         self.send_at(t, id, Msg::StabilizeTimer);
         Some(req)
@@ -439,15 +454,18 @@ impl EventNet {
     fn start_lookup_from(&mut self, origin: Id, key: Id) -> u64 {
         let req = self.next_req;
         self.next_req += 1;
-        self.pending.insert(
-            req,
-            PendingLookup {
-                key,
-                sent_at: self.time,
-                origin,
-                attempts: 1,
-            },
-        );
+        if self.pending.is_empty() {
+            self.oldest = req;
+        }
+        // Application requests since the last lookup leave empty slots.
+        self.pending.resize((req - self.oldest) as usize, None);
+        self.pending.push_back(Some(PendingLookup {
+            key,
+            sent_at: self.time,
+            origin,
+            attempts: 1,
+            watched: false,
+        }));
         // Self-delivery kicks off routing locally at +0 latency.
         self.deliver_local(
             origin,
@@ -479,8 +497,12 @@ impl EventNet {
     /// Registers interest in a pending lookup: when it completes (or
     /// times out), an [`AppEvent::LookupDone`] surfaces through
     /// [`EventNet::run_until_app`].
+    /// A request that already finished, or that is no lookup, is
+    /// ignored.
     pub fn watch_lookup(&mut self, req: u64) {
-        self.watched.insert(req);
+        if let Some(p) = self.pending_mut(req) {
+            p.watched = true;
+        }
     }
 
     /// Sends an application request from vnode `from` to vnode `dst`
@@ -576,7 +598,7 @@ impl EventNet {
             let Some((_, _, req)) = self.timeouts.pop_front() else {
                 return false;
             };
-            let Some(p) = self.pending.get(&req) else {
+            let Some(p) = self.pending(req) else {
                 return true;
             };
             (p.origin, Msg::LookupTimeout { req })
@@ -590,6 +612,34 @@ impl EventNet {
         self.wire_events += 1;
         self.handle(dst, msg);
         true
+    }
+
+    /// `pending`'s slot for request `req`, if `req` is not older than
+    /// its front.
+    fn slot(&self, req: u64) -> Option<usize> {
+        req.checked_sub(self.oldest).map(|d| d as usize)
+    }
+
+    /// The in-flight lookup `req`, if it has not finished.
+    fn pending(&self, req: u64) -> Option<&PendingLookup> {
+        self.pending.get(self.slot(req)?)?.as_ref()
+    }
+
+    fn pending_mut(&mut self, req: u64) -> Option<&mut PendingLookup> {
+        let slot = self.slot(req)?;
+        self.pending.get_mut(slot)?.as_mut()
+    }
+
+    /// Finishes the in-flight lookup `req`: empties its slot, then drops
+    /// the empty slots at the front.
+    fn take_pending(&mut self, req: u64) -> Option<PendingLookup> {
+        let slot = self.slot(req)?;
+        let p = self.pending.get_mut(slot)?.take();
+        while self.pending.front().is_some_and(Option::is_none) {
+            self.pending.pop_front();
+            self.oldest += 1;
+        }
+        p
     }
 
     fn next_seq(&mut self) -> u64 {
@@ -658,7 +708,7 @@ impl EventNet {
             self.app_events.push_back(AppEvent::Timer { token });
             return;
         }
-        if !self.nodes.contains_key(&dst) {
+        let Some(at) = self.nodes.position(&dst) else {
             // Recipient died; the message evaporates.
             self.dropped += 1;
             self.trace
@@ -684,7 +734,11 @@ impl EventNet {
                 }
             }
             return;
-        }
+        };
+        // A handler never changes membership, so `at` stays the
+        // recipient's position until it returns, and its successor and
+        // predecessor sit next to it when the ring is consistent.
+        let (succ_at, pred_at) = (at + 1, self.nodes.back(at, 1));
         use crate::messages::MessageKind as MK;
         match msg {
             Msg::AppTimer { .. } => {
@@ -709,17 +763,12 @@ impl EventNet {
                 if hops >= self.cfg.max_hops {
                     return; // let the origin's timeout fire
                 }
-                let (succ, pred_owns) = {
-                    let Some(node) = self.nodes.get(&dst) else {
-                        return;
-                    };
-                    let succ = node.successor();
-                    let pred_owns = node
-                        .predecessor
-                        .is_some_and(|p| ring::in_arc(p, node.id, key));
-                    (succ, pred_owns)
-                };
-                if ring::in_arc(dst, succ, key) && self.nodes.contains_key(&succ) {
+                let node = self.nodes.at(at);
+                let succ = node.successor();
+                let pred_owns = node.predecessor.is_some_and(|p| ring::in_arc(p, dst, key));
+                if ring::in_arc(dst, succ, key)
+                    && self.nodes.position_near(&succ, succ_at).is_some()
+                {
                     // The successor owns it; reply straight to origin.
                     self.send(
                         dst,
@@ -743,10 +792,9 @@ impl EventNet {
                         },
                     );
                 } else {
-                    let next = self
-                        .nodes
-                        .get(&dst)
-                        .and_then(|n| n.fingers.closest_preceding(n.id, &n.successors, key))
+                    let next = node
+                        .fingers
+                        .closest_preceding(dst, &node.successors, key)
                         .filter(|n| self.nodes.contains_key(n))
                         .unwrap_or(succ);
                     if next == dst {
@@ -780,7 +828,7 @@ impl EventNet {
                 req,
                 hops,
             } => {
-                if let Some(p) = self.pending.remove(&req) {
+                if let Some(p) = self.take_pending(req) {
                     debug_assert_eq!(p.key, key);
                     self.trace.message(
                         self.time,
@@ -796,43 +844,36 @@ impl EventNet {
                         hops,
                     };
                     self.completed.push(done);
-                    if self.watched.remove(&req) {
+                    if p.watched {
                         self.app_events.push_back(AppEvent::LookupDone(done));
                     }
                     // A lookup for one's own id is a join completing:
                     // adopt the owner as successor.
                     if key == dst && owner != dst {
-                        if let Some(node) = self.nodes.get_mut(&dst) {
-                            node.successors.retain(|&s| s != owner);
-                            node.successors.insert(0, owner);
-                            node.successors.truncate(self.cfg.successor_list_len);
-                        }
+                        let node = self.nodes.at_mut(at);
+                        node.successors.retain(|&s| s != owner);
+                        node.successors.insert(0, owner);
+                        node.successors.truncate(self.cfg.successor_list_len);
                         self.send(dst, owner, Msg::Notify { from: dst });
                     }
                 }
             }
             Msg::LookupTimeout { req } => {
-                let Some(p) = self.pending.get(&req).copied() else {
+                let Some(p) = self.pending(req).copied() else {
                     return;
                 };
+                debug_assert_eq!(p.origin, dst, "a lookup's deadlines go to its origin");
                 // Under an active fault plan the reply may simply have
                 // been eaten: re-issue the lookup with exponential
                 // backoff until the attempt budget runs out. Without
                 // faults, a timeout means routing truly failed (dead
                 // nodes), and retrying would only repeat it.
                 let budget = self.faults.plan().max_attempts.max(1);
-                if self.faults.is_active()
-                    && p.attempts < budget
-                    && self.nodes.contains_key(&p.origin)
-                {
+                if self.faults.is_active() && p.attempts < budget {
                     self.stats.retries += 1;
-                    self.pending.insert(
-                        req,
-                        PendingLookup {
-                            attempts: p.attempts + 1,
-                            ..p
-                        },
-                    );
+                    if let Some(p) = self.pending_mut(req) {
+                        p.attempts += 1;
+                    }
                     self.deliver_local(
                         p.origin,
                         Msg::FindSuccessor {
@@ -848,7 +889,7 @@ impl EventNet {
                     self.send_at(at, p.origin, Msg::LookupTimeout { req });
                     return;
                 }
-                self.pending.remove(&req);
+                self.take_pending(req);
                 self.stats.timeouts += 1;
                 self.trace.message(
                     self.time,
@@ -864,7 +905,7 @@ impl EventNet {
                     hops: 0,
                 };
                 self.completed.push(done);
-                if self.watched.remove(&req) {
+                if p.watched {
                     self.app_events.push_back(AppEvent::LookupDone(done));
                 }
             }
@@ -873,19 +914,16 @@ impl EventNet {
                 // A node cannot test successor liveness locally; dead
                 // entries are detected below, when the probe to `succ`
                 // finds nobody home, and skipped on the next timer.
-                let Some(succ) = self.nodes.get(&dst).map(|n| n.successor()) else {
-                    return;
-                };
-                if succ != dst && self.nodes.contains_key(&succ) {
+                let succ = self.nodes.at(at).successor();
+                if succ != dst && self.nodes.position_near(&succ, succ_at).is_some() {
                     self.send(dst, succ, Msg::GetPredecessor { from: dst });
                 } else if succ != dst {
                     // Successor dead: fall to the next list entry.
-                    if let Some(node) = self.nodes.get_mut(&dst) {
-                        node.successors.retain(|&s| s != succ);
-                        node.fingers.forget(succ);
-                        if node.successors.is_empty() {
-                            node.successors.push(dst);
-                        }
+                    let node = self.nodes.at_mut(at);
+                    node.successors.retain(|&s| s != succ);
+                    node.fingers.forget(succ);
+                    if node.successors.is_empty() {
+                        node.successors.push(dst);
                     }
                 }
                 // Re-arm the timer.
@@ -893,9 +931,7 @@ impl EventNet {
                 self.send_at(at, dst, Msg::StabilizeTimer);
             }
             Msg::GetPredecessor { from } => {
-                let Some(node) = self.nodes.get(&dst) else {
-                    return;
-                };
+                let node = self.nodes.at(at);
                 let mut succ_list = self.succ_lists.pop().unwrap_or_default();
                 succ_list.extend_from_slice(&node.successors);
                 let reply = Msg::PredecessorIs {
@@ -912,57 +948,51 @@ impl EventNet {
             } => {
                 let cap = self.cfg.successor_list_len;
                 // stabilize: adopt x = succ.pred if it lies between
-                // (`dst` doubles as the node's own id: map key == id).
+                // (`dst` doubles as the node's own id: map key == id);
+                // such an x would be the node's new successor.
                 let adopt = pred.filter(|&x| {
-                    x != dst && self.nodes.contains_key(&x) && ring::in_open_arc(dst, of, x)
+                    x != dst
+                        && self.nodes.position_near(&x, succ_at).is_some()
+                        && ring::in_open_arc(dst, of, x)
                 });
-                {
-                    // Build the new list in the reusable scratch buffer,
-                    // then swap it with the node's old vector — contents
-                    // identical to the fresh-`Vec` construction, but the
-                    // steady state recycles two buffers forever.
-                    let mut list = std::mem::take(&mut self.succ_scratch);
-                    list.clear();
-                    if let Some(x) = adopt {
-                        list.push(x);
-                    }
-                    list.push(of);
-                    list.extend(succ_list.iter().filter(|&&s| s != dst));
-                    succ_list.clear();
-                    self.succ_lists.push(succ_list);
-                    list.dedup();
-                    list.truncate(cap);
-                    let Some(node) = self.nodes.get_mut(&dst) else {
-                        self.succ_scratch = list;
-                        return;
-                    };
-                    std::mem::swap(&mut node.successors, &mut list);
-                    self.succ_scratch = list;
+                // Build the new list in the reusable scratch buffer, then
+                // swap it with the node's old vector — contents identical
+                // to the fresh-`Vec` construction, but the steady state
+                // recycles two buffers forever.
+                let mut list = std::mem::take(&mut self.succ_scratch);
+                list.clear();
+                if let Some(x) = adopt {
+                    list.push(x);
                 }
-                let Some(new_succ) = self.nodes.get(&dst).map(|n| n.successor()) else {
-                    return;
-                };
+                list.push(of);
+                list.extend(succ_list.iter().filter(|&&s| s != dst));
+                succ_list.clear();
+                self.succ_lists.push(succ_list);
+                list.dedup();
+                list.truncate(cap);
+                let node = self.nodes.at_mut(at);
+                std::mem::swap(&mut node.successors, &mut list);
+                self.succ_scratch = list;
+                let new_succ = node.successor();
                 if new_succ != dst {
-                    self.stats.record(crate::messages::MessageKind::Notify);
+                    self.stats.record(MK::Notify);
                     self.send(dst, new_succ, Msg::Notify { from: dst });
                 }
             }
             Msg::Notify { from } => {
-                if !self.nodes.contains_key(&from) {
+                // The notifier is usually the recipient's predecessor.
+                if self.nodes.position_near(&from, pred_at).is_none() {
                     return;
                 }
-                let old_pred = match self.nodes.get(&dst) {
-                    Some(node) => node.predecessor,
-                    None => return,
-                };
-                let accept = match old_pred {
+                let accept = match self.nodes.at(at).predecessor {
                     None => true,
-                    Some(p) => !self.nodes.contains_key(&p) || ring::in_open_arc(p, dst, from),
+                    Some(p) => {
+                        self.nodes.position_near(&p, pred_at).is_none()
+                            || ring::in_open_arc(p, dst, from)
+                    }
                 };
                 if accept {
-                    if let Some(node) = self.nodes.get_mut(&dst) {
-                        node.predecessor = Some(from);
-                    }
+                    self.nodes.at_mut(at).predecessor = Some(from);
                 }
             }
         }
@@ -1029,6 +1059,34 @@ mod tests {
         for r in net.trace().records() {
             assert!(r.time <= net.now());
         }
+    }
+
+    /// Lookups interleaved with application requests, which take
+    /// request ids of their own, all finish; only the watched lookup
+    /// surfaces as `LookupDone`, once, while watching an application
+    /// request does nothing; and the pending buffer drains to empty.
+    #[test]
+    fn pending_lookups_skip_application_request_ids() {
+        let mut net = EventNet::bootstrap(EventConfig::default(), 16, &mut rng(30));
+        let ids = net.node_ids();
+        let mut reqs = Vec::new();
+        for i in 0..12 {
+            net.send_app(ids[0], ids[1 + i % 15], AppMsg::LoadQuery);
+            reqs.push(net.lookup(ids[i], sha1_id_of_u64(i as u64)).unwrap());
+        }
+        net.watch_lookup(reqs[5]);
+        net.watch_lookup(reqs[5] - 1);
+        let mut surfaced = Vec::new();
+        while let Some(ev) = net.run_until_app(5_000) {
+            if let AppEvent::LookupDone(l) = ev {
+                surfaced.push(l.req);
+            }
+        }
+        assert_eq!(surfaced, vec![reqs[5]]);
+        let mut done: Vec<u64> = net.drain_completed().map(|l| l.req).collect();
+        done.sort_unstable();
+        assert_eq!(done, reqs);
+        assert!(net.pending.is_empty());
     }
 
     #[test]
@@ -1341,7 +1399,7 @@ mod tests {
                         Id::distinct_random(n, &mut rng)
                     } else {
                         let x: u64 = rng.gen();
-                        let mut ids = BTreeSet::new();
+                        let mut ids = std::collections::BTreeSet::new();
                         for j in 0..4096 {
                             if ids.len() == n {
                                 break;

@@ -287,12 +287,21 @@ impl Network {
     /// # Panics
     /// Panics if the network is empty.
     pub fn insert_key(&mut self, key: Id) -> Id {
+        let at = self.store_key(key);
+        self.nodes.id_at(at)
+    }
+
+    /// [`Network::insert_key`], returning the owner's position in the
+    /// node table: one search.
+    ///
+    /// # Panics
+    /// Panics if the network is empty.
+    pub(crate) fn store_key(&mut self, key: Id) -> usize {
+        let owner = self.nodes.owner_position(&key);
         // autobal-lint: allow(panic-safety, "documented panic: inserting into an empty network is a caller bug")
-        let owner = self.owner_of(key).expect("insert_key on empty network");
-        if let Some(n) = self.nodes.get_mut(&owner) {
-            n.keys.insert(key);
-        }
-        owner
+        let at = owner.expect("insert_key on empty network");
+        self.nodes.at_mut(at).keys.insert(key);
+        at
     }
 
     /// Total number of primary-copy keys across all nodes.
@@ -356,12 +365,17 @@ impl Network {
             }
             let node = self.nodes.at(at);
             // Does the current node already own the key?
-            if node.owns(key) && self.nodes.contains_key(&node.predecessor()) {
+            if node.owns(key)
+                && self
+                    .nodes
+                    .position_near(&node.predecessor(), self.nodes.back(at, 1))
+                    .is_some()
+            {
                 return Ok(cur);
             }
             let succ = node.successor();
             // Key between cur and its live successor → successor owns it.
-            let (next, next_at, found) = match self.nodes.position(&succ) {
+            let (next, next_at, found) = match self.nodes.position_near(&succ, at + 1) {
                 Some(s) if ring::in_arc(cur, succ, key) => (succ, s, true),
                 _ => {
                     // Otherwise route through the closest preceding live entry.
@@ -411,7 +425,9 @@ impl Network {
             if cand == id {
                 return Some((id, at));
             }
-            if let Some(p) = self.nodes.position(&cand) {
+            // Dead entries are gone from the table too, so the first
+            // live one sits right after the node in a consistent ring.
+            if let Some(p) = self.nodes.position_near(&cand, at + 1) {
                 return Some((cand, p));
             }
             self.stats.record(MessageKind::Ping);

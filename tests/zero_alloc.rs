@@ -326,12 +326,12 @@ fn quiet_event_wire_does_not_allocate() {
 }
 
 /// What the busy window below allocates, counted at this seed: the
-/// nodes of the pending-lookup map, and the deadline FIFO and the
-/// completed-lookup buffer growing to 200 entries. The same window made
-/// 1 969 allocations while the scheduler was a binary heap and every
-/// successor-list reply cloned its list, so the count may fall but must
-/// not rise.
-const BUSY_WIRE_ALLOCS: u64 = 49;
+/// pending-lookup buffer, the deadline FIFO and the completed-lookup
+/// buffer each growing to 200 entries. The same window made 1 969
+/// allocations while the scheduler was a binary heap and every
+/// successor-list reply cloned its list, and 49 while pending lookups
+/// were a map, so the count may fall but must not rise.
+const BUSY_WIRE_ALLOCS: u64 = 23;
 
 /// 200 lookups from every node over a warm wire, run past their
 /// first-attempt deadlines; the allocation count is pinned.
