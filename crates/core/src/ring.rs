@@ -75,17 +75,24 @@
 //! the order an id-keyed queue would: `src/reference.rs` keeps the
 //! id-keyed ring as the differential anchor.
 //!
-//! ## The planned work phase
+//! ## The work phase
 //!
-//! The work phase exploits one algebraic fact: the xorshift64* pop
-//! generator's state evolution is independent of the vector lengths
-//! being popped, and each vnode's pop count for a tick (`min(remaining
-//! capacity, vnode load)`) is known before any pop happens. So the tick
-//! (a) plans every popping vnode's `(offset, count)` slice of the
-//! tick's pop stream, in worker order and then in each worker's vnode
-//! order, (b) materializes the whole state stream once, and (c) replays
-//! the planned slices against the task queues, reproducing the
-//! sequential per-pop loop exactly.
+//! A tick's pops must draw the xorshift64* pop generator's states in
+//! the order a one-at-a-time loop would: workers in index order, and
+//! each worker's vnodes in its own order. Each vnode's pop count for a
+//! tick (`min(remaining capacity, vnode load)`) is known before any pop
+//! happens, so the work phase takes one of two paths, both drawing each
+//! state as it pops:
+//!
+//! - **Planned** (every strategy and churn ring): `Sim`'s planning pass
+//!   walks the worker table and records each popping vnode's `(slot,
+//!   count)` in that order; [`Ring::run_pops`] replays the plan.
+//! - **Detached** (a drain with no strategy, no churn and one vnode per
+//!   worker): a slot's queue length is its owner's load, so
+//!   [`Ring::pop_detached`] walks the `live` slots, kept in owner
+//!   order, and pops each one in place. Slots that drain leave `live`
+//!   in the same pass, so a drain's long tail touches only the slots
+//!   still loaded.
 
 use crate::worker::WorkerId;
 use autobal_id::{ring as arc, Id};
@@ -165,11 +172,9 @@ pub(crate) struct Removal {
     pub(crate) succ_owner: WorkerId,
 }
 
-/// One planned vnode of a tick: pop `count` tasks from `slot` using the
-/// pop-stream states at `offset..offset + count`.
+/// One planned vnode of a tick: pop `count` tasks from `slot`.
 #[derive(Debug, Clone, Copy)]
 struct PlannedPops {
-    offset: u64,
     slot: u32,
     count: u32,
 }
@@ -415,7 +420,7 @@ impl VnodeIndex {
 }
 
 /// The ring of virtual nodes in struct-of-arrays layout (see the module
-/// docs for the key arena and the planned work phase).
+/// docs for the key arena and the work phase).
 #[derive(Debug, Clone)]
 pub struct Ring {
     /// Id → slot index in ring order: an ordered linear-probing table
@@ -437,11 +442,12 @@ pub struct Ring {
     /// Free slot list (slots keep their columns; queues are recycled
     /// through `pool` instead).
     free: Vec<usize>,
-    /// `(slot, owner)` pairs for slots with a nonempty task queue — the
-    /// ring-side planner's working set. Valid only while `live_epoch`
-    /// matches `muts` (rebuilt by `refresh_live`); pruned in place as
-    /// queues drain, so tail-of-run ticks touch only the handful of
-    /// still-loaded slots instead of every column.
+    /// `(slot, owner)` pairs for slots with a nonempty task queue, in
+    /// ascending owner order — the detached pops' working set. Valid
+    /// only while `live_epoch` matches `muts` (rebuilt by
+    /// `refresh_live`); pruned in place as queues drain, so tail-of-run
+    /// ticks touch only the handful of still-loaded slots instead of
+    /// every column.
     live: Vec<(u32, u32)>,
     /// This tick's planned vnodes (reused buffer; emptied by replay).
     plan: Vec<PlannedPops>,
@@ -454,18 +460,12 @@ pub struct Ring {
     /// Retired task queues, recycled as newcomer queues on the next
     /// split.
     pool: Vec<Vec<u32>>,
-    /// The tick's pre-generated pop-state stream (reused buffer).
-    stream: Vec<u64>,
-    /// Ring-side planner scratch: per-worker pop counts and stream
-    /// offsets (reused buffers).
-    worker_pops: Vec<u32>,
-    worker_offs: Vec<u64>,
     /// Structural mutation counter: every insert/remove/assign/single
     /// pop bumps it, invalidating the `live` working set.
     muts: u64,
-    /// Value of `muts` when `live` was last rebuilt; planned pops prune
-    /// the set in place without bumping `muts`, so between structural
-    /// mutations the rebuild is skipped entirely.
+    /// Value of `muts` when `live` was last rebuilt; detached pops
+    /// prune the set in place without bumping `muts`, so between
+    /// structural mutations the rebuild is skipped entirely.
     live_epoch: u64,
 }
 
@@ -491,9 +491,6 @@ impl Ring {
             pop_rng: POP_SEED,
             scratch: Vec::new(),
             pool: Vec::new(),
-            stream: Vec::new(),
-            worker_pops: Vec::new(),
-            worker_offs: Vec::new(),
             muts: 1,
             live_epoch: 0,
         }
@@ -512,11 +509,19 @@ impl Ring {
             ..
         } = self;
         live.clear();
+        live.reserve(owners.len());
         for (slot, (&owner, tv)) in owners.iter().zip(tasks.iter()).enumerate() {
             if owner != FREE_OWNER && !tv.is_empty() {
                 live.push((slot as u32, owner as u32));
             }
         }
+        // Owner order is the order detached pops draw their states in;
+        // slots keep insertion order, which removals and reuse permute.
+        live.sort_unstable_by_key(|&(_, owner)| owner);
+        debug_assert!(
+            live.is_sorted_by(|a, b| a.1 < b.1),
+            "a detached ring holds one vnode per owner"
+        );
         self.live_epoch = self.muts;
     }
 
@@ -857,122 +862,73 @@ impl Ring {
         self.tasks.get(h.0 as usize).map_or(0, |t| t.len() as u64)
     }
 
-    /// Plans `count` pops from the vnode behind `h` this tick, drawing
-    /// the stream states at `offset..offset + count`. The planning pass
-    /// assigns offsets as a running total in the order the sequential
-    /// per-pop loop would pop — the contract [`Ring::run_pops`] relies
-    /// on to reproduce it exactly.
+    /// Plans `count` pops from the vnode behind `h` this tick. The
+    /// planning pass plans vnodes in the order the sequential per-pop
+    /// loop would pop them — the contract [`Ring::run_pops`] relies on
+    /// to reproduce it exactly.
     #[inline]
-    pub(crate) fn plan_pops(&mut self, h: Slot, offset: u64, count: u32) {
-        self.plan.push(PlannedPops {
-            offset,
-            slot: h.0,
-            count,
-        });
+    pub(crate) fn plan_pops(&mut self, h: Slot, count: u32) {
+        self.plan.push(PlannedPops { slot: h.0, count });
     }
 
     /// The work phase of one tick, after a planning pass has planned
-    /// `total` pops. Generates the tick's pop-state stream once, then
-    /// replays the planned slices: every planned slot pops its count
-    /// using exactly the states the sequential per-pop loop would have
-    /// drawn for it.
-    ///
-    /// Slots are visited in plan order, not ring order: each state in
-    /// the stream is pre-assigned to one vnode by the planning pass, so
-    /// replay order cannot change which state pops which queue.
+    /// `total` pops: replays the plan in order, drawing each pop's
+    /// state as it pops, so every planned slot pops its count with
+    /// exactly the states the sequential per-pop loop would have drawn
+    /// for it.
     pub(crate) fn run_pops(&mut self, total: u64) {
-        self.stream.clear();
-        self.stream.reserve(total as usize);
-        let mut s = self.pop_rng;
-        for _ in 0..total {
-            s = advance_pop_state(s);
-            self.stream.push(s);
-        }
-        self.pop_rng = s;
         let Ring {
             tasks,
             plan,
-            stream,
+            pop_rng,
             ..
         } = self;
+        let mut s = *pop_rng;
         let mut done = 0u64;
         for p in plan.iter() {
-            let start = p.offset as usize;
-            let (Some(tv), Some(states)) = (
-                tasks.get_mut(p.slot as usize),
-                stream.get(start..start + p.count as usize),
-            ) else {
+            let Some(tv) = tasks.get_mut(p.slot as usize) else {
                 continue;
             };
-            for &st in states {
-                let len = tv.len();
-                if len == 0 {
-                    break;
-                }
-                tv.swap_remove(pop_index(st, len));
-                done += 1;
-            }
+            done += pop_up_to(tv, p.count as usize, &mut s);
         }
         plan.clear();
+        *pop_rng = s;
         debug_assert_eq!(done, total, "replay popped a different count");
         self.total_tasks -= done;
     }
 
-    /// The planning pass done ring-side, for ticks where nothing
-    /// observes per-worker loads (see `Sim::run`) and every worker
-    /// holds exactly one vnode: each live slot's queue length *is* its
-    /// owner's load, so pop counts are read straight off the dense
-    /// columns without touching the worker table. `caps[w]` is worker
-    /// `w`'s per-tick capacity.
+    /// The work phase of one tick for ticks where nothing observes
+    /// per-worker loads (see `Sim::run`) and every worker holds exactly
+    /// one vnode: each live slot's queue length *is* its owner's load,
+    /// so pop counts are read straight off the dense columns without
+    /// touching the worker table. `caps[w]` is worker `w`'s per-tick
+    /// capacity.
     ///
-    /// Offsets are the exclusive prefix sum *in worker-index order* —
-    /// the order the sequential loop pops in. Returns the tick's total
-    /// pop count; [`Ring::run_pops`] replays the plan.
-    pub(crate) fn plan_pops_from_ring(&mut self, caps: &[u32]) -> u64 {
+    /// `live` ascends by owner, so walking it pops in worker-index
+    /// order — the order the sequential loop pops in — drawing each
+    /// state as it pops. Slots drained this tick leave the working set
+    /// in the same pass. Returns the tick's pop count.
+    pub(crate) fn pop_detached(&mut self, caps: &[u32]) -> u64 {
         self.refresh_live();
         let Ring {
             tasks,
             live,
-            plan,
-            worker_pops,
-            worker_offs,
+            pop_rng,
             ..
         } = self;
-        worker_pops.clear();
-        worker_pops.resize(caps.len(), 0);
-        worker_offs.resize(caps.len(), 0);
-        // Drained slots leave the working set here.
+        let mut s = *pop_rng;
+        let mut done = 0u64;
         live.retain(|&(slot, owner)| {
-            let len = tasks.get(slot as usize).map_or(0, Vec::len) as u64;
-            if let (Some(&cap), Some(p)) = (
-                caps.get(owner as usize),
-                worker_pops.get_mut(owner as usize),
-            ) {
-                *p = (cap as u64).min(len) as u32;
-            }
-            len > 0
-        });
-        let mut total = 0u64;
-        for (&p, off) in worker_pops.iter().zip(worker_offs.iter_mut()) {
-            *off = total;
-            total += p as u64;
-        }
-        for &(slot, owner) in live.iter() {
-            let (Some(&count), Some(&offset)) = (
-                worker_pops.get(owner as usize),
-                worker_offs.get(owner as usize),
-            ) else {
-                continue;
+            let Some(tv) = tasks.get_mut(slot as usize) else {
+                return false;
             };
-            if count > 0 {
-                plan.push(PlannedPops {
-                    offset,
-                    slot,
-                    count,
-                });
-            }
-        }
-        total
+            let cap = caps.get(owner as usize).map_or(0, |&c| c as usize);
+            done += pop_up_to(tv, cap, &mut s);
+            !tv.is_empty()
+        });
+        *pop_rng = s;
+        self.total_tasks -= done;
+        done
     }
 
     /// The ring-order median of a virtual node's remaining task keys:
@@ -1138,10 +1094,9 @@ fn pos_below(keys: &[Id], hi: usize, x: Id) -> usize {
     0
 }
 
-/// One xorshift64 step of the pop generator. Split out from
-/// [`pop_index`] because the state evolution is independent of the
-/// vector lengths being popped — the planned tick exploits this to
-/// pre-generate a tick's whole state stream before any pop.
+/// One xorshift64 step of the pop generator. The state evolution is
+/// independent of the vector lengths being popped; [`pop_index`] maps
+/// each state to an index.
 #[inline]
 fn advance_pop_state(state: u64) -> u64 {
     let mut x = state;
@@ -1149,6 +1104,18 @@ fn advance_pop_state(state: u64) -> u64 {
     x ^= x >> 7;
     x ^= x << 17;
     x
+}
+
+/// Pops `min(count, tv.len())` uniformly random elements of `tv`,
+/// advancing `state` once per pop, and returns how many it popped.
+#[inline]
+fn pop_up_to(tv: &mut Vec<u32>, count: usize, state: &mut u64) -> u64 {
+    let count = count.min(tv.len());
+    for _ in 0..count {
+        *state = advance_pop_state(*state);
+        tv.swap_remove(pop_index(*state, tv.len()));
+    }
+    count as u64
 }
 
 /// Maps an advanced state word to an index in `0..len` (the `*` finisher
@@ -1659,8 +1626,8 @@ mod tests {
         assert!(err.contains("indexed twice"), "{err}");
     }
 
-    /// A planned tick — per-vnode `(offset, count)` slices of one
-    /// stream, replayed in plan order — pops exactly what the same
+    /// A planned tick — per-vnode pop counts, replayed in plan order
+    /// while drawing each state as it pops — pops exactly what the same
     /// draws made one at a time would, with capacity spilling across
     /// each owner's vnodes.
     #[test]
@@ -1685,7 +1652,7 @@ mod tests {
                 for (&h, &v) in hs.iter().zip(at) {
                     let p = left.min(planned.queue_len(h));
                     if p > 0 {
-                        planned.plan_pops(h, total, p as u32);
+                        planned.plan_pops(h, p as u32);
                     }
                     total += p;
                     left -= p;
@@ -1699,5 +1666,69 @@ mod tests {
             assert_eq!(seq.rows(), planned.rows());
         }
         planned.check_invariants().unwrap();
+    }
+
+    /// A detached tick pops exactly what one-at-a-time `pop_task` calls
+    /// in owner-index order pop, even after removals and re-inserts
+    /// have reused slots so that slot order is no longer owner order,
+    /// and after a structural change mid-drain rebuilds the live set.
+    #[test]
+    fn detached_pops_match_sequential_pops_in_owner_order() {
+        let mut rng = ChaCha8Rng::seed_from_u64(5);
+        let mut at: Vec<Id> = (0..40).map(|_| Id::random(&mut rng)).collect();
+        let mut r = Ring::new();
+        for (owner, &v) in at.iter().enumerate() {
+            r.insert_vnode(v, owner).unwrap();
+        }
+        r.assign_tasks((0..1_200).map(|_| Id::random(&mut rng)).collect())
+            .unwrap();
+        // Freed slots are reused by later owners, out of owner order.
+        for gone in [3usize, 11, 17, 29] {
+            r.remove_vnode(at[gone]).unwrap();
+        }
+        for _ in 0..4 {
+            at.push(Id::random(&mut rng));
+            r.insert_vnode(*at.last().unwrap(), at.len() - 1).unwrap();
+        }
+        let owners: Vec<WorkerId> = r
+            .owners
+            .iter()
+            .copied()
+            .filter(|&o| o != FREE_OWNER)
+            .collect();
+        assert!(
+            owners.windows(2).any(|w| w[0] > w[1]),
+            "slot order must differ from owner order"
+        );
+        let caps: Vec<u32> = (0..at.len() as u32 + 1).map(|w| 1 + w % 4).collect();
+        let mut seq = r.clone();
+        for tick in 0..400 {
+            if tick == 3 {
+                // A departure mid-drain: both rings merge the same queue.
+                for ring in [&mut r, &mut seq] {
+                    ring.remove_vnode(at[8]).unwrap();
+                }
+            }
+            let mut want = 0u64;
+            for (owner, &v) in at.iter().enumerate() {
+                if seq.vnode_owner(v) != Some(owner) {
+                    continue;
+                }
+                let n = (caps[owner] as u64).min(seq.load(v));
+                for _ in 0..n {
+                    assert!(seq.pop_task(v));
+                }
+                want += n;
+            }
+            assert_eq!(r.pop_detached(&caps), want, "tick {tick}");
+            assert_eq!(r.total_tasks(), seq.total_tasks(), "tick {tick}");
+            assert_eq!(r.rows(), seq.rows(), "tick {tick}");
+            if seq.total_tasks() == 0 {
+                break;
+            }
+        }
+        assert_eq!(r.total_tasks(), 0, "the drain finished");
+        assert!(r.live.is_empty(), "drained slots left the live set");
+        r.check_invariants().unwrap();
     }
 }

@@ -45,12 +45,12 @@ pub struct Sim {
     /// Whether [`Sim::run`] may tick with the worker load ledger
     /// detached: no churn, no strategy, one vnode per worker, no
     /// sampling or snapshots armed — nothing can observe per-worker
-    /// loads mid-run, so the planned tick reads loads from the ring's
-    /// dense columns instead of streaming the whole worker table.
+    /// loads mid-run, so the work phase pops straight off the ring's
+    /// live slots instead of walking the whole worker table.
     ledger_detached_ok: bool,
-    /// Per-worker tick capacities cached for the ring-side planner
-    /// (static while the ledger-detached gate holds: no churn means no
-    /// worker set changes, and strengths never change).
+    /// Per-worker tick capacities cached for the detached pops (static
+    /// while the ledger-detached gate holds: no churn means no worker
+    /// set changes, and strengths never change).
     caps: Vec<u32>,
     /// The trace and metrics planes and the tallies derived from them;
     /// with both planes off every emission is a tally bump and a
@@ -265,7 +265,7 @@ impl Sim {
         self.advance(false)
     }
 
-    /// One tick. With `detached` the work phase plans ring-side and
+    /// One tick. With `detached` the work phase pops ring-side and
     /// leaves worker load caches stale (see `ledger_detached_ok`); only
     /// [`Sim::run`] passes it, and it consumes the simulator, so every
     /// public view of the workers stays truthful.
@@ -290,15 +290,17 @@ impl Sim {
         self.strategies = stack;
         let _p = profile::span("work");
 
-        // 3. Every active worker consumes up to its capacity: plan each
-        //    popping vnode's slice of the tick's pop stream, then let
-        //    the ring replay the plan.
+        // 3. Every active worker consumes up to its capacity: detached
+        //    ticks pop in place over the ring's live slots; otherwise
+        //    plan each popping vnode's pop count, then let the ring
+        //    replay the plan.
         let consumed = if detached {
-            self.ring.plan_pops_from_ring(&self.caps)
+            self.ring.pop_detached(&self.caps)
         } else {
-            self.plan_work()
+            let planned = self.plan_work();
+            self.ring.run_pops(planned);
+            planned
         };
-        self.ring.run_pops(consumed);
         self.work_history.push(consumed);
         self.rec.work(consumed);
         self.peak_vnodes = self.peak_vnodes.max(self.ring.len());
@@ -345,7 +347,7 @@ impl Sim {
                 }
                 let p = left.min(ring.queue_len(h));
                 if p > 0 {
-                    ring.plan_pops(h, consumed, p as u32);
+                    ring.plan_pops(h, p as u32);
                     consumed += p;
                     left -= p;
                 }

@@ -96,7 +96,11 @@ impl Sha1 {
         let mut block = self.buf;
         block[56..64].copy_from_slice(&bit_len.to_be_bytes());
         self.compress(&block);
+        self.output()
+    }
 
+    /// The state words as the big-endian digest.
+    fn output(&self) -> [u8; 20] {
         let mut out = [0u8; 20];
         for (i, word) in self.state.iter().enumerate() {
             out[i * 4..(i + 1) * 4].copy_from_slice(&word.to_be_bytes());
@@ -159,13 +163,43 @@ pub fn sha1_id(data: &[u8]) -> Id {
 
 /// Hashes a `u64` counter/random draw, the paper's "random numbers into
 /// SHA1" key-generation scheme.
+///
+/// An 8-byte message pads to exactly one block (the big-endian value,
+/// the `0x80` marker, zeros, and the 64-bit message length in bits), so
+/// the digest is one compression of that block.
 pub fn sha1_id_of_u64(v: u64) -> Id {
-    sha1_id(&v.to_be_bytes())
+    let mut block = [0u8; 64];
+    block[..8].copy_from_slice(&v.to_be_bytes());
+    block[8] = 0x80;
+    block[56..].copy_from_slice(&64u64.to_be_bytes());
+    let mut h = Sha1::new();
+    h.compress(&block);
+    Id::from_be_bytes(h.output())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The streaming hasher over a `u64`'s big-endian bytes.
+    fn streamed_id(v: u64) -> Id {
+        sha1_id(&v.to_be_bytes())
+    }
+
+    #[test]
+    fn one_block_u64_matches_streaming_at_the_edges() {
+        for v in [0, 1, u64::MAX] {
+            assert_eq!(sha1_id_of_u64(v), streamed_id(v), "{v}");
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn one_block_u64_matches_streaming(v in any::<u64>()) {
+            prop_assert_eq!(sha1_id_of_u64(v), streamed_id(v));
+        }
+    }
 
     fn hex(d: &[u8; 20]) -> String {
         d.iter().map(|b| format!("{b:02x}")).collect()

@@ -82,8 +82,8 @@ fn metrics_recording_ticks_do_not_allocate() {
 }
 
 /// Rings that hold Sybils keep the promise too: the per-vnode plan
-/// (the walk over each worker's slot handles, the per-slot plan
-/// entries, the pop stream) reuses its buffers. Random injection spawns
+/// (the walk over each worker's slot handles and the per-slot plan
+/// entries) reuses its buffer. Random injection spawns
 /// and retires Sybils only at check ticks, so the measured windows are
 /// the work-only ticks between two checks, once the first Sybils exist.
 #[test]
@@ -116,12 +116,11 @@ fn sybil_ring_work_ticks_do_not_allocate() {
 
 /// The ring's own growth over the churn window below, and the only
 /// allocations those 1k ticks make: 528 task queues outgrowing their
-/// capacity (a join splits its share into a recycled queue that is too
-/// small, or a departure merges its queue into a successor's that is
-/// full), 2 free-slot list and 1 queue-pool pushes past capacity, and 1
-/// work-plan buffer growing with the vnode count. Counted at this seed
-/// by instrumenting each growth site.
-const CHURN_WINDOW_RING_GROWTH: u64 = 532;
+/// capacity (208 joins split their share into a recycled queue that is
+/// too small, and 320 departures merge their queue into a successor's
+/// that is full), and 2 free-slot list and 1 queue-pool pushes past
+/// capacity. Counted at this seed by instrumenting each growth site.
+const CHURN_WINDOW_RING_GROWTH: u64 = 531;
 
 /// Churn ticks allocate only what the ring's growth makes: at rate
 /// 0.01, 200 active and 200 waiting workers (about 2k leaves and 2k
@@ -190,6 +189,101 @@ fn allocations_scale_with_setup_not_ticks() {
         long <= short + 8,
         "4x the ticks added {} allocations (short {short}, long {long})",
         long - short
+    );
+}
+
+/// A detached drain: no strategy, no churn and nothing armed, so
+/// `Sim::run` ticks ledger-detached from its first tick to its last.
+fn detached_drain() -> Sim {
+    let cfg = SimConfig {
+        nodes: 2_000,
+        tasks: 200_000,
+        ..steady_cfg()
+    };
+    Sim::new(cfg, 0xA0B1_C2D3)
+}
+
+/// What a whole detached drain's `Sim::run` allocates after setup,
+/// counted at this seed: the live-slot set, reserved once at the slot
+/// count when the first tick builds it. The work history is sized at
+/// setup, and each tick pops in place over the live slots.
+const DETACHED_DRAIN_ALLOCS: u64 = 1;
+
+/// A detached drain's whole run, about 1 100 ticks, allocates only its
+/// live-slot set.
+#[test]
+fn detached_drain_run_allocations() {
+    let sim = detached_drain();
+    let (allocs, result) = allocation_delta(|| sim.run());
+    assert!(result.completed, "the drain must finish");
+    assert!(
+        result.ticks > 1_000,
+        "a long drain tail, {} ticks",
+        result.ticks
+    );
+    assert_eq!(
+        allocs, DETACHED_DRAIN_ALLOCS,
+        "a detached drain allocated {allocs} times over {} ticks",
+        result.ticks
+    );
+}
+
+/// Runs `strategy` on the steady workload past its first Sybils, then
+/// counts a 1k-tick window holding 200 check ticks. Returns the
+/// window's allocations and the Sybils it created.
+fn check_window(strategy: StrategyKind) -> (u64, u64) {
+    let cfg = SimConfig {
+        strategy,
+        ..steady_cfg()
+    };
+    let mut sim = Sim::new(cfg, 0xA0B1_C2D3);
+    while sim.messages().sybils_created == 0 || sim.tick() < 32 {
+        sim.step();
+    }
+    let before = sim.messages().sybils_created;
+    let (allocs, consumed) = allocation_delta(|| (0..1_000).map(|_| sim.step()).sum::<u64>());
+    assert!(consumed > 0, "window must have done real work");
+    (allocs, sim.messages().sybils_created - before)
+}
+
+/// The growth in the random-injection window below, counted at this
+/// seed by instrumenting each site; nothing else allocates. For its 26
+/// Sybils: 26 newcomer queues filled past their capacity by the split,
+/// 3 split-buffer regrowths, 1 free-slot list and 1 queue-pool push
+/// past capacity, and, for the 23 workers that spawn their first
+/// Sybil, 23 Sybil lists and 23 slot-handle lists growing.
+const RANDOM_INJECTION_CHECK_ALLOCS: u64 = 77;
+
+/// Check ticks under random injection allocate only the ring's growth:
+/// the idle workers' checks, the Sybil inserts, and the retirements of
+/// Sybils that ran dry.
+#[test]
+fn random_injection_check_ticks_allocate_only_ring_growth() {
+    let (allocs, created) = check_window(StrategyKind::RandomInjection);
+    assert!(created > 0, "the window must inject Sybils");
+    assert_eq!(
+        allocs, RANDOM_INJECTION_CHECK_ALLOCS,
+        "random injection allocated {allocs} times over 1k ticks ({created} Sybils)"
+    );
+}
+
+/// The growth in the invitation window below, counted at this seed by
+/// instrumenting each site; nothing else allocates. For its 9 Sybils:
+/// 9 newcomer queues filled past their capacity by the split, 2
+/// split-buffer regrowths, and 9 Sybil lists and 9 slot-handle lists
+/// growing for helpers that spawn their first Sybil.
+const INVITATION_CHECK_ALLOCS: u64 = 29;
+
+/// Check ticks under invitation allocate only the ring's growth: the
+/// overloaded workers' invitations walk their predecessors through the
+/// reused helper and successor-list buffers.
+#[test]
+fn invitation_check_ticks_allocate_only_ring_growth() {
+    let (allocs, created) = check_window(StrategyKind::Invitation);
+    assert!(created > 0, "the window must inject Sybils");
+    assert_eq!(
+        allocs, INVITATION_CHECK_ALLOCS,
+        "invitation allocated {allocs} times over 1k ticks ({created} Sybils)"
     );
 }
 
