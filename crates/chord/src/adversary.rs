@@ -159,16 +159,6 @@ impl AdversaryState {
         self.plan.is_active() && !self.liars.is_empty()
     }
 
-    /// True when worker `w` is Byzantine.
-    pub fn is_liar(&self, w: usize) -> bool {
-        self.liars.contains(&w)
-    }
-
-    /// The selected liar set (worker indices).
-    pub fn liars(&self) -> &BTreeSet<usize> {
-        &self.liars
-    }
-
     /// The distorted load worker `w` reports at time `now` when its
     /// true load is `true_load` — or `None` if `w` answers honestly.
     /// Pure function of the inputs: no RNG, no state, so both real
@@ -222,32 +212,32 @@ mod tests {
         assert!(plan.validate().is_ok());
         let st = AdversaryState::new(plan, 64);
         assert!(!st.is_active());
-        assert!(st.liars().is_empty());
+        assert!(st.liars.is_empty());
         for w in 0..64 {
             assert_eq!(st.lie(w, 17, 5), None, "inert plan must never lie");
         }
         // A zero fraction never touches the stream, so two states over
         // different populations are indistinguishable.
         let other = AdversaryState::new(AdversaryPlan::default(), 4096);
-        assert_eq!(st.liars(), other.liars());
+        assert_eq!(st.liars, other.liars);
     }
 
     #[test]
     fn fraction_selects_the_ceiling_count() {
         let st = AdversaryState::new(AdversaryPlan::lying(7, 0.25, LiePolicy::UnderReport), 10);
-        assert_eq!(st.liars().len(), 3, "ceil(0.25 * 10) = 3");
+        assert_eq!(st.liars.len(), 3, "ceil(0.25 * 10) = 3");
         assert!(st.is_active());
         let all = AdversaryState::new(AdversaryPlan::lying(7, 1.0, LiePolicy::UnderReport), 10);
-        assert_eq!(all.liars().len(), 10);
+        assert_eq!(all.liars.len(), 10);
     }
 
     #[test]
     fn liar_selection_is_seed_deterministic() {
         let a = AdversaryState::new(AdversaryPlan::lying(9, 0.3, LiePolicy::OverReport), 40);
         let b = AdversaryState::new(AdversaryPlan::lying(9, 0.3, LiePolicy::OverReport), 40);
-        assert_eq!(a.liars(), b.liars());
+        assert_eq!(a.liars, b.liars);
         let c = AdversaryState::new(AdversaryPlan::lying(10, 0.3, LiePolicy::OverReport), 40);
-        assert_ne!(a.liars(), c.liars(), "different seed, different liars");
+        assert_ne!(a.liars, c.liars, "different seed, different liars");
     }
 
     #[test]
@@ -278,7 +268,7 @@ mod tests {
     fn honest_workers_and_late_joiners_never_lie() {
         let st = AdversaryState::new(AdversaryPlan::lying(3, 0.5, LiePolicy::OverReport), 8);
         for w in 0..8 {
-            assert_eq!(st.lie(w, 10, 2).is_some(), st.is_liar(w));
+            assert_eq!(st.lie(w, 10, 2).is_some(), st.liars.contains(&w));
         }
         // Churn-pool indices beyond the initial population are honest.
         assert_eq!(st.lie(8, 10, 2), None);

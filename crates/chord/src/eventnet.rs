@@ -60,9 +60,11 @@ pub struct EventConfig {
     pub lookup_timeout: u64,
     /// Successor-list length.
     pub successor_list_len: usize,
-    /// Safety cap on forwarding hops.
-    pub max_hops: u32,
 }
+
+/// Safety cap on forwarding hops: a lookup forwarded this many times is
+/// dropped and left to its origin's timeout.
+const MAX_HOPS: u32 = 256;
 
 impl Default for EventConfig {
     fn default() -> EventConfig {
@@ -71,7 +73,6 @@ impl Default for EventConfig {
             stabilize_every: 100,
             lookup_timeout: 2_000,
             successor_list_len: 5,
-            max_hops: 256,
         }
     }
 }
@@ -237,8 +238,9 @@ pub struct EventNet {
     /// lookup `req`, or `None` once it finished or when `req` named an
     /// application request. Request ids are handed out in order, so a
     /// lookup appends its slot and finished slots leave from the front.
-    /// A lookup whose origin dies before it finishes keeps its slot,
-    /// since a reply may still reach the origin if that id rejoins.
+    /// A lookup whose origin dies before it finishes leaves when its
+    /// next deadline reaches the dead origin: nobody is left to retry it
+    /// or to take its answer.
     pending: VecDeque<Option<PendingLookup>>,
     /// The request id of `pending`'s front slot.
     oldest: u64,
@@ -369,11 +371,6 @@ impl EventNet {
     pub fn set_fault_plan(&mut self, plan: FaultPlan) {
         self.faults = FaultState::new(plan);
         self.crash_clock = self.time;
-    }
-
-    /// The currently armed plan.
-    pub fn fault_plan(&self) -> &FaultPlan {
-        self.faults.plan()
     }
 
     /// Arms the flight recorder: lookup completions, timeouts (with
@@ -713,6 +710,9 @@ impl EventNet {
             self.dropped += 1;
             self.trace
                 .message(self.time, wire_kind(&msg), MessageStatus::Dropped, 0);
+            if let Msg::LookupTimeout { req } = msg {
+                self.take_pending(req);
+            }
             // Application *requests* to a corpse bounce, so a blocking
             // caller learns `Unreachable` instead of waiting out its
             // timeout. Replies and bounces die silently — a `Nack` is
@@ -760,7 +760,7 @@ impl EventNet {
                 hops,
             } => {
                 self.stats.record(MK::FindSuccessorHop);
-                if hops >= self.cfg.max_hops {
+                if hops >= MAX_HOPS {
                     return; // let the origin's timeout fire
                 }
                 let node = self.nodes.at(at);
@@ -1087,6 +1087,47 @@ mod tests {
         done.sort_unstable();
         assert_eq!(done, reqs);
         assert!(net.pending.is_empty());
+    }
+
+    /// A lookup whose origin fails before it finishes leaves the
+    /// pending buffer at its deadline, so later lookups do not keep a
+    /// slot each behind it.
+    #[test]
+    fn lookups_of_a_failed_origin_leave_the_pending_buffer() {
+        let cfg = EventConfig::default();
+        let mut net = EventNet::bootstrap(cfg, 16, &mut rng(31));
+        let ids = net.node_ids();
+        net.lookup(ids[0], sha1_id_of_u64(0)).unwrap();
+        assert!(net.fail(ids[0]));
+        let reqs: Vec<u64> = (1..=1_000)
+            .map(|i| net.lookup(ids[1], sha1_id_of_u64(i)).unwrap())
+            .collect();
+        net.run_until(net.now() + 2 * cfg.lookup_timeout);
+        assert_eq!(drain_app_lookups(&mut net, &reqs).len(), 1_000);
+        assert!(net.pending.is_empty(), "{} slots left", net.pending.len());
+    }
+
+    /// The retry schedule the wire runs: a lookup that hears nothing is
+    /// re-issued after `lookup_timeout`, again after twice that, and
+    /// times out after four times that once `max_attempts` is spent.
+    #[test]
+    fn unanswered_lookups_retry_after_doubling_waits() {
+        let cfg = EventConfig::default();
+        let mut net = EventNet::bootstrap(cfg, 16, &mut rng(32));
+        // Just under the 1.0 a plan may not ask for: a wire message,
+        // reply or forward, survives with probability 2^-52.
+        net.set_fault_plan(FaultPlan {
+            loss_rate: 1.0 - f64::EPSILON,
+            max_attempts: 3,
+            ..FaultPlan::default()
+        });
+        let req = net.lookup(net.node_ids()[0], sha1_id_of_u64(0)).unwrap();
+        net.run_until(net.now() + 10 * cfg.lookup_timeout);
+        let done: Vec<AsyncLookup> = net.drain_completed().collect();
+        assert_eq!(done.len(), 1);
+        assert_eq!((done[0].req, done[0].owner), (req, None));
+        assert_eq!(done[0].latency, 7 * cfg.lookup_timeout, "1 + 2 + 4 waits");
+        assert_eq!((net.stats.retries, net.stats.timeouts), (2, 1));
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //!
 //! A [`FaultPlan`] is pure configuration — per-message loss, duplication
 //! and extra-delay rates, scheduled crash-failures, transient partitions,
-//! and the retry/backoff envelope the protocol uses to survive them. A
+//! and the attempt budget the protocol uses to survive them. A
 //! [`FaultState`] is the plan armed with its own ChaCha stream: every
 //! fault decision draws from this dedicated RNG and from nothing else,
 //! and zero-rate paths draw nothing at all, so an inert plan
@@ -76,19 +76,10 @@ pub struct FaultPlan {
     /// hop, join, async lookup) is tried before reporting `TimedOut`.
     #[cfg_attr(feature = "serde", serde(default = "default_max_attempts"))]
     pub max_attempts: u32,
-    /// Base wait before the first retry; doubles per attempt
-    /// (exponential backoff). On the tick-synchronous substrate this is
-    /// accounting only; the event-driven substrate waits it out for real.
-    #[cfg_attr(feature = "serde", serde(default = "default_backoff_base"))]
-    pub backoff_base: u64,
 }
 
 fn default_max_attempts() -> u32 {
     3
-}
-
-fn default_backoff_base() -> u64 {
-    2
 }
 
 impl Default for FaultPlan {
@@ -102,7 +93,6 @@ impl Default for FaultPlan {
             crashes: Vec::new(),
             partitions: Vec::new(),
             max_attempts: 3,
-            backoff_base: 2,
         }
     }
 }
@@ -237,11 +227,6 @@ impl FaultState {
             .sum()
     }
 
-    /// Exponential backoff before retry number `attempt` (1-based).
-    pub fn backoff(&self, attempt: u32) -> u64 {
-        self.plan.backoff_base << (attempt.saturating_sub(1)).min(16)
-    }
-
     /// The fault stream itself, for victim selection by the harness.
     /// Anything that must stay deterministic under identical plans and
     /// must not perturb workload/strategy streams draws from here.
@@ -330,16 +315,6 @@ mod tests {
         assert_eq!(st.crashes_due(0, 5), 2);
         assert_eq!(st.crashes_due(5, 10), 1);
         assert_eq!(st.crashes_due(0, 100), 7);
-    }
-
-    #[test]
-    fn backoff_doubles_per_attempt() {
-        let st = FaultState::new(FaultPlan::default());
-        assert_eq!(st.backoff(1), 2);
-        assert_eq!(st.backoff(2), 4);
-        assert_eq!(st.backoff(3), 8);
-        // Shift saturates instead of overflowing on absurd attempts.
-        assert!(st.backoff(u32::MAX) >= st.backoff(17));
     }
 
     #[test]

@@ -45,11 +45,7 @@ impl Network {
 
     /// Total number of stored values across all primaries.
     pub fn total_values(&self) -> usize {
-        self.node_ids()
-            .iter()
-            .filter_map(|id| self.node(*id))
-            .map(|n| n.store.len())
-            .sum()
+        self.nodes.values().map(|n| n.store.len()).sum()
     }
 }
 

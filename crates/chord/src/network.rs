@@ -20,9 +20,13 @@ pub struct NetConfig {
     pub replication_factor: usize,
     /// Fingers fixed per node per maintenance cycle.
     pub fingers_per_cycle: usize,
-    /// Abort threshold for a single lookup (routing loop safety valve).
-    pub max_lookup_hops: usize,
 }
+
+/// Abort threshold for a single lookup (routing loop safety valve).
+const MAX_LOOKUP_HOPS: u32 = 512;
+// A lookup on a consistent ring takes at most one hop per identifier
+// bit, so the cap must sit above that.
+const _: () = assert!(MAX_LOOKUP_HOPS >= 160);
 
 impl Default for NetConfig {
     fn default() -> NetConfig {
@@ -31,7 +35,6 @@ impl Default for NetConfig {
             predecessor_list_len: 5,
             replication_factor: 5,
             fingers_per_cycle: 16,
-            max_lookup_hops: 512,
         }
     }
 }
@@ -45,7 +48,8 @@ pub enum NetworkError {
     DuplicateId(Id),
     /// The referenced node is not in the network.
     UnknownNode(Id),
-    /// Routing did not converge within `max_lookup_hops`.
+    /// Routing did not converge: the lookup passed the hop cap that
+    /// stops a routing loop.
     LookupFailed { hops: u32 },
     /// The fault plane ate every attempt: retries exhausted without an
     /// answer (message loss) or the peer sits behind an open partition.
@@ -139,11 +143,6 @@ impl Network {
         self.faults = FaultState::new(plan);
     }
 
-    /// The currently armed plan.
-    pub fn fault_plan(&self) -> &FaultPlan {
-        self.faults.plan()
-    }
-
     /// Advances the partition-window clock (the harness calls this once
     /// per tick; see [`Network::set_clock`]).
     pub fn set_clock(&mut self, now: u64) {
@@ -174,7 +173,7 @@ impl Network {
     /// Delivers one protocol message from `from` to `to`, retrying up to
     /// `max_attempts` times on loss (each resend bills `retries` plus
     /// the message kind again — the bytes really cross the wire twice).
-    /// A partition fails immediately: backoff inside one tick cannot
+    /// A partition fails immediately: retrying inside one tick cannot
     /// outwait a multi-tick cut.
     pub(crate) fn deliver(
         &mut self,
@@ -360,7 +359,7 @@ impl Network {
         // Membership is fixed while a lookup routes, so `at`, the
         // position of `cur` in the node table, stays valid throughout.
         loop {
-            if hops as usize > self.cfg.max_lookup_hops {
+            if hops > MAX_LOOKUP_HOPS {
                 return Err(NetworkError::LookupFailed { hops });
             }
             let node = self.nodes.at(at);
@@ -906,7 +905,6 @@ mod error_tests {
         assert_eq!(c.successor_list_len, 5);
         assert_eq!(c.predecessor_list_len, 5);
         assert_eq!(c.replication_factor, 5);
-        assert!(c.max_lookup_hops >= 160);
     }
 
     #[test]

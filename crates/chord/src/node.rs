@@ -113,33 +113,6 @@ impl Node {
         changed |= self.fingers.forget(dead) > 0;
         changed
     }
-
-    /// The largest gap (clockwise arc) between consecutive entries of the
-    /// successor list, including the arc from `self` to the first
-    /// successor. Returns the `(from, to)` pair bounding the widest gap.
-    /// This is the *estimate* the plain neighbor-injection strategy uses.
-    pub fn widest_successor_gap(&self) -> Option<(Id, Id)> {
-        if self.successors.is_empty() || self.successors[0] == self.id {
-            return None;
-        }
-        let mut hops: Vec<Id> = Vec::with_capacity(self.successors.len() + 1);
-        hops.push(self.id);
-        hops.extend(self.successors.iter().copied());
-        let mut best: Option<(Id, Id)> = None;
-        let mut best_len = Id::ZERO;
-        for w in hops.windows(2) {
-            let (a, b) = (w[0], w[1]);
-            if a == b {
-                continue;
-            }
-            let len = ring::distance(a, b);
-            if len > best_len {
-                best_len = len;
-                best = Some((a, b));
-            }
-        }
-        best
-    }
 }
 
 #[cfg(test)]
@@ -211,27 +184,5 @@ mod tests {
         assert!(n.forget(id(200)));
         assert_eq!(n.predecessors, vec![id(150)]);
         assert!(!n.forget(id(5)));
-    }
-
-    #[test]
-    fn widest_gap_spots_the_big_hole() {
-        let mut n = Node::solo(id(0));
-        n.successors = vec![id(10), id(20), id(1000)];
-        let (a, b) = n.widest_successor_gap().unwrap();
-        assert_eq!((a, b), (id(20), id(1000)));
-    }
-
-    #[test]
-    fn widest_gap_includes_self_to_first() {
-        let mut n = Node::solo(id(0));
-        n.successors = vec![id(500), id(510)];
-        let (a, b) = n.widest_successor_gap().unwrap();
-        assert_eq!((a, b), (id(0), id(500)));
-    }
-
-    #[test]
-    fn widest_gap_none_when_alone() {
-        let n = Node::solo(id(7));
-        assert!(n.widest_successor_gap().is_none());
     }
 }

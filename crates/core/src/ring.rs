@@ -86,10 +86,10 @@
 //!
 //! - **Planned** (every strategy and churn ring): `Sim`'s planning pass
 //!   walks the worker table and records each popping vnode's `(slot,
-//!   count)` in that order; [`Ring::run_pops`] replays the plan.
+//!   count)` in that order; `Ring::run_pops` replays the plan.
 //! - **Detached** (a drain with no strategy, no churn and one vnode per
 //!   worker): a slot's queue length is its owner's load, so
-//!   [`Ring::pop_detached`] walks the `live` slots, kept in owner
+//!   `Ring::pop_detached` walks the `live` slots, kept in owner
 //!   order, and pops each one in place. Slots that drain leave `live`
 //!   in the same pass, so a drain's long tail touches only the slots
 //!   still loaded.

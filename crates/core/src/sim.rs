@@ -225,11 +225,6 @@ impl Sim {
         self.ring.total_tasks()
     }
 
-    /// Number of active (ring-participating) workers.
-    pub fn active_workers(&self) -> usize {
-        self.active_count
-    }
-
     /// Read-only view of the ring.
     pub fn ring(&self) -> &Ring {
         &self.ring

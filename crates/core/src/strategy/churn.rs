@@ -353,7 +353,7 @@ mod tests {
         let mut sim = Sim::new(cfg, 10);
         for _ in 0..300 {
             sim.step();
-            assert!(sim.active_workers() >= 1, "the last node must stay");
+            assert!(sim.active_count() >= 1, "the last node must stay");
         }
     }
 }

@@ -15,8 +15,8 @@
 //! The strategy itself only decides *when* to call for help and from
 //! which of its vnodes; delivering the announcement, filtering eligible
 //! predecessors, and performing the helper's join are substrate work
-//! behind [`Actions::invite`]. The helper-selection rule both
-//! substrates share is [`pick_helper`].
+//! behind [`Actions::invite`](super::Actions::invite). The
+//! helper-selection rule both substrates share is [`pick_helper`].
 
 use super::{NodeContext, Strategy};
 use crate::worker::WorkerId;

@@ -40,12 +40,6 @@ pub fn ring_xy_scaled(id: Id, cx: f64, cy: f64, r: f64) -> Point {
     }
 }
 
-/// The angle (radians, in `[0, 2π)`) of an identifier, measured clockwise
-/// from 12 o'clock.
-pub fn angle(id: Id) -> f64 {
-    2.0 * std::f64::consts::PI * id.to_unit_fraction()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -90,23 +84,5 @@ mod tests {
         assert!(close(p.x, 100.0) && close(p.y, 50.0)); // top of circle
         let q = ring_xy_scaled(Id::pow2(158), 100.0, 100.0, 50.0);
         assert!(close(q.x, 150.0) && close(q.y, 100.0)); // right of circle
-    }
-
-    #[test]
-    fn angle_is_monotone_in_id() {
-        // Use ids that differ in their top 53 bits: the embedding only
-        // keeps f64-mantissa precision, so nearby low ids may collide.
-        let ids = [
-            Id::pow2(120),
-            Id::pow2(140),
-            Id::pow2(158),
-            Id::pow2(159),
-            Id::MAX,
-        ];
-        for w in ids.windows(2) {
-            assert!(angle(w[0]) < angle(w[1]));
-        }
-        assert!(angle(Id::from(1u64)) >= 0.0);
-        assert!(angle(Id::MAX) < 2.0 * std::f64::consts::PI);
     }
 }

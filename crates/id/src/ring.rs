@@ -42,37 +42,11 @@ pub fn in_open_arc(a: Id, b: Id, x: Id) -> bool {
     }
 }
 
-/// True iff `x` lies in the clockwise half-open arc `[a, b)`.
-#[inline]
-pub fn in_arc_incl_start(a: Id, b: Id, x: Id) -> bool {
-    if a == b {
-        return true;
-    }
-    if a < b {
-        a <= x && x < b
-    } else {
-        x >= a || x < b
-    }
-}
-
 /// Clockwise distance from `from` to `to` (how far you walk clockwise to
 /// get from `from` to `to`); `0` when they coincide.
 #[inline]
 pub fn distance(from: Id, to: Id) -> Id {
     to.wrapping_sub(from)
-}
-
-/// Length of the arc `(pred, node]` — the measure of key space `node`
-/// owns. A single-node ring (`pred == node`) owns the full ring, which we
-/// report as [`Id::MAX`] (one less than the true 2^160, which does not
-/// fit; the error is negligible for every statistic we compute).
-#[inline]
-pub fn arc_len(pred: Id, node: Id) -> Id {
-    if pred == node {
-        Id::MAX
-    } else {
-        node.wrapping_sub(pred)
-    }
 }
 
 /// The identifier halfway along the clockwise arc from `a` to `b`; the
@@ -172,17 +146,6 @@ mod tests {
     }
 
     #[test]
-    fn incl_start_arc() {
-        assert!(in_arc_incl_start(id(10), id(20), id(10)));
-        assert!(!in_arc_incl_start(id(10), id(20), id(20)));
-        let a = Id::MAX;
-        let b = id(3);
-        assert!(in_arc_incl_start(a, b, Id::MAX));
-        assert!(in_arc_incl_start(a, b, Id::ZERO));
-        assert!(!in_arc_incl_start(a, b, id(3)));
-    }
-
-    #[test]
     fn complementary_arcs_partition_the_ring() {
         // For a != b, every x is in exactly one of (a,b] and (b,a].
         let a = id(1000);
@@ -194,11 +157,9 @@ mod tests {
     }
 
     #[test]
-    fn distance_and_arc_len() {
+    fn distance_wraps_clockwise() {
         assert_eq!(distance(id(10), id(25)), id(15));
         assert_eq!(distance(id(25), id(10)), Id::MAX.wrapping_sub(id(14)));
-        assert_eq!(arc_len(id(10), id(25)), id(15));
-        assert_eq!(arc_len(id(7), id(7)), Id::MAX);
     }
 
     #[test]

@@ -26,11 +26,6 @@ impl UseDecl {
     pub fn root(&self) -> &str {
         self.path.split("::").next().unwrap_or("")
     }
-
-    /// Last path segment (the imported name, or `*`).
-    pub fn leaf(&self) -> &str {
-        self.path.rsplit("::").next().unwrap_or("")
-    }
 }
 
 /// One `fn` item (free function, inherent or trait method).
@@ -394,12 +389,10 @@ mod tests {
     }
 
     #[test]
-    fn use_roots_and_leaves() {
+    fn use_roots() {
         let items = parse_items(&lex("use autobal_id::{ring, Id};"));
         let roots: Vec<&str> = items.uses.iter().map(|u| u.root()).collect();
         assert_eq!(roots, vec!["autobal_id", "autobal_id"]);
-        let leaves: Vec<&str> = items.uses.iter().map(|u| u.leaf()).collect();
-        assert_eq!(leaves, vec!["ring", "Id"]);
     }
 
     #[test]

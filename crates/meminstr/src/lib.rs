@@ -2,13 +2,10 @@
 //!
 //! A dependency-free counting [`GlobalAlloc`] used by the allocation
 //! regression tests and the `repro perf` plane. It forwards every call
-//! to the [`System`] allocator and counts events in two scopes:
-//!
-//! * **process-wide** — atomic totals, cheap enough to leave on;
-//! * **per-thread** — a `const`-initialized thread-local counter, so a
-//!   test can assert "this exact stretch of code on this thread made N
-//!   allocations" without rayon workers or other test threads bleeding
-//!   into the count.
+//! to the [`System`] allocator and counts events per thread, in a
+//! `const`-initialized thread-local counter, so a test can assert "this
+//! exact stretch of code on this thread made N allocations" without
+//! rayon workers or other test threads bleeding into the count.
 //!
 //! Install it in a test binary and measure a window with
 //! [`allocation_delta`]:
@@ -27,10 +24,6 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering};
-
-static TOTAL_ALLOCS: AtomicU64 = AtomicU64::new(0);
-static TOTAL_BYTES: AtomicU64 = AtomicU64::new(0);
 
 thread_local! {
     // `const` init: plain memory, so the initializer itself can never
@@ -38,18 +31,8 @@ thread_local! {
     static THREAD_ALLOCS: Cell<u64> = const { Cell::new(0) };
 }
 
-/// Allocation events across all threads since process start.
-pub fn total_allocations() -> u64 {
-    TOTAL_ALLOCS.load(Ordering::Relaxed)
-}
-
-/// Bytes requested across all threads since process start.
-pub fn total_bytes() -> u64 {
-    TOTAL_BYTES.load(Ordering::Relaxed)
-}
-
 /// Allocation events on the calling thread since it started.
-pub fn thread_allocations() -> u64 {
+fn thread_allocations() -> u64 {
     THREAD_ALLOCS.with(|c| c.get())
 }
 
@@ -61,12 +44,9 @@ pub fn allocation_delta<R>(f: impl FnOnce() -> R) -> (u64, R) {
     (thread_allocations() - before, result)
 }
 
-fn record(bytes: usize) {
-    TOTAL_ALLOCS.fetch_add(1, Ordering::Relaxed);
-    TOTAL_BYTES.fetch_add(bytes as u64, Ordering::Relaxed);
-    // During thread teardown the thread-local may already be gone;
-    // dropping the per-thread count there is fine — the process-wide
-    // totals still see the event.
+fn record() {
+    // During thread teardown the thread-local may already be gone; no
+    // window can be open on that thread then, so the event is dropped.
     let _ = THREAD_ALLOCS.try_with(|c| c.set(c.get() + 1));
 }
 
@@ -85,16 +65,16 @@ impl Default for CountingAlloc {
     }
 }
 
-// SAFETY: pure pass-through to `System`; the counters never allocate
-// (atomics and a const-initialized thread-local `Cell`).
+// SAFETY: pure pass-through to `System`; the counter never allocates
+// (a const-initialized thread-local `Cell`).
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        record(layout.size());
+        record();
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        record(layout.size());
+        record();
         System.alloc_zeroed(layout)
     }
 
@@ -105,7 +85,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         // A grow-in-place is still an allocator round trip the hot
         // path promised not to make.
-        record(new_size);
+        record();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -121,9 +101,7 @@ mod tests {
     fn counters_count_allocation_events() {
         let a = CountingAlloc::new();
         let layout = Layout::from_size_align(64, 8).unwrap();
-        let before_total = total_allocations();
         let before_thread = thread_allocations();
-        let before_bytes = total_bytes();
         unsafe {
             let p = a.alloc(layout);
             assert!(!p.is_null());
@@ -134,9 +112,7 @@ mod tests {
             assert!(!p.is_null());
             a.dealloc(p, Layout::from_size_align(128, 8).unwrap());
         }
-        assert_eq!(total_allocations() - before_total, 3);
         assert_eq!(thread_allocations() - before_thread, 3);
-        assert_eq!(total_bytes() - before_bytes, 64 + 64 + 128);
     }
 
     #[test]

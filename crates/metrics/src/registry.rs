@@ -1,11 +1,11 @@
 //! Fixed-vocabulary metric registry.
 //!
-//! Built once from [`names::ALL`](crate::names::ALL); after
-//! construction every operation is allocation-free: counters and gauges
-//! are slots in a flat `u64` array, histograms are fixed 65-bucket
-//! log₂ arrays, and name resolution is a binary search over a
-//! pre-sorted index of `&'static str`. Unknown names panic — the
-//! vocabulary is closed by design (see the lint T family).
+//! Built once from [`names::ALL`]; after construction every operation
+//! is allocation-free: counters and gauges are slots in a flat `u64`
+//! array, histograms are fixed 65-bucket log₂ arrays, and name
+//! resolution is a binary search over a pre-sorted index of
+//! `&'static str`. Unknown names panic — the vocabulary is closed by
+//! design (see the lint T family).
 
 use crate::names;
 

@@ -72,15 +72,6 @@ impl Histogram {
             })
             .collect()
     }
-
-    /// Normalized probabilities per bin (sums to 1 unless empty).
-    pub fn probabilities(&self) -> Vec<f64> {
-        let t = self.total();
-        if t == 0 {
-            return vec![0.0; self.counts.len()];
-        }
-        self.counts.iter().map(|&c| c as f64 / t as f64).collect()
-    }
 }
 
 /// A base-2 logarithmic histogram: bin `k ≥ 1` covers `[2^(k−1), 2^k)`,
@@ -168,19 +159,6 @@ mod tests {
     fn rows_report_edges() {
         let h = Histogram::build(&[0, 10], 0, 10, 2);
         assert_eq!(h.rows(), vec![(0, 10, 1), (10, 20, 1)]);
-    }
-
-    #[test]
-    fn probabilities_sum_to_one() {
-        let h = Histogram::build(&[1, 2, 3, 11, 12, 25], 0, 10, 3);
-        let p: f64 = h.probabilities().iter().sum();
-        assert!((p - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn probabilities_of_empty_are_zero() {
-        let h = Histogram::build(&[], 0, 10, 3);
-        assert_eq!(h.probabilities(), vec![0.0, 0.0, 0.0]);
     }
 
     #[test]

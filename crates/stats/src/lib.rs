@@ -15,14 +15,12 @@
 //! * [`rng`] — deterministic, splittable random number generators so every
 //!   experiment is reproducible from a single seed.
 
-pub mod ci;
 pub mod fairness;
 pub mod histogram;
 pub mod rng;
 pub mod spacings;
 pub mod summary;
 
-pub use ci::{bootstrap_mean_ci, ConfidenceInterval};
 pub use fairness::{coefficient_of_variation, gini, jain_index};
 pub use histogram::{Histogram, LogHistogram};
 pub use rng::{seeded_rng, DetRng};

@@ -1,11 +1,10 @@
 //! Deterministic, splittable randomness.
 //!
 //! Every experiment in the workspace is reproducible from a single `u64`
-//! seed. Trials run in parallel (rayon), so each trial derives an
-//! independent stream with [`trial_rng`]; inside a trial, subsystems
-//! (placement, churn, strategy decisions) can derive further independent
-//! substreams with [`substream`] so adding randomness to one subsystem
-//! never perturbs another.
+//! seed. Trials run in parallel (rayon), so each trial and each of its
+//! subsystems (placement, churn, strategy decisions) derives an
+//! independent stream with [`substream`], and adding randomness to one
+//! subsystem never perturbs another.
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -17,15 +16,6 @@ pub type DetRng = ChaCha8Rng;
 /// Root RNG for a given seed.
 pub fn seeded_rng(seed: u64) -> DetRng {
     ChaCha8Rng::seed_from_u64(seed)
-}
-
-/// Independent RNG for trial `trial` of an experiment with master seed
-/// `seed`. Distinct trials get distinct ChaCha streams of the same key,
-/// which are independent by construction.
-pub fn trial_rng(seed: u64, trial: u64) -> DetRng {
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    rng.set_stream(trial);
-    rng
 }
 
 /// Further split: an independent substream for a named subsystem within
@@ -76,19 +66,6 @@ mod tests {
         let va: Vec<u64> = (0..8).map(|_| a.gen()).collect();
         let vb: Vec<u64> = (0..8).map(|_| b.gen()).collect();
         assert_ne!(va, vb);
-    }
-
-    #[test]
-    fn trials_are_independent_streams() {
-        let mut t0 = trial_rng(7, 0);
-        let mut t1 = trial_rng(7, 1);
-        let v0: Vec<u64> = (0..8).map(|_| t0.gen()).collect();
-        let v1: Vec<u64> = (0..8).map(|_| t1.gen()).collect();
-        assert_ne!(v0, v1);
-        // And reproducible.
-        let mut t0b = trial_rng(7, 0);
-        let v0b: Vec<u64> = (0..8).map(|_| t0b.gen()).collect();
-        assert_eq!(v0, v0b);
     }
 
     #[test]

@@ -28,34 +28,10 @@ pub fn harmonic(n: u64) -> f64 {
     }
 }
 
-/// Expected mean workload: `T / n`.
-pub fn expected_mean_load(nodes: u64, tasks: u64) -> f64 {
-    tasks as f64 / nodes as f64
-}
-
 /// Expected **median** workload `T/n · ln 2` — the "Median Workload"
 /// column of Table I.
 pub fn expected_median_load(nodes: u64, tasks: u64) -> f64 {
-    expected_mean_load(nodes, tasks) * std::f64::consts::LN_2
-}
-
-/// Expected **standard deviation** of workloads — ≈ the mean for
-/// exponential spacings, with the exact Beta correction `√((n−1)/(n+1))`.
-pub fn expected_std_load(nodes: u64, tasks: u64) -> f64 {
-    let n = nodes as f64;
-    expected_mean_load(nodes, tasks) * ((n - 1.0) / (n + 1.0)).sqrt()
-}
-
-/// Expected **maximum** arc fraction among `n` random arcs: `H_n / n`.
-/// The straggler's workload is `T · H_n / n`, and the no-strategy runtime
-/// factor is therefore ≈ `H_n ≈ ln n + γ`.
-pub fn expected_max_arc_fraction(nodes: u64) -> f64 {
-    harmonic(nodes) / nodes as f64
-}
-
-/// Expected maximum workload: `T · H_n / n`.
-pub fn expected_max_load(nodes: u64, tasks: u64) -> f64 {
-    tasks as f64 * expected_max_arc_fraction(nodes)
+    tasks as f64 / nodes as f64 * std::f64::consts::LN_2
 }
 
 /// The no-strategy runtime factor predicted by theory: the straggler
@@ -63,15 +39,6 @@ pub fn expected_max_load(nodes: u64, tasks: u64) -> f64 {
 /// is simply `H_n`.
 pub fn predicted_baseline_runtime_factor(nodes: u64) -> f64 {
     harmonic(nodes)
-}
-
-/// Probability an exponential-arc node holds at most `x` tasks when the
-/// mean is `mu`: `1 − exp(−x/mu)`. Used to sanity-check histograms.
-pub fn workload_cdf(x: f64, mu: f64) -> f64 {
-    if mu <= 0.0 {
-        return 1.0;
-    }
-    1.0 - (-x / mu).exp()
 }
 
 #[cfg(test)]
@@ -105,35 +72,11 @@ mod tests {
     }
 
     #[test]
-    fn table1_sigma_prediction() {
-        // Paper: 1000/1e6 -> σ = 996.98 ≈ mean 1000.
-        let s = expected_std_load(1000, 1_000_000);
-        assert!((s - 999.0).abs() < 2.0, "got {s}");
-    }
-
-    #[test]
     fn baseline_factor_matches_paper_magnitudes() {
         // Paper Table II row churn=0: 7.476 for n=1000, ~5.02 for n=100.
         let f1000 = predicted_baseline_runtime_factor(1000);
         let f100 = predicted_baseline_runtime_factor(100);
         assert!((f1000 - 7.48).abs() < 0.2, "got {f1000}");
         assert!((f100 - 5.19).abs() < 0.2, "got {f100}");
-    }
-
-    #[test]
-    fn max_load_grows_like_log() {
-        let m100 = expected_max_load(100, 100_000);
-        let m1000 = expected_max_load(1000, 100_000);
-        // More nodes, smaller straggler, sublinear shrink.
-        assert!(m1000 < m100);
-        assert!(m1000 > m100 / 10.0);
-    }
-
-    #[test]
-    fn cdf_properties() {
-        assert_eq!(workload_cdf(0.0, 100.0), 0.0);
-        assert!((workload_cdf(100.0 * std::f64::consts::LN_2, 100.0) - 0.5).abs() < 1e-12);
-        assert!(workload_cdf(1e9, 100.0) > 0.999999);
-        assert_eq!(workload_cdf(5.0, 0.0), 1.0);
     }
 }

@@ -61,16 +61,6 @@ impl Summary {
             total,
         })
     }
-
-    /// The imbalance ratio `max / mean`; 1.0 means a perfectly level
-    /// network, `ln n`-ish is typical for random placement.
-    pub fn max_over_mean(&self) -> f64 {
-        if self.mean == 0.0 {
-            0.0
-        } else {
-            self.max as f64 / self.mean
-        }
-    }
 }
 
 /// Linear-interpolated percentile of an already-sorted slice.
@@ -167,14 +157,6 @@ mod tests {
     #[should_panic]
     fn percentile_rejects_out_of_range() {
         percentile_sorted(&[1], 101.0);
-    }
-
-    #[test]
-    fn max_over_mean_detects_imbalance() {
-        let level = Summary::from_u64s(&[10, 10, 10, 10]).unwrap();
-        assert_eq!(level.max_over_mean(), 1.0);
-        let skewed = Summary::from_u64s(&[0, 0, 0, 40]).unwrap();
-        assert_eq!(skewed.max_over_mean(), 4.0);
     }
 
     #[test]

@@ -153,52 +153,6 @@ pub fn render_histogram(title: &str, rows: &[(u64, u64, u64)], width: usize) -> 
     out
 }
 
-/// Renders two histograms side by side for comparison (the paper's
-/// two-network overlay figures). Bins must be aligned; pass the rows of
-/// each network over the same edges.
-pub fn render_comparison(
-    title: &str,
-    label_a: &str,
-    rows_a: &[(u64, u64, u64)],
-    label_b: &str,
-    rows_b: &[(u64, u64, u64)],
-    width: usize,
-) -> String {
-    let mut out = String::new();
-    out.push_str(title);
-    out.push('\n');
-    let max = rows_a
-        .iter()
-        .chain(rows_b.iter())
-        .map(|r| r.2)
-        .max()
-        .unwrap_or(0);
-    if max == 0 {
-        out.push_str("(empty)\n");
-        return out;
-    }
-    out.push_str(&format!("A = {label_a}, B = {label_b}\n"));
-    let n = rows_a.len().max(rows_b.len());
-    for i in 0..n {
-        let (lo, hi) = rows_a
-            .get(i)
-            .or_else(|| rows_b.get(i))
-            .map(|r| (r.0, r.1))
-            .unwrap_or((0, 0));
-        let ca = rows_a.get(i).map_or(0, |r| r.2);
-        let cb = rows_b.get(i).map_or(0, |r| r.2);
-        let bar = |c: u64| "█".repeat(((c as f64 / max as f64) * width as f64).round() as usize);
-        out.push_str(&format!(
-            "{:>12} A|{:<width$}| {ca}\n{:>12} B|{:<width$}| {cb}\n",
-            format!("{lo}-{hi}"),
-            bar(ca),
-            "",
-            bar(cb),
-        ));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -266,24 +220,5 @@ mod tests {
         assert!(s.contains("(empty)"));
         let s2 = render_histogram("t", &[], 10);
         assert!(s2.contains("(empty)"));
-    }
-
-    #[test]
-    fn comparison_interleaves_series() {
-        let a = [(0u64, 5u64, 3u64)];
-        let b = [(0u64, 5u64, 6u64)];
-        let s = render_comparison("cmp", "net-a", &a, "net-b", &b, 12);
-        assert!(s.contains("A = net-a, B = net-b"));
-        assert!(s.contains(" 3\n"));
-        assert!(s.contains(" 6\n"));
-    }
-
-    #[test]
-    fn comparison_handles_unequal_lengths() {
-        let a = [(0u64, 5u64, 2u64), (5, 10, 4)];
-        let b = [(0u64, 5u64, 1u64)];
-        let s = render_comparison("cmp", "a", &a, "b", &b, 8);
-        // Second bin renders with B count 0.
-        assert!(s.contains("5-10"));
     }
 }
