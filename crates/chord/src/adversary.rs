@@ -23,7 +23,6 @@ const ADVERSARY_SALT: u64 = 0xBAD1_E5B0;
 
 /// How a Byzantine worker distorts its reported load.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum LiePolicy {
     /// Report a fraction of the true load (`true / gain`) — the worker
     /// looks idle, attracting Sybils and invitations it then wastes.
@@ -48,26 +47,17 @@ pub enum LiePolicy {
 /// reply is truthful — a run carrying the default plan is bit-for-bit
 /// identical to one built before the adversary plane existed.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct AdversaryPlan {
     /// Seed for the liar-selection draw (and the `RandomNoise` hash).
-    #[cfg_attr(feature = "serde", serde(default))]
     pub seed: u64,
     /// Fraction of the initial worker population that lies, in [0, 1].
     /// `ceil(fraction * workers)` liars are selected when positive.
-    #[cfg_attr(feature = "serde", serde(default))]
     pub fraction: f64,
     /// The distortion every liar applies.
-    #[cfg_attr(feature = "serde", serde(default))]
     pub policy: LiePolicy,
     /// Distortion strength: divisor for under-reporting, multiplier for
     /// over-reporting, spread bound for noise. Must be ≥ 1.
-    #[cfg_attr(feature = "serde", serde(default = "default_gain"))]
     pub gain: u64,
-}
-
-fn default_gain() -> u64 {
-    4
 }
 
 impl Default for AdversaryPlan {
@@ -292,24 +282,5 @@ mod tests {
         assert!(AdversaryPlan::lying(0, 0.2, LiePolicy::FlipFlop)
             .validate()
             .is_ok());
-    }
-
-    #[cfg(feature = "serde")]
-    #[test]
-    fn plan_roundtrips_through_serde_defaults() {
-        let plan = AdversaryPlan {
-            fraction: 0.25,
-            policy: LiePolicy::FlipFlop,
-            seed: 11,
-            ..AdversaryPlan::default()
-        };
-        let json = serde_json::to_string(&plan).unwrap();
-        let back: AdversaryPlan = serde_json::from_str(&json).unwrap();
-        assert_eq!(plan, back);
-        // Partial configs fill in defaults.
-        let partial: AdversaryPlan = serde_json::from_str(r#"{"fraction":0.2}"#).unwrap();
-        assert_eq!(partial.gain, 4);
-        assert_eq!(partial.policy, LiePolicy::UnderReport);
-        assert_eq!(partial.fraction, 0.2);
     }
 }

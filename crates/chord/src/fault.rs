@@ -20,7 +20,6 @@ use rand_chacha::ChaCha8Rng;
 /// substrate, time units on the event-driven one), `count` victims are
 /// drawn from the live population using the fault stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CrashEvent {
     /// When the crash strikes (inclusive; applied once).
     pub at: u64,
@@ -33,7 +32,6 @@ pub struct CrashEvent {
 /// would cross the cut are dropped. Healing is implicit — the window
 /// closes and traffic flows again.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Partition {
     /// First time unit at which the cut is up.
     pub start: u64,
@@ -48,38 +46,25 @@ pub struct Partition {
 /// network carrying the default plan behaves identically to one built
 /// before the fault plane existed.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct FaultPlan {
     /// Seed for the dedicated fault stream (loss coin flips, crash
     /// victim selection, partition pivots).
-    #[cfg_attr(feature = "serde", serde(default))]
     pub seed: u64,
     /// Probability that any given message is silently dropped.
-    #[cfg_attr(feature = "serde", serde(default))]
     pub loss_rate: f64,
     /// Probability that a delivered message is delivered twice.
-    #[cfg_attr(feature = "serde", serde(default))]
     pub dup_rate: f64,
     /// Probability that a delivered message is delayed by `extra_delay`.
-    #[cfg_attr(feature = "serde", serde(default))]
     pub delay_rate: f64,
     /// Additional latency (time units) applied to delayed messages.
-    #[cfg_attr(feature = "serde", serde(default))]
     pub extra_delay: u64,
     /// Scheduled crash-failures.
-    #[cfg_attr(feature = "serde", serde(default))]
     pub crashes: Vec<CrashEvent>,
     /// Transient partition windows.
-    #[cfg_attr(feature = "serde", serde(default))]
     pub partitions: Vec<Partition>,
     /// Bounded-attempt semantics: how many times an operation (lookup
     /// hop, join, async lookup) is tried before reporting `TimedOut`.
-    #[cfg_attr(feature = "serde", serde(default = "default_max_attempts"))]
     pub max_attempts: u32,
-}
-
-fn default_max_attempts() -> u32 {
-    3
 }
 
 impl Default for FaultPlan {
@@ -333,22 +318,5 @@ mod tests {
         }
         .validate()
         .is_err());
-    }
-
-    #[cfg(feature = "serde")]
-    #[test]
-    fn plan_roundtrips_through_serde_defaults() {
-        let plan = FaultPlan {
-            loss_rate: 0.1,
-            crashes: vec![CrashEvent { at: 40, count: 2 }],
-            ..FaultPlan::default()
-        };
-        let json = serde_json::to_string(&plan).unwrap();
-        let back: FaultPlan = serde_json::from_str(&json).unwrap();
-        assert_eq!(plan, back);
-        // Partial configs fill in defaults.
-        let partial: FaultPlan = serde_json::from_str(r#"{"loss_rate":0.2}"#).unwrap();
-        assert_eq!(partial.max_attempts, 3);
-        assert_eq!(partial.loss_rate, 0.2);
     }
 }

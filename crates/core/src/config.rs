@@ -1,8 +1,9 @@
 //! Experiment configuration, mirroring §V-B "Experimental Variables".
 
+use serde::{Deserialize, Serialize};
+
 /// Which autonomous load-balancing strategy the network runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum StrategyKind {
     /// No strategy and no churn — the paper's baseline comparison
     /// network.
@@ -61,8 +62,7 @@ impl StrategyKind {
 }
 
 /// Node strength distribution (§V-B *Homogeneity*).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum Heterogeneity {
     /// Every node has strength 1.
     Homogeneous,
@@ -71,8 +71,7 @@ pub enum Heterogeneity {
 }
 
 /// How much work a node completes per tick (§V-B *Work Measurement*).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum WorkMeasurement {
     /// One task per tick regardless of strength (the default).
     OnePerTick,
@@ -81,8 +80,7 @@ pub enum WorkMeasurement {
 }
 
 /// How nodes enter and leave the network over time.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub enum ChurnModel {
     /// The paper's model: memoryless per-tick coin flips at `churn_rate`
     /// for both leaving and joining ("we assume churn is constant
@@ -105,8 +103,7 @@ pub enum ChurnModel {
 }
 
 /// Full configuration of one simulation run.
-#[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SimConfig {
     /// Initial network size (§V-B *Network Size*).
     pub nodes: usize,
@@ -150,18 +147,18 @@ pub struct SimConfig {
     /// *strength* (strongest eligible predecessor) instead of least
     /// load, so work migrates toward capable machines. Default off —
     /// the paper's published strategy.
-    #[cfg_attr(feature = "serde", serde(default))]
+    #[serde(default)]
     pub strength_aware_invitation: bool,
     /// §VII future-work extension: drop the "nodes cannot choose their
     /// own ID" assumption. Sybils targeting a specific virtual node
     /// (neighbor/smart/invitation) are planted at the *task median* of
     /// the victim's arc — guaranteeing they acquire half its remaining
     /// work — instead of the ID-space midpoint. Default off.
-    #[cfg_attr(feature = "serde", serde(default))]
+    #[serde(default)]
     pub chosen_ids: bool,
     /// The churn process (extension; default = the paper's Bernoulli
     /// equal-rates model).
-    #[cfg_attr(feature = "serde", serde(default))]
+    #[serde(default)]
     pub churn_model: ChurnModel,
     /// Classic *static virtual servers* baseline (Stoica et al. §6.3 /
     /// Karger & Ruhl): every worker starts with this many ring
@@ -169,30 +166,30 @@ pub struct SimConfig {
     /// max arc to O(1/n) — the centralized-setup alternative the
     /// paper's autonomous strategies compete against. Default 1 (the
     /// paper's model).
-    #[cfg_attr(feature = "serde", serde(default = "one"))]
+    #[serde(default = "one")]
     pub virtual_nodes_per_worker: u32,
     /// Record a span-structured flight-recorder trace into
     /// `RunResult::trace` (off by default; see `autobal-telemetry`).
     /// Stamped with ticks, never wall-clock, so same-seed traces are
     /// byte-identical. Its `Decision` records are the event log
     /// ([`crate::trace::event_log`]).
-    #[cfg_attr(feature = "serde", serde(default))]
+    #[serde(default)]
     pub record_trace: bool,
     /// Record streaming metrics samples into `RunResult::metrics` (off
     /// by default; see `autobal-metrics`); they are the run's time
     /// series. Counters ride the same emit funnel as the trace plane;
     /// fairness gauges come from one sorted sweep over the loads per
     /// sample.
-    #[cfg_attr(feature = "serde", serde(default))]
+    #[serde(default)]
     pub record_metrics: bool,
     /// Metrics sampling cadence in ticks (used when `record_metrics`;
     /// `None` means every tick). Tick 0 and the final tick are always
     /// sampled.
-    #[cfg_attr(feature = "serde", serde(default))]
+    #[serde(default)]
     pub metrics_interval: Option<u64>,
     /// Include a per-worker ring snapshot in every metrics sample
     /// (monitor food; O(workers) per sample, so off by default).
-    #[cfg_attr(feature = "serde", serde(default))]
+    #[serde(default)]
     pub metrics_ring: bool,
 }
 

@@ -9,7 +9,6 @@
 /// smart neighbor (which polls successors), which spends more than plain
 /// neighbor (estimate only).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SimMessageStats {
     /// Sybil virtual nodes created (each costs one join's worth of
     /// lookup + key transfer).
@@ -51,7 +50,6 @@ impl SimMessageStats {
 /// Workload distribution captured at one tick: the per-worker totals of
 /// every *active* worker (what the paper's Figure 4–14 histograms bin).
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Snapshot {
     pub tick: u64,
     /// Tasks per active worker (unordered).
@@ -76,7 +74,6 @@ impl Snapshot {
 
 /// The result of one simulation run.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct RunResult {
     /// Ticks until the job finished (or the cap, when `!completed`).
     pub ticks: u64,
@@ -99,11 +96,9 @@ pub struct RunResult {
     /// Span-structured flight-recorder trace (when `record_trace` was
     /// set); empty and allocation-free otherwise. Its `Decision`
     /// records are the event log ([`crate::trace::event_log`]).
-    #[cfg_attr(feature = "serde", serde(default))]
     pub trace: autobal_telemetry::Trace,
     /// Streaming metrics samples (when `record_metrics` was set);
     /// empty otherwise. Integer-only and byte-deterministic.
-    #[cfg_attr(feature = "serde", serde(default))]
     pub metrics: Vec<autobal_metrics::MetricsSample>,
 }
 

@@ -9,7 +9,9 @@
 //! `match` and never allocates.
 
 use crate::metrics::SimMessageStats;
+use crate::strategy::InviteOutcome;
 use crate::trace::SimEvent;
+use crate::worker::WorkerId;
 use autobal_metrics::{names, MetricsHub, MetricsSample, RingSlot};
 use autobal_telemetry::{MessageStatus, SpanId, Trace};
 
@@ -113,6 +115,48 @@ impl Recorder {
             MessageStatus::Unreachable => names::MSG_UNREACHABLE,
         });
         self.hub.observe(names::MSG_RETRIES, retries);
+    }
+
+    /// Records a delivered invitation round: `inviter`'s `invitation`
+    /// message, billed delivered, and its `InvitationSent` event.
+    #[inline]
+    pub fn invitation_sent(&mut self, tick: u64, inviter: WorkerId) {
+        self.bill(tick, INVITATION, MessageStatus::Delivered, 0);
+        self.emit(SimEvent::InvitationSent {
+            tick,
+            worker: inviter,
+        });
+    }
+
+    /// Settles a delivered invitation round from the helper whose
+    /// Sybil joined and the tasks it acquired, if any: records
+    /// `InvitationHonored` or `InvitationRefused` and returns the
+    /// round's outcome.
+    #[inline]
+    pub fn invitation_settled(
+        &mut self,
+        tick: u64,
+        inviter: WorkerId,
+        helped: Option<(WorkerId, u64)>,
+    ) -> InviteOutcome {
+        match helped {
+            Some((helper, acquired)) => {
+                self.emit(SimEvent::InvitationHonored {
+                    tick,
+                    worker: inviter,
+                    helper,
+                    acquired,
+                });
+                InviteOutcome::Helped { acquired }
+            }
+            None => {
+                self.emit(SimEvent::InvitationRefused {
+                    tick,
+                    worker: inviter,
+                });
+                InviteOutcome::Refused
+            }
+        }
     }
 
     /// Counts one tick's work phase, which consumed `consumed` tasks.

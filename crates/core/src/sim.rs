@@ -2,7 +2,7 @@
 
 use crate::config::{Heterogeneity, SimConfig, WorkMeasurement};
 use crate::metrics::{RunResult, SimMessageStats, Snapshot};
-use crate::record::{Recorder, INVITATION, LOAD_QUERY};
+use crate::record::{Recorder, LOAD_QUERY};
 use crate::ring::{Ring, RingError, Slot};
 use crate::strategy::{
     invitation::{pick_helper, HelperCandidate},
@@ -828,12 +828,6 @@ impl Actions for SimNodeCtx<'_> {
         if k == 0 || pred_of(&sim.ring, hot).is_none() {
             return InviteOutcome::NoNeighbors;
         }
-        let tick = sim.tick;
-        sim.rec.bill(tick, INVITATION, MessageStatus::Delivered, 0);
-        sim.rec.emit(SimEvent::InvitationSent {
-            tick,
-            worker: inviter,
-        });
         // Offer the eligible predecessors in list order; an unmapped
         // vnode (impossible on a consistent ring) voids the whole round.
         let mut candidates = std::mem::take(&mut sim.helpers);
@@ -857,42 +851,16 @@ impl Actions for SimNodeCtx<'_> {
             }
             cur = p;
         }
-        let helper = if mapped {
-            pick_helper(&candidates, sim.cfg.strength_aware_invitation)
-        } else {
-            None
-        };
+        let tick = sim.tick;
+        sim.rec.invitation_sent(tick, inviter);
+        let helper = pick_helper(&candidates, sim.cfg.strength_aware_invitation).filter(|_| mapped);
         sim.helpers = candidates;
-        match helper {
-            Some(helper) => {
-                let pos = sim.split_position(hot).expect("ring non-trivial");
-                match sim.create_sybil(helper, pos) {
-                    Some(acquired) => {
-                        sim.rec.emit(SimEvent::InvitationHonored {
-                            tick,
-                            worker: inviter,
-                            helper,
-                            acquired,
-                        });
-                        InviteOutcome::Helped { acquired }
-                    }
-                    None => {
-                        sim.rec.emit(SimEvent::InvitationRefused {
-                            tick,
-                            worker: inviter,
-                        });
-                        InviteOutcome::Refused
-                    }
-                }
-            }
-            None => {
-                sim.rec.emit(SimEvent::InvitationRefused {
-                    tick,
-                    worker: inviter,
-                });
-                InviteOutcome::Refused
-            }
-        }
+        let helped = helper.and_then(|helper| {
+            let pos = sim.split_position(hot).expect("ring non-trivial");
+            sim.create_sybil(helper, pos)
+                .map(|acquired| (helper, acquired))
+        });
+        sim.rec.invitation_settled(tick, inviter, helped)
     }
 }
 

@@ -30,27 +30,15 @@ use std::sync::Mutex;
 /// (`k == 0`): [`wrap_if_enabled`] returns the inner strategy untouched
 /// and not a single extra message is sent.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CrossCheckConfig {
     /// Redundant probes per load query, routed via distinct relay
     /// neighbors. `0` disables the wrapper entirely.
-    #[cfg_attr(feature = "serde", serde(default))]
     pub k: usize,
     /// A report deviating from the median estimate by more than
     /// `tolerance * max(estimate, 1)` counts as a conflict.
-    #[cfg_attr(feature = "serde", serde(default = "default_tolerance"))]
     pub tolerance: f64,
     /// Conflicts a reporter may accumulate before quarantine.
-    #[cfg_attr(feature = "serde", serde(default = "default_quarantine_after"))]
     pub quarantine_after: u32,
-}
-
-fn default_tolerance() -> f64 {
-    0.5
-}
-
-fn default_quarantine_after() -> u32 {
-    3
 }
 
 impl Default for CrossCheckConfig {
@@ -496,18 +484,5 @@ mod tests {
         }
         .validate()
         .is_err());
-    }
-
-    #[cfg(feature = "serde")]
-    #[test]
-    fn config_roundtrips_through_serde_defaults() {
-        let cfg = CrossCheckConfig::with_budget(3);
-        let json = serde_json::to_string(&cfg).unwrap();
-        let back: CrossCheckConfig = serde_json::from_str(&json).unwrap();
-        assert_eq!(cfg, back);
-        let partial: CrossCheckConfig = serde_json::from_str(r#"{"k":2}"#).unwrap();
-        assert_eq!(partial.k, 2);
-        assert_eq!(partial.quarantine_after, 3);
-        assert_eq!(partial.tolerance, 0.5);
     }
 }

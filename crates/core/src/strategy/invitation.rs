@@ -15,8 +15,12 @@
 //! The strategy itself only decides *when* to call for help and from
 //! which of its vnodes; delivering the announcement, filtering eligible
 //! predecessors, and performing the helper's join are substrate work
-//! behind [`Actions::invite`](super::Actions::invite). The
-//! helper-selection rule both substrates share is [`pick_helper`].
+//! behind [`Actions::invite`](super::Actions::invite). Both substrates
+//! share the rest of a round: the helper-selection rule
+//! [`pick_helper`], and the settlement in the core recorder, whose
+//! `Recorder::invitation_sent` records a delivered round and
+//! `Recorder::invitation_settled` records it honored or refused. Each
+//! substrate keeps only its own way of collecting candidates.
 
 use super::{NodeContext, Strategy};
 use crate::worker::WorkerId;

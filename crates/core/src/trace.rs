@@ -15,7 +15,6 @@ use autobal_telemetry::{Trace, TraceBody};
 
 /// One load-balancing event.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum SimEvent {
     /// A worker planted a Sybil and acquired `acquired` tasks.
     SybilCreated {

@@ -7,7 +7,6 @@ pub type WorkerId = usize;
 
 /// Whether a worker is participating or sitting in the churn pool.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum WorkerState {
     /// Active in the ring with at least a primary virtual node.
     Active,

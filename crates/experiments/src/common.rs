@@ -65,6 +65,9 @@ impl Args {
                         .ok_or("--trials needs a value")?
                         .parse()
                         .map_err(|e| format!("bad --trials: {e}"))?;
+                    if args.trials == 0 {
+                        return Err("bad --trials: at least one trial is needed".into());
+                    }
                 }
                 "--seed" => {
                     args.seed = it
@@ -233,6 +236,12 @@ mod tests {
         assert!(Args::parse(&s(&["--trials"])).is_err());
         assert!(Args::parse(&s(&["--trace"])).is_err());
         assert!(Args::parse(&s(&["--baseline"])).is_err());
+    }
+
+    #[test]
+    fn parse_rejects_zero_trials() {
+        let err = Args::parse(&s(&["--trials", "0"])).unwrap_err();
+        assert!(err.contains("at least one trial"), "{err}");
     }
 
     #[test]

@@ -16,7 +16,6 @@ const TOP_MASK: u64 = (1u64 << 32) - 1;
 /// identifier circle. Arithmetic wraps modulo 2^160, so `a + d` walks `d`
 /// steps clockwise and `b - a` is the clockwise distance from `a` to `b`.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Id {
     /// Little-endian limbs; `limbs[2] < 2^32`.
     limbs: [u64; 3],

@@ -7,10 +7,13 @@
 //! upstream). Counters are cumulative; gauges are point-in-time; the
 //! optional `ring` array is a per-worker snapshot for the monitor.
 //!
-//! Key order is fixed by construction (registry declaration order via
-//! `names::ALL`), and serialization goes through hand-written
-//! `to_node`/`from_node` impls so the byte layout is explicit rather
-//! than an artifact of a map type's iteration order.
+//! Key order is fixed by construction. The struct rows
+//! ([`HistSnapshot`], [`RingSlot`]) are derived, so their fields are
+//! written in declaration order. Only [`MetricsSample`]'s impls are
+//! written by hand: its counters, gauges and histograms are
+//! `Vec<(String, _)>` pairs written as JSON objects in registry
+//! declaration order (`names::ALL`), so the byte layout is explicit
+//! rather than an artifact of a map type's iteration order.
 
 use crate::names;
 use crate::registry::Kind;
@@ -18,7 +21,7 @@ use serde::{Deserialize, Error, Node, Serialize};
 
 /// Snapshot of one log₂ histogram: cumulative count, sum, and the
 /// per-bucket counts trimmed after the highest non-empty bucket.
-#[derive(Clone, Debug, PartialEq, Eq, Default)]
+#[derive(Clone, Debug, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct HistSnapshot {
     pub count: u64,
     pub sum: u64,
@@ -26,7 +29,7 @@ pub struct HistSnapshot {
 }
 
 /// One worker's row in a ring snapshot.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RingSlot {
     /// Worker id.
     pub worker: u64,
@@ -98,56 +101,6 @@ fn pairs_from_node(node: &Node, what: &str) -> Result<Vec<(String, u64)>, Error>
 
 fn field<'a>(entries: &'a [(String, Node)], key: &str, ty: &str) -> Result<&'a Node, Error> {
     serde::__get(entries, key).ok_or_else(|| Error::missing_field(key, ty))
-}
-
-impl Serialize for HistSnapshot {
-    fn to_node(&self) -> Node {
-        Node::Object(vec![
-            ("count".into(), Node::U64(self.count)),
-            ("sum".into(), Node::U64(self.sum)),
-            ("buckets".into(), self.buckets.to_node()),
-        ])
-    }
-}
-
-impl Deserialize for HistSnapshot {
-    fn from_node(node: &Node) -> Result<Self, Error> {
-        let e = node
-            .as_object()
-            .ok_or_else(|| Error::invalid_type("HistSnapshot", node))?;
-        Ok(HistSnapshot {
-            count: u64::from_node(field(e, "count", "HistSnapshot")?)?,
-            sum: u64::from_node(field(e, "sum", "HistSnapshot")?)?,
-            buckets: Vec::from_node(field(e, "buckets", "HistSnapshot")?)?,
-        })
-    }
-}
-
-impl Serialize for RingSlot {
-    fn to_node(&self) -> Node {
-        Node::Object(vec![
-            ("worker".into(), Node::U64(self.worker)),
-            ("pos".into(), Node::String(self.pos.clone())),
-            ("load".into(), Node::U64(self.load)),
-            ("sybils".into(), Node::U64(self.sybils)),
-            ("quarantined".into(), Node::U64(self.quarantined)),
-        ])
-    }
-}
-
-impl Deserialize for RingSlot {
-    fn from_node(node: &Node) -> Result<Self, Error> {
-        let e = node
-            .as_object()
-            .ok_or_else(|| Error::invalid_type("RingSlot", node))?;
-        Ok(RingSlot {
-            worker: u64::from_node(field(e, "worker", "RingSlot")?)?,
-            pos: String::from_node(field(e, "pos", "RingSlot")?)?,
-            load: u64::from_node(field(e, "load", "RingSlot")?)?,
-            sybils: u64::from_node(field(e, "sybils", "RingSlot")?)?,
-            quarantined: u64::from_node(field(e, "quarantined", "RingSlot")?)?,
-        })
-    }
 }
 
 impl Serialize for MetricsSample {

@@ -7,7 +7,6 @@
 
 /// A linear-binned histogram over `u64` samples.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Histogram {
     /// Inclusive lower edge of bin 0.
     pub origin: u64,
@@ -78,7 +77,6 @@ impl Histogram {
 /// bin 0 counts exact zeros. Matches the paper's Figure 1, which spans
 /// workloads from idle nodes to >10⁴ tasks on a log axis.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct LogHistogram {
     /// `counts[0]` = zeros; `counts[k]` = samples in `[2^(k−1), 2^k)`.
     pub counts: Vec<u64>,

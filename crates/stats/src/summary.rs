@@ -6,7 +6,6 @@
 /// sample standard deviation σ, plus extremes and quartiles used by the
 /// other experiments.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Summary {
     pub count: usize,
     pub mean: f64,

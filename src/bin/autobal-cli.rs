@@ -103,6 +103,10 @@ fn cmd_run(args: &[String]) -> i32 {
         errln(&format!("invalid config: {e}"));
         return 2;
     }
+    if trials == 0 {
+        errln("error: --trials must be at least 1");
+        return 2;
+    }
     let stats = run_and_summarize(&cfg, trials, seed);
     report(&cfg, &stats, json);
     0
@@ -130,6 +134,10 @@ fn cmd_spec(args: &[String]) -> i32 {
     };
     if let Err(e) = spec.config.validate() {
         errln(&format!("invalid config in spec: {e}"));
+        return 2;
+    }
+    if spec.trials == 0 {
+        errln("invalid spec: trials must be at least 1");
         return 2;
     }
     let stats = run_and_summarize(&spec.config, spec.trials, spec.seed);

@@ -936,16 +936,9 @@ impl<T: Transport> Actions for NodeCtx<'_, T> {
                 .bill(tick, INVITATION, MessageStatus::Dropped, 0);
             return InviteOutcome::Unreachable;
         };
-        self.d
-            .core
-            .rec
-            .bill(tick, INVITATION, MessageStatus::Delivered, 0);
-        self.d.core.rec.emit(SimEvent::InvitationSent {
-            tick,
-            worker: inviter,
-        });
+        self.d.core.rec.invitation_sent(tick, inviter);
         let helper = pick_helper(&candidates, self.d.core.params.strength_aware_invitation);
-        let outcome = helper
+        let helped = helper
             .and_then(|h| self.split_target(hot).map(|pos| (h, pos)))
             .and_then(|(h, pos)| {
                 self.d
@@ -953,24 +946,7 @@ impl<T: Transport> Actions for NodeCtx<'_, T> {
                     .ok()
                     .map(|acquired| (h, acquired))
             });
-        match outcome {
-            Some((helper, acquired)) => {
-                self.d.core.rec.emit(SimEvent::InvitationHonored {
-                    tick,
-                    worker: inviter,
-                    helper,
-                    acquired,
-                });
-                InviteOutcome::Helped { acquired }
-            }
-            None => {
-                self.d.core.rec.emit(SimEvent::InvitationRefused {
-                    tick,
-                    worker: inviter,
-                });
-                InviteOutcome::Refused
-            }
-        }
+        self.d.core.rec.invitation_settled(tick, inviter, helped)
     }
 }
 

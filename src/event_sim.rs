@@ -69,6 +69,12 @@ const TAG_CHECK: u64 = 2;
 /// End-of-sweep work phase + maintenance on check ticks.
 const TAG_POSTCHECK: u64 = 3;
 
+/// How long a load probe or invitation round waits for replies before
+/// the action resolves as [`ActionError::TimedOut`]: a generous
+/// multiple of the default round trip (2 × 10), so only loss or
+/// partitions produce probe timeouts.
+const PROBE_TIMEOUT: u64 = 400;
+
 fn token(tag: u64, payload: u64) -> u64 {
     (tag << TAG_SHIFT) | payload
 }
@@ -92,10 +98,6 @@ pub struct EventSimConfig {
     /// schedule but is deferred behind the sweep, so task consumption
     /// genuinely waits for strategy traffic.
     pub tick_len: u64,
-    /// How long a load probe or invitation round waits for replies
-    /// before the action resolves as [`ActionError::TimedOut`]. Must
-    /// exceed one round trip to be useful.
-    pub probe_timeout: u64,
 }
 
 impl Default for EventSimConfig {
@@ -106,9 +108,6 @@ impl Default for EventSimConfig {
             // One stabilize period per tick: maintenance traffic and
             // strategy cadence genuinely interleave.
             tick_len: 100,
-            // Generous multiple of the default round trip (2 × 10), so
-            // only loss or partitions produce probe timeouts.
-            probe_timeout: 400,
         }
     }
 }
@@ -167,8 +166,6 @@ pub struct EventRun {
 /// surface meanwhile are deferred.
 struct EventWire {
     wire: EventNet,
-    /// How long a probe or invitation round waits for replies.
-    probe_timeout: u64,
     /// Zero latency + inert faults: rewire the wire's routing tables
     /// to ground truth after every membership change, standing in for
     /// "stabilization finished before the next check".
@@ -283,7 +280,7 @@ impl Transport for EventWire {
         };
         let req = self.wire.send_app(from, to, query);
         let deadline = token(TAG_PROBE, req);
-        let at = self.wire.now() + self.probe_timeout;
+        let at = self.wire.now() + PROBE_TIMEOUT;
         self.wire.schedule_app_timer(at, deadline);
         let answer = loop {
             let Some(ev) = self.wire.run_until_app(u64::MAX) else {
@@ -338,7 +335,7 @@ impl Transport for EventWire {
                 .push(self.wire.send_app(hot, p, invitation));
         }
         let wait_tok = token(TAG_PROBE, *self.outstanding.first()?);
-        let at = self.wire.now() + self.probe_timeout;
+        let at = self.wire.now() + PROBE_TIMEOUT;
         self.wire.schedule_app_timer(at, wait_tok);
         let mut candidates: Vec<HelperCandidate> = Vec::new();
         let mut delivered = false;
@@ -483,7 +480,6 @@ fn run_event_inner(
     wire.set_fault_plan(wire_plan);
     let link = EventWire {
         wire,
-        probe_timeout: cfg.probe_timeout.max(1),
         degenerate: cfg.event.latency == 0 && !cfg.proto.fault.is_active(),
         deferred: VecDeque::new(),
         outstanding: Vec::new(),

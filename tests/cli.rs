@@ -137,3 +137,36 @@ fn invalid_config_is_rejected_cleanly() {
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("invalid config"));
 }
+
+#[test]
+fn zero_trials_are_rejected_cleanly() {
+    let out = cli()
+        .args(["run", "--nodes", "10", "--tasks", "100", "--trials", "0"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("--trials must be at least 1"), "{stderr}");
+
+    let dir = std::env::temp_dir().join("autobal_cli_zero_trials");
+    std::fs::create_dir_all(&dir).unwrap();
+    let spec_path = dir.join("spec.json");
+    let spec = autobal::workload::ExperimentSpec::new(
+        "zero-trials",
+        autobal::sim::SimConfig {
+            nodes: 10,
+            tasks: 100,
+            ..autobal::sim::SimConfig::default()
+        },
+        0,
+        1,
+    );
+    std::fs::write(&spec_path, spec.to_json()).unwrap();
+    let out = cli()
+        .args(["spec", spec_path.to_str().unwrap()])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("trials must be at least 1"), "{stderr}");
+}
