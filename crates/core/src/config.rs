@@ -1,5 +1,6 @@
 //! Experiment configuration, mirroring §V-B "Experimental Variables".
 
+use crate::strategy::StrategyParams;
 use serde::{Deserialize, Serialize};
 
 /// Which autonomous load-balancing strategy the network runs.
@@ -275,6 +276,18 @@ impl SimConfig {
     /// The invitation strategy's overload cutoff in tasks.
     pub fn overload_threshold(&self) -> u64 {
         (self.overload_factor * self.tasks as f64 / self.nodes.max(1) as f64).ceil() as u64
+    }
+
+    /// The job parameters every node is told at start-up, as strategies
+    /// read them through [`LocalView::params`](crate::strategy::LocalView::params).
+    pub fn strategy_params(&self) -> StrategyParams {
+        StrategyParams {
+            sybil_threshold: self.sybil_threshold,
+            overload_threshold: self.overload_threshold(),
+            num_neighbors: self.num_successors,
+            chosen_ids: self.chosen_ids,
+            strength_aware_invitation: self.strength_aware_invitation,
+        }
     }
 
     /// Effective tick cap for the run loop.

@@ -5,6 +5,7 @@ use crate::metrics::{RunResult, SimMessageStats, Snapshot};
 use crate::record::{Recorder, LOAD_QUERY};
 use crate::ring::{Ring, RingError, Slot};
 use crate::strategy::{
+    crosscheck::CrossCheckConfig,
     invitation::{pick_helper, HelperCandidate},
     ActionError, Actions, ChurnOps, InviteOutcome, LocalView, OracleView, Strategy, StrategyParams,
     StrategyStack, Substrate,
@@ -175,7 +176,7 @@ impl Sim {
             cfg.metrics_interval,
         );
         rec.start("oracle", cfg.strategy.label(), seed);
-        let strategies = crate::strategy::stack_for(&cfg);
+        let strategies = crate::strategy::stack_for(&cfg, &CrossCheckConfig::default());
         let ledger_detached_ok = matches!(cfg.strategy, crate::config::StrategyKind::None)
             && !cfg.churn_enabled()
             && !cfg.record_metrics
@@ -725,14 +726,7 @@ pub(crate) struct SimNodeCtx<'a> {
 
 impl LocalView for SimNodeCtx<'_> {
     fn params(&self) -> StrategyParams {
-        let cfg = &self.sim.cfg;
-        StrategyParams {
-            sybil_threshold: cfg.sybil_threshold,
-            overload_threshold: cfg.overload_threshold(),
-            num_neighbors: cfg.num_successors,
-            chosen_ids: cfg.chosen_ids,
-            strength_aware_invitation: cfg.strength_aware_invitation,
-        }
+        self.sim.cfg.strategy_params()
     }
 
     fn load(&self) -> u64 {

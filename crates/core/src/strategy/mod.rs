@@ -383,8 +383,10 @@ pub fn strategy_for(kind: StrategyKind) -> Option<Box<dyn Strategy>> {
 
 /// Builds the layer stack a configuration asks for: background churn
 /// first (whenever a churn rate or session model is set), then the
-/// configured Sybil strategy.
-pub fn stack_for(cfg: &SimConfig) -> StrategyStack {
+/// configured Sybil strategy, wrapped in the cross-checking defense
+/// when `cross_check` is active (the inert default leaves it bare).
+/// Every substrate builds its stack here.
+pub fn stack_for(cfg: &SimConfig, cross_check: &crosscheck::CrossCheckConfig) -> StrategyStack {
     let mut stack = StrategyStack::new();
     if cfg.churn_enabled() {
         stack.push(Box::new(churn::BackgroundChurn {
@@ -393,7 +395,7 @@ pub fn stack_for(cfg: &SimConfig) -> StrategyStack {
         }));
     }
     if let Some(s) = strategy_for(cfg.strategy) {
-        stack.push(s);
+        stack.push(crosscheck::wrap_if_enabled(s, cross_check));
     }
     stack
 }
@@ -474,24 +476,34 @@ mod tests {
 
     #[test]
     fn registry_builds_the_expected_stacks() {
-        let plain = stack_for(&SimConfig {
-            strategy: StrategyKind::None,
-            ..SimConfig::default()
-        });
+        let inert = crosscheck::CrossCheckConfig::default();
+        let plain = stack_for(
+            &SimConfig {
+                strategy: StrategyKind::None,
+                ..SimConfig::default()
+            },
+            &inert,
+        );
         assert!(plain.is_empty());
 
-        let churn_only = stack_for(&SimConfig {
-            strategy: StrategyKind::Churn,
-            churn_rate: 0.05,
-            ..SimConfig::default()
-        });
+        let churn_only = stack_for(
+            &SimConfig {
+                strategy: StrategyKind::Churn,
+                churn_rate: 0.05,
+                ..SimConfig::default()
+            },
+            &inert,
+        );
         assert_eq!(churn_only.names(), ["churn"]);
 
-        let composed = stack_for(&SimConfig {
-            strategy: StrategyKind::SmartNeighbor,
-            churn_rate: 0.01,
-            ..SimConfig::default()
-        });
+        let composed = stack_for(
+            &SimConfig {
+                strategy: StrategyKind::SmartNeighbor,
+                churn_rate: 0.01,
+                ..SimConfig::default()
+            },
+            &inert,
+        );
         assert_eq!(composed.names(), ["churn", "smart-neighbor"]);
     }
 

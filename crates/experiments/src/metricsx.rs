@@ -7,7 +7,7 @@
 use crate::common::{write_out, Args};
 use autobal::event_sim::{run_event_sim, EventSimConfig};
 use autobal::protocol_sim::{run_protocol_sim, ProtocolSimConfig};
-use autobal_core::{Sim, SimConfig, StrategyKind};
+use autobal_core::{Sim, StrategyKind};
 use autobal_metrics::expo::{render_exposition, validate_exposition};
 use autobal_metrics::sample::{timeseries_csv, to_jsonl};
 use autobal_metrics::MetricsSample;
@@ -43,23 +43,6 @@ fn ring_snapshot(samples: &[MetricsSample]) -> String {
 pub fn metrics(args: &Args) {
     println!("metrics: streaming sample streams on all three substrates ({NODES}n/{TASKS}t)");
 
-    // Oracle ring: one sweep of the workers' cached loads per sample.
-    let oracle = Sim::new(
-        SimConfig {
-            nodes: NODES,
-            tasks: TASKS,
-            strategy: StrategyKind::RandomInjection,
-            check_interval: 1,
-            record_metrics: true,
-            metrics_interval: Some(1),
-            metrics_ring: true,
-            ..SimConfig::default()
-        },
-        args.seed,
-    )
-    .run();
-
-    // Chord protocol: the same sweep, plus message-fate counters.
     let pcfg = ProtocolSimConfig {
         nodes: NODES,
         tasks: TASKS,
@@ -70,6 +53,11 @@ pub fn metrics(args: &Args) {
         metrics_ring: true,
         ..ProtocolSimConfig::default()
     };
+
+    // Oracle ring: one sweep of the workers' cached loads per sample.
+    let oracle = Sim::new(pcfg.sim_config(), args.seed).run();
+
+    // Chord protocol: the same sweep, plus message-fate counters.
     let chord = run_protocol_sim(&pcfg, args.seed);
 
     // Event-time substrate: samples stamped with the event clock.

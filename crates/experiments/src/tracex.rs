@@ -74,30 +74,21 @@ pub fn trace(args: &Args) {
 
     // This target exists to produce traces, so recording is always on;
     // the metrics plane supplies the per-tick Gini series.
-    let ocfg = SimConfig {
+    let pcfg = ProtocolSimConfig {
         nodes: NODES,
         tasks: TASKS,
         strategy: StrategyKind::RandomInjection,
         check_interval: 1,
         record_trace: true,
+        ..ProtocolSimConfig::default()
+    };
+    let ocfg = SimConfig {
         record_metrics: true,
         metrics_interval: Some(1),
-        ..SimConfig::default()
+        ..pcfg.sim_config()
     };
     let oracle = Sim::with_placement(ocfg, args.seed, ids.clone(), keys.clone()).run();
-    let chord = run_protocol_sim_with_placement(
-        &ProtocolSimConfig {
-            nodes: NODES,
-            tasks: TASKS,
-            strategy: StrategyKind::RandomInjection,
-            check_interval: 1,
-            record_trace: true,
-            ..ProtocolSimConfig::default()
-        },
-        args.seed,
-        ids,
-        keys,
-    );
+    let chord = run_protocol_sim_with_placement(&pcfg, args.seed, ids, keys);
 
     // Raw flight-recorder dumps (byte-stable JSONL).
     write_out(

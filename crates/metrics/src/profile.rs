@@ -3,10 +3,10 @@
 //! Same discipline as the root crate's `count-allocs`: strictly
 //! additive instrumentation that never feeds back into anything
 //! deterministic. Timings are collected into a thread-local table and
-//! surfaced only through explicitly-invoked report rendering on the
-//! CLI — golden traces, metrics JSONL, and every simulator decision
-//! are byte-identical whether the feature is on, off, or the machine
-//! is slow.
+//! surfaced only through an explicit [`take_report`] call, which only
+//! tests make (no binary renders the report) — golden traces, metrics
+//! JSONL, and every simulator decision are byte-identical whether the
+//! feature is on, off, or the machine is slow.
 //!
 //! Usage: wrap a phase in a [`span`] guard; nested spans subtract their
 //! time from the enclosing phase, so the report shows *self* time.

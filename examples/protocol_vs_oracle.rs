@@ -9,7 +9,7 @@
 //! ```
 
 use autobal::protocol_sim::{run_protocol_sim, ProtocolSimConfig};
-use autobal::sim::{Sim, SimConfig, StrategyKind};
+use autobal::sim::{Sim, StrategyKind};
 
 fn main() {
     let nodes = 48;
@@ -32,15 +32,13 @@ fn main() {
 
         // Protocol substrate: the same Strategy trait object running
         // against a live Chord network.
-        let p = run_protocol_sim(
-            &ProtocolSimConfig {
-                nodes,
-                tasks,
-                strategy: kind,
-                ..ProtocolSimConfig::default()
-            },
-            7,
-        );
+        let cfg = ProtocolSimConfig {
+            nodes,
+            tasks,
+            strategy: kind,
+            ..ProtocolSimConfig::default()
+        };
+        let p = run_protocol_sim(&cfg, 7);
         println!(
             "| chord protocol | {label} | {} | {:.2} | {} | {} |",
             p.ticks,
@@ -49,17 +47,8 @@ fn main() {
             p.messages.strategy_overhead()
         );
 
-        // Oracle ring: the paper's abstraction.
-        let o = Sim::new(
-            SimConfig {
-                nodes,
-                tasks,
-                strategy: kind,
-                ..SimConfig::default()
-            },
-            7,
-        )
-        .run();
+        // Oracle ring: the paper's abstraction, on the same knobs.
+        let o = Sim::new(cfg.sim_config(), 7).run();
         println!(
             "| oracle ring | {label} | {} | {:.2} | (not modeled) | {} |",
             o.ticks,

@@ -6,17 +6,30 @@
 //! autobal-cli spec experiment.json [--json]
 //! autobal-cli strategies
 //! ```
+//!
+//! A reader that closes stdout early (`| head`) ends the program with
+//! exit status 141, the status a shell reports for a death by SIGPIPE.
 
 use autobal::sim::{SimConfig, StrategyKind};
 use autobal::workload::trials::{run_and_summarize, TrialStats};
 use autobal::workload::ExperimentSpec;
+use std::io::{ErrorKind, Write};
+
+/// Exit status when stdout closes before all output is written.
+const BROKEN_PIPE_EXIT: i32 = 141;
 
 // `autobal-cli` is one of the workspace's two audited output endpoints
 // (`autobal-trace` is the other): every byte it prints flows through
-// these two helpers, each carrying an output-discipline exemption.
+// these two helpers. A closed stdout ends the program with
+// `BROKEN_PIPE_EXIT`; any other write error with 2.
 fn outln(line: &str) {
-    // autobal-lint: allow(output-discipline, "autobal-cli is an audited CLI output endpoint")
-    println!("{line}");
+    if let Err(e) = writeln!(std::io::stdout(), "{line}") {
+        if e.kind() == ErrorKind::BrokenPipe {
+            std::process::exit(BROKEN_PIPE_EXIT);
+        }
+        errln(&format!("autobal-cli: cannot write output: {e}"));
+        std::process::exit(2);
+    }
 }
 
 fn errln(line: &str) {
@@ -41,7 +54,8 @@ fn main() {
                 "usage: autobal-cli run --nodes N --tasks T --strategy S \
                  [--churn R] [--trials K] [--seed X] [--json]\n       \
                  autobal-cli spec <file.json> [--json]\n       \
-                 autobal-cli strategies",
+                 autobal-cli strategies\n\
+                 exit status 141 when stdout closes before all output is written",
             );
             2
         }

@@ -22,11 +22,9 @@
 use autobal_chord::{AdversaryState, MessageStats, Network, NetworkError};
 use autobal_core::record::{Recorder, Records, INVITATION, JOIN};
 use autobal_core::strategy::{
-    churn::BackgroundChurn,
-    crosscheck::wrap_if_enabled,
     invitation::{pick_helper, HelperCandidate},
-    strategy_for, ActionError, Actions, ChurnOps, InviteOutcome, LocalView, Strategy,
-    StrategyParams, StrategyStack, Substrate,
+    stack_for, ActionError, Actions, ChurnOps, InviteOutcome, LocalView, Strategy, StrategyParams,
+    StrategyStack, Substrate,
 };
 use autobal_core::trace::SimEvent;
 use autobal_core::StrategyKind;
@@ -180,8 +178,14 @@ impl Core {
     /// fault plan is left inert: adversity begins after this initial
     /// stabilization.
     ///
+    /// The shared knobs go through the oracle ring's rules
+    /// ([`ProtocolSimConfig::sim_config`]): its `validate`, its strategy
+    /// stack, its [`StrategyParams`], its churn switch and its ideal
+    /// runtime.
+    ///
     /// # Panics
-    /// Panics if `cfg.strategy` is [`StrategyKind::CentralizedOracle`] —
+    /// Panics on a config the oracle ring would reject, or if
+    /// `cfg.strategy` is [`StrategyKind::CentralizedOracle`] —
     /// omniscience does not exist on a real network.
     pub(crate) fn setup(
         cfg: &ProtocolSimConfig,
@@ -191,6 +195,9 @@ impl Core {
         task_keys: Vec<Id>,
         substrate: &str,
     ) -> (Core, StrategyStack) {
+        let shared = cfg.sim_config();
+        // autobal-lint: allow(panic-safety, "caller contract: the same config rules Sim::with_placement enforces")
+        shared.validate().expect("invalid SimConfig");
         assert!(
             cfg.strategy != StrategyKind::CentralizedOracle,
             "the centralized oracle needs the omniscient oracle-ring substrate"
@@ -203,7 +210,7 @@ impl Core {
         // Crash schedule: explicit events from the plan win; otherwise
         // `crash_rate` spreads ceil(rate × nodes) single-victim crashes
         // evenly across the nominal (ideal) duration.
-        let ideal_ticks = ((cfg.tasks as f64 / cfg.nodes as f64).ceil() as u64).max(1);
+        let ideal_ticks = shared.ideal_ticks().max(1);
         let mut crash_schedule: Vec<(u64, u32)> =
             cfg.fault.crashes.iter().map(|c| (c.at, c.count)).collect();
         if crash_schedule.is_empty() && cfg.crash_rate > 0.0 {
@@ -231,7 +238,7 @@ impl Core {
         // The churn waiting pool "begins at the same initial size as the
         // network" (§IV-A).
         let mut waiting = Vec::new();
-        if cfg.churn_rate > 0.0 {
+        if shared.churn_enabled() {
             for _ in 0..cfg.nodes {
                 waiting.push(workers.len());
                 workers.push(Worker {
@@ -242,18 +249,7 @@ impl Core {
             }
         }
 
-        let mut stack = StrategyStack::new();
-        if cfg.churn_rate > 0.0 {
-            stack.push(Box::new(BackgroundChurn {
-                leave_p: cfg.churn_rate,
-                join_p: cfg.churn_rate,
-            }));
-        }
-        if let Some(s) = strategy_for(cfg.strategy) {
-            // Cross-checking is a transparent decorator: with the default
-            // (disabled) config this returns `s` untouched.
-            stack.push(wrap_if_enabled(s, &cfg.cross_check));
-        }
+        let stack = stack_for(&shared, &cfg.cross_check);
 
         let slots = workers.len();
         let mut rec = Recorder::new(
@@ -268,15 +264,7 @@ impl Core {
             workers,
             waiting,
             owner_of,
-            params: StrategyParams {
-                sybil_threshold: cfg.sybil_threshold,
-                overload_threshold: (cfg.overload_factor * cfg.tasks as f64
-                    / cfg.nodes.max(1) as f64)
-                    .ceil() as u64,
-                num_neighbors: cfg.net.successor_list_len,
-                chosen_ids: false,
-                strength_aware_invitation: false,
-            },
+            params: shared.strategy_params(),
             max_sybils: cfg.max_sybils,
             active_count: cfg.nodes,
             tick: 0,

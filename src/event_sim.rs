@@ -439,7 +439,8 @@ impl Transport for EventWire {
 /// Runs the computation on the event-time substrate.
 ///
 /// # Panics
-/// Panics if `cfg.proto.strategy` is
+/// Panics where [`run_protocol_sim`](crate::protocol_sim::run_protocol_sim)
+/// does on `cfg.proto`: a config the oracle ring rejects, or
 /// [`StrategyKind::CentralizedOracle`](autobal_core::StrategyKind::CentralizedOracle).
 pub fn run_event_sim(cfg: &EventSimConfig, seed: u64) -> EventRun {
     let (net, node_ids, task_keys) = bootstrap(&cfg.proto, seed);
@@ -591,6 +592,14 @@ mod tests {
             },
             ..EventSimConfig::default()
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "check_interval must be at least 1")]
+    fn zero_check_interval_is_rejected() {
+        let mut cfg = small(StrategyKind::RandomInjection);
+        cfg.proto.check_interval = 0;
+        run_event_sim(&cfg, 1);
     }
 
     fn degenerate(strategy: StrategyKind) -> EventSimConfig {

@@ -26,7 +26,7 @@ use autobal_core::record::LOAD_QUERY;
 use autobal_core::strategy::{
     crosscheck::CrossCheckConfig, invitation::HelperCandidate, ActionError,
 };
-use autobal_core::StrategyKind;
+use autobal_core::{SimConfig, StrategyKind};
 use autobal_id::Id;
 use autobal_metrics::MetricsSample;
 use autobal_telemetry::Trace;
@@ -34,35 +34,39 @@ use autobal_telemetry::Trace;
 use crate::chord_driver::{action_error, bootstrap, fate, Core, Driver, Transport};
 
 /// Configuration for a protocol-level run.
+///
+/// The knobs it shares with the oracle ring mean what the [`SimConfig`]
+/// field of the same name means: [`ProtocolSimConfig::sim_config`] maps
+/// them onto a [`SimConfig`], and the Chord substrates validate it and
+/// build their strategy stack and parameters from it. `net` (beyond its
+/// successor-list length), `fault`, `crash_rate`, `crash_retirement`,
+/// `adversary` and `cross_check` exist only on Chord.
 #[derive(Debug, Clone)]
 pub struct ProtocolSimConfig {
-    /// Physical workers (each one Chord node at start).
+    /// [`SimConfig::nodes`]: physical workers, each one Chord node at
+    /// start.
     pub nodes: usize,
-    /// Tasks (keys) to place and consume.
+    /// [`SimConfig::tasks`]: the keys to place and consume.
     pub tasks: u64,
-    /// Which strategy to run. [`StrategyKind::CentralizedOracle`] is
+    /// [`SimConfig::strategy`]. [`StrategyKind::CentralizedOracle`] is
     /// rejected: a real network cannot provide the omniscient view.
     pub strategy: StrategyKind,
-    /// Per-tick Bernoulli churn probability; 0 disables churn. When
-    /// set, a waiting pool of `nodes` extra workers is created, as in
-    /// the oracle-ring simulator (§IV-A).
+    /// [`SimConfig::churn_rate`].
     pub churn_rate: f64,
-    /// Check cadence in ticks (paper: 5).
+    /// [`SimConfig::check_interval`].
     pub check_interval: u64,
-    /// Maximum Sybils per worker (paper: 5).
+    /// [`SimConfig::max_sybils`].
     pub max_sybils: u32,
-    /// A node at or below this load may volunteer a Sybil (paper: 0).
+    /// [`SimConfig::sybil_threshold`].
     pub sybil_threshold: u64,
-    /// Invitation overload cutoff factor (threshold = factor × mean).
+    /// [`SimConfig::overload_factor`].
     pub overload_factor: f64,
-    /// Chord substrate knobs.
+    /// Chord substrate knobs; `successor_list_len` is
+    /// [`SimConfig::num_successors`].
     pub net: NetConfig,
-    /// Safety cap.
+    /// [`SimConfig::max_ticks`], always set here.
     pub max_ticks: u64,
-    /// Record a span-structured flight-recorder trace (see
-    /// `autobal-telemetry`). Stamped with ticks, never wall-clock. Its
-    /// `Decision` records are the run's event log
-    /// (`autobal_core::trace::event_log`).
+    /// [`SimConfig::record_trace`].
     pub record_trace: bool,
     /// Fault plan armed on the network after the initial stabilization
     /// (the paper's "network starts stable" assumption is preserved;
@@ -83,13 +87,45 @@ pub struct ProtocolSimConfig {
     /// Cross-checking probe defense wrapped around the Sybil strategy
     /// (see `autobal_core::strategy::crosscheck`). Disabled by default.
     pub cross_check: CrossCheckConfig,
-    /// Record streaming metrics samples (see `autobal-metrics`).
+    /// [`SimConfig::record_metrics`].
     pub record_metrics: bool,
-    /// Metrics sampling cadence in ticks; defaults to every tick.
+    /// [`SimConfig::metrics_interval`].
     pub metrics_interval: Option<u64>,
-    /// Include a per-worker ring snapshot in each metrics sample
-    /// (monitor food; O(workers) per sample).
+    /// [`SimConfig::metrics_ring`].
     pub metrics_ring: bool,
+}
+
+impl ProtocolSimConfig {
+    /// The oracle-ring configuration of this run's shared knobs:
+    /// `nodes`, `tasks`, `strategy`, `churn_rate`, `check_interval`,
+    /// `max_sybils`, `sybil_threshold`, `overload_factor`, `max_ticks`,
+    /// `record_trace`, `record_metrics`, `metrics_interval` and
+    /// `metrics_ring`, plus `num_successors` from
+    /// `net.successor_list_len`. Every other field keeps its default,
+    /// and those are exactly the knobs the Chord substrates do not
+    /// honour: `heterogeneity` and `work_measurement` (every worker has
+    /// strength 1 and consumes one task per tick), `snapshot_ticks`,
+    /// `strength_aware_invitation`, `chosen_ids`, `churn_model` (churn
+    /// is Bernoulli at `churn_rate`) and `virtual_nodes_per_worker`.
+    pub fn sim_config(&self) -> SimConfig {
+        SimConfig {
+            nodes: self.nodes,
+            tasks: self.tasks,
+            strategy: self.strategy,
+            churn_rate: self.churn_rate,
+            sybil_threshold: self.sybil_threshold,
+            max_sybils: self.max_sybils,
+            num_successors: self.net.successor_list_len,
+            check_interval: self.check_interval,
+            overload_factor: self.overload_factor,
+            max_ticks: Some(self.max_ticks),
+            record_trace: self.record_trace,
+            record_metrics: self.record_metrics,
+            metrics_interval: self.metrics_interval,
+            metrics_ring: self.metrics_ring,
+            ..SimConfig::default()
+        }
+    }
 }
 
 impl Default for ProtocolSimConfig {
@@ -228,8 +264,9 @@ impl Transport for SyncShim {
 /// DHT operation performed by the real implementation.
 ///
 /// # Panics
-/// Panics if `cfg.strategy` is [`StrategyKind::CentralizedOracle`] —
-/// omniscience does not exist on a real network.
+/// Panics if [`SimConfig::validate`] rejects `cfg.sim_config()`, or if
+/// `cfg.strategy` is [`StrategyKind::CentralizedOracle`] — omniscience
+/// does not exist on a real network.
 pub fn run_protocol_sim(cfg: &ProtocolSimConfig, seed: u64) -> ProtocolRun {
     let (net, node_ids, task_keys) = bootstrap(cfg, seed);
     run_inner(cfg, seed, net, node_ids, task_keys)
@@ -306,6 +343,63 @@ mod tests {
     }
 
     #[test]
+    fn sim_config_carries_every_shared_knob() {
+        let cfg = ProtocolSimConfig {
+            nodes: 7,
+            tasks: 321,
+            strategy: StrategyKind::Invitation,
+            churn_rate: 0.25,
+            check_interval: 3,
+            max_sybils: 9,
+            sybil_threshold: 4,
+            overload_factor: 1.5,
+            net: NetConfig {
+                successor_list_len: 8,
+                ..NetConfig::default()
+            },
+            max_ticks: 1_234,
+            record_trace: true,
+            record_metrics: true,
+            metrics_interval: Some(6),
+            metrics_ring: true,
+            ..ProtocolSimConfig::default()
+        };
+        // Every other field stays at the oracle ring's default.
+        assert_eq!(
+            cfg.sim_config(),
+            SimConfig {
+                nodes: 7,
+                tasks: 321,
+                strategy: StrategyKind::Invitation,
+                churn_rate: 0.25,
+                check_interval: 3,
+                max_sybils: 9,
+                sybil_threshold: 4,
+                overload_factor: 1.5,
+                num_successors: 8,
+                max_ticks: Some(1_234),
+                record_trace: true,
+                record_metrics: true,
+                metrics_interval: Some(6),
+                metrics_ring: true,
+                ..SimConfig::default()
+            }
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "check_interval must be at least 1")]
+    fn zero_check_interval_is_rejected() {
+        run_protocol_sim(
+            &ProtocolSimConfig {
+                check_interval: 0,
+                ..small(StrategyKind::RandomInjection)
+            },
+            1,
+        );
+    }
+
+    #[test]
     fn protocol_baseline_matches_harmonic_ballpark() {
         let res = run_protocol_sim(&small(StrategyKind::None), 1);
         assert!(res.completed);
@@ -337,17 +431,9 @@ mod tests {
     fn protocol_and_oracle_simulators_agree() {
         // The whole point: the oracle-ring simulator and the protocol
         // substrate must tell the same story on matched configurations.
-        let proto = run_protocol_sim(&small(StrategyKind::RandomInjection), 3);
-        let oracle = autobal_core::Sim::new(
-            autobal_core::SimConfig {
-                nodes: 32,
-                tasks: 1_600,
-                strategy: autobal_core::StrategyKind::RandomInjection,
-                ..autobal_core::SimConfig::default()
-            },
-            3,
-        )
-        .run();
+        let cfg = small(StrategyKind::RandomInjection);
+        let proto = run_protocol_sim(&cfg, 3);
+        let oracle = autobal_core::Sim::new(cfg.sim_config(), 3).run();
         let diff = (proto.runtime_factor - oracle.runtime_factor).abs();
         assert!(
             diff < 1.0,

@@ -170,3 +170,18 @@ fn zero_trials_are_rejected_cleanly() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("trials must be at least 1"), "{stderr}");
 }
+
+#[test]
+fn closed_stdout_ends_with_the_broken_pipe_status() {
+    // No reader is left on the pipe, so the first write fails.
+    let (reader, writer) = std::io::pipe().expect("pipe");
+    drop(reader);
+    let out = cli()
+        .arg("strategies")
+        .stdout(writer)
+        .output()
+        .expect("binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(141), "stderr: {stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+}

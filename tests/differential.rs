@@ -19,7 +19,7 @@
 
 use autobal::protocol_sim::{run_protocol_sim_with_placement, ProtocolSimConfig};
 use autobal::sim::trace::event_log;
-use autobal::sim::{Sim, SimConfig, SimEvent, StrategyKind};
+use autobal::sim::{Sim, SimEvent, StrategyKind};
 use autobal::stats::rng::{domains, substream, DetRng};
 use autobal::Id;
 
@@ -60,38 +60,27 @@ fn placement() -> (Vec<Id>, Vec<Id>) {
     (ids, keys)
 }
 
+/// Random injection checking every tick, traced; the oracle ring runs
+/// its [`ProtocolSimConfig::sim_config`] twin.
+fn chord_cfg() -> ProtocolSimConfig {
+    ProtocolSimConfig {
+        nodes: NODES,
+        tasks: TASKS,
+        strategy: StrategyKind::RandomInjection,
+        check_interval: 1,
+        record_trace: true,
+        ..ProtocolSimConfig::default()
+    }
+}
+
 #[test]
 fn oracle_and_chord_substrates_make_the_same_decisions() {
     let (ids, keys) = placement();
 
-    let oracle = Sim::with_placement(
-        SimConfig {
-            nodes: NODES,
-            tasks: TASKS,
-            strategy: StrategyKind::RandomInjection,
-            check_interval: 1,
-            record_trace: true,
-            ..SimConfig::default()
-        },
-        SEED,
-        ids.clone(),
-        keys.clone(),
-    )
-    .run();
+    let oracle =
+        Sim::with_placement(chord_cfg().sim_config(), SEED, ids.clone(), keys.clone()).run();
 
-    let proto = run_protocol_sim_with_placement(
-        &ProtocolSimConfig {
-            nodes: NODES,
-            tasks: TASKS,
-            strategy: StrategyKind::RandomInjection,
-            check_interval: 1,
-            record_trace: true,
-            ..ProtocolSimConfig::default()
-        },
-        SEED,
-        ids,
-        keys,
-    );
+    let proto = run_protocol_sim_with_placement(&chord_cfg(), SEED, ids, keys);
 
     assert!(oracle.completed && proto.completed);
 
@@ -160,33 +149,9 @@ fn first_check_tick_decisions_are_bit_identical() {
     // number of tasks each Sybil acquired, must match exactly.
     let (ids, keys) = placement();
 
-    let oracle = Sim::with_placement(
-        SimConfig {
-            nodes: NODES,
-            tasks: TASKS,
-            strategy: StrategyKind::RandomInjection,
-            check_interval: 1,
-            record_trace: true,
-            ..SimConfig::default()
-        },
-        SEED,
-        ids.clone(),
-        keys.clone(),
-    )
-    .run();
-    let proto = run_protocol_sim_with_placement(
-        &ProtocolSimConfig {
-            nodes: NODES,
-            tasks: TASKS,
-            strategy: StrategyKind::RandomInjection,
-            check_interval: 1,
-            record_trace: true,
-            ..ProtocolSimConfig::default()
-        },
-        SEED,
-        ids,
-        keys,
-    );
+    let oracle =
+        Sim::with_placement(chord_cfg().sim_config(), SEED, ids.clone(), keys.clone()).run();
+    let proto = run_protocol_sim_with_placement(&chord_cfg(), SEED, ids, keys);
 
     let first = |evs: &[SimEvent]| -> Vec<SimEvent> {
         evs.iter().filter(|e| e.tick() == 1).cloned().collect()
@@ -213,29 +178,14 @@ fn substrates_agree_on_the_outcome_too() {
         .into_iter()
         .enumerate()
     {
-        let o = Sim::with_placement(
-            SimConfig {
-                nodes: NODES,
-                tasks: TASKS,
-                strategy: kind,
-                ..SimConfig::default()
-            },
-            SEED,
-            ids.clone(),
-            keys.clone(),
-        )
-        .run();
-        let p = run_protocol_sim_with_placement(
-            &ProtocolSimConfig {
-                nodes: NODES,
-                tasks: TASKS,
-                strategy: kind,
-                ..ProtocolSimConfig::default()
-            },
-            SEED,
-            ids.clone(),
-            keys.clone(),
-        );
+        let pcfg = ProtocolSimConfig {
+            nodes: NODES,
+            tasks: TASKS,
+            strategy: kind,
+            ..ProtocolSimConfig::default()
+        };
+        let o = Sim::with_placement(pcfg.sim_config(), SEED, ids.clone(), keys.clone()).run();
+        let p = run_protocol_sim_with_placement(&pcfg, SEED, ids.clone(), keys.clone());
         assert!(o.completed && p.completed);
         assert!(
             (o.runtime_factor - p.runtime_factor).abs() < o.runtime_factor.max(2.0),

@@ -19,20 +19,6 @@ use std::path::PathBuf;
 
 const SEED: u64 = 41;
 
-fn oracle_cfg() -> SimConfig {
-    SimConfig {
-        nodes: 16,
-        tasks: 800,
-        strategy: StrategyKind::RandomInjection,
-        check_interval: 1,
-        churn_rate: 0.02,
-        record_metrics: true,
-        metrics_interval: Some(1),
-        metrics_ring: true,
-        ..SimConfig::default()
-    }
-}
-
 fn chord_cfg() -> ProtocolSimConfig {
     ProtocolSimConfig {
         nodes: 16,
@@ -43,6 +29,14 @@ fn chord_cfg() -> ProtocolSimConfig {
         metrics_interval: Some(1),
         metrics_ring: true,
         ..ProtocolSimConfig::default()
+    }
+}
+
+/// The Chord config's oracle-ring twin, churning.
+fn oracle_cfg() -> SimConfig {
+    SimConfig {
+        churn_rate: 0.02,
+        ..chord_cfg().sim_config()
     }
 }
 

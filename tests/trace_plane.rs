@@ -54,38 +54,28 @@ fn placement() -> (Vec<Id>, Vec<Id>) {
     (ids, keys)
 }
 
-fn oracle_cfg() -> SimConfig {
-    SimConfig {
+/// Random injection checking every tick, traced; the oracle ring runs
+/// its [`ProtocolSimConfig::sim_config`] twin.
+fn chord_cfg() -> ProtocolSimConfig {
+    ProtocolSimConfig {
         nodes: NODES,
         tasks: TASKS,
         strategy: StrategyKind::RandomInjection,
         check_interval: 1,
         record_trace: true,
-        ..SimConfig::default()
+        ..ProtocolSimConfig::default()
     }
 }
 
 fn oracle_jsonl(seed: u64) -> String {
     let (ids, keys) = placement();
-    let res = Sim::with_placement(oracle_cfg(), seed, ids, keys).run();
+    let res = Sim::with_placement(chord_cfg().sim_config(), seed, ids, keys).run();
     to_jsonl(res.trace.records())
 }
 
 fn chord_jsonl(seed: u64) -> String {
     let (ids, keys) = placement();
-    let res = run_protocol_sim_with_placement(
-        &ProtocolSimConfig {
-            nodes: NODES,
-            tasks: TASKS,
-            strategy: StrategyKind::RandomInjection,
-            check_interval: 1,
-            record_trace: true,
-            ..ProtocolSimConfig::default()
-        },
-        seed,
-        ids,
-        keys,
-    );
+    let res = run_protocol_sim_with_placement(&chord_cfg(), seed, ids, keys);
     to_jsonl(res.trace.records())
 }
 
@@ -168,17 +158,6 @@ fn golden_trace_pins_the_wire_schema() {
         records.last().map(|r| &r.body),
         Some(TraceBody::RunEnd { completed: true })
     ));
-}
-
-fn chord_cfg() -> ProtocolSimConfig {
-    ProtocolSimConfig {
-        nodes: NODES,
-        tasks: TASKS,
-        strategy: StrategyKind::RandomInjection,
-        check_interval: 1,
-        record_trace: true,
-        ..ProtocolSimConfig::default()
-    }
 }
 
 #[test]
@@ -356,7 +335,8 @@ fn tick_vs_event_diff_localizes_the_latency_skew() {
     // The diff must localize that skew — or report clean agreement —
     // exactly as it does between the two synchronous substrates.
     let (ids, keys) = placement();
-    let oracle = Sim::with_placement(oracle_cfg(), SEED, ids.clone(), keys.clone()).run();
+    let oracle =
+        Sim::with_placement(chord_cfg().sim_config(), SEED, ids.clone(), keys.clone()).run();
     let event = run_event_sim_with_placement(
         &EventSimConfig {
             proto: chord_cfg(),
@@ -395,20 +375,9 @@ fn diff_reports_first_divergence_with_worker_and_tick() {
     // agreement or name the first divergent decision with its worker,
     // virtual time, and enclosing span.
     let (ids, keys) = placement();
-    let oracle = Sim::with_placement(oracle_cfg(), SEED, ids.clone(), keys.clone()).run();
-    let chord = run_protocol_sim_with_placement(
-        &ProtocolSimConfig {
-            nodes: NODES,
-            tasks: TASKS,
-            strategy: StrategyKind::RandomInjection,
-            check_interval: 1,
-            record_trace: true,
-            ..ProtocolSimConfig::default()
-        },
-        SEED,
-        ids,
-        keys,
-    );
+    let oracle =
+        Sim::with_placement(chord_cfg().sim_config(), SEED, ids.clone(), keys.clone()).run();
+    let chord = run_protocol_sim_with_placement(&chord_cfg(), SEED, ids, keys);
 
     let div = diff_traces(oracle.trace.records(), chord.trace.records());
     let report = render_divergence(&div);
