@@ -55,9 +55,6 @@ pub struct EventConfig {
     pub latency: u64,
     /// Interval between a node's stabilize timer firings.
     pub stabilize_every: u64,
-    /// How long the origin waits for a lookup reply before declaring
-    /// failure.
-    pub lookup_timeout: u64,
     /// Successor-list length.
     pub successor_list_len: usize,
 }
@@ -66,12 +63,16 @@ pub struct EventConfig {
 /// dropped and left to its origin's timeout.
 const MAX_HOPS: u32 = 256;
 
+/// How long a lookup's origin waits for the reply before it retries or
+/// declares failure; the `k`-th wait of a retried lookup is
+/// `LOOKUP_TIMEOUT << k`.
+pub const LOOKUP_TIMEOUT: u64 = 2_000;
+
 impl Default for EventConfig {
     fn default() -> EventConfig {
         EventConfig {
             latency: 10,
             stabilize_every: 100,
-            lookup_timeout: 2_000,
             successor_list_len: 5,
         }
     }
@@ -227,10 +228,10 @@ pub struct EventNet {
     /// Every scheduled delivery but first-attempt lookup deadlines.
     queue: EventQueue<Scheduled>,
     /// First-attempt lookup deadlines as `(at, seq, req)`. Each is armed
-    /// at `time + lookup_timeout` with a fresh `seq`, and time never runs
-    /// backwards, so pushes arrive sorted and need no heap. A lookup
-    /// that finishes first leaves its entry to be skipped on pop,
-    /// without ever being delivered.
+    /// at `time + LOOKUP_TIMEOUT` with a fresh `seq`; the wait is a
+    /// constant and time never runs backwards, so pushes arrive sorted
+    /// and need no heap. A lookup that finishes first leaves its entry
+    /// to be skipped on pop, without ever being delivered.
     timeouts: VecDeque<(u64, u64, u64)>,
     /// Every live node, in ascending id order.
     nodes: IdTable<ENode>,
@@ -473,7 +474,7 @@ impl EventNet {
                 hops: 0,
             },
         );
-        let at = self.time + self.cfg.lookup_timeout;
+        let at = self.time + LOOKUP_TIMEOUT;
         let seq = self.next_seq();
         debug_assert!(
             self.timeouts
@@ -884,7 +885,7 @@ impl EventNet {
                         },
                     );
                     // Wait twice as long before the next check.
-                    let wait = self.cfg.lookup_timeout << p.attempts.min(16);
+                    let wait = LOOKUP_TIMEOUT << p.attempts.min(16);
                     let at = self.time + wait;
                     self.send_at(at, p.origin, Msg::LookupTimeout { req });
                     return;
@@ -1102,13 +1103,13 @@ mod tests {
         let reqs: Vec<u64> = (1..=1_000)
             .map(|i| net.lookup(ids[1], sha1_id_of_u64(i)).unwrap())
             .collect();
-        net.run_until(net.now() + 2 * cfg.lookup_timeout);
+        net.run_until(net.now() + 2 * LOOKUP_TIMEOUT);
         assert_eq!(drain_app_lookups(&mut net, &reqs).len(), 1_000);
         assert!(net.pending.is_empty(), "{} slots left", net.pending.len());
     }
 
     /// The retry schedule the wire runs: a lookup that hears nothing is
-    /// re-issued after `lookup_timeout`, again after twice that, and
+    /// re-issued after `LOOKUP_TIMEOUT`, again after twice that, and
     /// times out after four times that once `max_attempts` is spent.
     #[test]
     fn unanswered_lookups_retry_after_doubling_waits() {
@@ -1122,11 +1123,11 @@ mod tests {
             ..FaultPlan::default()
         });
         let req = net.lookup(net.node_ids()[0], sha1_id_of_u64(0)).unwrap();
-        net.run_until(net.now() + 10 * cfg.lookup_timeout);
+        net.run_until(net.now() + 10 * LOOKUP_TIMEOUT);
         let done: Vec<AsyncLookup> = net.drain_completed().collect();
         assert_eq!(done.len(), 1);
         assert_eq!((done[0].req, done[0].owner), (req, None));
-        assert_eq!(done[0].latency, 7 * cfg.lookup_timeout, "1 + 2 + 4 waits");
+        assert_eq!(done[0].latency, 7 * LOOKUP_TIMEOUT, "1 + 2 + 4 waits");
         assert_eq!((net.stats.retries, net.stats.timeouts), (2, 1));
     }
 
@@ -1204,7 +1205,7 @@ mod tests {
         let timed_out: Vec<_> = done.iter().filter(|l| l.owner.is_none()).collect();
         assert!(!timed_out.is_empty(), "some lookups die with the carnage");
         for l in timed_out {
-            assert_eq!(l.latency, cfg.lookup_timeout, "req {}", l.req);
+            assert_eq!(l.latency, LOOKUP_TIMEOUT, "req {}", l.req);
         }
         assert_eq!(net.stats.retries, 0);
         assert!(net.dropped > 0, "messages to dead nodes are dropped");

@@ -57,7 +57,7 @@ pub mod routing;
 mod table;
 
 pub use adversary::{AdversaryPlan, AdversaryState, LiePolicy};
-pub use eventnet::{AppEvent, AppMsg, AsyncLookup, EventConfig, EventNet};
+pub use eventnet::{AppEvent, AppMsg, AsyncLookup, EventConfig, EventNet, LOOKUP_TIMEOUT};
 pub use fault::{CrashEvent, FaultPlan, FaultState, Partition};
 pub use fingers::Fingers;
 pub use keyset::KeySet;

@@ -22,11 +22,20 @@
 //!
 //! The monitor is a pure *reader*: it never influences a run, so its
 //! wall-clock pacing lives outside the deterministic plane.
+//!
+//! A reader that closes stdout early (`| head`) ends the program with
+//! exit status 141: all output goes through the workspace's one output
+//! endpoint, [`autobal_telemetry::console`].
+
+#[path = "../ringview.rs"]
+mod ringview;
 
 use autobal_metrics::names as metric_names;
 use autobal_metrics::sample::{parse_jsonl, validate_samples};
 use autobal_metrics::MetricsSample;
-use autobal_viz::{render_load_bars, render_ring, sparkline, RingHeat, RingHeatSlot, RingMark};
+use autobal_telemetry::{console, errln, outln};
+use autobal_viz::{render_load_bars, render_ring, sparkline, RingMark};
+use ringview::{ring_heat_svg, ring_marks};
 use std::path::PathBuf;
 
 struct Opts {
@@ -40,9 +49,10 @@ struct Opts {
 }
 
 fn usage() -> ! {
-    eprintln!(
+    errln!(
         "usage: autobal-monitor [--follow] [--interval MS] [--last N] \
-         [--svg PATH] [--html PATH] FILE"
+         [--svg PATH] [--html PATH] FILE\n\
+         exit status 141 when stdout closes before all output is written"
     );
     std::process::exit(2);
 }
@@ -98,24 +108,6 @@ fn load(path: &PathBuf) -> Result<Vec<MetricsSample>, String> {
     Ok(samples)
 }
 
-/// Converts the latest sample's ring slots into viz marks, positioned
-/// by each worker's primary identifier.
-fn ring_marks(sample: &MetricsSample) -> Vec<RingMark> {
-    let mut marks: Vec<RingMark> = sample
-        .ring
-        .iter()
-        .map(|slot| RingMark {
-            label: slot.worker,
-            frac: autobal_id::Id::from_hex(&slot.pos).map_or(0.0, |id| id.to_unit_fraction()),
-            load: slot.load,
-            vnodes: 1 + slot.sybils,
-            flagged: slot.quarantined > 0,
-        })
-        .collect();
-    marks.sort_by(|a, b| a.frac.total_cmp(&b.frac));
-    marks
-}
-
 /// Per-sample deltas of a cumulative counter over the trailing window.
 fn rate_series(samples: &[MetricsSample], name: &str, last: usize) -> Vec<u64> {
     let window = samples.len().saturating_sub(last + 1);
@@ -133,8 +125,9 @@ fn delivered_rate(samples: &[MetricsSample], last: usize) -> Vec<u64> {
     rate_series(samples, metric_names::MSG_DELIVERED, last)
 }
 
-/// The full-text dashboard for the latest sample.
-fn render_dashboard(samples: &[MetricsSample], last: usize) -> String {
+/// The full-text dashboard for the latest sample, whose ring marks
+/// are `marks`.
+fn render_dashboard(samples: &[MetricsSample], marks: &[RingMark], last: usize) -> String {
     let mut out = String::new();
     let Some(latest) = samples.last() else {
         out.push_str("(no samples yet)\n");
@@ -157,13 +150,12 @@ fn render_dashboard(samples: &[MetricsSample], last: usize) -> String {
         g(metric_names::LOAD_P99),
         g(metric_names::LOAD_MAX),
     ));
-    let marks = ring_marks(latest);
     if marks.is_empty() {
         out.push_str("(no ring slots; record with metrics_ring to see the ring)\n");
     } else {
-        out.push_str(&render_ring("ring", &marks, 48));
+        out.push_str(&render_ring("ring", marks, 48));
         out.push('\n');
-        let mut by_load = marks.clone();
+        let mut by_load = marks.to_vec();
         by_load.sort_by(|a, b| b.load.cmp(&a.load).then(a.label.cmp(&b.label)));
         by_load.truncate(12);
         out.push_str(&render_load_bars("heaviest workers", &by_load, 32));
@@ -180,35 +172,10 @@ fn render_dashboard(samples: &[MetricsSample], last: usize) -> String {
     out
 }
 
-/// The SVG ring-heat snapshot for the latest sample.
-fn render_snapshot_svg(samples: &[MetricsSample]) -> String {
-    let latest = samples.last();
-    let slots: Vec<RingHeatSlot> = latest
-        .map(|s| {
-            s.ring
-                .iter()
-                .map(|slot| RingHeatSlot {
-                    label: slot.worker,
-                    frac: autobal_id::Id::from_hex(&slot.pos)
-                        .map_or(0.0, |id| id.to_unit_fraction()),
-                    load: slot.load,
-                    vnodes: 1 + slot.sybils,
-                    flagged: slot.quarantined > 0,
-                })
-                .collect()
-        })
-        .unwrap_or_default();
-    let title = latest.map_or_else(
-        || "ring (no samples)".to_string(),
-        |s| format!("ring @ t={}", s.time),
-    );
-    RingHeat::new(title, slots).to_svg()
-}
-
 /// An HTML page embedding the SVG snapshot plus the text panels.
-fn render_snapshot_html(samples: &[MetricsSample], last: usize) -> String {
-    let svg = render_snapshot_svg(samples);
-    let text = render_dashboard(samples, last)
+fn render_snapshot_html(samples: &[MetricsSample], marks: &[RingMark], last: usize) -> String {
+    let svg = ring_heat_svg(samples.last(), marks);
+    let text = render_dashboard(samples, marks, last)
         .replace('&', "&amp;")
         .replace('<', "&lt;")
         .replace('>', "&gt;");
@@ -228,32 +195,34 @@ fn main() {
             Err(e) => {
                 // In follow mode the file may not exist yet; keep waiting.
                 if !opts.follow {
-                    eprintln!("autobal-monitor: {e}");
+                    errln!("autobal-monitor: {e}");
                     std::process::exit(2);
                 }
                 Vec::new()
             }
         };
-        let dashboard = render_dashboard(&samples, opts.last);
+        let marks = ring_marks(samples.last());
+        let dashboard = render_dashboard(&samples, &marks, opts.last);
         if opts.follow {
             // Clear and home, then redraw in place.
-            print!("\x1b[2J\x1b[H");
+            console::out("\x1b[2J\x1b[H");
         }
-        println!(
+        outln!(
             "autobal-monitor: {} ({} samples)",
             opts.file.display(),
             samples.len()
         );
-        print!("{dashboard}");
+        console::out(&dashboard);
         if let Some(path) = &opts.svg {
-            if let Err(e) = std::fs::write(path, render_snapshot_svg(&samples)) {
-                eprintln!("autobal-monitor: write {}: {e}", path.display());
+            if let Err(e) = std::fs::write(path, ring_heat_svg(samples.last(), &marks)) {
+                errln!("autobal-monitor: write {}: {e}", path.display());
                 std::process::exit(2);
             }
         }
         if let Some(path) = &opts.html {
-            if let Err(e) = std::fs::write(path, render_snapshot_html(&samples, opts.last)) {
-                eprintln!("autobal-monitor: write {}: {e}", path.display());
+            let html = render_snapshot_html(&samples, &marks, opts.last);
+            if let Err(e) = std::fs::write(path, html) {
+                errln!("autobal-monitor: write {}: {e}", path.display());
                 std::process::exit(2);
             }
         }
@@ -301,7 +270,7 @@ mod tests {
             sample(0, 0, 0, vec![slot(0, 9, 0, 0), slot(1, 2, 2, 1)]),
             sample(5, 40, 12, vec![slot(0, 5, 0, 0), slot(1, 4, 2, 1)]),
         ];
-        let text = render_dashboard(&samples, 60);
+        let text = render_dashboard(&samples, &ring_marks(samples.last()), 60);
         assert!(text.contains("t=5"), "{text}");
         assert!(text.contains("gini=0.125"), "{text}");
         assert!(text.contains('S'), "sybil marker: {text}");
@@ -313,9 +282,9 @@ mod tests {
     #[test]
     fn dashboard_without_ring_slots_degrades() {
         let samples = vec![sample(0, 0, 0, Vec::new())];
-        let text = render_dashboard(&samples, 60);
+        let text = render_dashboard(&samples, &ring_marks(samples.last()), 60);
         assert!(text.contains("metrics_ring"), "{text}");
-        assert_eq!(render_dashboard(&[], 60), "(no samples yet)\n");
+        assert_eq!(render_dashboard(&[], &[], 60), "(no samples yet)\n");
     }
 
     #[test]
@@ -337,10 +306,11 @@ mod tests {
     #[test]
     fn snapshot_svg_and_html_embed_the_ring() {
         let samples = vec![sample(3, 7, 2, vec![slot(0, 7, 1, 0)])];
-        let svg = render_snapshot_svg(&samples);
+        let marks = ring_marks(samples.last());
+        let svg = ring_heat_svg(samples.last(), &marks);
         assert!(svg.contains("ring @ t=3"));
         assert!(svg.contains("<path"), "ownership arc: {svg}");
-        let html = render_snapshot_html(&samples, 60);
+        let html = render_snapshot_html(&samples, &marks, 60);
         assert!(html.starts_with("<!doctype html>"));
         assert!(html.contains("<svg"));
         assert!(html.contains("t=3"));

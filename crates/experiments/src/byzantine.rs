@@ -20,7 +20,7 @@
 //! as a control: it steers by announcements, never by load probes, so
 //! the `lied` counter stays at zero by construction.
 
-use crate::common::{write_out, Args};
+use crate::common::{write_table, Args};
 use autobal::event_sim::{run_event_sim, EventSimConfig};
 use autobal::protocol_sim::{run_protocol_sim, ProtocolSimConfig};
 use autobal_chord::{AdversaryPlan, LiePolicy};
@@ -28,6 +28,7 @@ use autobal_core::strategy::crosscheck::CrossCheckConfig;
 use autobal_core::trace::{event_log, SimEvent};
 use autobal_core::StrategyKind;
 use autobal_stats::fairness::gini;
+use autobal_telemetry::outln;
 use autobal_workload::tables::{f3, Table};
 use rayon::prelude::*;
 
@@ -165,7 +166,7 @@ fn run_cell(args: &Args, spec: Spec) -> Cell {
 /// The Byzantine fraction × lying policy × probe budget sweep, on both
 /// real substrates.
 pub fn byzantine(args: &Args) {
-    println!("byzantine: lying-reporter sweep on both real substrates");
+    outln!("byzantine: lying-reporter sweep on both real substrates");
     let mut grid: Vec<Spec> = Vec::new();
     for substrate in [SubstrateKind::Protocol, SubstrateKind::Event] {
         // The honest baseline every ratio in this substrate divides by.
@@ -213,7 +214,7 @@ pub fn byzantine(args: &Args) {
         let gini_x = cell.gini / honest.gini.max(f64::EPSILON);
         let factor_x = cell.factor / honest.factor.max(f64::EPSILON);
         let policy = cell.spec.policy.map_or("honest", |(_, label)| label);
-        println!(
+        outln!(
             "  {:<8} {:<8} byz {:>5.1}% k={} → gini {:.3} ({:.2}× honest), factor {:.2} ({:.2}×), lied {}, quarantined {}",
             cell.spec.substrate.label(),
             policy,
@@ -241,8 +242,7 @@ pub fn byzantine(args: &Args) {
             format!("{}/{}", cell.completed, args.trials),
         ]);
     }
-    write_out(&args.out, "byzantine.md", &table.to_markdown());
-    write_out(&args.out, "byzantine.csv", &table.to_csv());
+    write_table(&args.out, "byzantine", &table);
 
     // Control: the invitation strategy never probes loads, so the
     // adversary has nothing to distort — its lied bill must be zero.
@@ -265,7 +265,7 @@ pub fn byzantine(args: &Args) {
         control.messages.lied, 0,
         "invitation steers by announcements, not probes"
     );
-    println!("  control: Invitation at 25% liars → lied 0 (immune by construction)");
+    outln!("  control: Invitation at 25% liars → lied 0 (immune by construction)");
 }
 
 #[cfg(test)]

@@ -3,24 +3,25 @@
 //! ("Chord (and all DHTs) have the qualities we desire … scalability,
 //! fault tolerance, and load-balancing").
 
-use crate::common::{write_out, Args};
+use crate::common::{write_table, Args};
 use autobal_chord::{routing, NetConfig, Network};
 use autobal_id::{sha1::sha1_id_of_u64, Id};
 use autobal_stats::rng::{domains, substream};
+use autobal_telemetry::outln;
 use autobal_workload::tables::{f3, Table};
 use rand::Rng;
 
 /// Routing scalability: measured mean lookup hops versus the ½·log₂ n
 /// theory across network sizes.
 pub fn chord_hops(args: &Args) {
-    println!("chord_hops: lookup hop scaling");
+    outln!("chord_hops: lookup hop scaling");
     let mut table = Table::new(vec!["nodes", "mean hops", "max hops", "theory ½·log2 n"]);
     for n in [32usize, 128, 512, 2048] {
         let mut rng = substream(args.seed, 0, domains::PLACEMENT);
         let mut net = Network::bootstrap(NetConfig::default(), n, &mut rng);
         let stats = routing::measure_hops(&mut net, 500, &mut rng);
         assert_eq!(stats.failed, 0, "lookups on a stable ring never fail");
-        println!(
+        outln!(
             "  n={n:<5} mean {:.2} max {} (theory {:.2})",
             stats.mean(),
             stats.max_hops,
@@ -33,8 +34,7 @@ pub fn chord_hops(args: &Args) {
             f3(routing::expected_hops(n)),
         ]);
     }
-    write_out(&args.out, "chord_hops.md", &table.to_markdown());
-    write_out(&args.out, "chord_hops.csv", &table.to_csv());
+    write_table(&args.out, "chord_hops", &table);
 }
 
 /// Footnote 2 of the paper: "rising maintenance costs after
@@ -45,7 +45,7 @@ pub fn chord_hops(args: &Args) {
 /// measure protocol messages per node per cycle, then combine with the
 /// tick simulator's speedup to show the cost/benefit crossover.
 pub fn maintenance_cost(args: &Args) {
-    println!("maintenance_cost: protocol cost vs churn benefit (footnote 2)");
+    outln!("maintenance_cost: protocol cost vs churn benefit (footnote 2)");
     let n = 128usize;
     let cycles = 60u32;
     let mut table = Table::new(vec![
@@ -116,7 +116,7 @@ pub fn maintenance_cost(args: &Args) {
             };
             args.run_cell(&cfg, args.seed ^ 0xC1).mean_runtime_factor
         };
-        println!(
+        outln!(
             "  rate {rate:<6}: {msgs:.1} msgs/node/cycle ({pings:.2} pings, {transfers:.2} transfers), factor {factor:.3}, speedup {:.2}x",
             base_factor / factor
         );
@@ -129,15 +129,14 @@ pub fn maintenance_cost(args: &Args) {
             f3(base_factor / factor),
         ]);
     }
-    write_out(&args.out, "maintenance_cost.md", &table.to_markdown());
-    write_out(&args.out, "maintenance_cost.csv", &table.to_csv());
+    write_table(&args.out, "maintenance_cost", &table);
 }
 
 /// Asynchronous message-level measurements: lookup latency distribution
 /// and post-failure ring convergence time, on the event-driven overlay.
 pub fn async_latency(args: &Args) {
     use autobal_chord::{EventConfig, EventNet};
-    println!("async_latency: event-driven overlay measurements");
+    outln!("async_latency: event-driven overlay measurements");
     let cfg = EventConfig::default();
     let mut table = Table::new(vec![
         "nodes",
@@ -173,7 +172,7 @@ pub fn async_latency(args: &Args) {
             .copied()
             .unwrap_or(0);
         let hops = ok.iter().map(|l| l.hops as f64).sum::<f64>() / ok.len().max(1) as f64;
-        println!(
+        outln!(
             "  n={n:<4} {} lookups: mean {mean:.0}, p95 {p95}, timeouts {timeouts}, hops {hops:.2}",
             done.len()
         );
@@ -205,19 +204,18 @@ pub fn async_latency(args: &Args) {
     }
     match converged_at {
         Some(r) => {
-            println!("  ring reconverged {r} stabilize intervals after killing 16/128 nodes")
+            outln!("  ring reconverged {r} stabilize intervals after killing 16/128 nodes")
         }
-        None => println!("  WARNING: ring did not reconverge within 60 intervals"),
+        None => outln!("  WARNING: ring did not reconverge within 60 intervals"),
     }
-    write_out(&args.out, "async_latency.md", &table.to_markdown());
-    write_out(&args.out, "async_latency.csv", &table.to_csv());
+    write_table(&args.out, "async_latency", &table);
 }
 
 /// Churn resilience: a 64-node network storing 500 values endures
 /// rounds of simultaneous failure+join; we track lookup success, data
 /// completeness, and maintenance message cost per round.
 pub fn chord_churn(args: &Args) {
-    println!("chord_churn: protocol resilience under sustained churn");
+    outln!("chord_churn: protocol resilience under sustained churn");
     let mut rng = substream(args.seed, 1, domains::CHURN);
     let mut net = Network::bootstrap(NetConfig::default(), 64, &mut rng);
     let from0 = net.node_ids()[0];
@@ -273,7 +271,7 @@ pub fn chord_churn(args: &Args) {
             (net.stats.total() - before).to_string(),
         ];
         if round % 10 == 0 || round == 1 {
-            println!(
+            outln!(
                 "  round {round:>2}: peers {}, values {}, lookups ok {ok}/100, msgs {}",
                 net.len(),
                 net.total_values(),
@@ -286,10 +284,9 @@ pub fn chord_churn(args: &Args) {
     for _ in 0..3 {
         net.maintenance_cycle();
     }
-    println!(
+    outln!(
         "  final: {} values intact of 500 after {rounds} churn rounds",
         net.total_values()
     );
-    write_out(&args.out, "chord_churn.md", &table.to_markdown());
-    write_out(&args.out, "chord_churn.csv", &table.to_csv());
+    write_table(&args.out, "chord_churn", &table);
 }

@@ -1,9 +1,11 @@
 //! Shared plumbing for the experiment drivers.
 
+use crate::Target;
 use autobal_core::{RunResult, SimConfig};
 use autobal_metrics::{names, MetricsSample};
 use autobal_stats::Histogram;
-use autobal_telemetry::{to_jsonl, TraceRecord};
+use autobal_telemetry::{outln, to_jsonl, TraceRecord};
+use autobal_workload::tables::Table;
 use autobal_workload::{trials::run_and_summarize, TrialStats, WorkloadCache};
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -12,8 +14,9 @@ use std::sync::Arc;
 /// Parsed command line.
 #[derive(Debug, Clone)]
 pub struct Args {
-    /// Experiments to run (lowercase ids); empty = all.
-    pub targets: Vec<String>,
+    /// Target ids to run, as named in [`crate::TARGETS`], or `all`;
+    /// empty = all.
+    pub targets: Vec<&'static str>,
     /// Trials per cell (paper: 100; quick default: 5).
     pub trials: u64,
     /// `--full`: run the paper-scale versions of every target (100
@@ -89,15 +92,27 @@ impl Args {
                 other if other.starts_with("--") => {
                     return Err(format!("unknown flag {other}"));
                 }
-                target => args.targets.push(target.to_ascii_lowercase()),
+                all if all.eq_ignore_ascii_case("all") => args.targets.push("all"),
+                name => match crate::find_target(name) {
+                    Some(t) => args.targets.push(t.id),
+                    None => {
+                        let ids: Vec<&str> = crate::TARGETS.iter().map(|t| t.id).collect();
+                        return Err(format!(
+                            "unknown target {name:?}; targets: {} (or all)",
+                            ids.join(" ")
+                        ));
+                    }
+                },
             }
         }
         Ok(args)
     }
 
-    /// Should this experiment id run?
-    pub fn wants(&self, id: &str) -> bool {
-        self.targets.is_empty() || self.targets.iter().any(|t| t == id || t == "all")
+    /// Should this target run? A named target always does; the default
+    /// set (no target, or `all`) is every target but the opt-in ones.
+    pub fn wants(&self, target: &Target) -> bool {
+        let all = self.targets.is_empty() || self.targets.contains(&"all");
+        self.targets.contains(&target.id) || (all && !target.opt_in)
     }
 
     /// Runs one experiment cell (`self.trials` trials at `seed`). Each
@@ -141,7 +156,7 @@ impl Args {
         }
         fs::write(&path, to_jsonl(records))
             .unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
-        println!("  wrote {}", path.display());
+        outln!("  wrote {}", path.display());
     }
 }
 
@@ -150,7 +165,13 @@ pub fn write_out(dir: &Path, name: &str, contents: &str) {
     fs::create_dir_all(dir).expect("create results dir");
     let path = dir.join(name);
     fs::write(&path, contents).unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
-    println!("  wrote {}", path.display());
+    outln!("  wrote {}", path.display());
+}
+
+/// Writes a result table as `<stem>.md` and `<stem>.csv`.
+pub fn write_table(dir: &Path, stem: &str, table: &Table) {
+    write_out(dir, &format!("{stem}.md"), &table.to_markdown());
+    write_out(dir, &format!("{stem}.csv"), &table.to_csv());
 }
 
 /// Builds fixed-edge histogram rows over worker loads so multiple
@@ -204,23 +225,37 @@ mod tests {
         v.iter().map(|x| x.to_string()).collect()
     }
 
+    fn target(id: &str) -> &'static Target {
+        crate::find_target(id).expect("known target")
+    }
+
     #[test]
     fn parse_defaults() {
         let a = Args::parse(&[]).unwrap();
         assert_eq!(a.trials, 5);
-        assert!(a.wants("table1"));
-        assert!(a.wants("anything"));
+        assert!(a.wants(target("table1")));
+        assert!(a.wants(target("metrics")));
     }
 
     #[test]
     fn parse_full_and_targets() {
-        let a = Args::parse(&s(&["--full", "table2", "fig1"])).unwrap();
+        let a = Args::parse(&s(&["--full", "table2", "FIG1", "fig3"])).unwrap();
         assert_eq!(a.trials, 100);
         assert!(a.full);
         assert!(!Args::parse(&s(&["--quick"])).unwrap().full);
-        assert!(a.wants("table2"));
-        assert!(a.wants("fig1"));
-        assert!(!a.wants("table1"));
+        assert_eq!(a.targets, ["table2", "fig1", "fig2_3"]);
+        assert!(a.wants(target("table2")));
+        assert!(a.wants(target("fig1")));
+        assert!(a.wants(target("fig2_3")));
+        assert!(!a.wants(target("table1")));
+    }
+
+    #[test]
+    fn parse_rejects_unknown_targets() {
+        let err = Args::parse(&s(&["table1", "tabel1"])).unwrap_err();
+        assert!(err.contains("\"tabel1\""), "{err}");
+        assert!(err.contains("table1 table2 fig1 fig2_3"), "{err}");
+        assert!(err.contains("metrics perf"), "{err}");
     }
 
     #[test]

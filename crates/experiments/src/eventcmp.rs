@@ -31,13 +31,14 @@
 //! the wire still refreshed fingers over routed lookups counted those
 //! too, and do not compare column for column.
 
-use crate::common::{write_out, Args};
+use crate::common::{write_table, Args};
 use autobal::event_sim::{run_event_sim, EventSimConfig};
 use autobal::protocol_sim::{run_protocol_sim, ProtocolSimConfig};
 use autobal_chord::EventConfig;
 use autobal_core::StrategyKind;
 use autobal_stats::fairness::gini;
 use autobal_stats::summary::percentile_sorted;
+use autobal_telemetry::outln;
 use autobal_workload::tables::{f3, Table};
 
 const NODES: usize = 48;
@@ -103,7 +104,7 @@ fn event_row(cfg: &EventSimConfig, seed: u64, label: String) -> Row {
 /// reference, the degenerate (zero-latency) event run pinned to it,
 /// and real latencies crossed with stabilization cadences.
 pub fn eventtime(args: &Args) {
-    println!("eventtime: decision quality vs message latency (event substrate)");
+    outln!("eventtime: decision quality vs message latency (event substrate)");
     let seed = args.seed ^ 0xE7;
     let mut table = Table::new(vec![
         "substrate / latency",
@@ -131,7 +132,7 @@ pub fn eventtime(args: &Args) {
         timeouts: 0,
     }
     .push_into(&mut table);
-    println!(
+    outln!(
         "  protocol (sync): gini {:.3}, factor {:.3}, {} ticks",
         gini(&proto.tasks_done),
         proto.runtime_factor,
@@ -172,7 +173,7 @@ pub fn eventtime(args: &Args) {
                 assert_eq!(run.tasks_done, proto.tasks_done);
             }
             let row = event_row(&cfg, seed, label);
-            println!(
+            outln!(
                 "  latency {latency:>3} stabilize {stabilize_every:>3}: gini {:.3}, factor {:.3}, wire {} msgs, p99 {:.0}, timeouts {}",
                 row.gini, row.runtime_factor, row.wire_msgs, row.lookup_p99, row.timeouts
             );
@@ -201,12 +202,15 @@ pub fn eventtime(args: &Args) {
         ..EventSimConfig::default()
     };
     let row = event_row(&lossy, seed, "event latency=10 loss=5%".to_string());
-    println!(
+    outln!(
         "  latency  10 loss 5%: gini {:.3}, factor {:.3}, wire {} msgs, p99 {:.0}, timeouts {}",
-        row.gini, row.runtime_factor, row.wire_msgs, row.lookup_p99, row.timeouts
+        row.gini,
+        row.runtime_factor,
+        row.wire_msgs,
+        row.lookup_p99,
+        row.timeouts
     );
     row.push_into(&mut table);
 
-    write_out(&args.out, "eventtime.md", &table.to_markdown());
-    write_out(&args.out, "eventtime.csv", &table.to_csv());
+    write_table(&args.out, "eventtime", &table);
 }

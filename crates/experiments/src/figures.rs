@@ -5,6 +5,7 @@ use crate::common::{aligned_histograms, run_with_snapshots, write_out, Args};
 use autobal_core::{Heterogeneity, SimConfig, StrategyKind};
 use autobal_stats::rng::{domains, substream};
 use autobal_stats::LogHistogram;
+use autobal_telemetry::outln;
 use autobal_viz::csv::histogram_series_csv;
 use autobal_viz::{render_histogram, BarChart, RingScatter};
 use autobal_workload::gen;
@@ -12,7 +13,7 @@ use autobal_workload::gen;
 /// Figure 1: probability distribution of workload, 1000 nodes and one
 /// million tasks, log-binned.
 pub fn fig1(args: &Args) {
-    println!("fig1: workload probability distribution (1000n / 1e6t)");
+    outln!("fig1: workload probability distribution (1000n / 1e6t)");
     let mut all_loads = Vec::new();
     for t in 0..args.trials.min(10) {
         all_loads.extend(autobal_workload::placement::initial_loads(
@@ -24,7 +25,7 @@ pub fn fig1(args: &Args) {
     let mut sorted = all_loads.clone();
     sorted.sort_unstable();
     let median = autobal_stats::summary::percentile_sorted(&sorted, 50.0);
-    println!(
+    outln!(
         "  median {median:.1} (paper's dashed line ≈ 692); max {}",
         sorted.last().unwrap()
     );
@@ -35,13 +36,13 @@ pub fn fig1(args: &Args) {
         &[("nodes", rows.as_slice())],
     );
     write_out(&args.out, "fig1.svg", &chart.to_svg());
-    println!("{}", render_histogram("fig1 (log2 bins)", &rows, 48));
+    outln!("{}", render_histogram("fig1 (log2 bins)", &rows, 48));
 }
 
 /// Figures 2 and 3: ring scatter of 10 nodes / 100 tasks, SHA-1 placed
 /// versus evenly spaced.
 pub fn fig2_3(args: &Args) {
-    println!("fig2/fig3: ring visualizations (10 nodes, 100 tasks)");
+    outln!("fig2/fig3: ring visualizations (10 nodes, 100 tasks)");
     let mut prng = substream(args.seed, 0, domains::PLACEMENT);
     let mut trng = substream(args.seed, 0, domains::TASKS);
     let nodes = gen::sha1_ids(10, &mut prng);
@@ -90,7 +91,7 @@ pub fn fig2_3(args: &Args) {
     // arcs but tasks still cluster.
     let sha1_loads = autobal_workload::placement::loads_for_placement(&nodes, tasks.clone());
     let even_loads = autobal_workload::placement::loads_for_placement(&even, tasks);
-    println!(
+    outln!(
         "  SHA-1 node Gini {:.3} vs evenly-spaced Gini {:.3}",
         autobal_stats::gini(&sha1_loads),
         autobal_stats::gini(&even_loads)
@@ -117,7 +118,7 @@ fn comparison_figure(
     for &t in ticks {
         let (Some(sa), Some(sb)) = (res_a.snapshot_at(t), res_b.snapshot_at(t)) else {
             // A run can finish before a late snapshot tick; skip.
-            println!("  (no snapshot at tick {t}: one network already finished)");
+            outln!("  (no snapshot at tick {t}: one network already finished)");
             continue;
         };
         let hists = aligned_histograms(&[&sa.loads, &sb.loads]);
@@ -132,7 +133,7 @@ fn comparison_figure(
             ],
         );
         write_out(&args.out, &format!("{name}.svg"), &chart.to_svg());
-        println!(
+        outln!(
             "  tick {t}: idle {} ({label_a}) vs {} ({label_b}); max {} vs {}",
             sa.idle,
             sb.idle,
@@ -140,9 +141,10 @@ fn comparison_figure(
             sb.loads.iter().max().unwrap_or(&0)
         );
     }
-    println!(
+    outln!(
         "  factors: {label_a} {:.3} vs {label_b} {:.3}",
-        res_a.runtime_factor, res_b.runtime_factor
+        res_a.runtime_factor,
+        res_b.runtime_factor
     );
 }
 
@@ -156,7 +158,7 @@ fn base_1000() -> SimConfig {
 
 /// Figures 4–6: no-strategy vs churn 0.01 at ticks 0, 5, 35.
 pub fn fig4_6(args: &Args) {
-    println!("fig4-6: churn 0.01 vs none (1000n / 1e5t) at ticks 0, 5, 35");
+    outln!("fig4-6: churn 0.01 vs none (1000n / 1e5t) at ticks 0, 5, 35");
     comparison_figure(
         args,
         "fig4_6",
@@ -176,7 +178,7 @@ pub fn fig4_6(args: &Args) {
 /// Figures 7–8: no-strategy vs random injection at ticks 5 and 35;
 /// Figure 9: churn vs random injection at tick 35.
 pub fn fig7_9(args: &Args) {
-    println!("fig7-9: random injection vs none / churn (1000n / 1e5t)");
+    outln!("fig7-9: random injection vs none / churn (1000n / 1e5t)");
     comparison_figure(
         args,
         "fig7_8",
@@ -218,7 +220,7 @@ pub fn fig7_9(args: &Args) {
 /// observations (§VI-B) are therefore reproduced under strength-based
 /// consumption.
 pub fn fig10(args: &Args) {
-    println!("fig10: heterogeneous random injection vs none (tick 35)");
+    outln!("fig10: heterogeneous random injection vs none (tick 35)");
     let het = SimConfig {
         heterogeneity: Heterogeneity::Heterogeneous,
         work_measurement: autobal_core::WorkMeasurement::StrengthPerTick,
@@ -242,7 +244,7 @@ pub fn fig10(args: &Args) {
 /// Figure 11: neighbor injection vs none; Figure 12: smart neighbor vs
 /// none (tick 35).
 pub fn fig11_12(args: &Args) {
-    println!("fig11/fig12: neighbor and smart neighbor vs none (tick 35)");
+    outln!("fig11/fig12: neighbor and smart neighbor vs none (tick 35)");
     comparison_figure(
         args,
         "fig11",
@@ -274,7 +276,7 @@ pub fn fig11_12(args: &Args) {
 /// Figure 13: invitation vs none; Figure 14: invitation vs smart
 /// neighbor (tick 35).
 pub fn fig13_14(args: &Args) {
-    println!("fig13/fig14: invitation vs none / smart neighbor (tick 35)");
+    outln!("fig13/fig14: invitation vs none / smart neighbor (tick 35)");
     comparison_figure(
         args,
         "fig13",

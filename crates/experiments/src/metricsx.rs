@@ -5,43 +5,19 @@
 //! a ring-heat SVG snapshot.
 
 use crate::common::{write_out, Args};
+use crate::ringview::{ring_heat_svg, ring_marks};
 use autobal::event_sim::{run_event_sim, EventSimConfig};
 use autobal::protocol_sim::{run_protocol_sim, ProtocolSimConfig};
 use autobal_core::{Sim, StrategyKind};
 use autobal_metrics::expo::{render_exposition, validate_exposition};
 use autobal_metrics::sample::{timeseries_csv, to_jsonl};
-use autobal_metrics::MetricsSample;
-use autobal_viz::{RingHeat, RingHeatSlot};
+use autobal_telemetry::outln;
 
 const NODES: usize = 16;
 const TASKS: u64 = 800;
 
-fn ring_snapshot(samples: &[MetricsSample]) -> String {
-    let latest = samples.last();
-    let slots: Vec<RingHeatSlot> = latest
-        .map(|s| {
-            s.ring
-                .iter()
-                .map(|slot| RingHeatSlot {
-                    label: slot.worker,
-                    frac: autobal_id::Id::from_hex(&slot.pos)
-                        .map_or(0.0, |id| id.to_unit_fraction()),
-                    load: slot.load,
-                    vnodes: 1 + slot.sybils,
-                    flagged: slot.quarantined > 0,
-                })
-                .collect()
-        })
-        .unwrap_or_default();
-    let title = latest.map_or_else(
-        || "ring (no samples)".to_string(),
-        |s| format!("ring @ t={}", s.time),
-    );
-    RingHeat::new(title, slots).to_svg()
-}
-
 pub fn metrics(args: &Args) {
-    println!("metrics: streaming sample streams on all three substrates ({NODES}n/{TASKS}t)");
+    outln!("metrics: streaming sample streams on all three substrates ({NODES}n/{TASKS}t)");
 
     let pcfg = ProtocolSimConfig {
         nodes: NODES,
@@ -69,7 +45,7 @@ pub fn metrics(args: &Args) {
         args.seed,
     );
 
-    println!(
+    outln!(
         "  samples: oracle {} | chord {} | event {}",
         oracle.metrics.len(),
         chord.metrics.len(),
@@ -94,9 +70,7 @@ pub fn metrics(args: &Args) {
         validate_exposition(&expo).expect("exposition self-validates");
         write_out(&args.out, "metrics_exposition.txt", &expo);
     }
-    write_out(
-        &args.out,
-        "metrics_ring.svg",
-        &ring_snapshot(&chord.metrics),
-    );
+    let latest = chord.metrics.last();
+    let svg = ring_heat_svg(latest, &ring_marks(latest));
+    write_out(&args.out, "metrics_ring.svg", &svg);
 }

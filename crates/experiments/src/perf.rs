@@ -41,9 +41,10 @@ use crate::common::{write_out, Args};
 use autobal::event_sim::{run_event_sim, EventSimConfig};
 use autobal::protocol_sim::{run_protocol_sim, ProtocolSimConfig};
 use autobal::reference::{NaiveSample, NaiveSim};
-use autobal_chord::{EventConfig, EventNet, NetConfig, Network};
+use autobal_chord::{EventConfig, EventNet, NetConfig, Network, LOOKUP_TIMEOUT};
 use autobal_core::{RunResult, Sim, SimConfig, StrategyKind};
 use autobal_stats::rng::{domains, substream, DetRng};
+use autobal_telemetry::{errln, outln};
 use rand::Rng;
 use std::fs;
 
@@ -219,7 +220,7 @@ fn oracle_ring_large(args: &Args) -> Measurement {
     let opt = opt_result.expect("at least one repetition");
 
     let speedup = naive_ms / opt_ms;
-    println!(
+    outln!(
         "  oracle_ring_large: {} ticks | optimized {:.0} ms ({:.0} ticks/s) | naive {:.0} ms | speedup {:.2}x",
         opt.ticks,
         opt_ms,
@@ -324,7 +325,7 @@ fn sybil_row(name: &str, strategy: StrategyKind, workers: u64, seed: u64) -> Mea
     };
     let (best_ms, allocs, run) = best_run(name, &cfg, seed);
     let (created, retired) = (run.messages.sybils_created, run.messages.sybils_retired);
-    println!(
+    outln!(
         "  {name}: n={workers} {} ticks | {created} Sybils created, {retired} retired | {best_ms:.0} ms ({:.0} ticks/s)",
         run.ticks,
         run.ticks as f64 / (best_ms / 1e3)
@@ -350,7 +351,7 @@ fn oracle_churn(args: &Args) -> Measurement {
     let name = "oracle_churn";
     let (best_ms, allocs, run) = best_run(name, &cfg, args.seed ^ 0x5C);
     let (leaves, joins) = (run.messages.churn_leaves, run.messages.churn_joins);
-    println!(
+    outln!(
         "  {name}: n={workers} {} ticks | {leaves} leaves, {joins} joins | {best_ms:.0} ms ({:.0} ticks/s)",
         run.ticks,
         run.ticks as f64 / (best_ms / 1e3)
@@ -373,7 +374,7 @@ fn chord_protocol(args: &Args) -> Measurement {
     let (first_ms, _) = wall_ms(|| run_protocol_sim(&cfg, seed));
     let (second_ms, (allocs, run)) = wall_ms(|| alloc_count(|| run_protocol_sim(&cfg, seed)));
     let ms = first_ms.min(second_ms);
-    println!(
+    outln!(
         "  chord_protocol: {} ticks | {:.0} ms ({:.0} ticks/s)",
         run.ticks,
         ms,
@@ -471,7 +472,7 @@ fn maintenance_row(
         ms = ms.min(batch_ms);
     }
     let per_s = MAINTENANCE_CYCLES as f64 / (ms / 1e3);
-    println!(
+    outln!(
         "  {name}: {:.3} ms/cycle ({per_s:.0} cycles/s) | {} allocations/cycle",
         ms / MAINTENANCE_CYCLES as f64,
         opt_u64(allocs)
@@ -531,7 +532,7 @@ fn chord_lookup(args: &Args) -> Vec<Measurement> {
                 ms = ms.min(wall_ms(&mut batch).0);
             }
             let per_s = LOOKUPS as f64 / (ms / 1e3);
-            println!(
+            outln!(
                 "  chord_lookup n={n}: {:.2} hops/lookup | {:.0} ns/lookup ({per_s:.0} lookups/s)",
                 hops as f64 / LOOKUPS as f64,
                 ms * 1e6 / LOOKUPS as f64
@@ -580,7 +581,7 @@ fn chord_join(args: &Args) -> Measurement {
         net.leave(id).expect("the joined node leaves");
     }
     let per_s = JOINS as f64 / (ms / 1e3);
-    println!(
+    outln!(
         "  chord_join: {:.2} us/join ({per_s:.0} joins/s) into 256 nodes",
         ms * 1e3 / JOINS as f64
     );
@@ -622,7 +623,7 @@ fn event_substrate(args: &Args) -> Measurement {
     let (first_ms, _) = wall_ms(|| run_event_sim(&cfg, seed));
     let (second_ms, (allocs, run)) = wall_ms(|| alloc_count(|| run_event_sim(&cfg, seed)));
     let ms = first_ms.min(second_ms);
-    println!(
+    outln!(
         "  event_substrate: {} events | {:.0} ms ({:.0} events/s)",
         run.wire_events,
         ms,
@@ -659,7 +660,7 @@ fn eventnet_once(seed: u64) -> u64 {
             events += net.run_until(net.now() + 40);
         }
     }
-    events += net.run_until(net.now() + EventConfig::default().lookup_timeout);
+    events += net.run_until(net.now() + LOOKUP_TIMEOUT);
     events
 }
 
@@ -668,7 +669,7 @@ fn eventnet(args: &Args) -> Measurement {
     let (first_ms, _) = wall_ms(|| eventnet_once(seed));
     let (second_ms, (allocs, events)) = wall_ms(|| alloc_count(|| eventnet_once(seed)));
     let ms = first_ms.min(second_ms);
-    println!(
+    outln!(
         "  eventnet: {} events | {:.0} ms ({:.0} events/s)",
         events,
         ms,
@@ -755,9 +756,7 @@ fn oracle_scaling(args: &Args) -> Vec<Measurement> {
             peak = run.peak_vnodes as u64;
         }
         let throughput = tasks as f64 / (best_ms / 1e3);
-        println!(
-            "  scaling n={workers}: {ticks} ticks | {best_ms:.0} ms | {throughput:.0} tasks/s"
-        );
+        outln!("  scaling n={workers}: {ticks} ticks | {best_ms:.0} ms | {throughput:.0} tasks/s");
         out.push(Measurement {
             name: format!("scaling_n{}k_s1", workers / 1_000),
             substrate: "oracle-ring",
@@ -803,7 +802,7 @@ fn compare_baseline(baseline_raw: &str, current: &[Measurement]) -> Result<Basel
             .iter()
             .find(|s| s.get("name").and_then(|n| n.as_str()) == Some(m.name.as_str()))
         else {
-            println!(
+            outln!(
                 "  baseline: no scenario `{}` (new scenario, skipping)",
                 m.name
             );
@@ -820,14 +819,18 @@ fn compare_baseline(baseline_raw: &str, current: &[Measurement]) -> Result<Basel
         } else {
             "ok"
         };
-        println!(
+        outln!(
             "  baseline: {:<18} {:>12.0} -> {:>12.0} {}/s  {}",
-            m.name, base_tp, m.throughput, m.units, verdict
+            m.name,
+            base_tp,
+            m.throughput,
+            m.units,
+            verdict
         );
     }
     for name in scenarios.iter().filter_map(|s| s.get("name")?.as_str()) {
         if !current.iter().any(|m| m.name == name) {
-            println!("  baseline: scenario `{name}` not produced by this run");
+            outln!("  baseline: scenario `{name}` not produced by this run");
             report.missing.push(name.to_string());
         }
     }
@@ -835,7 +838,7 @@ fn compare_baseline(baseline_raw: &str, current: &[Measurement]) -> Result<Basel
 }
 
 pub fn perf(args: &Args) {
-    println!("perf: pinned benchmark scenarios (BENCH_10.json)");
+    outln!("perf: pinned benchmark scenarios (BENCH_10.json)");
     let mut measurements = vec![oracle_ring_large(args)];
     measurements.extend(oracle_sybil_rows(args));
     measurements.push(oracle_churn(args));
@@ -862,16 +865,16 @@ pub fn perf(args: &Args) {
             .unwrap_or_else(|e| panic!("read baseline {}: {e}", path.display()));
         match compare_baseline(&raw, &measurements) {
             Ok(report) if report.regressions.is_empty() => {
-                println!("  baseline: no >2x regressions");
+                outln!("  baseline: no >2x regressions");
             }
             Ok(report) => {
                 for (name, base, cur) in &report.regressions {
-                    eprintln!("perf regression: {name} fell from {base:.0}/s to {cur:.0}/s (>2x)");
+                    errln!("perf regression: {name} fell from {base:.0}/s to {cur:.0}/s (>2x)");
                 }
                 std::process::exit(1);
             }
             Err(e) => {
-                eprintln!("perf baseline error: {e}");
+                errln!("perf baseline error: {e}");
                 std::process::exit(1);
             }
         }

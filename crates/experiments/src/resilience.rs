@@ -14,10 +14,11 @@
 //! factor, **no tasks are lost** at ≤ 10% loss + 5% crashes, and every
 //! strategy finishes within ~2× of its fault-free runtime at 10% loss.
 
-use crate::common::{write_out, Args};
+use crate::common::{write_table, Args};
 use autobal::protocol_sim::{run_protocol_sim, ProtocolRun, ProtocolSimConfig};
 use autobal_chord::{FaultPlan, Partition};
 use autobal_core::StrategyKind;
+use autobal_telemetry::outln;
 use autobal_workload::tables::{f3, Table};
 use rayon::prelude::*;
 
@@ -81,7 +82,7 @@ fn run_cell(args: &Args, kind: StrategyKind, loss: f64, crash: f64) -> Cell {
 
 /// The loss × crash sweep (headline resilience table).
 pub fn resilience(args: &Args) {
-    println!("resilience: loss × crash sweep on the protocol substrate");
+    outln!("resilience: loss × crash sweep on the protocol substrate");
     let grid: Vec<(StrategyKind, f64, f64)> = STRATEGIES
         .iter()
         .flat_map(|&k| {
@@ -116,7 +117,7 @@ pub fn resilience(args: &Args) {
             .find(|c| c.kind == cell.kind && c.loss == 0.0 && c.crash == 0.0)
             .expect("grid contains the fault-free cell");
         let degradation = cell.mean_factor / clean.mean_factor.max(f64::EPSILON);
-        println!(
+        outln!(
             "  {:<20} loss {:>4.0}% crash {:>2.0}% → factor {:.2} ({:.2}× clean), lost {}",
             format!("{:?}", cell.kind),
             cell.loss * 100.0,
@@ -139,15 +140,14 @@ pub fn resilience(args: &Args) {
             cell.dropped.to_string(),
         ]);
     }
-    write_out(&args.out, "resilience.md", &table.to_markdown());
-    write_out(&args.out, "resilience.csv", &table.to_csv());
+    write_table(&args.out, "resilience", &table);
 
     // The replication guarantee, stated loudly when it holds.
     let covered = cells
         .iter()
         .filter(|c| c.loss <= 0.10 && c.crash <= 0.05)
         .all(|c| c.tasks_lost == 0);
-    println!(
+    outln!(
         "  replication guarantee (≤10% loss, ≤5% crash ⇒ 0 tasks lost): {}",
         if covered { "HOLDS" } else { "VIOLATED" }
     );
@@ -237,7 +237,7 @@ fn run_heal_cell(args: &Args, kind: StrategyKind, window: u64, cuts: usize) -> H
 /// their own, so the question is purely how much runtime each strategy
 /// loses and how quickly it finishes once the last cut closes.
 fn partition_healing(args: &Args) {
-    println!("resilience: partition-healing sweep (window × cuts)");
+    outln!("resilience: partition-healing sweep (window × cuts)");
     let grid: Vec<(StrategyKind, u64, usize)> = STRATEGIES
         .iter()
         .flat_map(|&k| {
@@ -273,7 +273,7 @@ fn partition_healing(args: &Args) {
             .find(|c| c.kind == cell.kind && c.cuts == 0)
             .expect("grid contains the uncut cell");
         let degradation = cell.mean_factor / clean.mean_factor.max(f64::EPSILON);
-        println!(
+        outln!(
             "  {:<20} window {:>2} × {} cuts → factor {:.2} ({:.2}× uncut), reconverge {:.0} ticks",
             format!("{:?}", cell.kind),
             cell.window,
@@ -296,8 +296,7 @@ fn partition_healing(args: &Args) {
             cell.timeouts.to_string(),
         ]);
     }
-    write_out(&args.out, "partition_healing.md", &table.to_markdown());
-    write_out(&args.out, "partition_healing.csv", &table.to_csv());
+    write_table(&args.out, "partition_healing", &table);
 }
 
 #[cfg(test)]

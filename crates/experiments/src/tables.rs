@@ -1,9 +1,9 @@
 //! Table I and Table II drivers.
 
-use crate::common::write_out;
-use crate::common::Args;
+use crate::common::{write_table, Args};
 use autobal_core::{SimConfig, StrategyKind};
 use autobal_stats::{spacings, summary::average_summaries};
+use autobal_telemetry::outln;
 use autobal_workload::initial_load_summary;
 use autobal_workload::tables::{f3, Table};
 use rayon::prelude::*;
@@ -12,7 +12,7 @@ use rayon::prelude::*;
 /// (nodes, tasks) combinations, averaged over trials, with the spacings
 /// theory prediction alongside.
 pub fn table1(args: &Args) {
-    println!("table1: initial workload distribution (paper Table I)");
+    outln!("table1: initial workload distribution (paper Table I)");
     let combos: [(usize, usize); 9] = [
         (1000, 100_000),
         (1000, 500_000),
@@ -56,19 +56,18 @@ pub fn table1(args: &Args) {
             f3(avg.std_dev),
             f3(paper_sigma[i]),
         ]);
-        println!(
+        outln!(
             "  {nodes} nodes / {tasks} tasks: median {:.3} (paper {:.3}), sigma {:.3} (paper {:.3})",
             avg.median, paper_median[i], avg.std_dev, paper_sigma[i]
         );
     }
-    write_out(&args.out, "table1.md", &table.to_markdown());
-    write_out(&args.out, "table1.csv", &table.to_csv());
+    write_table(&args.out, "table1", &table);
 }
 
 /// Table II: runtime factor of the Churn strategy across churn rates and
 /// network shapes.
 pub fn table2(args: &Args) {
-    println!("table2: churn strategy runtime factors (paper Table II)");
+    outln!("table2: churn strategy runtime factors (paper Table II)");
     let configs: [(usize, u64); 5] = [
         (1000, 100_000),
         (1000, 1_000_000),
@@ -111,13 +110,13 @@ pub fn table2(args: &Args) {
             let s = args.run_cell(&cfg, args.seed ^ (ri as u64) << 8 ^ ci as u64);
             row.push(f3(s.mean_runtime_factor));
             row.push(f3(paper[ri][ci]));
-            println!(
+            outln!(
                 "  rate {rate} {nodes}n/{tasks}t: {:.3} (paper {:.3})",
-                s.mean_runtime_factor, paper[ri][ci]
+                s.mean_runtime_factor,
+                paper[ri][ci]
             );
         }
         table.push_row(row);
     }
-    write_out(&args.out, "table2.md", &table.to_markdown());
-    write_out(&args.out, "table2.csv", &table.to_csv());
+    write_table(&args.out, "table2", &table);
 }

@@ -2,9 +2,10 @@
 //! injection, neighbor injection, invitation), plus the message-count
 //! comparison the paper argues qualitatively.
 
-use crate::common::{gauge_series, gini_series, write_out, Args};
+use crate::common::{gauge_series, gini_series, write_out, write_table, Args};
 use autobal_core::{Heterogeneity, SimConfig, StrategyKind, WorkMeasurement};
 use autobal_metrics::names;
+use autobal_telemetry::outln;
 use autobal_workload::tables::{f3, Table};
 
 fn base(nodes: usize, tasks: u64, strategy: StrategyKind) -> SimConfig {
@@ -16,23 +17,29 @@ fn base(nodes: usize, tasks: u64, strategy: StrategyKind) -> SimConfig {
     }
 }
 
+/// Runs one scalar-claim cell, prints it and adds its table row;
+/// returns the mean runtime factor.
+fn claim(
+    args: &Args,
+    table: &mut Table,
+    name: &str,
+    cfg: &SimConfig,
+    note: &str,
+    salt: u64,
+) -> f64 {
+    let s = args.run_cell(cfg, args.seed ^ salt);
+    let (mean, std) = (s.mean_runtime_factor, s.std_runtime_factor);
+    outln!("  {name}: {mean:.3} ± {std:.3}   [{note}]");
+    table.push_row(vec![name.to_string(), f3(mean), f3(std), note.to_string()]);
+    mean
+}
+
 /// §VI-B scalar claims for random injection.
 pub fn text_ri(args: &Args) {
-    println!("text_ri: §VI-B random injection claims");
+    outln!("text_ri: §VI-B random injection claims");
     let mut table = Table::new(vec!["configuration", "mean factor", "σ", "paper says"]);
-    let mut log = |name: &str, cfg: SimConfig, paper: &str, seed_salt: u64| -> f64 {
-        let s = args.run_cell(&cfg, args.seed ^ seed_salt);
-        println!(
-            "  {name}: {:.3} ± {:.3}   [{paper}]",
-            s.mean_runtime_factor, s.std_runtime_factor
-        );
-        table.push_row(vec![
-            name.to_string(),
-            f3(s.mean_runtime_factor),
-            f3(s.std_runtime_factor),
-            paper.to_string(),
-        ]);
-        s.mean_runtime_factor
+    let mut log = |name: &str, cfg: SimConfig, note: &str, salt: u64| {
+        claim(args, &mut table, name, &cfg, note, salt)
     };
 
     // Homogeneous factor bands.
@@ -48,7 +55,7 @@ pub fn text_ri(args: &Args) {
         "1.12 – 1.25; ≈0.82 below the 1e5 case",
         2,
     );
-    println!(
+    outln!(
         "  Δ(1e5 − 1e6) = {:.3} (paper ≈ 0.82 in their bands)",
         f_1e5 - f_1e6
     );
@@ -66,7 +73,7 @@ pub fn text_ri(args: &Args) {
         "(same row as above)",
         1,
     );
-    println!(
+    outln!(
         "  ratio-matched Δ(big − small) = {:.3} (paper 0.086)",
         f_big - f_small
     );
@@ -133,27 +140,15 @@ pub fn text_ri(args: &Args) {
         "strength range 1–10 worse than 1–5 (≈ +1 at 100 t/n)",
         8,
     );
-    write_out(&args.out, "text_ri.md", &table.to_markdown());
-    write_out(&args.out, "text_ri.csv", &table.to_csv());
+    write_table(&args.out, "text_ri", &table);
 }
 
 /// §VI-C scalar claims for neighbor injection.
 pub fn text_ni(args: &Args) {
-    println!("text_ni: §VI-C neighbor injection claims");
+    outln!("text_ni: §VI-C neighbor injection claims");
     let mut table = Table::new(vec!["configuration", "mean factor", "σ", "paper says"]);
-    let mut log = |name: &str, cfg: SimConfig, paper: &str, salt: u64| -> f64 {
-        let s = args.run_cell(&cfg, args.seed ^ salt);
-        println!(
-            "  {name}: {:.3} ± {:.3}   [{paper}]",
-            s.mean_runtime_factor, s.std_runtime_factor
-        );
-        table.push_row(vec![
-            name.to_string(),
-            f3(s.mean_runtime_factor),
-            f3(s.std_runtime_factor),
-            paper.to_string(),
-        ]);
-        s.mean_runtime_factor
+    let mut log = |name: &str, cfg: SimConfig, note: &str, salt: u64| {
+        claim(args, &mut table, name, &cfg, note, salt)
     };
 
     let plain_big = log(
@@ -194,7 +189,7 @@ pub fn text_ni(args: &Args) {
     // The paper compares "each strategy's mean homogeneous and
     // heterogeneous runtimes".
     let improvement = (plain_big + plain_het) / 2.0 - (smart_big + smart_het) / 2.0;
-    println!("  smart improvement (homo+het mean) = {improvement:.3} (paper ≈ 1.2)");
+    outln!("  smart improvement (homo+het mean) = {improvement:.3} (paper ≈ 1.2)");
 
     let s5 = plain_big;
     let s10 = log(
@@ -206,31 +201,20 @@ pub fn text_ni(args: &Args) {
         "larger numSuccessors ⇒ ≈ −0.3",
         14,
     );
-    println!(
+    outln!(
         "  successors 10 improvement = {:.3} (paper ≈ 0.3)",
         s5 - s10
     );
 
-    write_out(&args.out, "text_ni.md", &table.to_markdown());
-    write_out(&args.out, "text_ni.csv", &table.to_csv());
+    write_table(&args.out, "text_ni", &table);
 }
 
 /// §VI-D scalar claims for invitation.
 pub fn text_inv(args: &Args) {
-    println!("text_inv: §VI-D invitation claims");
+    outln!("text_inv: §VI-D invitation claims");
     let mut table = Table::new(vec!["configuration", "mean factor", "σ", "paper says"]);
-    let mut log = |name: &str, cfg: SimConfig, paper: &str, salt: u64| {
-        let s = args.run_cell(&cfg, args.seed ^ salt);
-        println!(
-            "  {name}: {:.3} ± {:.3}   [{paper}]",
-            s.mean_runtime_factor, s.std_runtime_factor
-        );
-        table.push_row(vec![
-            name.to_string(),
-            f3(s.mean_runtime_factor),
-            f3(s.std_runtime_factor),
-            paper.to_string(),
-        ]);
+    let mut log = |name: &str, cfg: SimConfig, note: &str, salt: u64| {
+        claim(args, &mut table, name, &cfg, note, salt)
     };
     log(
         "100n/1e5t invitation",
@@ -254,8 +238,7 @@ pub fn text_inv(args: &Args) {
         "6.097 (het + strength consumption fares much worse)",
         23,
     );
-    write_out(&args.out, "text_inv.md", &table.to_markdown());
-    write_out(&args.out, "text_inv.csv", &table.to_csv());
+    write_table(&args.out, "text_inv", &table);
 }
 
 /// §V-C's "average work per tick" output: the work-completion time
@@ -264,7 +247,7 @@ pub fn text_inv(args: &Args) {
 /// price of decentralization.
 pub fn worktick(args: &Args) {
     use autobal_core::Sim;
-    println!("worktick: work completed per tick, all strategies (1000n/1e5t)");
+    outln!("worktick: work completed per tick, all strategies (1000n/1e5t)");
     let strategies = [
         StrategyKind::None,
         StrategyKind::Churn,
@@ -291,7 +274,7 @@ pub fn worktick(args: &Args) {
         };
         let res = Sim::new(cfg, args.seed).run();
         let ys: Vec<f64> = res.work_per_tick.iter().map(|&w| w as f64).collect();
-        println!(
+        outln!(
             "  {:<11} mean {:>6.1} tasks/tick over {} ticks",
             strat.label(),
             res.mean_work_per_tick(),
@@ -319,7 +302,7 @@ pub fn worktick(args: &Args) {
 /// distributed and redistributed throughout the network").
 pub fn timeseries(args: &Args) {
     use autobal_core::Sim;
-    println!("timeseries: gini / ring size / idle workers over time (1000n/1e5t)");
+    outln!("timeseries: gini / ring size / idle workers over time (1000n/1e5t)");
     let strategies = [
         StrategyKind::None,
         StrategyKind::Churn,
@@ -380,7 +363,7 @@ pub fn timeseries(args: &Args) {
             .rev()
             .find(|(m, _)| m.time <= ideal)
             .map_or(0.0, |(_, &g)| g);
-        println!(
+        outln!(
             "  {:<11} samples {:>4}, gini at ideal tick {ideal} {:.3}, peak vnodes {}",
             strat.label(),
             res.metrics.len(),
@@ -398,21 +381,10 @@ pub fn timeseries(args: &Args) {
 /// §VII future-work extensions implemented in this reproduction:
 /// strength-aware invitation and chosen-ID (task-median) placement.
 pub fn extensions(args: &Args) {
-    println!("extensions: §VII future-work features");
+    outln!("extensions: §VII future-work features");
     let mut table = Table::new(vec!["configuration", "mean factor", "σ", "expectation"]);
-    let mut log = |name: &str, cfg: SimConfig, note: &str, salt: u64| -> f64 {
-        let s = args.run_cell(&cfg, args.seed ^ salt);
-        println!(
-            "  {name}: {:.3} ± {:.3}   [{note}]",
-            s.mean_runtime_factor, s.std_runtime_factor
-        );
-        table.push_row(vec![
-            name.to_string(),
-            f3(s.mean_runtime_factor),
-            f3(s.std_runtime_factor),
-            note.to_string(),
-        ]);
-        s.mean_runtime_factor
+    let mut log = |name: &str, cfg: SimConfig, note: &str, salt: u64| {
+        claim(args, &mut table, name, &cfg, note, salt)
     };
     let het_inv = SimConfig {
         heterogeneity: Heterogeneity::Heterogeneous,
@@ -434,7 +406,7 @@ pub fn extensions(args: &Args) {
         "§VII: 'consider the node strength as a factor'",
         41,
     );
-    println!("  strength-aware improvement = {:.3}", vanilla - aware);
+    outln!("  strength-aware improvement = {:.3}", vanilla - aware);
 
     let inv = base(1000, 100_000, StrategyKind::Invitation);
     let v2 = log(
@@ -452,7 +424,7 @@ pub fn extensions(args: &Args) {
         "§VII: drop the 'cannot choose own ID' assumption",
         42,
     );
-    println!("  chosen-ID improvement (invitation) = {:.3}", v2 - c2);
+    outln!("  chosen-ID improvement (invitation) = {:.3}", v2 - c2);
 
     let smart = base(1000, 100_000, StrategyKind::SmartNeighbor);
     let v3 = log(
@@ -470,14 +442,13 @@ pub fn extensions(args: &Args) {
         "guaranteed half-split of the probed victim",
         43,
     );
-    println!("  chosen-ID improvement (smart) = {:.3}", v3 - c3);
-    write_out(&args.out, "extensions.md", &table.to_markdown());
-    write_out(&args.out, "extensions.csv", &table.to_csv());
+    outln!("  chosen-ID improvement (smart) = {:.3}", v3 - c3);
+    write_table(&args.out, "extensions", &table);
 }
 
 /// Message-count comparison: the bandwidth ordering the paper argues.
 pub fn messages(args: &Args) {
-    println!("messages: strategy bandwidth comparison (1000n / 1e5t)");
+    outln!("messages: strategy bandwidth comparison (1000n / 1e5t)");
     let mut table = Table::new(vec![
         "strategy",
         "sybils created",
@@ -504,7 +475,7 @@ pub fn messages(args: &Args) {
         let s = args.run_cell(&cfg, args.seed ^ 31);
         let m = &s.messages;
         let per_trial = |v: u64| v / args.trials.max(1);
-        println!(
+        outln!(
             "  {:<11} sybils {:>7} queries {:>8} invites {:>7} total {:>8} factor {:.3}",
             strat.label(),
             per_trial(m.sybils_created),
@@ -522,6 +493,5 @@ pub fn messages(args: &Args) {
             f3(s.mean_runtime_factor),
         ]);
     }
-    write_out(&args.out, "messages.md", &table.to_markdown());
-    write_out(&args.out, "messages.csv", &table.to_csv());
+    write_table(&args.out, "messages", &table);
 }

@@ -13,7 +13,7 @@ use autobal_id::Id;
 use autobal_stats::rng::{domains, substream, DetRng};
 use autobal_stats::Histogram;
 use autobal_telemetry::{
-    diff_traces, render_divergence, render_summary, span_breakdown_csv, summarize, to_jsonl,
+    diff_traces, outln, render_divergence, render_summary, span_breakdown_csv, summarize, to_jsonl,
     TraceBody,
 };
 
@@ -69,7 +69,7 @@ fn histogram_csv(values: &[u64]) -> String {
 }
 
 pub fn trace(args: &Args) {
-    println!("trace: unified telemetry plane (oracle vs chord, {NODES}n/{TASKS}t)");
+    outln!("trace: unified telemetry plane (oracle vs chord, {NODES}n/{TASKS}t)");
     let (ids, keys) = placement(args.seed);
 
     // This target exists to produce traces, so recording is always on;
@@ -105,13 +105,17 @@ pub fn trace(args: &Args) {
     // Human summaries and per-span message breakdowns.
     let os = summarize(oracle.trace.records());
     let cs = summarize(chord.trace.records());
-    println!(
+    outln!(
         "  oracle: {} records, {} spans, {} decisions",
-        os.records, os.spans, os.decisions
+        os.records,
+        os.spans,
+        os.decisions
     );
-    println!(
+    outln!(
         "  chord:  {} records, {} spans, {} decisions",
-        cs.records, cs.spans, cs.decisions
+        cs.records,
+        cs.spans,
+        cs.decisions
     );
     write_out(&args.out, "trace_oracle_summary.txt", &render_summary(&os));
     write_out(&args.out, "trace_chord_summary.txt", &render_summary(&cs));
@@ -136,7 +140,7 @@ pub fn trace(args: &Args) {
     // Divergence diagnosis across the substrates.
     let div = diff_traces(oracle.trace.records(), chord.trace.records());
     let report = render_divergence(&div);
-    println!("  diff: {}", report.lines().next().unwrap_or(""));
+    outln!("  diff: {}", report.lines().next().unwrap_or(""));
     write_out(&args.out, "trace_diff.txt", &report);
 
     // Retry/latency histograms from a traced lossy event-driven run —
@@ -172,7 +176,7 @@ pub fn trace(args: &Args) {
             _ => None,
         })
         .collect();
-    println!(
+    outln!(
         "  eventnet: {} lookups resolved, {} latency samples, {} traced messages",
         done.len(),
         latencies.len(),

@@ -30,8 +30,8 @@
 //!   internals, the global simulator/ring, or the omniscient
 //!   `OracleView` (`oracle.rs` carries audited exemptions).
 //! * **O — output discipline** (`output-discipline`): library code may
-//!   not write to stdout/stderr directly; the two CLI mains are audited
-//!   output endpoints.
+//!   not write to stdout/stderr directly; every binary prints through
+//!   the one audited output endpoint, `autobal_telemetry::console`.
 //! * **L — layering** (`layering`): every cross-crate import in the
 //!   observed import graph must be an edge of the pinned crate-layer
 //!   DAG ([`model::LAYERS`]); no cycles, no upward imports.

@@ -16,37 +16,15 @@
 //! A reader that closes stdout early (`| head`) ends the program with
 //! exit status 141, the status a shell reports for a death by SIGPIPE.
 //!
-//! This binary is one of the two audited output endpoints of the
-//! workspace (the other is `autobal-cli`): all user-facing text
-//! funnels through the two helpers below.
+//! All user-facing text goes through the workspace's one output
+//! endpoint, [`autobal_telemetry::console`].
 
 use autobal_metrics::MetricsSample;
+use autobal_telemetry::console::{errln, outln};
 use autobal_telemetry::{
     check_framing, diff_traces, parse_jsonl, render_divergence, render_summary, summarize,
     validate_jsonl, Divergence, TraceRecord,
 };
-use std::io::{ErrorKind, Write};
-
-/// Exit status when stdout closes before all output is written.
-const BROKEN_PIPE_EXIT: i32 = 141;
-
-/// The blessed stdout endpoint for this CLI. A closed stdout ends the
-/// program with [`BROKEN_PIPE_EXIT`]; any other write error with 2.
-fn outln(line: &str) {
-    if let Err(e) = writeln!(std::io::stdout(), "{line}") {
-        if e.kind() == ErrorKind::BrokenPipe {
-            std::process::exit(BROKEN_PIPE_EXIT);
-        }
-        errln(&format!("autobal-trace: cannot write output: {e}"));
-        std::process::exit(2);
-    }
-}
-
-/// The blessed stderr endpoint for this CLI.
-fn errln(line: &str) {
-    // autobal-lint: allow(output-discipline, "autobal-trace is an audited CLI output endpoint")
-    eprintln!("{line}");
-}
 
 fn usage() -> ! {
     errln(

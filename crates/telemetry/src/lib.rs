@@ -28,6 +28,7 @@
 //! out, so it fell back to the gap estimate" instead of "decisions
 //! differ at tick 40".
 
+pub mod console;
 pub mod diff;
 pub mod jsonl;
 pub mod record;

@@ -1,9 +1,10 @@
 //! Terminal histograms, ring dashboards, and sparklines.
 
-/// One worker on a ring dashboard. `frac` is the unit-circle position
+/// One worker on a ring dashboard, text ([`render_ring`]) or SVG
+/// ([`RingHeat`](crate::RingHeat)). `frac` is the unit-circle position
 /// (0 at 12 o'clock, advancing clockwise — the convention of
-/// `autobal_id::embed`); the renderer knows nothing about where the
-/// numbers came from, so the module stays metric-agnostic.
+/// `autobal_id::embed`); the renderers know nothing about where the
+/// numbers came from, so the crate stays metric-agnostic.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RingMark {
     /// Worker label, printed next to heavy markers.
@@ -11,9 +12,11 @@ pub struct RingMark {
     /// Position around the ring in `[0, 1)`.
     pub frac: f64,
     pub load: u64,
-    /// Virtual nodes (1 + Sybils); `> 1` renders as `S`.
+    /// Virtual nodes (1 + Sybils); `> 1` renders as `S`, or as sybil
+    /// tick marks in SVG.
     pub vnodes: u64,
-    /// Quarantine marker (suspected liar); renders as `!`.
+    /// Quarantine marker (suspected liar); renders as `!`, or as a
+    /// warning ring in SVG.
     pub flagged: bool,
 }
 

@@ -12,4 +12,4 @@ pub mod csv;
 pub mod svg;
 
 pub use ascii::{render_histogram, render_load_bars, render_ring, sparkline, RingMark};
-pub use svg::{BarChart, LineChart, RingHeat, RingHeatSlot, RingScatter};
+pub use svg::{BarChart, LineChart, RingHeat, RingScatter};

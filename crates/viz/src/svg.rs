@@ -2,6 +2,7 @@
 //! charts (workload histograms) and ring scatters (the Chord circle of
 //! Figures 2–3). Pure string assembly — no dependencies.
 
+use crate::ascii::RingMark;
 use autobal_id::{embed, Id};
 
 /// Series colors (hex), cycled.
@@ -351,29 +352,13 @@ impl RingScatter {
     }
 }
 
-/// One worker on a [`RingHeat`] dashboard: position as a unit-circle
-/// fraction (0 at 12 o'clock, clockwise), plus the plain numbers the
-/// renderer colors by. Metric-agnostic by design — the caller decides
-/// what "load" means.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RingHeatSlot {
-    pub label: u64,
-    /// Position around the ring in `[0, 1)`.
-    pub frac: f64,
-    pub load: u64,
-    /// Virtual nodes (1 + Sybils); `> 1` draws sybil tick marks.
-    pub vnodes: u64,
-    /// Quarantine marker: draws a warning ring around the node.
-    pub flagged: bool,
-}
-
 /// The live-monitor ring: each worker's *ownership arc* (from its
 /// predecessor to itself, the key range it serves) stroked by load
 /// heat, node dots sized by virtual-node count, and quarantine rings.
 #[derive(Debug, Clone)]
 pub struct RingHeat {
     pub title: String,
-    pub slots: Vec<RingHeatSlot>,
+    pub slots: Vec<RingMark>,
     pub size: u32,
 }
 
@@ -390,7 +375,7 @@ fn heat_color(value: u64, max: u64) -> String {
 }
 
 impl RingHeat {
-    pub fn new(title: impl Into<String>, slots: Vec<RingHeatSlot>) -> RingHeat {
+    pub fn new(title: impl Into<String>, slots: Vec<RingMark>) -> RingHeat {
         RingHeat {
             title: title.into(),
             slots,
@@ -542,14 +527,14 @@ mod tests {
     #[test]
     fn ring_heat_draws_arcs_markers_and_ticks() {
         let slots = vec![
-            RingHeatSlot {
+            RingMark {
                 label: 0,
                 frac: 0.1,
                 load: 30,
                 vnodes: 1,
                 flagged: false,
             },
-            RingHeatSlot {
+            RingMark {
                 label: 1,
                 frac: 0.6,
                 load: 5,
@@ -576,7 +561,7 @@ mod tests {
     fn ring_heat_single_and_empty_are_safe() {
         let svg = RingHeat::new(
             "one",
-            vec![RingHeatSlot {
+            vec![RingMark {
                 label: 0,
                 frac: 0.0,
                 load: 1,

@@ -9,33 +9,14 @@
 //!
 //! A reader that closes stdout early (`| head`) ends the program with
 //! exit status 141, the status a shell reports for a death by SIGPIPE.
+//!
+//! All user-facing text goes through the workspace's one output
+//! endpoint, [`autobal_telemetry::console`].
 
 use autobal::sim::{SimConfig, StrategyKind};
 use autobal::workload::trials::{run_and_summarize, TrialStats};
 use autobal::workload::ExperimentSpec;
-use std::io::{ErrorKind, Write};
-
-/// Exit status when stdout closes before all output is written.
-const BROKEN_PIPE_EXIT: i32 = 141;
-
-// `autobal-cli` is one of the workspace's two audited output endpoints
-// (`autobal-trace` is the other): every byte it prints flows through
-// these two helpers. A closed stdout ends the program with
-// `BROKEN_PIPE_EXIT`; any other write error with 2.
-fn outln(line: &str) {
-    if let Err(e) = writeln!(std::io::stdout(), "{line}") {
-        if e.kind() == ErrorKind::BrokenPipe {
-            std::process::exit(BROKEN_PIPE_EXIT);
-        }
-        errln(&format!("autobal-cli: cannot write output: {e}"));
-        std::process::exit(2);
-    }
-}
-
-fn errln(line: &str) {
-    // autobal-lint: allow(output-discipline, "autobal-cli is an audited CLI output endpoint")
-    eprintln!("{line}");
-}
+use autobal_telemetry::console::{errln, outln};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
