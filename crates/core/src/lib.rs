@@ -44,6 +44,6 @@ pub use config::{ChurnModel, Heterogeneity, SimConfig, StrategyKind, WorkMeasure
 pub use metrics::{RunResult, SimMessageStats, Snapshot};
 pub use record::Recorder;
 pub use ring::Ring;
-pub use sim::Sim;
+pub use sim::{random_task_keys, Sim};
 pub use trace::SimEvent;
 pub use worker::{Worker, WorkerId, WorkerState};

@@ -812,14 +812,17 @@ impl Ring {
         ends.fill(NO_POS);
         // For consecutive vnode ids a < b, b owns positions
         // [pos(a), pos(b)). The smallest vnode also picks up the wrap:
-        // keys > last ∪ keys ≤ first. `start` carries pos(a).
+        // keys > last ∪ keys ≤ first. `start` carries pos(a). `start`
+        // only moves forward, so scanning on from it reads the arena
+        // once, in order: linear, like the sort above, where a binary
+        // search per vnode would miss cache on most probes.
         let mut start = 0usize;
         let mut first = None;
         for (b, slot) in index.iter() {
             let end = start
                 + arena
                     .get(start..)
-                    .map_or(0, |tail| tail.partition_point(|&k| k <= b));
+                    .map_or(0, |tail| tail.iter().take_while(|&&k| k <= b).count());
             if let Some(e) = ends.get_mut(slot) {
                 *e = end as u32;
             }

@@ -16,7 +16,7 @@ use autobal_id::{ring, Id};
 use autobal_metrics::{profile, RingSlot};
 use autobal_stats::rng::{domains, substream, DetRng};
 use autobal_telemetry::MessageStatus;
-use rand::Rng;
+use rand::{Rng, RngCore};
 
 /// One simulated network executing a distributed computation.
 ///
@@ -69,6 +69,60 @@ pub struct Sim {
     neighbors: Vec<Id>,
 }
 
+/// The `n` uniform task keys of trial `trial` at `seed` (duplicates
+/// allowed, like the paper), collected straight into `C`: key for key
+/// the `Id::random` draws of the `TASKS` substream. `Sim::new`, the
+/// workload cache and the Chord drivers all draw their keys here.
+pub fn random_task_keys<C: FromIterator<Id>>(seed: u64, trial: u64, n: usize) -> C {
+    let mut draws = IdDraws::new(substream(seed, trial, domains::TASKS));
+    // A mapped range reports its exact length, so `Vec` and `Arc<[Id]>`
+    // allocate once and take each key in place.
+    (0..n).map(|_| draws.next_id()).collect()
+}
+
+/// Ids per keystream refill: 32 ids of six words are twelve blocks.
+const DRAW_BATCH: usize = 32;
+/// Keystream bytes behind one id: three little-endian `u64` limbs.
+const ID_BYTES: usize = 24;
+
+/// Random ids drawn a batch of keystream at a time through
+/// `fill_bytes`, which continues the generator's `next_u32` stream.
+/// Each id takes the same six words, in the same order, as an
+/// `Id::random` call, so the ids are the same; only the generator's
+/// own position after the last id differs, which is why the draw owns
+/// the generator.
+struct IdDraws {
+    rng: DetRng,
+    buf: [u8; DRAW_BATCH * ID_BYTES],
+    /// Offset of the next unread id in `buf`; `buf.len()` means empty.
+    next: usize,
+}
+
+impl IdDraws {
+    fn new(rng: DetRng) -> IdDraws {
+        IdDraws {
+            rng,
+            buf: [0; DRAW_BATCH * ID_BYTES],
+            next: DRAW_BATCH * ID_BYTES,
+        }
+    }
+
+    #[inline]
+    fn next_id(&mut self) -> Id {
+        if self.next == self.buf.len() {
+            self.rng.fill_bytes(&mut self.buf);
+            self.next = 0;
+        }
+        let bytes = &self.buf[self.next..self.next + ID_BYTES];
+        self.next += ID_BYTES;
+        let limb =
+            |i: usize| u64::from_le_bytes(bytes[8 * i..8 * i + 8].try_into().expect("8 bytes"));
+        // `from_limbs` keeps the low 32 bits of the top limb, as
+        // `Id::random` does.
+        Id::from_limbs(limb(0), limb(1), limb(2))
+    }
+}
+
 impl Sim {
     /// Builds a network with `cfg.nodes` uniformly random node ids and
     /// `cfg.tasks` uniformly random task keys (statistically identical
@@ -78,9 +132,8 @@ impl Sim {
     /// Panics if the configuration fails [`SimConfig::validate`].
     pub fn new(cfg: SimConfig, seed: u64) -> Sim {
         let mut placement = substream(seed, 0, domains::PLACEMENT);
-        let mut tasks_rng = substream(seed, 0, domains::TASKS);
         let node_ids = Id::distinct_random(cfg.nodes, &mut placement);
-        let task_keys: Vec<Id> = (0..cfg.tasks).map(|_| Id::random(&mut tasks_rng)).collect();
+        let task_keys = random_task_keys(seed, 0, cfg.tasks as usize);
         Sim::with_placement(cfg, seed, node_ids, task_keys)
     }
 
@@ -869,6 +922,28 @@ mod tests {
             tasks: 2_000,
             strategy,
             ..SimConfig::default()
+        }
+    }
+
+    /// The batched draw yields the ids of `n` `Id::random` calls on
+    /// the same generator, at batch edges and across many batches, from
+    /// a fresh substream and from every position inside a block.
+    #[test]
+    fn batched_task_keys_match_id_random() {
+        for n in [0, 1, 31, 32, 33, 1_000, 100_003] {
+            for words in 0..16 {
+                let mut rng = substream(9, 1, domains::TASKS);
+                for _ in 0..words {
+                    rng.next_u32();
+                }
+                let mut draws = IdDraws::new(rng.clone());
+                let batched: Vec<Id> = (0..n).map(|_| draws.next_id()).collect();
+                let single: Vec<Id> = (0..n).map(|_| Id::random(&mut rng)).collect();
+                assert!(batched == single, "n {n}, {words} words drawn first");
+            }
+            let keys: std::sync::Arc<[Id]> = random_task_keys(9, 1, n);
+            let mut rng = substream(9, 1, domains::TASKS);
+            assert!(keys.iter().all(|&k| k == Id::random(&mut rng)), "n {n}");
         }
     }
 

@@ -70,7 +70,9 @@ pub fn rules_for(rel: &str) -> Vec<Rule> {
     }
     // Library crates never print; `autobal-experiments` and the lint
     // binary itself are reporting tools, out of scope by design. The
-    // CLI mains live inside these trees and carry audited exemptions.
+    // CLI mains inside these trees print through
+    // `autobal_telemetry::console`, whose `errln` carries the one
+    // audited exemption.
     let in_output_scope = rel.starts_with("crates/core/src/")
         || rel.starts_with("crates/chord/src/")
         || rel.starts_with("crates/workload/src/")

@@ -17,7 +17,7 @@
 //! `autobal_core::Sim::new` (pinned by the equivalence tests below), so
 //! caching can never change a result — only how often it is computed.
 
-use autobal_core::{Sim, SimConfig};
+use autobal_core::{random_task_keys, Sim, SimConfig};
 use autobal_id::Id;
 use autobal_stats::rng::{domains, substream};
 use std::collections::BTreeMap;
@@ -65,7 +65,7 @@ impl WorkloadCache {
     /// lock — two threads racing on the same fresh key may both
     /// generate, but they produce identical data and the first insert
     /// wins, so sharing stays correct under any interleaving.
-    fn get_or_generate(&self, key: CacheKey, generate: impl FnOnce() -> Vec<Id>) -> Arc<[Id]> {
+    fn get_or_generate(&self, key: CacheKey, generate: impl FnOnce() -> Arc<[Id]>) -> Arc<[Id]> {
         {
             let entries = self.entries.lock().expect("cache lock");
             if let Some(hit) = entries.get(&key) {
@@ -74,7 +74,7 @@ impl WorkloadCache {
             }
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
-        let fresh: Arc<[Id]> = generate().into();
+        let fresh = generate();
         let mut entries = self.entries.lock().expect("cache lock");
         Arc::clone(entries.entry(key).or_insert(fresh))
     }
@@ -83,7 +83,7 @@ impl WorkloadCache {
     /// uniform ids from the `PLACEMENT` substream.
     pub fn random_node_ids(&self, seed: u64, trial: u64, n: usize) -> Arc<[Id]> {
         self.get_or_generate((seed, trial, Kind::RandomPlacement, n), || {
-            Id::distinct_random(n, &mut substream(seed, trial, domains::PLACEMENT))
+            Id::distinct_random(n, &mut substream(seed, trial, domains::PLACEMENT)).into()
         })
     }
 
@@ -91,8 +91,7 @@ impl WorkloadCache {
     /// the `TASKS` substream (duplicates allowed, like the paper).
     pub fn random_task_keys(&self, seed: u64, trial: u64, n: usize) -> Arc<[Id]> {
         self.get_or_generate((seed, trial, Kind::RandomTasks, n), || {
-            let mut rng = substream(seed, trial, domains::TASKS);
-            (0..n).map(|_| Id::random(&mut rng)).collect()
+            random_task_keys(seed, trial, n)
         })
     }
 

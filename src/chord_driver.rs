@@ -27,7 +27,7 @@ use autobal_core::strategy::{
     StrategyStack, Substrate,
 };
 use autobal_core::trace::SimEvent;
-use autobal_core::StrategyKind;
+use autobal_core::{random_task_keys, StrategyKind};
 use autobal_id::{ring, Id};
 use autobal_metrics::{profile, RingSlot};
 use autobal_stats::rng::{domains, substream, DetRng};
@@ -62,10 +62,9 @@ pub(crate) fn action_error(e: NetworkError) -> ActionError {
 /// its node ids, and the task keys.
 pub(crate) fn bootstrap(cfg: &ProtocolSimConfig, seed: u64) -> (Network, Vec<Id>, Vec<Id>) {
     let mut placement: DetRng = substream(seed, 0, domains::PLACEMENT);
-    let mut task_rng: DetRng = substream(seed, 0, domains::TASKS);
     let net = Network::bootstrap(cfg.net, cfg.nodes, &mut placement);
     let node_ids = net.node_ids();
-    let task_keys = (0..cfg.tasks).map(|_| Id::random(&mut task_rng)).collect();
+    let task_keys = random_task_keys(seed, 0, cfg.tasks as usize);
     (net, node_ids, task_keys)
 }
 
